@@ -21,8 +21,8 @@ from .drawdown import (ConstrainedResult, ConstraintSpec, DrawdownStats,
                        enumerate_dbar, expected_complementary_exact,
                        expected_drawdown_exact, expected_drawdown_mc,
                        expected_log_complementary, max_drawdown,
-                       maximize_growth_constrained, sample_path_indices, simulate_path,
-                       write_level_set_csv)
+                       maximize_growth_constrained, mean_se, sample_path_indices,
+                       simulate_path, write_level_set_csv)
 from .gamble import (GambleModel, ModelValidationError, MomentSet, dump_model,
                      independent_join, is_feasible, load_model, make_coin, model_from_dict,
                      model_to_dict, moments, sample_indices, sample_outcome,

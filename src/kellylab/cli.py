@@ -143,6 +143,8 @@ def cmd_drawdown(args) -> int:
     _echo(args, ["model", "coin", "n", "paths", "seed", "eps", "delta", "k_grid",
                  "exact", "out"])
 
+    expected_spec = drawdown.ConstraintSpec(kind="expected", epsilon=args.eps)
+    prob_spec = drawdown.ConstraintSpec(kind="probabilistic", epsilon=args.eps, delta=args.delta)
     k_values = np.linspace(0.0, 1.0, args.k_grid)
     indices = drawdown.sample_path_indices(model, args.paths, args.n, args.seed)
     even = _is_even_coin(model)
@@ -156,16 +158,17 @@ def cmd_drawdown(args) -> int:
     print(f"{'K':>8} {'E[D]':>10} {'se':>10} {'P(D<=eps)':>10} {'se':>10}"
           + ("  exceed(MC)  analytic" if even else "")
           + ("  exact" if args.exact else ""))
-    for kk in k_values:
+    # One kernel call for the whole sweep; in_set columns use the plain rule.
+    dbars = drawdown.dbar_samples(model, k_values[:, None], indices)
+    for kk, dbar in zip(k_values, dbars):
         kv = np.array([kk])
-        dbar = drawdown.dbar_samples(model, kv, indices)
-        ed, ed_se = drawdown._mean_se(1.0 - dbar)
-        pe, pe_se = drawdown._mean_se((dbar >= 1.0 - args.eps).astype(float))
+        ed, ed_se = expected_spec.statistic(dbar)
+        pe, pe_se = prob_spec.statistic(dbar)
         line = f"{kk:>8.4f} {ed:>10.4f} {ed_se:>10.5f} {pe:>10.4f} {pe_se:>10.5f}"
-        erow = [repr(float(kk)), repr(ed), repr(ed_se), int(ed <= args.eps)]
-        prow = [repr(float(kk)), repr(pe), repr(pe_se), int(pe >= 1.0 - args.delta)]
+        erow = [repr(float(kk)), repr(ed), repr(ed_se), int(expected_spec.contains(ed))]
+        prow = [repr(float(kk)), repr(pe), repr(pe_se), int(prob_spec.contains(pe))]
         if even:
-            exceed, exceed_se = drawdown._mean_se((dbar <= 1.0 - kk).astype(float))
+            exceed, exceed_se = drawdown.mean_se((dbar <= 1.0 - kk).astype(float))
             a = analytic if 0.0 < kk < 1.0 else ""
             line += f"  {exceed:>10.4f}  {_fmt(a) if a != '' else '-':>8}"
             prow += [repr(exceed), repr(exceed_se), "" if a == "" else repr(a)]

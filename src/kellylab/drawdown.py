@@ -16,11 +16,22 @@ Relative wealth level is tracked by the recursion r <- min(1, r * factor)
 rather than by dividing V by its running peak: the first drop from a peak is
 then the exact float factor, so threshold events classify exactly and the
 even-coin enumeration matches 1 - p^N to summation accuracy.
+
+One private kernel runs that recursion, with the running minimum
+d <- min(d, r), for Monte Carlo and enumeration alike. It takes the
+per-atom factors of a batch of fractions and the atom-index rows of a block
+of paths, one row per step. The CRN matrix of sample_path_indices is
+step-major, (n_steps, paths), so each row is contiguous. dbar_samples takes
+one allocation, giving (paths,), or a (B, n_assets) batch, giving (B, paths),
+and every row of a batch is bitwise the single-fraction result. Enumeration
+generates its index rows per block of sequences and gets each sequence's
+probability as the kernel's output for the row of model weights.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -84,6 +95,38 @@ class ConstraintSpec:
         if self.kind == "probabilistic":
             if self.delta is None or not (0.0 < self.delta < 1.0):
                 raise ValueError(f"delta must be in (0, 1), got {self.delta!r}")
+
+    # The statistic and the two membership rules below apply to the
+    # "expected" and "probabilistic" kinds, which are judged from dbar samples.
+
+    def statistic(self, dbar: np.ndarray) -> tuple:
+        """(estimate, std_error) from per-path complementary drawdowns:
+        E[D] for "expected", P(D <= epsilon) for "probabilistic"."""
+        if self.kind == "expected":
+            return mean_se(1.0 - dbar)
+        return mean_se((dbar >= 1.0 - self.epsilon).astype(float))
+
+    def contains(self, estimate: float) -> bool:
+        """Plain rule: the estimate itself lies in the set.
+
+        The convexity probe and the `drawdown` CLI sweep use it; they report
+        the set as estimated.
+        """
+        if self.kind == "expected":
+            return estimate <= self.epsilon
+        return estimate >= 1.0 - self.delta
+
+    def contains_conservatively(self, estimate: float, std_error: float) -> bool:
+        """Conservative rule: a probabilistic constraint needs the whole
+        3-sigma band of its estimate above the floor 1 - delta; an expected
+        one is judged as in the plain rule.
+
+        The constrained searches use it, so a chosen fraction is unlikely to
+        break the constraint by sampling noise alone.
+        """
+        if self.kind == "expected":
+            return estimate <= self.epsilon
+        return estimate - 3.0 * std_error >= 1.0 - self.delta
 
 
 @dataclass(frozen=True)
@@ -150,32 +193,94 @@ def coin_drawdown_probability(p: float, n_steps: int) -> float:
 
 
 # ---------------------------------------------------------------------------
+# The drawdown kernel, shared by Monte Carlo and enumeration
+# ---------------------------------------------------------------------------
+
+# A kernel block is (paths x fractions) of about this many elements: small
+# enough that its three work arrays stay in cache, large enough that numpy's
+# per-call cost is spread over many elements.
+_BLOCK_ELEMENTS = 32_768
+_MIN_BLOCK_PATHS = 256
+# Paths per chunk when filling the step-major index matrix.
+_SAMPLE_CHUNK = 256
+
+
+def _min_recursion(factors: np.ndarray, n_paths: int, rows) -> np.ndarray:
+    """Per path, the running minimum of r <- min(1, r * f), r starting at 1.
+
+    factors is (B, m): per-atom factors, one row per fraction. rows(lo, hi)
+    yields the atom-index rows of paths lo..hi-1, one row per step in order.
+    Returns (B, n_paths). Indices must lie in [-m, m): mode="wrap" maps them
+    as fancy indexing does but does not check them.
+
+    A block holds its paths as rows and its fractions as columns, so the
+    gather copies one contiguous run of B factors per path.
+    """
+    b = factors.shape[0]
+    by_atom = np.ascontiguousarray(factors.T)
+    out = np.empty((b, n_paths))
+    width = max(_MIN_BLOCK_PATHS, _BLOCK_ELEMENTS // max(b, 1))
+    for lo in range(0, n_paths, width):
+        hi = min(lo + width, n_paths)
+        r = np.ones((hi - lo, b))
+        d = np.ones((hi - lo, b))
+        f = np.empty((hi - lo, b))
+        for row in rows(lo, hi):
+            by_atom.take(row, axis=0, out=f, mode="wrap")
+            r *= f
+            np.minimum(r, 1.0, out=r)
+            np.minimum(d, r, out=d)
+        out[:, lo:hi] = d.T
+    return out
+
+
+def _checked_factors(model: GambleModel, ks) -> np.ndarray:
+    """(B, m) wealth factors of a sequence of B allocations; each must be feasible."""
+    factors = np.empty((len(ks), model.n_atoms))
+    for i, k in enumerate(ks):
+        kv = as_allocation(k, model.n_assets)
+        if not is_feasible(kv, model):
+            raise ValueError(f"allocation {kv!r} is infeasible for this model")
+        factors[i] = wealth_factors(model, kv)
+    return factors
+
+
+# ---------------------------------------------------------------------------
 # Monte Carlo engine (common random numbers = shared index matrix)
 # ---------------------------------------------------------------------------
 
 def sample_path_indices(model: GambleModel, paths: int, n_steps: int, seed: int) -> np.ndarray:
-    """(paths, n_steps) atom-index matrix; reuse it across fractions for CRN."""
+    """Step-major (n_steps, paths) atom-index matrix; reuse it across fractions for CRN.
+
+    Column i holds the draws of row i of sample_indices(model, (paths, n_steps),
+    default_rng(seed)): chunks of paths are drawn in order from one generator.
+    """
     rng = np.random.default_rng(seed)
-    return sample_indices(model, (paths, n_steps), rng)
+    out = np.empty((n_steps, paths), dtype=np.intp)
+    for lo in range(0, paths, _SAMPLE_CHUNK):
+        hi = min(lo + _SAMPLE_CHUNK, paths)
+        out[:, lo:hi] = sample_indices(model, (hi - lo, n_steps), rng).T
+    return out
 
 
 def dbar_samples(model: GambleModel, k, indices: np.ndarray) -> np.ndarray:
-    """Per-path complementary drawdown min V(k)/V(l) for the given outcome indices."""
-    kv = as_allocation(k, model.n_assets)
-    if not is_feasible(kv, model):
-        raise ValueError(f"allocation {kv!r} is infeasible for this model")
-    f_atom = wealth_factors(model, kv)
-    paths, n_steps = indices.shape
-    r = np.ones(paths)
-    dbar = np.ones(paths)
-    for j in range(n_steps):
-        r *= f_atom[indices[:, j]]
-        np.minimum(r, 1.0, out=r)
-        np.minimum(dbar, r, out=dbar)
-    return dbar
+    """Per-path complementary drawdown min V(k)/V(l) for the given outcome indices.
+
+    indices is the step-major (n_steps, paths) matrix of sample_path_indices.
+    k is one allocation, giving (paths,), or a (B, n_assets) batch, giving
+    (B, paths) whose row b is bitwise the single call for k[b].
+    """
+    batch = np.ndim(k) == 2
+    factors = _checked_factors(model, k if batch else [k])
+    m = model.n_atoms
+    if indices.size and (indices.min() < -m or indices.max() >= m):
+        raise IndexError(f"atom index out of range for a model with {m} atoms")
+    dbar = _min_recursion(factors, indices.shape[1], lambda lo, hi: indices[:, lo:hi])
+    return dbar if batch else dbar[0]
 
 
-def _mean_se(samples: np.ndarray) -> tuple:
+def mean_se(samples: np.ndarray) -> tuple:
+    """(mean, standard error of the mean) of a sample."""
     n = samples.size
     est = float(samples.mean())
     se = float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
@@ -188,7 +293,7 @@ def expected_drawdown_mc(model: GambleModel, k, n_steps: int, paths: int,
     if paths < 100:
         raise ValueError("need at least 100 paths")
     indices = sample_path_indices(model, paths, n_steps, seed)
-    return _mean_se(1.0 - dbar_samples(model, k, indices))
+    return mean_se(1.0 - dbar_samples(model, k, indices))
 
 
 def drawdown_probability_mc(model: GambleModel, k, n_steps: int, epsilon: float,
@@ -200,7 +305,7 @@ def drawdown_probability_mc(model: GambleModel, k, n_steps: int, epsilon: float,
         raise ValueError("epsilon must be in (0, 1]")
     indices = sample_path_indices(model, paths, n_steps, seed)
     hit = (dbar_samples(model, k, indices) >= 1.0 - epsilon).astype(float)
-    return _mean_se(hit)
+    return mean_se(hit)
 
 
 # ---------------------------------------------------------------------------
@@ -211,11 +316,13 @@ def enumerate_dbar(model: GambleModel, k, n_steps: int,
                    budget: int = ENUM_BUDGET) -> tuple:
     """(probability, complementary drawdown) over every outcome sequence.
 
+    Sequence s takes atom (s // m^(N-1-j)) % m at step j. The kernel runs on
+    those index rows, generated per block of sequences, with the model
+    weights as a second factor row: every weight is <= 1, so that row's
+    running minimum is the running product, i.e. the sequence probability.
     Raises EnumerationBudgetError when atom_count^n_steps exceeds the budget.
     """
-    kv = as_allocation(k, model.n_assets)
-    if not is_feasible(kv, model):
-        raise ValueError(f"allocation {kv!r} is infeasible for this model")
+    factors = _checked_factors(model, [k])
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     m = model.n_atoms
@@ -224,19 +331,15 @@ def enumerate_dbar(model: GambleModel, k, n_steps: int,
         raise EnumerationBudgetError(
             f"{m}^{n_steps} = {total} sequences exceed the budget of {budget}"
         )
-    f_atom = wealth_factors(model, kv)
-    seq = np.arange(total, dtype=np.int64)
-    r = np.ones(total)
-    dbar = np.ones(total)
-    prob = np.ones(total)
-    stride = total
-    for _ in range(n_steps):
-        stride //= m
-        idx = (seq // stride) % m
-        r = r * f_atom[idx]
-        np.minimum(r, 1.0, out=r)
-        np.minimum(dbar, r, out=dbar)
-        prob = prob * model.probs[idx]
+
+    def rows(lo, hi):
+        seq = np.arange(lo, hi)
+        stride = total
+        for _ in range(n_steps):
+            stride //= m
+            yield (seq // stride) % m
+
+    dbar, prob = _min_recursion(np.vstack([factors, model.probs]), total, rows)
     return prob, dbar
 
 
@@ -267,6 +370,12 @@ def expected_log_complementary(model: GambleModel, k, n_steps: int,
                                mc: MonteCarloConfig = MonteCarloConfig()) -> LogDrawdownEstimate:
     """E[log(1 - D)]: exact by enumeration when it fits the budget, otherwise a
     flagged Monte Carlo estimate. -inf whenever ruin has positive probability."""
+    return _log_complementary(model, k, n_steps, budget,
+                              lambda: sample_path_indices(model, mc.paths, n_steps, mc.seed))
+
+
+def _log_complementary(model, k, n_steps, budget, crn) -> LogDrawdownEstimate:
+    """expected_log_complementary; crn() gives the Monte Carlo fallback's index matrix."""
     kv = as_allocation(k, model.n_assets)
     if not is_feasible(kv, model):
         raise ValueError(f"allocation {kv!r} is infeasible for this model")
@@ -277,9 +386,7 @@ def expected_log_complementary(model: GambleModel, k, n_steps: int,
         prob, dbar = enumerate_dbar(model, kv, n_steps, budget)
         return LogDrawdownEstimate(value=float(prob @ np.log(dbar)), exact=True)
     except EnumerationBudgetError:
-        indices = sample_path_indices(model, mc.paths, n_steps, mc.seed)
-        logs = np.log(dbar_samples(model, kv, indices))
-        est, se = _mean_se(logs)
+        est, se = mean_se(np.log(dbar_samples(model, kv, crn())))
         return LogDrawdownEstimate(value=est, exact=False, std_error=se)
 
 
@@ -305,41 +412,47 @@ def _grid_1d(step: float = GRID_STEP) -> np.ndarray:
     return np.linspace(0.0, 1.0, count)
 
 
-def _constraint_evaluator(model, n_steps, spec, mc):
-    """Returns feasible(k) -> (ok, estimate, std_error) under CRN."""
-    indices = sample_path_indices(model, mc.paths, n_steps, mc.seed)
+def _batch_stats(model, spec, ks, indices) -> list:
+    """[(estimate, std_error)] of spec's statistic for each allocation in ks,
+    from one kernel call on the shared index matrix."""
+    batch = np.reshape(np.asarray(ks, dtype=float), (-1, model.n_assets))
+    return [spec.statistic(dbar) for dbar in dbar_samples(model, batch, indices)]
 
-    def evaluate(kv):
-        dbar = dbar_samples(model, kv, indices)
-        if spec.kind == "expected":
-            est, se = _mean_se(1.0 - dbar)
-            return est <= spec.epsilon, est, se
-        hit = (dbar >= 1.0 - spec.epsilon).astype(float)
-        est, se = _mean_se(hit)
-        # Conservative: require the whole 3-sigma band above the floor.
-        return est - 3.0 * se >= 1.0 - spec.delta, est, se
 
-    return evaluate
+class _ConstraintEvaluator:
+    """Conservative constraint checks of one search, all on one CRN matrix.
+
+    Calling it checks one allocation; batch() checks a sequence of
+    allocations in one kernel call. Both give (ok, estimate,
+    std_error) and count into evals.
+    """
+
+    def __init__(self, model, n_steps, spec, mc):
+        self.model = model
+        self.spec = spec
+        self.indices = sample_path_indices(model, mc.paths, n_steps, mc.seed)
+        self.evals = 0
+
+    def batch(self, ks) -> list:
+        self.evals += len(ks)
+        return [(self.spec.contains_conservatively(est, se), est, se)
+                for est, se in _batch_stats(self.model, self.spec, ks, self.indices)]
+
+    def __call__(self, kv) -> tuple:
+        return self.batch([kv])[0]
 
 
 def _constrained_mc_1d(model, n_steps, spec, mc, unconstrained):
-    evaluate = _constraint_evaluator(model, n_steps, spec, mc)
-    evals = 0
+    evaluate = _ConstraintEvaluator(model, n_steps, spec, mc)
 
     k_un = float(unconstrained.k_star[0])
     ok, est, se = evaluate(np.array([k_un]))
-    evals += 1
     if ok:
         return ConstrainedResult(unconstrained.k_star, unconstrained.g_star,
-                                 evals, True, "unconstrained-feasible", est, se)
+                                 evaluate.evals, True, "unconstrained-feasible", est, se)
 
     grid = _grid_1d()
-    flags, stats = [], []
-    for kk in grid:
-        ok, est, se = evaluate(np.array([kk]))
-        evals += 1
-        flags.append(ok)
-        stats.append((est, se))
+    flags = [ok for ok, _, _ in evaluate.batch(grid)]
     feasible_idx = [i for i, ok in enumerate(flags) if ok]
     if not feasible_idx:
         raise InfeasibleConstraintError(
@@ -355,39 +468,32 @@ def _constrained_mc_1d(model, n_steps, spec, mc, unconstrained):
         while hi - lo > REFINE_TOL:
             mid = 0.5 * (lo + hi)
             ok, _, _ = evaluate(np.array([mid]))
-            evals += 1
             if ok:
                 lo = mid
             else:
                 hi = mid
     k_out = np.array([min(lo, k_un)])
     ok, est, se = evaluate(k_out)
-    evals += 1
-    return ConstrainedResult(k_out, log_growth(k_out, model), evals, True,
+    return ConstrainedResult(k_out, log_growth(k_out, model), evaluate.evals, True,
                              "grid-refine", est, se)
 
 
 def _constrained_mc_2d(model, n_steps, spec, mc, unconstrained):
-    evaluate = _constraint_evaluator(model, n_steps, spec, mc)
-    evals = 0
+    evaluate = _ConstraintEvaluator(model, n_steps, spec, mc)
 
     ok, est, se = evaluate(unconstrained.k_star)
-    evals += 1
     if ok:
         return ConstrainedResult(unconstrained.k_star, unconstrained.g_star,
-                                 evals, True, "unconstrained-feasible", est, se)
+                                 evaluate.evals, True, "unconstrained-feasible", est, se)
 
+    # One kernel call per k1 row of the grid; points are visited in the same
+    # order as a point-by-point scan, and the strict > keeps the first best.
     axis = np.arange(0.0, 1.0 + 1e-12, 2 * GRID_STEP)
     best = None
     for k1 in axis:
-        for k2 in axis:
-            if k1 + k2 > 1.0 + 1e-12:
-                continue
-            kv = np.array([k1, k2])
-            if not is_feasible(kv, model):
-                continue
-            ok, est, se = evaluate(kv)
-            evals += 1
+        row = [kv for kv in (np.array([k1, k2]) for k2 in axis if k1 + k2 <= 1.0 + 1e-12)
+               if is_feasible(kv, model)]
+        for kv, (ok, est, se) in zip(row, evaluate.batch(row)):
             if not ok:
                 continue
             g = log_growth(kv, model)
@@ -398,14 +504,17 @@ def _constrained_mc_2d(model, n_steps, spec, mc, unconstrained):
             f"no grid point satisfies {spec.kind} <= {spec.epsilon}"
         )
     kv, g, est, se = best
-    return ConstrainedResult(kv, g, evals, True, "grid-scan", est, se)
+    return ConstrainedResult(kv, g, evaluate.evals, True, "grid-scan", est, se)
 
 
 def _constrained_surrogate(model, n_steps, spec, mc, budget, unconstrained):
     target = math.log(1.0 - spec.epsilon)
+    # A Monte Carlo fallback samples its index matrix once, on first use, and
+    # every later evaluation of this search reuses it.
+    crn = functools.cache(lambda: sample_path_indices(model, mc.paths, n_steps, mc.seed))
 
     def h(kv):
-        return expected_log_complementary(model, kv, n_steps, budget=budget, mc=mc).value
+        return _log_complementary(model, kv, n_steps, budget, crn).value
 
     evals = 1
     if h(unconstrained.k_star) >= target:
@@ -520,18 +629,6 @@ class ProbeReport:
         return sum(1 for c in self.checks if c.violation and not c.significant)
 
 
-def _probe_stat(spec, dbar):
-    if spec.kind == "expected":
-        return _mean_se(1.0 - dbar)
-    return _mean_se((dbar >= 1.0 - spec.epsilon).astype(float))
-
-
-def _probe_in_set(spec, est):
-    if spec.kind == "expected":
-        return est <= spec.epsilon
-    return est >= 1.0 - spec.delta
-
-
 def _probe_boundary_gap(spec, est):
     """How far past the boundary a violating estimate sits."""
     if spec.kind == "expected":
@@ -558,34 +655,32 @@ def convexity_probe(model: GambleModel, n_steps: int, spec: ConstraintSpec,
         raise ValueError("grid_resolution must be >= 20")
     indices = sample_path_indices(model, mc.paths, n_steps, mc.seed)
 
+    # Membership uses the plain rule: the probe reports the set as estimated.
     axis = np.linspace(0.0, 1.0, grid_resolution)
+    points = [kv for kv in (np.array([k1, k2]) for k1 in axis for k2 in axis
+                            if k1 + k2 <= 1.0 + 1e-12)
+              if is_feasible(kv, model)]
     grid = []
     in_points = []
-    for k1 in axis:
-        for k2 in axis:
-            if k1 + k2 > 1.0 + 1e-12:
-                continue
-            kv = np.array([k1, k2])
-            if not is_feasible(kv, model):
-                continue
-            est, se = _probe_stat(spec, dbar_samples(model, kv, indices))
-            inside = _probe_in_set(spec, est)
-            grid.append(ProbePoint(float(k1), float(k2), est, se, inside))
-            if inside:
-                in_points.append(kv)
+    for kv, (est, se) in zip(points, _batch_stats(model, spec, points, indices)):
+        inside = spec.contains(est)
+        grid.append(ProbePoint(float(kv[0]), float(kv[1]), est, se, inside))
+        if inside:
+            in_points.append(kv)
 
+    # The pairs depend only on the rng and the in-set points, so every
+    # midpoint is drawn first and all are estimated in one kernel call.
     checks = []
-    pairs = 0
     if len(in_points) >= 2:
         rng = np.random.default_rng(mc.seed + 1)
-        for _ in range(pair_samples):
-            ia, ib = rng.choice(len(in_points), size=2, replace=False)
+        pairs = [rng.choice(len(in_points), size=2, replace=False)
+                 for _ in range(pair_samples)]
+        mids = [0.5 * (in_points[ia] + in_points[ib]) for ia, ib in pairs]
+        stats = _batch_stats(model, spec, mids, indices)
+        for (ia, ib), mid, (est, se) in zip(pairs, mids, stats):
             a, b = in_points[ia], in_points[ib]
-            mid = 0.5 * (a + b)
-            est, se = _probe_stat(spec, dbar_samples(model, mid, indices))
-            violation = not _probe_in_set(spec, est)
+            violation = not spec.contains(est)
             significant = violation and _probe_boundary_gap(spec, est) > 3.0 * se
-            pairs += 1
             checks.append(MidpointCheck(
                 k_a=(float(a[0]), float(a[1])),
                 k_b=(float(b[0]), float(b[1])),
@@ -595,7 +690,7 @@ def convexity_probe(model: GambleModel, n_steps: int, spec: ConstraintSpec,
             ))
 
     return ProbeReport(spec=spec, n_steps=n_steps, paths=mc.paths, seed=mc.seed,
-                       grid=grid, checks=checks, pairs_tested=pairs)
+                       grid=grid, checks=checks, pairs_tested=len(checks))
 
 
 def write_level_set_csv(report: ProbeReport, path) -> None:

@@ -40,7 +40,7 @@ class GambleModel:
 
     xs:    (m, n) array, one atom per row; every component >= -1
            (-1 means total loss of the amount bet on that asset).
-    probs: (m,) strictly positive weights summing to 1 within PROB_SUM_TOL.
+    probs: (m,) weights in (0, 1] summing to 1 within PROB_SUM_TOL.
 
     Duplicate atoms are legal and treated as independent point masses.
     """
@@ -65,6 +65,9 @@ class GambleModel:
             raise ModelValidationError("atom returns must be finite")
         if not np.all(np.isfinite(probs)) or np.any(probs <= 0.0):
             raise ModelValidationError("atom probabilities must be strictly positive")
+        if np.any(probs > 1.0):
+            # The sum tolerance alone would admit a weight a hair above 1.
+            raise ModelValidationError("atom probabilities must not exceed 1")
         if abs(float(probs.sum()) - 1.0) > PROB_SUM_TOL:
             raise ModelValidationError(
                 f"probabilities sum to {probs.sum()!r}, expected 1 within {PROB_SUM_TOL}"
@@ -168,9 +171,17 @@ def _cumulative(model: GambleModel) -> np.ndarray:
 
 
 def sample_indices(model: GambleModel, shape, rng: np.random.Generator) -> np.ndarray:
-    """Atom indices drawn i.i.d. per the model weights; deterministic given the rng state."""
+    """Atom indices drawn i.i.d. per the model weights; deterministic given the rng state.
+
+    Index i is the number of cumulative weights <= u for one uniform u in
+    [0, 1). With two atoms that count is (u >= cum[0]), because u < cum[1] = 1,
+    and the comparison gives the same indices as a search, only faster.
+    """
     u = rng.random(shape)
-    return np.searchsorted(_cumulative(model), u, side="right")
+    cum = _cumulative(model)
+    if cum.size == 2:
+        return np.asarray(u >= cum[0]).astype(np.intp)
+    return np.searchsorted(cum, u, side="right")
 
 
 def sample_outcome(model: GambleModel, rng: np.random.Generator) -> np.ndarray:

@@ -102,6 +102,15 @@ def test_drawdown_rejects_two_asset_models(capsys):
     assert code == 2 and "1-asset" in err
 
 
+def test_drawdown_levels_are_validated_like_constraints(capsys):
+    code, _, err = run_cli(capsys, "drawdown", "--coin", "1,-1,0.9", "--n", "10",
+                           "--paths", "100", "--eps", "1.5")
+    assert code == 2 and "epsilon" in err
+    code, _, err = run_cli(capsys, "drawdown", "--coin", "1,-1,0.9", "--n", "10",
+                           "--paths", "100", "--delta", "0")
+    assert code == 2 and "delta" in err
+
+
 # ---------------------------------------------------------------------------
 # constrained
 # ---------------------------------------------------------------------------

@@ -9,11 +9,12 @@ import pytest
 from kellylab import (ConstraintSpec, EnumerationBudgetError, GambleModel,
                       MonteCarloConfig, coin_drawdown_probability, convexity_probe,
                       dbar_samples, drawdown_exceedance_exact, drawdown_probability_mc,
-                      expected_complementary_exact, expected_drawdown_exact,
-                      expected_drawdown_mc, expected_log_complementary, independent_join,
+                      enumerate_dbar, expected_complementary_exact,
+                      expected_drawdown_exact, expected_drawdown_mc,
+                      expected_log_complementary, independent_join, log_growth,
                       make_coin, max_drawdown, maximize_growth,
-                      maximize_growth_constrained, sample_path_indices, simulate_path,
-                      write_level_set_csv)
+                      maximize_growth_constrained, mean_se, sample_indices,
+                      sample_path_indices, simulate_path, write_level_set_csv)
 
 EVEN9 = make_coin(1.0, -1.0, 0.9)
 SKEWED = make_coin(0.15, -0.95, 0.95)
@@ -227,6 +228,116 @@ def test_common_random_numbers_are_reused():
 
 
 # ---------------------------------------------------------------------------
+# The shared drawdown kernel: step-major CRN matrix, fraction batches
+# ---------------------------------------------------------------------------
+
+FOUR_ATOMS = GambleModel(xs=[[0.4], [0.1], [-0.2], [-0.7]], probs=[0.3, 0.3, 0.25, 0.15])
+
+
+def dbar_samples_loop(model, k, indices):
+    """The per-fraction, path-major recursion the kernel replaced."""
+    f_atom = np.maximum(1.0 + model.xs @ np.atleast_1d(np.asarray(k, dtype=float)), 0.0)
+    paths, n_steps = indices.shape
+    r = np.ones(paths)
+    dbar = np.ones(paths)
+    for j in range(n_steps):
+        r *= f_atom[indices[:, j]]
+        np.minimum(r, 1.0, out=r)
+        np.minimum(dbar, r, out=dbar)
+    return dbar
+
+
+def enumerate_dbar_loop(model, k, n_steps):
+    """The whole-array enumeration the kernel replaced."""
+    f_atom = np.maximum(1.0 + model.xs @ np.atleast_1d(np.asarray(k, dtype=float)), 0.0)
+    m = model.n_atoms
+    total = m ** n_steps
+    seq = np.arange(total, dtype=np.int64)
+    r = np.ones(total)
+    dbar = np.ones(total)
+    prob = np.ones(total)
+    stride = total
+    for _ in range(n_steps):
+        stride //= m
+        idx = (seq // stride) % m
+        r = r * f_atom[idx]
+        np.minimum(r, 1.0, out=r)
+        np.minimum(dbar, r, out=dbar)
+        prob = prob * model.probs[idx]
+    return prob, dbar
+
+
+@pytest.mark.parametrize("model", [SKEWED, FOUR_ATOMS], ids=["2-atom", "4-atom"])
+@pytest.mark.parametrize("paths", [100, 256, 700])
+def test_step_major_matrix_is_transposed_sample(model, paths):
+    # Below, equal to, and not a multiple of the sampling chunk of 256 paths.
+    idx = sample_path_indices(model, paths, 37, seed=5)
+    ref = sample_indices(model, (paths, 37), np.random.default_rng(5)).T
+    assert idx.shape == (37, paths) and idx.dtype == np.intp
+    assert np.array_equal(idx, ref)
+
+
+@pytest.mark.parametrize("model,ks", [
+    (FOUR_ATOMS, np.linspace(0.0, 1.0, 101)[:, None]),
+    (TWO_COINS, np.array([[a, b] for a in np.linspace(0.0, 1.0, 21)
+                          for b in np.linspace(0.0, 1.0, 21) if a + b <= 1.0])),
+], ids=["1-asset", "2-asset"])
+def test_batched_rows_equal_single_calls_bitwise(model, ks):
+    # 1000 paths span several kernel blocks; 231 fractions exceed one block's width.
+    idx = sample_path_indices(model, 1000, 60, seed=3)
+    batch = dbar_samples(model, ks, idx)
+    assert batch.shape == (len(ks), 1000)
+    for kv, row in zip(ks, batch):
+        single = dbar_samples(model, kv, idx)
+        assert single.shape == (1000,)
+        assert np.array_equal(row, single)
+        assert np.array_equal(row, dbar_samples_loop(model, kv, idx.T))
+
+
+@pytest.mark.parametrize("model", [EVEN9, SKEWED, FOUR_ATOMS, TWO_COINS],
+                         ids=["even", "skewed", "4-atom", "2-asset"])
+def test_enumeration_equals_whole_array_loop_bitwise(model):
+    # N <= 10, or up to the enumeration budget: 4^10 exceeds it.
+    rng = np.random.default_rng(17)
+    for n in range(1, 11 if model.n_atoms == 2 else 10):
+        k = rng.dirichlet(np.ones(model.n_assets + 1))[:model.n_assets]
+        prob, dbar = enumerate_dbar(model, k, n)
+        ref_prob, ref_dbar = enumerate_dbar_loop(model, k, n)
+        assert np.array_equal(prob, ref_prob)
+        assert np.array_equal(dbar, ref_dbar)
+
+
+def test_enumeration_with_ruin_factor():
+    prob, dbar = enumerate_dbar(EVEN9, 1.0, 8)
+    ref_prob, ref_dbar = enumerate_dbar_loop(EVEN9, 1.0, 8)
+    assert np.array_equal(prob, ref_prob) and np.array_equal(dbar, ref_dbar)
+    assert dbar.min() == 0.0
+
+
+def test_out_of_range_index_raises():
+    idx = sample_path_indices(SKEWED, 300, 20, seed=1)
+    idx[7, 123] = 2
+    with pytest.raises(IndexError):
+        dbar_samples(SKEWED, 0.3, idx)
+    idx[7, 123] = -3
+    with pytest.raises(IndexError):
+        dbar_samples(SKEWED, [[0.1], [0.3]], idx)
+
+
+def test_negative_index_counts_from_the_end():
+    # As in fancy indexing, -1 is the last atom.
+    idx = sample_path_indices(SKEWED, 300, 20, seed=1)
+    neg = np.where(idx == 1, -1, idx)
+    assert np.array_equal(dbar_samples(SKEWED, 0.4, neg), dbar_samples(SKEWED, 0.4, idx))
+
+
+def test_batch_rejects_infeasible_row():
+    idx = sample_path_indices(SKEWED, 100, 10, seed=1)
+    with pytest.raises(ValueError, match="infeasible"):
+        dbar_samples(SKEWED, [[0.2], [1.5]], idx)
+
+
+# ---------------------------------------------------------------------------
 # E[log(1 - D)] and the concave surrogate
 # ---------------------------------------------------------------------------
 
@@ -312,6 +423,55 @@ def test_surrogate_two_assets():
     h = expected_log_complementary(TWO_COINS, res.k_star, 6).value
     assert h >= math.log(0.75) - 1e-12
     assert res.g_star > 0.0
+
+
+@pytest.mark.parametrize("model,n_steps,spec,builds", [
+    (SKEWED, 120, ConstraintSpec(kind="expected", epsilon=0.2), 1),
+    (EVEN9, 60, ConstraintSpec(kind="probabilistic", epsilon=0.5, delta=0.1), 1),
+    (TWO_COINS, 30, ConstraintSpec(kind="expected", epsilon=0.1), 1),
+    (TWO_COINS, 12, ConstraintSpec(kind="surrogate", epsilon=0.2), 1),   # MC fallback
+    (TWO_COINS, 6, ConstraintSpec(kind="surrogate", epsilon=0.1), 0),    # enumeration
+], ids=["1d-expected", "1d-probabilistic", "2d-scan", "2d-surrogate-mc", "2d-surrogate-exact"])
+def test_search_builds_crn_matrix_at_most_once(monkeypatch, model, n_steps, spec, builds):
+    from kellylab import drawdown
+    calls = []
+    original = drawdown.sample_path_indices
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(drawdown, "sample_path_indices", counting)
+    res = maximize_growth_constrained(model, n_steps, spec,
+                                      mc=MonteCarloConfig(paths=300, seed=2))
+    assert res.method != "unconstrained-feasible"
+    assert len(calls) == builds
+
+
+def test_grid_scan_keeps_first_of_tied_points():
+    # Two identical, perfectly correlated assets: swapped allocations give the
+    # same wealth factors bit for bit, so their growth and estimates tie. The
+    # scan visits K1 in ascending order and keeps the first best point.
+    m = GambleModel(xs=[[1.0, 1.0], [-1.0, -1.0]], probs=[0.8, 0.2])
+    res = maximize_growth_constrained(m, 30, ConstraintSpec(kind="expected", epsilon=0.2),
+                                      mc=MonteCarloConfig(paths=200, seed=1))
+    assert res.method == "grid-scan"
+    assert res.k_star[0] == 0.0 and res.k_star[1] > 0.0
+    assert log_growth(res.k_star[::-1], m) == res.g_star
+
+
+def test_membership_rules():
+    expected = ConstraintSpec(kind="expected", epsilon=0.2)
+    assert expected.contains(0.2) and not expected.contains(0.21)
+    assert expected.contains_conservatively(0.2, 0.5)
+    prob = ConstraintSpec(kind="probabilistic", epsilon=0.3, delta=0.1)
+    assert prob.contains(0.9) and not prob.contains(0.89)
+    # Conservative: the 3-sigma band must clear the floor 0.9.
+    assert prob.contains_conservatively(0.93, 0.01)
+    assert not prob.contains_conservatively(0.93, 0.011)
+    dbar = np.array([1.0, 0.9, 0.6, 0.75])
+    assert expected.statistic(dbar) == mean_se(1.0 - dbar)
+    assert prob.statistic(dbar) == mean_se(np.array([1.0, 1.0, 0.0, 1.0]))
 
 
 def test_constraint_spec_validation():

@@ -63,6 +63,12 @@ def test_probabilities_must_be_positive():
         GambleModel(xs=[[1.0], [-1.0]], probs=[1.0, 0.0])
 
 
+def test_probabilities_must_not_exceed_one():
+    # Within the sum tolerance, but not a probability.
+    with pytest.raises(ModelValidationError, match="exceed 1"):
+        GambleModel(xs=[[1.0]], probs=[1.0 + 1e-13])
+
+
 def test_at_least_one_atom():
     with pytest.raises(ModelValidationError, match="atom"):
         GambleModel(xs=np.empty((0, 1)), probs=[])
@@ -196,6 +202,17 @@ def test_sampling_is_bitwise_deterministic():
     s1 = [sample_outcome(m, np.random.default_rng(5))[0] for _ in range(10)]
     s2 = [sample_outcome(m, np.random.default_rng(5))[0] for _ in range(10)]
     assert s1 == s2
+
+
+def test_two_atom_sampler_matches_search():
+    # The two-atom comparison u >= cum[0] gives the indices of the general
+    # searchsorted path on the same uniforms.
+    m = make_coin(0.15, -0.95, 0.95)
+    u = np.random.default_rng(7).random((300, 40))
+    cum = np.array([m.probs[0], 1.0])
+    idx = sample_indices(m, (300, 40), np.random.default_rng(7))
+    assert idx.dtype == np.intp
+    assert np.array_equal(idx, np.searchsorted(cum, u, side="right"))
 
 
 def test_sample_frequencies_match_probs():

@@ -124,11 +124,16 @@ def test_nonpositive_mean_model_sits_out():
     assert np.all(moments(m).mean <= 0)
     res = maximize_growth(m)
     assert np.allclose(res.k_star, 0.0, atol=1e-9)
+    # The same (a, b) points as a scalar scan over a in grid, b in
+    # grid[: int((1 - a) * 1000) + 1], in one vectorised evaluation of g.
     grid = np.arange(0.0, 1.0 + 1e-12, 1e-3)
-    best = max(
-        log_growth(np.array([a, b]), m)
-        for a in grid for b in grid[: int((1.0 - a) * 1000) + 1]
-    )
+    counts = [int((1.0 - a) * 1000) + 1 for a in grid]
+    ks = np.column_stack([np.repeat(grid, counts),
+                          np.concatenate([grid[:c] for c in counts])])
+    assert np.all(ks.sum(axis=1) <= 1.0 + 1e-9)
+    factors = 1.0 + ks @ m.xs.T
+    assert np.all(factors > 0.0)
+    best = float(np.max(np.log(factors) @ m.probs))
     assert best <= res.g_star + 1e-12
 
 
