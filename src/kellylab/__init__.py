@@ -8,25 +8,22 @@ sliding-window betting, and ingestion of daily price data into empirical
 return models. A CLI (`kellylab`) wires it all into reproducible experiments.
 """
 
-from .adaptive import AdaptiveRun, adaptive_fraction, estimate_p, run_adaptive
+from .adaptive import AdaptiveRun, run_adaptive
 from .approx import (ApproxSolution, DegenerateModelError, approx_solution, gbm_solution,
                      inefficiency_threshold, inefficiency_witness, project_simplex_ray,
                      repair_allocation, saturate, taylor_gain_curve, taylor_gain_raw,
                      taylor_solution)
-from .drawdown import (ConstrainedResult, ConstraintSpec, DrawdownStats,
-                       EnumerationBudgetError, InfeasibleConstraintError,
-                       LogDrawdownEstimate, MonteCarloConfig, ProbeReport, WealthPath,
-                       coin_drawdown_probability, convexity_probe, dbar_samples,
-                       drawdown_exceedance_exact, drawdown_probability_mc,
-                       enumerate_dbar, expected_complementary_exact,
-                       expected_drawdown_exact, expected_drawdown_mc,
-                       expected_log_complementary, max_drawdown,
+from .drawdown import (ConstrainedResult, ConstraintSpec, EnumerationBudgetError,
+                       InfeasibleConstraintError, LogDrawdownEstimate, MonteCarloConfig,
+                       ProbeReport, WealthPath, coin_drawdown_probability, convexity_probe,
+                       dbar_samples, drawdown_exceedance_exact, enumerate_dbar,
+                       expected_complementary_exact, expected_drawdown_exact,
+                       expected_drawdown_mc, expected_log_complementary,
                        maximize_growth_constrained, mean_se, sample_path_indices,
-                       simulate_path, write_level_set_csv)
+                       write_level_set_csv)
 from .gamble import (GambleModel, ModelValidationError, MomentSet, dump_model,
                      independent_join, is_feasible, load_model, make_coin, model_from_dict,
-                     model_to_dict, moments, sample_indices, sample_outcome,
-                     sample_outcomes, wealth_factors)
+                     model_to_dict, moments, sample_indices, wealth_factors)
 from .growth import (GrowthResult, annualized_return, growth_gradient, log_growth,
                      maximize_growth, project_allocation)
 from .ingest import (EmpiricalPMF, LoadReport, PriceDataError, PriceSeries, load_prices,

@@ -30,34 +30,13 @@ class AdaptiveRun:
     window: int
 
 
-def estimate_p(outcomes, k: int, window: int) -> float:
-    """Fraction of strictly positive outcomes among outcomes[k-window:k].
-
-    Zero outcomes count as losses. Rejects k < window.
-    """
-    x = np.asarray(outcomes, dtype=float)
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    if k < window:
-        raise ValueError(f"step {k} precedes the end of the training window {window}")
-    if x.size < k:
-        raise ValueError(f"need at least {k} outcomes, got {x.size}")
-    return float(np.count_nonzero(x[k - window:k] > 0.0)) / window
-
-
-def adaptive_fraction(p_hat: float) -> float:
-    """Plug-in betting fraction 2*p_hat - 1, clamped to [0, 1]."""
-    if not (0.0 <= p_hat <= 1.0):
-        raise ValueError(f"p_hat must be in [0, 1], got {p_hat!r}")
-    return min(1.0, max(0.0, 2.0 * p_hat - 1.0))
-
-
 def run_adaptive(p_true: float, n_steps: int, window: int, v0: float = 1.0,
                  seed: int = 0) -> AdaptiveRun:
     """Simulate the even coin at p_true with window-frequency betting.
 
-    Deterministic given the seed. Holds K=0 for the first `window` steps,
-    then bets adaptive_fraction(estimate) every step.
+    Deterministic given the seed. Holds K=0 for the first `window` steps;
+    at step k >= window it estimates p as the share of wins among the
+    outcomes of steps k-window..k-1 and bets clip(2 * estimate - 1, 0, 1).
     """
     if not (0.0 < p_true < 1.0):
         raise ValueError("p_true must be in (0, 1)")

@@ -199,12 +199,6 @@ def cmd_constrained(args) -> int:
     mc = drawdown.MonteCarloConfig(paths=args.paths, seed=args.seed)
     result = drawdown.maximize_growth_constrained(model, args.n, spec, mc=mc)
 
-    if spec.kind == "expected":
-        slack = spec.epsilon - result.constraint_estimate
-    elif spec.kind == "probabilistic":
-        slack = result.constraint_estimate - (1.0 - spec.delta)
-    else:
-        slack = result.constraint_estimate - math.log(1.0 - spec.epsilon)
     print(f"method:              {result.method}")
     print(f"K:                   {_fmt_vec(result.k_star)}")
     print(f"g(K):                {_fmt(result.g_star)}")
@@ -212,7 +206,7 @@ def cmd_constrained(args) -> int:
     print(f"constraint estimate: {_fmt(result.constraint_estimate)}"
           + (f" (se {_fmt(result.constraint_std_error)})"
              if result.constraint_std_error is not None else ""))
-    print(f"constraint slack:    {_fmt(slack)}")
+    print(f"constraint slack:    {_fmt(spec.slack(result.constraint_estimate))}")
     if not result.converged:
         print("warning: constrained search did not converge")
         return EXIT_NO_CONVERGENCE

@@ -5,7 +5,6 @@ rest of the package never hard-codes its own epsilons.
 """
 
 PROB_SUM_TOL = 1e-12        # |sum(p) - 1| allowed at model construction
-PSD_TOL = 1e-10             # eigenvalue slack when checking covariance PSD
 FEAS_TOL = 1e-9             # slack for allocation feasibility comparisons
 RUIN_EPS = 1e-12            # wealth factor below this is treated as the ruin boundary
 ENUM_BUDGET = 10**6         # max outcome sequences for exact enumeration

@@ -1,6 +1,4 @@
-"""Wealth paths and drawdown statistics.
-
-The wealth recursion V(k+1) = (1 + K'X(k)) V(k) drives everything here:
+"""Drawdown statistics of the wealth recursion V(k+1) = (1 + K'X(k)) V(k).
 
 * Monte Carlo estimation of expected maximum drawdown and of the probability
   that drawdown stays below a level, with common random numbers across
@@ -11,6 +9,11 @@ The wealth recursion V(k+1) = (1 + K'X(k)) V(k) drives everything here:
 * growth maximization under three drawdown constraint styles, including the
   concave log-complementary surrogate;
 * an empirical convexity probe for two-asset drawdown constraint sets.
+
+ConstraintSpec holds the one boundary rule: slack(estimate) is the signed
+distance of an estimate inside its constraint, and contains(estimate) is
+slack(estimate) >= 0. The constrained searches, the probe and the CLI all
+judge membership and report slack through it.
 
 Relative wealth level is tracked by the recursion r <- min(1, r * factor)
 rather than by dividing V by its running peak: the first drop from a peak is
@@ -70,18 +73,13 @@ class WealthPath:
 
 
 @dataclass(frozen=True)
-class DrawdownStats:
-    """Maximum percentage drawdown of a path, its complement, and log complement."""
-
-    max_drawdown: float      # in [0, 1]
-    complementary: float     # 1 - max_drawdown
-    log_complementary: float  # log(complementary), -inf on ruin
-
-
-@dataclass(frozen=True)
 class ConstraintSpec:
     """Drawdown constraint: E[D] <= eps, P(D <= eps) >= 1 - delta, or the
-    concave surrogate E[log(1 - D)] >= log(1 - eps)."""
+    concave surrogate E[log(1 - D)] >= log(1 - eps).
+
+    slack(estimate) is how far an estimate of the constrained quantity sits
+    inside the set (negative outside); contains(estimate) is slack >= 0.
+    """
 
     kind: str                      # "expected" | "probabilistic" | "surrogate"
     epsilon: float
@@ -96,9 +94,6 @@ class ConstraintSpec:
             if self.delta is None or not (0.0 < self.delta < 1.0):
                 raise ValueError(f"delta must be in (0, 1), got {self.delta!r}")
 
-    # The statistic and the two membership rules below apply to the
-    # "expected" and "probabilistic" kinds, which are judged from dbar samples.
-
     def statistic(self, dbar: np.ndarray) -> tuple:
         """(estimate, std_error) from per-path complementary drawdowns:
         E[D] for "expected", P(D <= epsilon) for "probabilistic"."""
@@ -106,27 +101,33 @@ class ConstraintSpec:
             return mean_se(1.0 - dbar)
         return mean_se((dbar >= 1.0 - self.epsilon).astype(float))
 
+    def slack(self, estimate: float) -> float:
+        """eps - E[D], P - (1 - delta), or h - log(1 - eps) for the surrogate."""
+        if self.kind == "expected":
+            return self.epsilon - estimate
+        if self.kind == "probabilistic":
+            return estimate - (1.0 - self.delta)
+        return estimate - math.log(1.0 - self.epsilon)
+
     def contains(self, estimate: float) -> bool:
         """Plain rule: the estimate itself lies in the set.
 
-        The convexity probe and the `drawdown` CLI sweep use it; they report
-        the set as estimated.
+        The convexity probe, the `drawdown` CLI sweep and the surrogate
+        search use it; the first two report the set as estimated.
         """
-        if self.kind == "expected":
-            return estimate <= self.epsilon
-        return estimate >= 1.0 - self.delta
+        return self.slack(estimate) >= 0.0
 
     def contains_conservatively(self, estimate: float, std_error: float) -> bool:
         """Conservative rule: a probabilistic constraint needs the whole
-        3-sigma band of its estimate above the floor 1 - delta; an expected
-        one is judged as in the plain rule.
+        3-sigma band of its estimate inside the set; an expected one is
+        judged as in the plain rule.
 
         The constrained searches use it, so a chosen fraction is unlikely to
         break the constraint by sampling noise alone.
         """
-        if self.kind == "expected":
-            return estimate <= self.epsilon
-        return estimate - 3.0 * std_error >= 1.0 - self.delta
+        if self.kind == "probabilistic":
+            estimate -= 3.0 * std_error
+        return self.contains(estimate)
 
 
 @dataclass(frozen=True)
@@ -145,43 +146,8 @@ class LogDrawdownEstimate:
 
 
 # ---------------------------------------------------------------------------
-# Paths and per-path statistics
+# The even-coin formula
 # ---------------------------------------------------------------------------
-
-def simulate_path(model: GambleModel, k, n_steps: int, v0: float,
-                  rng: np.random.Generator) -> WealthPath:
-    """Simulate V(0..N) under fraction k; wealth absorbed at 0 after total loss."""
-    kv = as_allocation(k, model.n_assets)
-    if not is_feasible(kv, model):
-        raise ValueError(f"allocation {kv!r} is infeasible for this model")
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    if v0 <= 0.0:
-        raise ValueError("v0 must be positive")
-    outcomes = model.xs[sample_indices(model, n_steps, rng)]
-    factors = np.maximum(1.0 + outcomes @ kv, 0.0)
-    values = np.empty(n_steps + 1)
-    values[0] = v0
-    values[1:] = v0 * np.cumprod(factors)
-    return WealthPath(values=values, outcomes=outcomes)
-
-
-def max_drawdown(path) -> DrawdownStats:
-    """Largest peak-to-trough relative decline, via a single running-peak pass.
-
-    Accepts a WealthPath or a bare value sequence.
-    """
-    values = np.asarray(getattr(path, "values", path), dtype=float)
-    if values[0] <= 0.0:
-        raise ValueError("initial wealth must be positive")
-    peak = np.maximum.accumulate(values)
-    dbar = float(np.min(values / peak))
-    return DrawdownStats(
-        max_drawdown=1.0 - dbar,
-        complementary=dbar,
-        log_complementary=math.log(dbar) if dbar > 0.0 else -math.inf,
-    )
-
 
 def coin_drawdown_probability(p: float, n_steps: int) -> float:
     """For the even-money coin bet at any fraction in (0, 1): P(D >= K) = 1 - p^N."""
@@ -296,21 +262,14 @@ def expected_drawdown_mc(model: GambleModel, k, n_steps: int, paths: int,
     return mean_se(1.0 - dbar_samples(model, k, indices))
 
 
-def drawdown_probability_mc(model: GambleModel, k, n_steps: int, epsilon: float,
-                            paths: int, seed: int) -> tuple:
-    """(estimate, std_error) of P(D <= epsilon)."""
-    if paths < 100:
-        raise ValueError("need at least 100 paths")
-    if not (0.0 < epsilon <= 1.0):
-        raise ValueError("epsilon must be in (0, 1]")
-    indices = sample_path_indices(model, paths, n_steps, seed)
-    hit = (dbar_samples(model, k, indices) >= 1.0 - epsilon).astype(float)
-    return mean_se(hit)
-
-
 # ---------------------------------------------------------------------------
 # Exact enumeration engine
 # ---------------------------------------------------------------------------
+
+def _enumerable(model: GambleModel, n_steps: int, budget: int) -> bool:
+    """True iff all atom_count^n_steps outcome sequences fit the budget."""
+    return model.n_atoms ** n_steps <= budget
+
 
 def enumerate_dbar(model: GambleModel, k, n_steps: int,
                    budget: int = ENUM_BUDGET) -> tuple:
@@ -327,7 +286,7 @@ def enumerate_dbar(model: GambleModel, k, n_steps: int,
         raise ValueError("n_steps must be >= 1")
     m = model.n_atoms
     total = m ** n_steps
-    if total > budget:
+    if not _enumerable(model, n_steps, budget):
         raise EnumerationBudgetError(
             f"{m}^{n_steps} = {total} sequences exceed the budget of {budget}"
         )
@@ -376,18 +335,14 @@ def expected_log_complementary(model: GambleModel, k, n_steps: int,
 
 def _log_complementary(model, k, n_steps, budget, crn) -> LogDrawdownEstimate:
     """expected_log_complementary; crn() gives the Monte Carlo fallback's index matrix."""
-    kv = as_allocation(k, model.n_assets)
-    if not is_feasible(kv, model):
-        raise ValueError(f"allocation {kv!r} is infeasible for this model")
-    if np.min(wealth_factors(model, kv)) <= 0.0:
+    if np.min(_checked_factors(model, [k])) <= 0.0:
         # Some atom wipes the account; that sequence has positive mass.
         return LogDrawdownEstimate(value=-math.inf, exact=True)
-    try:
-        prob, dbar = enumerate_dbar(model, kv, n_steps, budget)
+    if _enumerable(model, n_steps, budget):
+        prob, dbar = enumerate_dbar(model, k, n_steps, budget)
         return LogDrawdownEstimate(value=float(prob @ np.log(dbar)), exact=True)
-    except EnumerationBudgetError:
-        est, se = mean_se(np.log(dbar_samples(model, kv, crn())))
-        return LogDrawdownEstimate(value=est, exact=False, std_error=se)
+    est, se = mean_se(np.log(dbar_samples(model, k, crn())))
+    return LogDrawdownEstimate(value=est, exact=False, std_error=se)
 
 
 # ---------------------------------------------------------------------------
@@ -488,11 +443,11 @@ def _constrained_mc_2d(model, n_steps, spec, mc, unconstrained):
 
     # One kernel call per k1 row of the grid; points are visited in the same
     # order as a point-by-point scan, and the strict > keeps the first best.
+    # Every atom is >= -1, so every point of the simplex grid is feasible.
     axis = np.arange(0.0, 1.0 + 1e-12, 2 * GRID_STEP)
     best = None
     for k1 in axis:
-        row = [kv for kv in (np.array([k1, k2]) for k2 in axis if k1 + k2 <= 1.0 + 1e-12)
-               if is_feasible(kv, model)]
+        row = [np.array([k1, k2]) for k2 in axis if k1 + k2 <= 1.0 + 1e-12]
         for kv, (ok, est, se) in zip(row, evaluate.batch(row)):
             if not ok:
                 continue
@@ -508,7 +463,6 @@ def _constrained_mc_2d(model, n_steps, spec, mc, unconstrained):
 
 
 def _constrained_surrogate(model, n_steps, spec, mc, budget, unconstrained):
-    target = math.log(1.0 - spec.epsilon)
     # A Monte Carlo fallback samples its index matrix once, on first use, and
     # every later evaluation of this search reuses it.
     crn = functools.cache(lambda: sample_path_indices(model, mc.paths, n_steps, mc.seed))
@@ -517,19 +471,19 @@ def _constrained_surrogate(model, n_steps, spec, mc, budget, unconstrained):
         return _log_complementary(model, kv, n_steps, budget, crn).value
 
     evals = 1
-    if h(unconstrained.k_star) >= target:
+    if spec.contains(h(unconstrained.k_star)):
         return ConstrainedResult(unconstrained.k_star, unconstrained.g_star,
                                  evals, True, "unconstrained-feasible",
                                  h(unconstrained.k_star))
 
     if model.n_assets == 1:
-        # h is concave with h(0) = 0 > target, so {h >= target} on [0, k_un]
-        # is an interval starting at 0; bisect for its right end.
+        # h is concave with h(0) = 0 > log(1 - eps), so the set it admits on
+        # [0, k_un] is an interval starting at 0; bisect for its right end.
         lo, hi = 0.0, float(unconstrained.k_star[0])
         while hi - lo > REFINE_TOL * 1e-2:
             mid = 0.5 * (lo + hi)
             evals += 1
-            if h(np.array([mid])) >= target:
+            if spec.contains(h(np.array([mid]))):
                 lo = mid
             else:
                 hi = mid
@@ -538,24 +492,24 @@ def _constrained_surrogate(model, n_steps, spec, mc, budget, unconstrained):
                                  "surrogate-bisect", h(k_out))
 
     # Ascent on g with a restoration step: shrink any step that leaves the
-    # surrogate-feasible region (which is convex, so shrinking works).
+    # surrogate-feasible region (which is convex, so shrinking works). h is
+    # -inf at any ruinous trial, so the constraint check also rejects those.
     kv = np.zeros(model.n_assets)
     g = 0.0
     for _ in range(500):
         grad = growth_gradient(kv, model)
         t = 0.5
-        moved = False
         while t > 1e-10:
             trial = project_allocation(kv + t * grad)
             evals += 1
-            if (np.min(1.0 + model.xs @ trial) > 0.0 and h(trial) >= target
-                    and log_growth(trial, model) > g + 1e-12):
-                kv, g = trial, log_growth(trial, model)
-                moved = True
-                break
+            if spec.contains(h(trial)):
+                g_trial = log_growth(trial, model)
+                if g_trial > g + 1e-12:
+                    kv, g = trial, g_trial
+                    break
             t *= 0.5
-        if not moved:
-            break
+        else:
+            break   # no step size improved g
     return ConstrainedResult(kv, g, evals, True, "surrogate-ascent", h(kv))
 
 
@@ -629,13 +583,6 @@ class ProbeReport:
         return sum(1 for c in self.checks if c.violation and not c.significant)
 
 
-def _probe_boundary_gap(spec, est):
-    """How far past the boundary a violating estimate sits."""
-    if spec.kind == "expected":
-        return est - spec.epsilon
-    return (1.0 - spec.delta) - est
-
-
 def convexity_probe(model: GambleModel, n_steps: int, spec: ConstraintSpec,
                     grid_resolution: int = 20, pair_samples: int = 50,
                     mc: MonteCarloConfig = MonteCarloConfig()) -> ProbeReport:
@@ -656,10 +603,9 @@ def convexity_probe(model: GambleModel, n_steps: int, spec: ConstraintSpec,
     indices = sample_path_indices(model, mc.paths, n_steps, mc.seed)
 
     # Membership uses the plain rule: the probe reports the set as estimated.
+    # Every atom is >= -1, so every point of the simplex grid is feasible.
     axis = np.linspace(0.0, 1.0, grid_resolution)
-    points = [kv for kv in (np.array([k1, k2]) for k1 in axis for k2 in axis
-                            if k1 + k2 <= 1.0 + 1e-12)
-              if is_feasible(kv, model)]
+    points = [np.array([k1, k2]) for k1 in axis for k2 in axis if k1 + k2 <= 1.0 + 1e-12]
     grid = []
     in_points = []
     for kv, (est, se) in zip(points, _batch_stats(model, spec, points, indices)):
@@ -680,7 +626,7 @@ def convexity_probe(model: GambleModel, n_steps: int, spec: ConstraintSpec,
         for (ia, ib), mid, (est, se) in zip(pairs, mids, stats):
             a, b = in_points[ia], in_points[ib]
             violation = not spec.contains(est)
-            significant = violation and _probe_boundary_gap(spec, est) > 3.0 * se
+            significant = violation and -spec.slack(est) > 3.0 * se
             checks.append(MidpointCheck(
                 k_a=(float(a[0]), float(a[1])),
                 k_b=(float(b[0]), float(b[1])),

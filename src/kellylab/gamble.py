@@ -89,11 +89,6 @@ class GambleModel:
     def n_atoms(self) -> int:
         return self.xs.shape[0]
 
-    @property
-    def atoms(self) -> list:
-        """List of (return vector, probability) pairs."""
-        return [(self.xs[i].copy(), float(self.probs[i])) for i in range(self.n_atoms)]
-
 
 @dataclass(frozen=True, eq=False)
 class MomentSet:
@@ -184,30 +179,15 @@ def sample_indices(model: GambleModel, shape, rng: np.random.Generator) -> np.nd
     return np.searchsorted(cum, u, side="right")
 
 
-def sample_outcome(model: GambleModel, rng: np.random.Generator) -> np.ndarray:
-    """One return vector drawn from the model."""
-    idx = int(sample_indices(model, (), rng))
-    return model.xs[idx].copy()
-
-
-def sample_outcomes(model: GambleModel, size: int, rng: np.random.Generator) -> np.ndarray:
-    """(size, n) matrix of i.i.d. return vectors."""
-    return model.xs[sample_indices(model, size, rng)]
-
-
 # ---------------------------------------------------------------------------
 # JSON model files: {"atoms": [{"x": [...], "p": ...}, ...], "provenance": {...}?}
 # ---------------------------------------------------------------------------
 
 def model_to_dict(model: GambleModel, provenance=None) -> dict:
-    out = {
-        "atoms": [
-            {"x": [float(v) for v in x], "p": float(p)} for x, p in model.atoms
-        ]
-    }
-    prov = provenance if provenance is not None else getattr(model, "provenance", None)
-    if prov:
-        out["provenance"] = dict(prov)
+    out = {"atoms": [{"x": [float(v) for v in x], "p": float(p)}
+                     for x, p in zip(model.xs, model.probs)]}
+    if provenance:
+        out["provenance"] = dict(provenance)
     return out
 
 

@@ -1,36 +1,60 @@
-"""Sliding-window estimation and the adaptive betting loop."""
+"""The adaptive betting loop: sliding-window estimates, clamped fractions, paths."""
 
 import numpy as np
 import pytest
 
-from kellylab import adaptive_fraction, estimate_p, run_adaptive
+from kellylab import run_adaptive
 from kellylab.adaptive import trace_rows
 
 
+def estimate_p(outcomes, k, window):
+    """Scalar oracle: share of strictly positive outcomes among outcomes[k-window:k]."""
+    x = np.asarray(outcomes, dtype=float)
+    if k < window or x.size < k:
+        raise ValueError(f"no full window ends at step {k}")
+    return float(np.count_nonzero(x[k - window:k] > 0.0)) / window
+
+
+def windows(run):
+    """(estimate, fraction, outcomes of its window) for every betting step."""
+    x = run.path.outcomes[:, 0]
+    w = run.window
+    return [(run.estimates[i], run.fractions[i], x[i:i + w]) for i in range(run.estimates.size)]
+
+
 # ---------------------------------------------------------------------------
-# estimate_p
+# Window estimates
 # ---------------------------------------------------------------------------
 
 def test_all_wins_window():
-    assert estimate_p([1, 1, 1, 1], 4, 4) == 1.0
+    hits = [est for est, _, win in windows(run_adaptive(0.6, 400, 3, seed=0)) if np.all(win > 0)]
+    assert hits and all(est == 1.0 for est in hits)
 
 
 def test_all_losses_window():
-    assert estimate_p([-1, -1, -1], 3, 3) == 0.0
+    hits = [est for est, _, win in windows(run_adaptive(0.6, 400, 3, seed=0)) if np.all(win < 0)]
+    assert hits and all(est == 0.0 for est in hits)
 
 
 def test_alternating_window():
-    assert estimate_p([1, -1, 1, -1], 4, 4) == 0.5
+    pattern = [1.0, -1.0, 1.0, -1.0]
+    hits = [est for est, _, win in windows(run_adaptive(0.6, 600, 4, seed=1))
+            if list(win) == pattern]
+    assert hits and all(est == 0.5 for est in hits)
 
 
 def test_window_slides():
-    outcomes = [1, 1, -1, -1, -1]
-    assert estimate_p(outcomes, 4, 2) == 0.0
-    assert estimate_p(outcomes, 3, 2) == 0.5
+    # Step k's estimate drops the outcome of step k - window and adds step k - 1.
+    run = run_adaptive(0.6, 300, 2, seed=2)
+    x = run.path.outcomes[:, 0]
+    assert np.array_equal(np.diff(run.estimates) * 2,
+                          (x[2:-1] > 0).astype(float) - (x[:-3] > 0))
 
 
 def test_zero_outcome_counts_as_loss():
+    # The oracle's rule; run_adaptive itself draws only +1 and -1.
     assert estimate_p([0.0, 1.0], 2, 2) == 0.5
+    assert set(np.unique(run_adaptive(0.6, 200, 10, seed=3).path.outcomes)) == {-1.0, 1.0}
 
 
 def test_rejects_training_period_queries():
@@ -38,29 +62,34 @@ def test_rejects_training_period_queries():
         estimate_p([1, 1, 1], 2, 3)
     with pytest.raises(ValueError):
         estimate_p([1, 1], 3, 2)
+    # The run has no estimate before its window is full.
+    assert run_adaptive(0.6, 100, 30, seed=4).estimates.size == 100 - 30
 
 
 # ---------------------------------------------------------------------------
-# adaptive_fraction
+# Fractions: clip(2 * estimate - 1, 0, 1)
 # ---------------------------------------------------------------------------
 
 def test_fair_coin_no_bet():
-    assert adaptive_fraction(0.5) == 0.0
+    hits = [k for est, k, _ in windows(run_adaptive(0.6, 400, 10, seed=5)) if est == 0.5]
+    assert hits and all(k == 0.0 for k in hits)
 
 
 def test_slight_edge():
-    assert adaptive_fraction(0.6) == pytest.approx(0.2)
+    hits = [k for est, k, _ in windows(run_adaptive(0.6, 400, 10, seed=5)) if est == 0.6]
+    assert hits and all(k == pytest.approx(0.2) for k in hits)
 
 
 def test_clamped_below():
-    assert adaptive_fraction(0.3) == 0.0
+    hits = [k for est, k, _ in windows(run_adaptive(0.6, 400, 10, seed=5)) if est < 0.5]
+    assert hits and all(k == 0.0 for k in hits)
 
 
 def test_clamped_range():
-    for p in np.linspace(0.0, 1.0, 21):
-        assert 0.0 <= adaptive_fraction(p) <= 1.0
-    with pytest.raises(ValueError):
-        adaptive_fraction(1.2)
+    for seed in range(5):
+        run = run_adaptive(0.6, 300, 5, seed=seed)
+        assert np.all((0.0 <= run.fractions) & (run.fractions <= 1.0))
+        assert np.array_equal(run.fractions, np.clip(2.0 * run.estimates - 1.0, 0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +108,7 @@ def test_estimates_match_estimate_p():
     x = run.path.outcomes[:, 0]
     for i, k in enumerate(range(30, 120)):
         assert run.estimates[i] == estimate_p(x, k, 30)
-        assert run.fractions[i] == adaptive_fraction(run.estimates[i])
+    assert np.array_equal(run.fractions, np.clip(2.0 * run.estimates - 1.0, 0.0, 1.0))
 
 
 def test_path_reconstruction_is_exact():

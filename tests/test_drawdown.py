@@ -1,20 +1,22 @@
-"""Wealth paths, drawdown statistics, enumeration vs Monte Carlo, constraints, probe."""
+"""Per-path drawdowns, enumeration vs Monte Carlo, constraints, probe."""
 
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kellylab import (ConstraintSpec, EnumerationBudgetError, GambleModel,
                       MonteCarloConfig, coin_drawdown_probability, convexity_probe,
-                      dbar_samples, drawdown_exceedance_exact, drawdown_probability_mc,
-                      enumerate_dbar, expected_complementary_exact,
-                      expected_drawdown_exact, expected_drawdown_mc,
-                      expected_log_complementary, independent_join, log_growth,
-                      make_coin, max_drawdown, maximize_growth,
+                      dbar_samples, drawdown_exceedance_exact, enumerate_dbar,
+                      expected_complementary_exact, expected_drawdown_exact,
+                      expected_drawdown_mc, expected_log_complementary, independent_join,
+                      is_feasible, log_growth, make_coin, maximize_growth,
                       maximize_growth_constrained, mean_se, sample_indices,
-                      sample_path_indices, simulate_path, write_level_set_csv)
+                      sample_path_indices, write_level_set_csv)
+from kellylab.config import GRID_STEP
 
 EVEN9 = make_coin(1.0, -1.0, 0.9)
 SKEWED = make_coin(0.15, -0.95, 0.95)
@@ -26,9 +28,12 @@ TWO_COINS = independent_join(EVEN9, EVEN9)
 # ---------------------------------------------------------------------------
 
 def pairwise_drawdown(values):
-    """O(N^2) scan over all peak/trough pairs."""
+    """O(N^2) scan over all peak/trough pairs; a peak at wealth 0 (after
+    ruin) is skipped, since the peak before the ruin already gives 1."""
     best = 0.0
     for l in range(len(values)):
+        if values[l] <= 0.0:
+            continue
         for k in range(l, len(values)):
             best = max(best, (values[l] - values[k]) / values[l])
     return best
@@ -48,74 +53,114 @@ def enumerate_drawdowns_oracle(model, k, n_steps):
     return out
 
 
+def path_values(model, k, column):
+    """Wealth V(0..N) of one CRN path (a column of the index matrix), rebuilt
+    step by step independently of the kernel."""
+    kv = np.atleast_1d(np.asarray(k, dtype=float))
+    values = [1.0]
+    for idx in column:
+        values.append(values[-1] * max(1.0 + float(model.xs[idx] @ kv), 0.0))
+    return values
+
+
+def dbar_of_values(values):
+    """Kernel dbar of a given wealth sequence V(0..N), V(0) = 1.
+
+    Step j's ratio V(j+1)/V(j) becomes atom j of a one-asset model; at K = 1
+    its factor is that ratio, so the path visiting atoms 0..N-1 in order
+    reproduces the sequence. A step after ruin gets ratio 1.
+    """
+    v = np.asarray(values, dtype=float)
+    ratios = np.divide(v[1:], v[:-1], out=np.ones(v.size - 1), where=v[:-1] > 0.0)
+    model = GambleModel(xs=(ratios - 1.0)[:, None], probs=np.full(ratios.size, 1.0 / ratios.size))
+    return float(dbar_samples(model, 1.0, np.arange(ratios.size)[:, None])[0])
+
+
 # ---------------------------------------------------------------------------
-# simulate_path / max_drawdown
+# Per-path drawdown of the kernel
 # ---------------------------------------------------------------------------
 
 def test_zero_bet_constant_path():
-    path = simulate_path(SKEWED, 0.0, 50, 3.0, np.random.default_rng(0))
-    assert np.all(path.values == 3.0)
+    idx = sample_path_indices(SKEWED, 300, 50, seed=0)
+    assert np.all(dbar_samples(SKEWED, 0.0, idx) == 1.0)
 
 
 def test_total_loss_absorbs_at_zero():
-    path = simulate_path(make_coin(1.0, -1.0, 0.6), 1.0, 60, 1.0, np.random.default_rng(1))
-    zeros = np.nonzero(path.values == 0.0)[0]
-    assert zeros.size > 0
-    assert np.all(path.values[zeros[0]:] == 0.0)
-    first_loss = np.nonzero(path.outcomes[:, 0] < 0)[0][0]
-    assert zeros[0] == first_loss + 1
+    # Betting everything on an even coin: one loss is ruin, and ruin is final.
+    coin = make_coin(1.0, -1.0, 0.6)
+    idx = sample_path_indices(coin, 300, 5, seed=1)
+    dbar = dbar_samples(coin, 1.0, idx)
+    lost = (idx == 1).any(axis=0)
+    assert lost.any() and not lost.all()
+    assert np.all(dbar[lost] == 0.0) and np.all(dbar[~lost] == 1.0)
 
 
 def test_path_reconstruction_against_independent_recursion():
-    k = 0.2
-    path = simulate_path(make_coin(1.0, -1.0, 0.6), k, 100, 1.0, np.random.default_rng(2))
-    v = 1.0
-    for i, x in enumerate(path.outcomes[:, 0]):
-        v = v * max(1.0 + k * x, 0.0)
-        assert v == path.values[i + 1]
+    # Two assets: each path rebuilt from its column of the CRN matrix.
+    k = np.array([0.2, 0.3])
+    idx = sample_path_indices(TWO_COINS, 60, 40, seed=2)
+    dbar = dbar_samples(TWO_COINS, k, idx)
+    for j in range(idx.shape[1]):
+        drawdown = pairwise_drawdown(path_values(TWO_COINS, k, idx[:, j]))
+        assert 1.0 - dbar[j] == pytest.approx(drawdown, abs=1e-12)
 
 
 def test_path_input_validation():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        simulate_path(SKEWED, 2.0, 10, 1.0, rng)
-    with pytest.raises(ValueError):
-        simulate_path(SKEWED, 0.1, 0, 1.0, rng)
-    with pytest.raises(ValueError):
-        simulate_path(SKEWED, 0.1, 10, 0.0, rng)
+    idx = sample_path_indices(SKEWED, 100, 10, seed=0)
+    with pytest.raises(ValueError, match="infeasible"):
+        dbar_samples(SKEWED, 2.0, idx)
+    with pytest.raises(ValueError, match="infeasible"):
+        dbar_samples(SKEWED, -0.1, idx)
+    with pytest.raises(ValueError, match="dimension"):
+        dbar_samples(SKEWED, [0.1, 0.2], idx)
 
 
 def test_drawdown_of_monotone_path_is_zero():
-    assert max_drawdown([1.0, 1.1, 1.1, 2.0]).max_drawdown == 0.0
+    assert dbar_of_values([1.0, 1.1, 1.1, 2.0]) == 1.0
 
 
 def test_drawdown_of_small_example():
-    assert max_drawdown([1.0, 2.0, 1.0, 3.0]).max_drawdown == pytest.approx(0.5, abs=1e-15)
+    assert 1.0 - dbar_of_values([1.0, 2.0, 1.0, 3.0]) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_ruin_path_has_unit_drawdown():
-    stats = max_drawdown([1.0, 2.0, 0.0, 0.0])
-    assert stats.max_drawdown == 1.0
-    assert stats.complementary == 0.0
-    assert stats.log_complementary == -math.inf
+    dbar = dbar_of_values([1.0, 2.0, 0.0, 0.0])
+    assert dbar == 0.0
+    assert ConstraintSpec(kind="expected", epsilon=0.5).statistic(np.array([dbar])) == (1.0, 0.0)
+    with np.errstate(divide="ignore"):
+        assert np.log(dbar) == -math.inf
 
 
 def test_single_pass_equals_pairwise_oracle():
+    # Random models and fractions, paths rebuilt from the CRN matrix. Every
+    # third model has an exact -1 atom bet at K = 1: a ruin factor, dbar = 0.
     rng = np.random.default_rng(5)
-    for _ in range(1000):
-        n = int(rng.integers(2, 40))
-        values = np.exp(rng.normal(0.0, 0.3, size=n).cumsum())
-        stats = max_drawdown(values)
-        assert stats.max_drawdown == pytest.approx(pairwise_drawdown(values), abs=1e-12)
-        assert stats.max_drawdown + stats.complementary == pytest.approx(1.0, abs=1e-12)
+    for trial in range(30):
+        m = int(rng.integers(2, 5))
+        xs = rng.uniform(-0.9, 1.5, size=(m, 1))
+        k = float(rng.uniform(0.0, 1.0))
+        if trial % 3 == 0:
+            xs[0, 0], k = -1.0, 1.0
+        model = GambleModel(xs=xs, probs=rng.dirichlet(np.ones(m)))
+        idx = sample_path_indices(model, 40, int(rng.integers(2, 40)), seed=trial)
+        dbar = dbar_samples(model, k, idx)
+        for j in range(idx.shape[1]):
+            values = path_values(model, k, idx[:, j])
+            assert 1.0 - dbar[j] == pytest.approx(pairwise_drawdown(values), abs=1e-12)
+            assert (dbar[j] == 0.0) == (min(values) == 0.0)
+        if trial % 3 == 0:
+            assert np.array_equal(dbar == 0.0, (idx == 0).any(axis=0))
 
 
 def test_drawdown_plus_complement_is_one_on_simulated_paths():
     rng = np.random.default_rng(6)
-    for _ in range(100):
-        path = simulate_path(SKEWED, rng.uniform(0, 1), 80, 1.0, rng)
-        stats = max_drawdown(path)
-        assert abs(stats.max_drawdown + stats.complementary - 1.0) <= 1e-12
+    expected = ConstraintSpec(kind="expected", epsilon=0.5)
+    idx = sample_path_indices(SKEWED, 500, 80, seed=6)
+    for k in rng.uniform(0.0, 1.0, size=20):
+        dbar = dbar_samples(SKEWED, k, idx)
+        assert np.all((0.0 <= dbar) & (dbar <= 1.0))
+        est, _ = expected.statistic(dbar)
+        assert abs(est + float(dbar.mean()) - 1.0) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -194,15 +239,20 @@ def test_mc_matches_exact_within_three_sigma():
 
 
 def test_mc_probability_trivial_cases():
-    est, _ = drawdown_probability_mc(SKEWED, 0.0, 100, 0.5, 500, seed=0)
-    assert est == 1.0
-    est, _ = drawdown_probability_mc(SKEWED, 0.6667, 100, 1.0, 500, seed=0)
-    assert est == 1.0
+    spec = ConstraintSpec(kind="probabilistic", epsilon=0.5, delta=0.1)
+    idx = sample_path_indices(SKEWED, 500, 100, seed=0)
+    assert spec.statistic(dbar_samples(SKEWED, 0.0, idx)) == (1.0, 0.0)
+    # All in on the even coin: P(D <= 0.5) is the share of paths with no loss.
+    idx = sample_path_indices(EVEN9, 500, 5, seed=0)
+    est, _ = spec.statistic(dbar_samples(EVEN9, 1.0, idx))
+    assert est == float(np.mean(~(idx == 1).any(axis=0)))
 
 
 def test_mc_probability_matches_coin_formula():
     coin = make_coin(1.0, -1.0, 0.99)
-    est, se = drawdown_probability_mc(coin, 0.98, 252, 0.979, 10_000, seed=3)
+    spec = ConstraintSpec(kind="probabilistic", epsilon=0.979, delta=0.1)
+    idx = sample_path_indices(coin, 10_000, 252, seed=3)
+    est, se = spec.statistic(dbar_samples(coin, 0.98, idx))
     assert abs(est - 0.99**252) <= 3 * se
 
 
@@ -448,6 +498,28 @@ def test_search_builds_crn_matrix_at_most_once(monkeypatch, model, n_steps, spec
     assert len(calls) == builds
 
 
+@pytest.mark.parametrize("n_steps,enumerates", [(12, False), (6, True)],
+                         ids=["over-budget", "exact"])
+def test_surrogate_chooses_estimator_without_calling_enumeration(monkeypatch, n_steps,
+                                                                  enumerates):
+    # 4^12 sequences exceed the budget: the Monte Carlo fallback is chosen by
+    # counting sequences, not by asking enumerate_dbar to raise.
+    from kellylab import drawdown
+    seen = []
+    original = drawdown.enumerate_dbar
+
+    def counting(*args, **kwargs):
+        seen.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(drawdown, "enumerate_dbar", counting)
+    spec = ConstraintSpec(kind="surrogate", epsilon=0.1)
+    res = maximize_growth_constrained(TWO_COINS, n_steps, spec,
+                                      mc=MonteCarloConfig(paths=300, seed=2))
+    assert res.method == "surrogate-ascent"
+    assert (len(seen) > 0) == enumerates
+
+
 def test_grid_scan_keeps_first_of_tied_points():
     # Two identical, perfectly correlated assets: swapped allocations give the
     # same wealth factors bit for bit, so their growth and estimates tie. The
@@ -472,6 +544,26 @@ def test_membership_rules():
     dbar = np.array([1.0, 0.9, 0.6, 0.75])
     assert expected.statistic(dbar) == mean_se(1.0 - dbar)
     assert prob.statistic(dbar) == mean_se(np.array([1.0, 1.0, 0.0, 1.0]))
+
+
+@pytest.mark.parametrize("spec,boundary", [
+    (ConstraintSpec(kind="expected", epsilon=0.2), 0.2),
+    (ConstraintSpec(kind="probabilistic", epsilon=0.3, delta=0.1), 1.0 - 0.1),
+    (ConstraintSpec(kind="surrogate", epsilon=0.3), math.log(1.0 - 0.3)),
+], ids=["expected", "probabilistic", "surrogate"])
+def test_slack_and_contains_agree_in_sign(spec, boundary):
+    # slack is eps - E[D], P - (1 - delta) or h - log(1 - eps): positive inside.
+    inward = -1.0 if spec.kind == "expected" else 1.0
+    assert spec.slack(boundary) == 0.0 and spec.contains(boundary)
+    assert spec.slack(boundary + inward * 0.05) == pytest.approx(0.05, abs=1e-15)
+    assert not spec.contains(np.nextafter(boundary, -inward * math.inf))
+    assert spec.contains(np.nextafter(boundary, inward * math.inf))
+    for est in (boundary, np.nextafter(boundary, 2.0), np.nextafter(boundary, -2.0),
+                boundary - 0.3, boundary + 0.3, 0.0, 1.0, -math.inf):
+        assert spec.contains(est) == (spec.slack(est) >= 0.0)
+    if spec.kind != "expected":
+        # A ruinous surrogate value, or a probability driven to -inf, is outside.
+        assert spec.slack(-math.inf) == -math.inf and not spec.contains(-math.inf)
 
 
 def test_constraint_spec_validation():
@@ -516,6 +608,26 @@ def test_probe_on_deterministic_model_matches_direct_computation():
         assert pt.std_error <= 1e-15
         assert pt.in_set == (expected <= eps)
     assert rep.significant_violations == 0 and len(rep.violations) == 0
+
+
+ATOM_COMPONENT = st.one_of(st.just(-1.0), st.floats(-1.0, 3.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(atoms=st.lists(st.tuples(ATOM_COMPONENT, ATOM_COMPONENT), min_size=1, max_size=5),
+       resolution=st.integers(20, 40))
+def test_simplex_grids_are_feasible_for_any_model(atoms, resolution):
+    # Every atom is >= -1, so no point of the 2-asset scan axis or of a probe
+    # grid needs a feasibility filter; exact -1 atoms sit on the ruin boundary.
+    model = GambleModel(xs=np.array(atoms), probs=np.full(len(atoms), 1.0 / len(atoms)))
+    scan = np.arange(0.0, 1.0 + 1e-12, 2 * GRID_STEP)
+    assert all(is_feasible([k1, k2], model) for k1 in scan for k2 in scan
+               if k1 + k2 <= 1.0 + 1e-12)
+    rep = convexity_probe(model, 1, ConstraintSpec(kind="expected", epsilon=0.5),
+                          grid_resolution=resolution, pair_samples=2,
+                          mc=MonteCarloConfig(paths=2, seed=0))
+    assert len(rep.grid) == resolution * (resolution + 1) // 2
+    assert all(is_feasible([pt.k1, pt.k2], model) for pt in rep.grid)
 
 
 def test_probe_grid_csv_format(tmp_path):

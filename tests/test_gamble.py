@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from kellylab import (GambleModel, ModelValidationError, dump_model, independent_join,
-                      is_feasible, load_model, make_coin, model_from_dict, moments,
-                      sample_indices, sample_outcome, sample_outcomes)
+                      is_feasible, load_model, make_coin, model_from_dict, model_to_dict,
+                      moments, sample_indices)
 
 
 def random_model(rng, n_assets=None, n_atoms=None):
@@ -25,9 +25,8 @@ def random_model(rng, n_assets=None, n_atoms=None):
 
 def test_make_coin_even():
     m = make_coin(1.0, -1.0, 0.6)
-    atoms = m.atoms
-    assert atoms[0][0][0] == 1.0 and atoms[0][1] == 0.6
-    assert atoms[1][0][0] == -1.0 and atoms[1][1] == pytest.approx(0.4)
+    assert m.xs[0, 0] == 1.0 and m.probs[0] == 0.6
+    assert m.xs[1, 0] == -1.0 and m.probs[1] == pytest.approx(0.4)
 
 
 def test_make_coin_skewed():
@@ -100,7 +99,7 @@ def test_independent_join_two_coins():
     two = independent_join(coin, coin)
     assert two.n_assets == 2 and two.n_atoms == 4
     expected = {(1.0, 1.0): 0.81, (1.0, -1.0): 0.09, (-1.0, 1.0): 0.09, (-1.0, -1.0): 0.01}
-    for x, p in two.atoms:
+    for x, p in zip(two.xs, two.probs):
         assert p == pytest.approx(expected[tuple(x)])
 
 
@@ -183,13 +182,13 @@ def test_dimension_mismatch_rejected():
 def test_single_atom_always_sampled():
     m = GambleModel(xs=[[0.25]], probs=[1.0])
     rng = np.random.default_rng(0)
-    for _ in range(20):
-        assert sample_outcome(m, rng)[0] == 0.25
+    assert int(sample_indices(m, (), rng)) == 0
+    assert np.all(sample_indices(m, (20, 3), rng) == 0)
 
 
 def test_sampling_law_of_large_numbers():
     m = make_coin(1.0, -1.0, 0.6)
-    xs = sample_outcomes(m, 10**6, np.random.default_rng(3))
+    xs = m.xs[sample_indices(m, 10**6, np.random.default_rng(3))]
     freq = float(np.mean(xs[:, 0] > 0))
     assert abs(freq - 0.6) <= 3.0 * math.sqrt(0.24 / 1e6)
 
@@ -199,8 +198,9 @@ def test_sampling_is_bitwise_deterministic():
     a = sample_indices(m, 1000, np.random.default_rng(99))
     b = sample_indices(m, 1000, np.random.default_rng(99))
     assert np.array_equal(a, b)
-    s1 = [sample_outcome(m, np.random.default_rng(5))[0] for _ in range(10)]
-    s2 = [sample_outcome(m, np.random.default_rng(5))[0] for _ in range(10)]
+    rng1, rng2 = np.random.default_rng(5), np.random.default_rng(5)
+    s1 = [int(sample_indices(m, (), rng1)) for _ in range(10)]
+    s2 = [int(sample_indices(m, (), rng2)) for _ in range(10)]
     assert s1 == s2
 
 
@@ -235,6 +235,7 @@ def test_json_round_trip(tmp_path):
     assert np.allclose(loaded.xs, m.xs)
     assert np.allclose(loaded.probs, m.probs)
     assert json.loads(path.read_text())["provenance"] == {"note": "round trip"}
+    assert "provenance" not in model_to_dict(m)
 
 
 def test_loader_names_first_violation(tmp_path):

@@ -59,21 +59,48 @@ CASES = {
     "constrained-2d-surrogate": (
         "constrained", "--coin", "1,-1,0.9", "--coin2", "0.5,-0.4,0.6", "--kind", "surrogate",
         "--eps", "0.2", "--n", "12", "--paths", "300", "--seed", "11"),
+    "constrained-1d-surrogate": (
+        "constrained", "--coin", "1,-1,0.9", "--kind", "surrogate", "--eps", "0.3",
+        "--n", "10"),
+    "constrained-1d-surrogate-mc": (
+        "constrained", "--coin", "0.15,-0.95,0.95", "--kind", "surrogate", "--eps", "0.2",
+        "--n", "40", "--paths", "300", "--seed", "2"),
+    "constrained-2d-surrogate-exact": (
+        "constrained", "--coin", "1,-1,0.9", "--coin2", "0.5,-0.4,0.6", "--kind", "surrogate",
+        "--eps", "0.2", "--n", "6"),
+    "adaptive-traces": (
+        "adaptive", "--p-true", "0.6", "--n", "300", "--window", "40", "--runs", "2",
+        "--seed", "3", "--out", f"{OUT}/adapt"),
+    "optimize-two-coins-json": (
+        "optimize", "--coin", "0.15,-0.95,0.95", "--coin2", "1,-1,0.6",
+        "--out", f"{OUT}/opt.json"),
 }
 
-# (exit code, sha256 of stdout, {output file name: sha256}), recorded at the
-# commit before the batched drawdown kernel.
+# (exit code, sha256 of stdout, {output file name: sha256}). The drawdown,
+# probe and first five constrained cases were recorded before the batched
+# drawdown kernel; the surrogate, adaptive and optimize cases before the
+# boundary rule moved onto ConstraintSpec.slack.
 EXPECTED = {
+    "adaptive-traces": (
+        0, "786b777616f66bf92cf5d380b54a3d8c1004c1063c1119941858ff6d479a1cab",
+        {"adapt.run0.csv": "d59ce1dd57015007c8fd62be1ac6a0d403b4901aa6ce9e3cf1edcb29819130c4",
+         "adapt.run1.csv": "45e5cf416a9d1c7e9f24f1d39f7eaea106db3c690775396b2be6f2375a14fb87"}),
     "constrained-1d-expected": (
         0, "fa4102950fa36e562c84d6917cc4c188c7658f4b15eb68b7d85a14a6747906c5", {}),
     "constrained-1d-probabilistic": (
         0, "6dc7838513efd331d6d24b1798a1f9dedc2aa70425f015f2dfe2dbb99ba4fcc1", {}),
+    "constrained-1d-surrogate": (
+        0, "80e0540a8ab32680f3f594394fb022e4f949a4afe986bbd5a413f8e1652865dc", {}),
+    "constrained-1d-surrogate-mc": (
+        0, "7ce9765db30445ebeca351569dbce05462df9e47a75f11bbff9c056de53dab8a", {}),
     "constrained-2d-scan": (
         0, "19a72a46135a17940f0d2b073f6087d491bf6c14253cf2072dde74dc686e560e", {}),
     "constrained-2d-scan-probabilistic": (
         0, "f9ed6bb13517abce441c2b72137416d7d68c6bb27e4baa09852a8111ed2a3b69", {}),
     "constrained-2d-surrogate": (
         0, "6124ece6dc3b9ab65b8eb9500e2eb53c7ae975e9c909bcb4d62b2c73d80b1c69", {}),
+    "constrained-2d-surrogate-exact": (
+        0, "b559e2958781a07e1d2c47593768e0aa534bd5620fb37a2407bc2497075d40fd", {}),
     "drawdown-even": (
         0, "622ed799ef51a37715bd46dd98f15ddf81935f17cd61416712220886178bfb1d",
         {"dd.expected.csv": "af06a53775b5e0140dce867b2ac65b6f923b86bd92b0716a5f70b58ae0a9277f",
@@ -90,6 +117,9 @@ EXPECTED = {
         0, "a268e9f6ed8733e1b059ce546c20c91347602dc185ccf50f4f6faa215cf03ac8",
         {"dd.expected.csv": "d97ff2839243d4e40ee9ff968970de62a71fd9700259c1951651d03eae2699f0",
          "dd.prob.csv": "a89462b4509fc19d310f49ebdceacc58fab06a7f9461264c8c3c636975d17f32"}),
+    "optimize-two-coins-json": (
+        0, "44f388f7481e98912b08f1dc14ceca3f9254e051a6eeaeaa3f7bf34e00c14d99",
+        {"opt.json": "9ba1cfe637aeaac5622723acfff9991beb0432d6c649b88b73b8664ea961a409"}),
     "probe-expected": (
         0, "330595319f5022b6e74e12eb4f850daf6dbdeffd5723bb39a382ecf65297bbba",
         {"probe.grid.csv": "91da8b1039d7eb9643132e9e7f09a4e99df7a91e1125d12aeda74c4b2c32a8c2"}),
