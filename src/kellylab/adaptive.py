@@ -21,7 +21,7 @@ class AdaptiveRun:
     """Everything one adaptive session produced.
 
     estimates[i] and fractions[i] belong to step k = window + i; the path
-    covers all N steps (flat at v0 through training).
+    covers all N steps from V(0) = 1 (flat through training).
     """
 
     estimates: np.ndarray
@@ -30,8 +30,7 @@ class AdaptiveRun:
     window: int
 
 
-def run_adaptive(p_true: float, n_steps: int, window: int, v0: float = 1.0,
-                 seed: int = 0) -> AdaptiveRun:
+def run_adaptive(p_true: float, n_steps: int, window: int, seed: int = 0) -> AdaptiveRun:
     """Simulate the even coin at p_true with window-frequency betting.
 
     Deterministic given the seed. Holds K=0 for the first `window` steps;
@@ -44,8 +43,6 @@ def run_adaptive(p_true: float, n_steps: int, window: int, v0: float = 1.0,
         raise ValueError("window must be smaller than n_steps")
     if window < 1:
         raise ValueError("window must be >= 1")
-    if v0 <= 0.0:
-        raise ValueError("v0 must be positive")
 
     rng = np.random.default_rng(seed)
     x = np.where(rng.random(n_steps) < p_true, 1.0, -1.0)
@@ -55,8 +52,7 @@ def run_adaptive(p_true: float, n_steps: int, window: int, v0: float = 1.0,
     fractions = np.clip(2.0 * p_hats - 1.0, 0.0, 1.0)
 
     values = np.empty(n_steps + 1)
-    values[0] = v0
-    v = v0
+    values[0] = v = 1.0
     for k in range(n_steps):
         if k >= window:
             v = (1.0 + fractions[k - window] * x[k]) * v

@@ -55,9 +55,9 @@ def _resolve_model(args) -> GambleModel:
     return model
 
 
-def _echo(args, keys) -> None:
-    parts = [f"{k.replace('_', '-')}={getattr(args, k)}" for k in keys
-             if getattr(args, k, None) is not None]
+def _echo(args) -> None:
+    parts = [f"{k.replace('_', '-')}={v}" for k, v in vars(args).items()
+             if k not in ("command", "func") and v is not None]
     print("config: " + " ".join(parts))
 
 
@@ -93,7 +93,7 @@ def _is_even_coin(model: GambleModel) -> bool:
 
 def cmd_optimize(args) -> int:
     model = _resolve_model(args)
-    _echo(args, ["model", "coin", "coin2", "dt", "out", "format"])
+    _echo(args)
 
     exact = growth.maximize_growth(model)
     rows = [("exact", None, exact.k_star, exact.g_star)]
@@ -140,8 +140,7 @@ def cmd_drawdown(args) -> int:
     model = _resolve_model(args)
     if model.n_assets != 1:
         raise ModelValidationError("drawdown sweep requires a 1-asset model")
-    _echo(args, ["model", "coin", "n", "paths", "seed", "eps", "delta", "k_grid",
-                 "exact", "out"])
+    _echo(args)
 
     expected_spec = drawdown.ConstraintSpec(kind="expected", epsilon=args.eps)
     prob_spec = drawdown.ConstraintSpec(kind="probabilistic", epsilon=args.eps, delta=args.delta)
@@ -193,8 +192,7 @@ def cmd_drawdown(args) -> int:
 
 def cmd_constrained(args) -> int:
     model = _resolve_model(args)
-    _echo(args, ["model", "coin", "coin2", "kind", "eps", "delta", "n", "paths",
-                 "seed", "dt"])
+    _echo(args)
     spec = drawdown.ConstraintSpec(kind=args.kind, epsilon=args.eps, delta=args.delta)
     mc = drawdown.MonteCarloConfig(paths=args.paths, seed=args.seed)
     result = drawdown.maximize_growth_constrained(model, args.n, spec, mc=mc)
@@ -217,8 +215,7 @@ def cmd_probe_convexity(args) -> int:
     model = _resolve_model(args)
     if model.n_assets != 2:
         raise ModelValidationError("probe-convexity requires a 2-asset model")
-    _echo(args, ["model", "coin", "coin2", "kind", "eps", "delta", "n", "paths",
-                 "seed", "grid_resolution", "pairs", "out"])
+    _echo(args)
     spec = drawdown.ConstraintSpec(kind=args.kind, epsilon=args.eps, delta=args.delta)
     mc = drawdown.MonteCarloConfig(paths=args.paths, seed=args.seed)
     report = drawdown.convexity_probe(model, args.n, spec, grid_resolution=args.grid_resolution,
@@ -242,7 +239,9 @@ def cmd_probe_convexity(args) -> int:
 def cmd_adaptive(args) -> int:
     if args.window >= args.n:
         raise ModelValidationError("--window must be smaller than --n")
-    _echo(args, ["p_true", "n", "window", "runs", "seed", "out"])
+    if args.runs < 1:
+        raise ModelValidationError("--runs must be >= 1")
+    _echo(args)
     terminal, grand_sum, grand_count = [], 0.0, 0
     k_min, k_max = math.inf, -math.inf
     for i in range(args.runs):
@@ -267,7 +266,7 @@ def cmd_adaptive(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    _echo(args, ["data", "symbols", "out"])
+    _echo(args)
     symbols = args.symbols.split(",") if args.symbols else None
     series, report = load_prices(args.data, symbols=symbols)
     model = to_returns(series)

@@ -12,4 +12,5 @@ DEFAULT_DT_YEARS = 1.0 / 252.0   # daily betting
 GRID_STEP = 1e-2            # coarse fraction grid for constrained searches
 REFINE_TOL = 1e-4           # bracket width for boundary refinement
 MAX_OPT_ITER = 10**5        # projected-ascent iteration budget
+OPT_TOL = 1e-8              # projected-gradient and flat-objective tolerance of the optimizer
 OBJ_FLAT_WINDOW = 5         # iterations of flat objective required for convergence

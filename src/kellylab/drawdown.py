@@ -13,7 +13,10 @@
 ConstraintSpec holds the one boundary rule: slack(estimate) is the signed
 distance of an estimate inside its constraint, and contains(estimate) is
 slack(estimate) >= 0. The constrained searches, the probe and the CLI all
-judge membership and report slack through it.
+judge membership and report slack through it. Every constrained search, of
+every kind, estimates the constraint through one evaluator: it samples the
+CRN matrix on first use, estimates each allocation once, and gives the
+search's answer the estimate the search itself judged.
 
 Relative wealth level is tracked by the recursion r <- min(1, r * factor)
 rather than by dividing V by its running peak: the first drop from a peak is
@@ -36,7 +39,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -60,16 +63,6 @@ class WealthPath:
 
     values: np.ndarray       # (N+1,)
     outcomes: np.ndarray     # (N, n)
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        outcomes = np.atleast_2d(np.asarray(self.outcomes, dtype=float))
-        if values.ndim != 1 or values.size != outcomes.shape[0] + 1:
-            raise ValueError("values must have one more entry than outcomes")
-        if values[0] <= 0.0:
-            raise ValueError("initial wealth must be positive")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "outcomes", outcomes)
 
 
 @dataclass(frozen=True)
@@ -112,8 +105,8 @@ class ConstraintSpec:
     def contains(self, estimate: float) -> bool:
         """Plain rule: the estimate itself lies in the set.
 
-        The convexity probe, the `drawdown` CLI sweep and the surrogate
-        search use it; the first two report the set as estimated.
+        The convexity probe and the `drawdown` CLI sweep use it; both
+        report the set as estimated.
         """
         return self.slack(estimate) >= 0.0
 
@@ -221,6 +214,8 @@ def sample_path_indices(model: GambleModel, paths: int, n_steps: int, seed: int)
     Column i holds the draws of row i of sample_indices(model, (paths, n_steps),
     default_rng(seed)): chunks of paths are drawn in order from one generator.
     """
+    if paths < 1 or n_steps < 1:
+        raise ValueError(f"need paths >= 1 and n_steps >= 1, got {paths} and {n_steps}")
     rng = np.random.default_rng(seed)
     out = np.empty((n_steps, paths), dtype=np.intp)
     for lo in range(0, paths, _SAMPLE_CHUNK):
@@ -266,29 +261,28 @@ def expected_drawdown_mc(model: GambleModel, k, n_steps: int, paths: int,
 # Exact enumeration engine
 # ---------------------------------------------------------------------------
 
-def _enumerable(model: GambleModel, n_steps: int, budget: int) -> bool:
-    """True iff all atom_count^n_steps outcome sequences fit the budget."""
-    return model.n_atoms ** n_steps <= budget
+def _enumerable(model: GambleModel, n_steps: int) -> bool:
+    """True iff all atom_count^n_steps outcome sequences fit ENUM_BUDGET."""
+    return model.n_atoms ** n_steps <= ENUM_BUDGET
 
 
-def enumerate_dbar(model: GambleModel, k, n_steps: int,
-                   budget: int = ENUM_BUDGET) -> tuple:
+def enumerate_dbar(model: GambleModel, k, n_steps: int) -> tuple:
     """(probability, complementary drawdown) over every outcome sequence.
 
     Sequence s takes atom (s // m^(N-1-j)) % m at step j. The kernel runs on
     those index rows, generated per block of sequences, with the model
     weights as a second factor row: every weight is <= 1, so that row's
     running minimum is the running product, i.e. the sequence probability.
-    Raises EnumerationBudgetError when atom_count^n_steps exceeds the budget.
+    Raises EnumerationBudgetError when atom_count^n_steps exceeds ENUM_BUDGET.
     """
     factors = _checked_factors(model, [k])
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     m = model.n_atoms
     total = m ** n_steps
-    if not _enumerable(model, n_steps, budget):
+    if not _enumerable(model, n_steps):
         raise EnumerationBudgetError(
-            f"{m}^{n_steps} = {total} sequences exceed the budget of {budget}"
+            f"{m}^{n_steps} = {total} sequences exceed the budget of {ENUM_BUDGET}"
         )
 
     def rows(lo, hi):
@@ -302,44 +296,40 @@ def enumerate_dbar(model: GambleModel, k, n_steps: int,
     return prob, dbar
 
 
-def expected_drawdown_exact(model: GambleModel, k, n_steps: int,
-                            budget: int = ENUM_BUDGET) -> float:
+def expected_drawdown_exact(model: GambleModel, k, n_steps: int) -> float:
     """Probability-weighted E[D] over all outcome sequences."""
-    prob, dbar = enumerate_dbar(model, k, n_steps, budget)
+    prob, dbar = enumerate_dbar(model, k, n_steps)
     return float(prob @ (1.0 - dbar))
 
 
-def expected_complementary_exact(model: GambleModel, k, n_steps: int,
-                                 budget: int = ENUM_BUDGET) -> float:
+def expected_complementary_exact(model: GambleModel, k, n_steps: int) -> float:
     """Probability-weighted E[1 - D]."""
-    prob, dbar = enumerate_dbar(model, k, n_steps, budget)
+    prob, dbar = enumerate_dbar(model, k, n_steps)
     return float(prob @ dbar)
 
 
-def drawdown_exceedance_exact(model: GambleModel, k, n_steps: int, threshold: float,
-                              budget: int = ENUM_BUDGET) -> float:
+def drawdown_exceedance_exact(model: GambleModel, k, n_steps: int, threshold: float) -> float:
     """Exact P(D >= threshold), classified in complementary space for float
     consistency with the Monte Carlo estimators."""
-    prob, dbar = enumerate_dbar(model, k, n_steps, budget)
+    prob, dbar = enumerate_dbar(model, k, n_steps)
     return float(prob[dbar <= 1.0 - threshold].sum())
 
 
 def expected_log_complementary(model: GambleModel, k, n_steps: int,
-                               budget: int = ENUM_BUDGET,
                                mc: MonteCarloConfig = MonteCarloConfig()) -> LogDrawdownEstimate:
-    """E[log(1 - D)]: exact by enumeration when it fits the budget, otherwise a
+    """E[log(1 - D)]: exact by enumeration when it fits ENUM_BUDGET, otherwise a
     flagged Monte Carlo estimate. -inf whenever ruin has positive probability."""
-    return _log_complementary(model, k, n_steps, budget,
+    return _log_complementary(model, k, n_steps,
                               lambda: sample_path_indices(model, mc.paths, n_steps, mc.seed))
 
 
-def _log_complementary(model, k, n_steps, budget, crn) -> LogDrawdownEstimate:
+def _log_complementary(model, k, n_steps, crn) -> LogDrawdownEstimate:
     """expected_log_complementary; crn() gives the Monte Carlo fallback's index matrix."""
     if np.min(_checked_factors(model, [k])) <= 0.0:
         # Some atom wipes the account; that sequence has positive mass.
         return LogDrawdownEstimate(value=-math.inf, exact=True)
-    if _enumerable(model, n_steps, budget):
-        prob, dbar = enumerate_dbar(model, k, n_steps, budget)
+    if _enumerable(model, n_steps):
+        prob, dbar = enumerate_dbar(model, k, n_steps)
         return LogDrawdownEstimate(value=float(prob @ np.log(dbar)), exact=True)
     est, se = mean_se(np.log(dbar_samples(model, k, crn())))
     return LogDrawdownEstimate(value=est, exact=False, std_error=se)
@@ -362,11 +352,6 @@ class ConstrainedResult:
     constraint_std_error: Optional[float] = None
 
 
-def _grid_1d(step: float = GRID_STEP) -> np.ndarray:
-    count = int(round(1.0 / step)) + 1
-    return np.linspace(0.0, 1.0, count)
-
-
 def _batch_stats(model, spec, ks, indices) -> list:
     """[(estimate, std_error)] of spec's statistic for each allocation in ks,
     from one kernel call on the shared index matrix."""
@@ -375,125 +360,113 @@ def _batch_stats(model, spec, ks, indices) -> list:
 
 
 class _ConstraintEvaluator:
-    """Conservative constraint checks of one search, all on one CRN matrix.
+    """Conservative constraint checks of one search, for every kind.
 
     Calling it checks one allocation; batch() checks a sequence of
-    allocations in one kernel call. Both give (ok, estimate,
-    std_error) and count into evals.
+    allocations, estimating the new ones in one kernel call. Both give
+    (ok, estimate, std_error). The surrogate's estimate is E[log(1 - D)]
+    with std_error None. The CRN index matrix is sampled on first use, so an
+    enumerable surrogate search never samples it. Each allocation is
+    estimated once and remembered; evals counts the estimates made.
     """
 
     def __init__(self, model, n_steps, spec, mc):
-        self.model = model
-        self.spec = spec
-        self.indices = sample_path_indices(model, mc.paths, n_steps, mc.seed)
-        self.evals = 0
+        self.model, self.n_steps, self.spec, self.mc = model, n_steps, spec, mc
+        self.seen = {}
+
+    @functools.cached_property
+    def indices(self) -> np.ndarray:
+        return sample_path_indices(self.model, self.mc.paths, self.n_steps, self.mc.seed)
+
+    @property
+    def evals(self) -> int:
+        return len(self.seen)
 
     def batch(self, ks) -> list:
-        self.evals += len(ks)
-        return [(self.spec.contains_conservatively(est, se), est, se)
-                for est, se in _batch_stats(self.model, self.spec, ks, self.indices)]
+        """ks: float64 allocation vectors of length n_assets; their bytes key the memo."""
+        keys = [kv.tobytes() for kv in ks]
+        new = {key: kv for key, kv in zip(keys, ks) if key not in self.seen}
+        if self.spec.kind == "surrogate":
+            stats = [(_log_complementary(self.model, kv, self.n_steps,
+                                         lambda: self.indices).value, None)
+                     for kv in new.values()]
+        else:
+            stats = _batch_stats(self.model, self.spec, list(new.values()),
+                                 self.indices) if new else []
+        for key, (est, se) in zip(new, stats):
+            self.seen[key] = (self.spec.contains_conservatively(est, se), est, se)
+        return [self.seen[key] for key in keys]
 
     def __call__(self, kv) -> tuple:
         return self.batch([kv])[0]
 
 
-def _constrained_mc_1d(model, n_steps, spec, mc, unconstrained):
-    evaluate = _ConstraintEvaluator(model, n_steps, spec, mc)
-
+def _grid_refine(model, evaluate, unconstrained):
+    """One asset: best feasible point of the coarse grid, then bisection
+    toward its infeasible neighbour on the ascending-growth side."""
     k_un = float(unconstrained.k_star[0])
-    ok, est, se = evaluate(np.array([k_un]))
-    if ok:
-        return ConstrainedResult(unconstrained.k_star, unconstrained.g_star,
-                                 evaluate.evals, True, "unconstrained-feasible", est, se)
-
-    grid = _grid_1d()
-    flags = [ok for ok, _, _ in evaluate.batch(grid)]
+    grid = np.linspace(0.0, 1.0, int(round(1.0 / GRID_STEP)) + 1)
+    flags = [ok for ok, _, _ in evaluate.batch(grid[:, None])]
     feasible_idx = [i for i, ok in enumerate(flags) if ok]
     if not feasible_idx:
         raise InfeasibleConstraintError(
-            f"no fraction on the grid satisfies {spec.kind} <= {spec.epsilon}"
+            f"no fraction on the grid satisfies {evaluate.spec.kind} <= {evaluate.spec.epsilon}"
         )
-    growths = [log_growth(np.array([grid[i]]), model) for i in feasible_idx]
-    i_best = feasible_idx[int(np.argmax(growths))]
+    i_best = max(feasible_idx, key=lambda i: log_growth(np.array([grid[i]]), model))
 
     lo = grid[i_best]
-    # Refine toward the infeasible neighbor on the ascending-growth side.
     if i_best + 1 < grid.size and not flags[i_best + 1] and lo < k_un:
         hi = grid[i_best + 1]
         while hi - lo > REFINE_TOL:
             mid = 0.5 * (lo + hi)
-            ok, _, _ = evaluate(np.array([mid]))
-            if ok:
+            if evaluate(np.array([mid]))[0]:
                 lo = mid
             else:
                 hi = mid
-    k_out = np.array([min(lo, k_un)])
-    ok, est, se = evaluate(k_out)
-    return ConstrainedResult(k_out, log_growth(k_out, model), evaluate.evals, True,
-                             "grid-refine", est, se)
+    k = np.array([min(lo, k_un)])
+    return k, log_growth(k, model), "grid-refine"
 
 
-def _constrained_mc_2d(model, n_steps, spec, mc, unconstrained):
-    evaluate = _ConstraintEvaluator(model, n_steps, spec, mc)
-
-    ok, est, se = evaluate(unconstrained.k_star)
-    if ok:
-        return ConstrainedResult(unconstrained.k_star, unconstrained.g_star,
-                                 evaluate.evals, True, "unconstrained-feasible", est, se)
-
-    # One kernel call per k1 row of the grid; points are visited in the same
-    # order as a point-by-point scan, and the strict > keeps the first best.
-    # Every atom is >= -1, so every point of the simplex grid is feasible.
+def _grid_scan(model, evaluate, unconstrained):
+    """Two assets: best feasible point of the simplex grid, one kernel call
+    per k1 row. Points are visited in the order of a point-by-point scan, and
+    the strict > keeps the first best. Every atom is >= -1, so every point of
+    the simplex grid is a feasible allocation."""
     axis = np.arange(0.0, 1.0 + 1e-12, 2 * GRID_STEP)
     best = None
     for k1 in axis:
         row = [np.array([k1, k2]) for k2 in axis if k1 + k2 <= 1.0 + 1e-12]
-        for kv, (ok, est, se) in zip(row, evaluate.batch(row)):
+        for kv, (ok, _, _) in zip(row, evaluate.batch(row)):
             if not ok:
                 continue
             g = log_growth(kv, model)
             if best is None or g > best[1]:
-                best = (kv, g, est, se)
+                best = (kv, g)
     if best is None:
         raise InfeasibleConstraintError(
-            f"no grid point satisfies {spec.kind} <= {spec.epsilon}"
+            f"no grid point satisfies {evaluate.spec.kind} <= {evaluate.spec.epsilon}"
         )
-    kv, g, est, se = best
-    return ConstrainedResult(kv, g, evaluate.evals, True, "grid-scan", est, se)
+    return (*best, "grid-scan")
 
 
-def _constrained_surrogate(model, n_steps, spec, mc, budget, unconstrained):
-    # A Monte Carlo fallback samples its index matrix once, on first use, and
-    # every later evaluation of this search reuses it.
-    crn = functools.cache(lambda: sample_path_indices(model, mc.paths, n_steps, mc.seed))
+def _surrogate_bisect(model, evaluate, unconstrained):
+    """One asset: h is concave with h(0) = 0 > log(1 - eps), so the set it
+    admits on [0, k_un] is an interval starting at 0; bisect for its right end."""
+    lo, hi = 0.0, float(unconstrained.k_star[0])
+    while hi - lo > REFINE_TOL * 1e-2:
+        mid = 0.5 * (lo + hi)
+        if evaluate(np.array([mid]))[0]:
+            lo = mid
+        else:
+            hi = mid
+    k = np.array([lo])
+    return k, log_growth(k, model), "surrogate-bisect"
 
-    def h(kv):
-        return _log_complementary(model, kv, n_steps, budget, crn).value
 
-    evals = 1
-    if spec.contains(h(unconstrained.k_star)):
-        return ConstrainedResult(unconstrained.k_star, unconstrained.g_star,
-                                 evals, True, "unconstrained-feasible",
-                                 h(unconstrained.k_star))
-
-    if model.n_assets == 1:
-        # h is concave with h(0) = 0 > log(1 - eps), so the set it admits on
-        # [0, k_un] is an interval starting at 0; bisect for its right end.
-        lo, hi = 0.0, float(unconstrained.k_star[0])
-        while hi - lo > REFINE_TOL * 1e-2:
-            mid = 0.5 * (lo + hi)
-            evals += 1
-            if spec.contains(h(np.array([mid]))):
-                lo = mid
-            else:
-                hi = mid
-        k_out = np.array([lo])
-        return ConstrainedResult(k_out, log_growth(k_out, model), evals, True,
-                                 "surrogate-bisect", h(k_out))
-
-    # Ascent on g with a restoration step: shrink any step that leaves the
-    # surrogate-feasible region (which is convex, so shrinking works). h is
-    # -inf at any ruinous trial, so the constraint check also rejects those.
+def _surrogate_ascent(model, evaluate, unconstrained):
+    """Ascent on g with a restoration step: shrink any step that leaves the
+    surrogate-feasible region (which is convex, so shrinking works). h is
+    -inf at any ruinous trial, so the constraint check also rejects those."""
     kv = np.zeros(model.n_assets)
     g = 0.0
     for _ in range(500):
@@ -501,8 +474,7 @@ def _constrained_surrogate(model, n_steps, spec, mc, budget, unconstrained):
         t = 0.5
         while t > 1e-10:
             trial = project_allocation(kv + t * grad)
-            evals += 1
-            if spec.contains(h(trial)):
+            if evaluate(trial)[0]:
                 g_trial = log_growth(trial, model)
                 if g_trial > g + 1e-12:
                     kv, g = trial, g_trial
@@ -510,30 +482,37 @@ def _constrained_surrogate(model, n_steps, spec, mc, budget, unconstrained):
             t *= 0.5
         else:
             break   # no step size improved g
-    return ConstrainedResult(kv, g, evals, True, "surrogate-ascent", h(kv))
+    return kv, g, "surrogate-ascent"
 
 
 def maximize_growth_constrained(model: GambleModel, n_steps: int, spec: ConstraintSpec,
-                                mc: MonteCarloConfig = MonteCarloConfig(),
-                                budget: int = ENUM_BUDGET) -> ConstrainedResult:
+                                mc: MonteCarloConfig = MonteCarloConfig()) -> ConstrainedResult:
     """Maximize log growth subject to a drawdown constraint.
 
     surrogate: concave program (objective and constraint both concave) solved
     exactly-at-desk-scale; expected/probabilistic: grid plus boundary
     refinement for one asset, grid scan for two (no convexity guarantee is
     claimed for those constraint sets, so no interior method is used).
+    Every search checks the constraint through one _ConstraintEvaluator and
+    starts by testing the unconstrained optimum.
     Raises InfeasibleConstraintError when nothing on the grid qualifies.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    unconstrained = maximize_growth(model)
     if spec.kind == "surrogate":
-        return _constrained_surrogate(model, n_steps, spec, mc, budget, unconstrained)
-    if model.n_assets == 1:
-        return _constrained_mc_1d(model, n_steps, spec, mc, unconstrained)
-    if model.n_assets == 2:
-        return _constrained_mc_2d(model, n_steps, spec, mc, unconstrained)
-    raise ValueError("Monte Carlo constrained search supports 1 or 2 assets")
+        search = _surrogate_bisect if model.n_assets == 1 else _surrogate_ascent
+    elif model.n_assets in (1, 2):
+        search = _grid_refine if model.n_assets == 1 else _grid_scan
+    else:
+        raise ValueError("Monte Carlo constrained search supports 1 or 2 assets")
+    unconstrained = maximize_growth(model)
+    evaluate = _ConstraintEvaluator(model, n_steps, spec, mc)
+    if evaluate(unconstrained.k_star)[0]:
+        k, g, method = unconstrained.k_star, unconstrained.g_star, "unconstrained-feasible"
+    else:
+        k, g, method = search(model, evaluate, unconstrained)
+    _, est, se = evaluate(k)
+    return ConstrainedResult(k, g, evaluate.evals, True, method, est, se)
 
 
 # ---------------------------------------------------------------------------
@@ -551,8 +530,6 @@ class ProbePoint:
 
 @dataclass(frozen=True)
 class MidpointCheck:
-    k_a: tuple
-    k_b: tuple
     k_mid: tuple
     estimate: float
     std_error: float
@@ -562,13 +539,12 @@ class MidpointCheck:
 
 @dataclass(frozen=True)
 class ProbeReport:
-    spec: ConstraintSpec
-    n_steps: int
-    paths: int
-    seed: int
-    grid: list = field(default_factory=list)        # ProbePoint
-    checks: list = field(default_factory=list)      # MidpointCheck
-    pairs_tested: int = 0
+    grid: list      # ProbePoint
+    checks: list    # MidpointCheck
+
+    @property
+    def pairs_tested(self) -> int:
+        return len(self.checks)
 
     @property
     def violations(self) -> list:
@@ -622,21 +598,16 @@ def convexity_probe(model: GambleModel, n_steps: int, spec: ConstraintSpec,
         pairs = [rng.choice(len(in_points), size=2, replace=False)
                  for _ in range(pair_samples)]
         mids = [0.5 * (in_points[ia] + in_points[ib]) for ia, ib in pairs]
-        stats = _batch_stats(model, spec, mids, indices)
-        for (ia, ib), mid, (est, se) in zip(pairs, mids, stats):
-            a, b = in_points[ia], in_points[ib]
+        for mid, (est, se) in zip(mids, _batch_stats(model, spec, mids, indices)):
             violation = not spec.contains(est)
             significant = violation and -spec.slack(est) > 3.0 * se
             checks.append(MidpointCheck(
-                k_a=(float(a[0]), float(a[1])),
-                k_b=(float(b[0]), float(b[1])),
                 k_mid=(float(mid[0]), float(mid[1])),
                 estimate=est, std_error=se,
                 violation=violation, significant=significant,
             ))
 
-    return ProbeReport(spec=spec, n_steps=n_steps, paths=mc.paths, seed=mc.seed,
-                       grid=grid, checks=checks, pairs_tested=len(checks))
+    return ProbeReport(grid=grid, checks=checks)
 
 
 def write_level_set_csv(report: ProbeReport, path) -> None:

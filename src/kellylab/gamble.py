@@ -149,14 +149,14 @@ def wealth_factors(model: GambleModel, k) -> np.ndarray:
     return np.maximum(1.0 + model.xs @ kv, 0.0)
 
 
-def is_feasible(k, model: GambleModel, tol: float = FEAS_TOL) -> bool:
-    """True iff k >= 0, sum(k) <= 1, and min over atoms of k'x >= -1 (all within tol)."""
+def is_feasible(k, model: GambleModel) -> bool:
+    """True iff k >= 0, sum(k) <= 1, and min over atoms of k'x >= -1 (all within FEAS_TOL)."""
     kv = as_allocation(k, model.n_assets)
-    if np.any(kv < -tol):
+    if np.any(kv < -FEAS_TOL):
         return False
-    if float(kv.sum()) > 1.0 + tol:
+    if float(kv.sum()) > 1.0 + FEAS_TOL:
         return False
-    return float(np.min(1.0 + model.xs @ kv)) >= -tol
+    return float(np.min(1.0 + model.xs @ kv)) >= -FEAS_TOL
 
 
 def _cumulative(model: GambleModel) -> np.ndarray:

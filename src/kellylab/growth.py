@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import MAX_OPT_ITER, OBJ_FLAT_WINDOW, RUIN_EPS
+from .config import MAX_OPT_ITER, OBJ_FLAT_WINDOW, OPT_TOL, RUIN_EPS
 from .gamble import GambleModel, as_allocation, is_feasible
 
 
@@ -150,7 +150,7 @@ def _line_search(model, k, g, grad, direction):
     return None
 
 
-def _maximize_nd(model: GambleModel, tol: float) -> GrowthResult:
+def _maximize_nd(model: GambleModel) -> GrowthResult:
     k = np.zeros(model.n_assets)
     g = 0.0
     recent = [g]
@@ -159,9 +159,9 @@ def _maximize_nd(model: GambleModel, tol: float) -> GrowthResult:
         pg = project_allocation(k + grad) - k
         flat = (
             len(recent) == OBJ_FLAT_WINDOW
-            and (max(recent) - min(recent)) <= tol * max(1.0, abs(g))
+            and (max(recent) - min(recent)) <= OPT_TOL * max(1.0, abs(g))
         )
-        if float(np.max(np.abs(pg))) <= tol and flat:
+        if float(np.max(np.abs(pg))) <= OPT_TOL and flat:
             return GrowthResult(k, g, it, True)
         # Take the better of a face-restricted Newton step and a projected
         # gradient step; the gradient step is what releases pinned components.
@@ -174,7 +174,7 @@ def _maximize_nd(model: GambleModel, tol: float) -> GrowthResult:
             best = pga
         if best is None:
             # No float-visible ascent left: stationary at machine resolution.
-            return GrowthResult(k, g, it, float(np.max(np.abs(pg))) <= tol)
+            return GrowthResult(k, g, it, float(np.max(np.abs(pg))) <= OPT_TOL)
         k, g = best
         recent.append(g)
         if len(recent) > OBJ_FLAT_WINDOW:
@@ -182,17 +182,15 @@ def _maximize_nd(model: GambleModel, tol: float) -> GrowthResult:
     return GrowthResult(k, g, MAX_OPT_ITER, False)
 
 
-def maximize_growth(model: GambleModel, tol: float = 1e-8) -> GrowthResult:
+def maximize_growth(model: GambleModel) -> GrowthResult:
     """Maximize g(K) over the feasible set.
 
     Deterministic: identical inputs give identical outputs. Non-convergence
     within the iteration budget is reported via converged=False, never as a
-    silently wrong answer. The default tol sits at the float limit of
+    silently wrong answer. OPT_TOL sits at the float limit of
     objective-comparison methods (position accuracy ~1e-8); the one-asset
-    bisection path is accurate to ~1e-13 regardless.
+    bisection path is accurate to ~1e-13.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     if model.n_assets == 1:
         return _maximize_1d(model)
-    return _maximize_nd(model, tol)
+    return _maximize_nd(model)

@@ -97,10 +97,10 @@ def test_clamped_range():
 # ---------------------------------------------------------------------------
 
 def test_run_shapes_and_training_freeze():
-    run = run_adaptive(0.6, 200, 50, v0=2.0, seed=0)
+    run = run_adaptive(0.6, 200, 50, seed=0)
     assert run.estimates.size == 150 and run.fractions.size == 150
     assert run.path.values.size == 201
-    assert np.all(run.path.values[: 51] == 2.0)
+    assert np.all(run.path.values[: 51] == 1.0)
 
 
 def test_estimates_match_estimate_p():
@@ -161,8 +161,6 @@ def test_validation():
         run_adaptive(0.6, 100, 100)
     with pytest.raises(ValueError):
         run_adaptive(1.2, 100, 50)
-    with pytest.raises(ValueError):
-        run_adaptive(0.6, 100, 50, v0=0.0)
 
 
 def test_trace_rows_layout():

@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from kellylab import load_model
 from kellylab.cli import main
@@ -142,6 +143,20 @@ def test_constrained_bad_epsilon(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("drawdown", "--coin", "1,-1,0.9", "--n", "20", "--k-grid", "3"),
+    ("probe-convexity", "--coin", "1,-1,0.9", "--coin2", "1,-1,0.9", "--n", "20"),
+    ("constrained", "--coin", "0.15,-0.95,0.95", "--kind", "surrogate", "--eps", "0.2",
+     "--n", "40"),
+    ("constrained", "--coin", "0.15,-0.95,0.95", "--kind", "expected", "--eps", "0.2",
+     "--n", "40"),
+], ids=["drawdown", "probe-convexity", "constrained-surrogate", "constrained-expected"])
+def test_zero_paths_is_validation_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--paths", "0")
+    assert code == 2 and "paths >= 1" in err
+    assert "nan" not in out
+
+
 # ---------------------------------------------------------------------------
 # probe-convexity
 # ---------------------------------------------------------------------------
@@ -180,6 +195,13 @@ def test_adaptive_traces_are_reproducible(capsys, tmp_path):
 def test_adaptive_rejects_window_geq_n(capsys):
     code, _, err = run_cli(capsys, "adaptive", "--n", "50", "--window", "50")
     assert code == 2 and "window" in err
+
+
+def test_adaptive_rejects_zero_runs(capsys):
+    code, out, err = run_cli(capsys, "adaptive", "--n", "100", "--window", "10",
+                             "--runs", "0")
+    assert code == 2 and "--runs" in err
+    assert "config:" not in out
 
 
 # ---------------------------------------------------------------------------

@@ -421,8 +421,8 @@ def test_jensen_direction():
 
 
 def test_log_complementary_mc_fallback_is_flagged():
-    res = expected_log_complementary(EVEN9, 0.3, 30, budget=1000,
-                                     mc=MonteCarloConfig(paths=2000, seed=1))
+    # 2^30 sequences exceed ENUM_BUDGET.
+    res = expected_log_complementary(EVEN9, 0.3, 30, mc=MonteCarloConfig(paths=2000, seed=1))
     assert not res.exact
     assert res.std_error is not None
     exact_small = expected_log_complementary(EVEN9, 0.3, 10).value
@@ -518,6 +518,66 @@ def test_surrogate_chooses_estimator_without_calling_enumeration(monkeypatch, n_
                                       mc=MonteCarloConfig(paths=300, seed=2))
     assert res.method == "surrogate-ascent"
     assert (len(seen) > 0) == enumerates
+
+
+@pytest.mark.parametrize("model,n_steps,spec,method", [
+    (SKEWED, 120, ConstraintSpec(kind="expected", epsilon=0.2), "grid-refine"),
+    (EVEN9, 60, ConstraintSpec(kind="probabilistic", epsilon=0.5, delta=0.1), "grid-refine"),
+    (TWO_COINS, 30, ConstraintSpec(kind="expected", epsilon=0.1), "grid-scan"),
+    (EVEN9, 10, ConstraintSpec(kind="surrogate", epsilon=0.3), "surrogate-bisect"),
+    (SKEWED, 40, ConstraintSpec(kind="surrogate", epsilon=0.2), "surrogate-bisect"),  # MC
+    (TWO_COINS, 6, ConstraintSpec(kind="surrogate", epsilon=0.1), "surrogate-ascent"),
+    (TWO_COINS, 12, ConstraintSpec(kind="surrogate", epsilon=0.2), "surrogate-ascent"),  # MC
+    (SKEWED, 30, ConstraintSpec(kind="expected", epsilon=0.999999), "unconstrained-feasible"),
+], ids=["1d-expected", "1d-probabilistic", "2d-scan", "1d-surrogate-exact",
+        "1d-surrogate-mc", "2d-surrogate-exact", "2d-surrogate-mc", "unconstrained-feasible"])
+def test_search_estimates_each_allocation_once(monkeypatch, model, n_steps, spec, method):
+    # Every estimate goes through _batch_stats (expected, probabilistic) or
+    # _log_complementary (surrogate); record the allocations each one sees.
+    from kellylab import drawdown
+    seen = []
+    batch_stats, log_complementary = drawdown._batch_stats, drawdown._log_complementary
+
+    def counting_batch_stats(model, spec, ks, indices):
+        seen.extend(np.asarray(k, dtype=float).tobytes() for k in ks)
+        return batch_stats(model, spec, ks, indices)
+
+    def counting_log_complementary(model, k, *args):
+        seen.append(np.asarray(k, dtype=float).tobytes())
+        return log_complementary(model, k, *args)
+
+    monkeypatch.setattr(drawdown, "_batch_stats", counting_batch_stats)
+    monkeypatch.setattr(drawdown, "_log_complementary", counting_log_complementary)
+    res = maximize_growth_constrained(model, n_steps, spec,
+                                      mc=MonteCarloConfig(paths=300, seed=2))
+    assert res.method == method
+    assert len(seen) == len(set(seen))
+    assert res.iterations == len(seen)
+
+
+def test_three_asset_search_dispatch(monkeypatch):
+    from kellylab import drawdown
+    calls = []
+    original = drawdown.sample_path_indices
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(drawdown, "sample_path_indices", counting)
+    three = independent_join(EVEN9, EVEN9, SKEWED)
+    with pytest.raises(ValueError, match="1 or 2 assets"):
+        maximize_growth_constrained(three, 30, ConstraintSpec(kind="expected", epsilon=0.1))
+    assert calls == []
+    res = maximize_growth_constrained(three, 4, ConstraintSpec(kind="surrogate", epsilon=0.1))
+    assert res.method == "surrogate-ascent"
+    assert calls == []   # 8^4 sequences are enumerated, so no CRN matrix is sampled
+
+
+@pytest.mark.parametrize("paths,n_steps", [(0, 10), (10, 0), (-1, 10)])
+def test_sample_path_indices_rejects_empty_sizes(paths, n_steps):
+    with pytest.raises(ValueError, match="paths >= 1 and n_steps >= 1"):
+        sample_path_indices(SKEWED, paths, n_steps, seed=0)
 
 
 def test_grid_scan_keeps_first_of_tied_points():

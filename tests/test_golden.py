@@ -22,6 +22,18 @@ from kellylab.cli import main
 
 OUT = "{out}"   # placeholder for the temporary output directory
 
+# Input files written into the output directory before each case runs; they
+# are not part of a case's digests.
+INPUTS = {
+    # Row 3 has a blank BBB cell, so ingest drops it and reports it.
+    "prices.csv": "date,AAA,BBB\n" + "".join(
+        f"2013-01-{d:02d},{100.0 + (3 * d) % 7 - d / 4!r},{50.0 + (5 * d) % 11 + d / 3!r}\n"
+        if d != 4 else f"2013-01-{d:02d},{100.0 + d!r},\n"
+        for d in range(1, 16)),
+    "model.json": '{"atoms": [{"x": [0.5, -0.2], "p": 0.3}, {"x": [-0.3, 0.4], "p": 0.25},'
+                  ' {"x": [0.1, 0.1], "p": 0.25}, {"x": [-0.2, -0.1], "p": 0.2}]}\n',
+}
+
 CASES = {
     "drawdown-even": (
         "drawdown", "--coin", "1,-1,0.97", "--n", "252", "--paths", "1000",
@@ -74,12 +86,28 @@ CASES = {
     "optimize-two-coins-json": (
         "optimize", "--coin", "0.15,-0.95,0.95", "--coin2", "1,-1,0.6",
         "--out", f"{OUT}/opt.json"),
+    "optimize-model-csv": (
+        "optimize", "--model", f"{OUT}/model.json", "--format", "csv",
+        "--out", f"{OUT}/opt.csv"),
+    "ingest-blank-cell": (
+        "ingest", "--data", f"{OUT}/prices.csv", "--out", f"{OUT}/ingested.json"),
+    "constrained-1d-unconstrained-feasible": (
+        "constrained", "--coin", "0.15,-0.95,0.95", "--kind", "expected", "--eps", "0.99",
+        "--n", "20", "--paths", "300"),
+    "constrained-1d-surrogate-mc-unconstrained-feasible": (
+        "constrained", "--coin", "0.15,-0.95,0.95", "--kind", "surrogate", "--eps", "0.99",
+        "--n", "40", "--paths", "300"),
+    "constrained-2d-surrogate-exact-unconstrained-feasible": (
+        "constrained", "--coin", "1,-1,0.7", "--coin2", "1,-1,0.6", "--kind", "surrogate",
+        "--eps", "0.99", "--n", "6"),
 }
 
 # (exit code, sha256 of stdout, {output file name: sha256}). The drawdown,
 # probe and first five constrained cases were recorded before the batched
 # drawdown kernel; the surrogate, adaptive and optimize cases before the
-# boundary rule moved onto ConstraintSpec.slack.
+# boundary rule moved onto ConstraintSpec.slack; the ingest, optimize-model
+# and unconstrained-feasible cases before the constrained searches shared one
+# constraint evaluator.
 EXPECTED = {
     "adaptive-traces": (
         0, "786b777616f66bf92cf5d380b54a3d8c1004c1063c1119941858ff6d479a1cab",
@@ -93,6 +121,10 @@ EXPECTED = {
         0, "80e0540a8ab32680f3f594394fb022e4f949a4afe986bbd5a413f8e1652865dc", {}),
     "constrained-1d-surrogate-mc": (
         0, "7ce9765db30445ebeca351569dbce05462df9e47a75f11bbff9c056de53dab8a", {}),
+    "constrained-1d-surrogate-mc-unconstrained-feasible": (
+        0, "dae0f48c61e5c0cc8dbf5aa349914ff2a5b392e3759c117763576c92f2cbf0ad", {}),
+    "constrained-1d-unconstrained-feasible": (
+        0, "cd4c8ea02074d8380173b7f0fb66c3c2a0344671b9521dd346c90ed11073c6d0", {}),
     "constrained-2d-scan": (
         0, "19a72a46135a17940f0d2b073f6087d491bf6c14253cf2072dde74dc686e560e", {}),
     "constrained-2d-scan-probabilistic": (
@@ -101,6 +133,8 @@ EXPECTED = {
         0, "6124ece6dc3b9ab65b8eb9500e2eb53c7ae975e9c909bcb4d62b2c73d80b1c69", {}),
     "constrained-2d-surrogate-exact": (
         0, "b559e2958781a07e1d2c47593768e0aa534bd5620fb37a2407bc2497075d40fd", {}),
+    "constrained-2d-surrogate-exact-unconstrained-feasible": (
+        0, "87737e66a357b2ddca1beed36ec8ae7baac1ad1dbd014239ee480fbd3c8659cf", {}),
     "drawdown-even": (
         0, "622ed799ef51a37715bd46dd98f15ddf81935f17cd61416712220886178bfb1d",
         {"dd.expected.csv": "af06a53775b5e0140dce867b2ac65b6f923b86bd92b0716a5f70b58ae0a9277f",
@@ -117,6 +151,12 @@ EXPECTED = {
         0, "a268e9f6ed8733e1b059ce546c20c91347602dc185ccf50f4f6faa215cf03ac8",
         {"dd.expected.csv": "d97ff2839243d4e40ee9ff968970de62a71fd9700259c1951651d03eae2699f0",
          "dd.prob.csv": "a89462b4509fc19d310f49ebdceacc58fab06a7f9461264c8c3c636975d17f32"}),
+    "ingest-blank-cell": (
+        0, "ae190274ab2e9299e73ac37beb852d135a82d48c5c1d3f1bfc2cb677a715e40a",
+        {"ingested.json": "4471bc3d918d2cfdc3a9cfe919521c79510a5abf89fbdaa6d97ec2c5ce0409a6"}),
+    "optimize-model-csv": (
+        0, "0068918be5d0a18b950964ace6c069d331c90411a0dc6ec36ebcec3ba7846ec5",
+        {"opt.csv": "28ab670ceddec15e6ac8e2cf4c4d15a6e9d5b01ebe127e1ba53f335a7243afc9"}),
     "optimize-two-coins-json": (
         0, "44f388f7481e98912b08f1dc14ceca3f9254e051a6eeaeaa3f7bf34e00c14d99",
         {"opt.json": "9ba1cfe637aeaac5622723acfff9991beb0432d6c649b88b73b8664ea961a409"}),
@@ -136,12 +176,15 @@ def run_case(argv) -> tuple:
     the digests do not depend on where the files were written.
     """
     with tempfile.TemporaryDirectory() as tmp:
+        for name, text in INPUTS.items():
+            with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+                fh.write(text)
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             code = main([a.replace(OUT, tmp) for a in argv])
         stdout = buf.getvalue().replace(tmp, OUT)
         files = {name: hashlib.sha256(open(os.path.join(tmp, name), "rb").read()).hexdigest()
-                 for name in sorted(os.listdir(tmp))}
+                 for name in sorted(os.listdir(tmp)) if name not in INPUTS}
     return code, hashlib.sha256(stdout.encode()).hexdigest(), files
 
 
