@@ -10,9 +10,8 @@ return models. A CLI (`kellylab`) wires it all into reproducible experiments.
 
 from .adaptive import AdaptiveRun, run_adaptive
 from .approx import (ApproxSolution, DegenerateModelError, approx_solution, gbm_solution,
-                     inefficiency_threshold, inefficiency_witness, project_simplex_ray,
-                     repair_allocation, saturate, taylor_gain_curve, taylor_gain_raw,
-                     taylor_solution)
+                     inefficiency_threshold, project_simplex_ray, repair_allocation, saturate,
+                     taylor_gain_raw, taylor_solution)
 from .drawdown import (ConstrainedResult, ConstraintSpec, EnumerationBudgetError,
                        InfeasibleConstraintError, LogDrawdownEstimate, MonteCarloConfig,
                        ProbeReport, WealthPath, coin_drawdown_probability, convexity_probe,
@@ -26,7 +25,6 @@ from .gamble import (GambleModel, ModelValidationError, MomentSet, dump_model,
                      model_to_dict, moments, sample_indices, wealth_factors)
 from .growth import (GrowthResult, annualized_return, growth_gradient, log_growth,
                      maximize_growth, project_allocation)
-from .ingest import (EmpiricalPMF, LoadReport, PriceDataError, PriceSeries, load_prices,
-                     to_returns)
+from .ingest import LoadReport, PriceDataError, PriceTable, load_prices, to_returns
 
 __version__ = "0.1.0"

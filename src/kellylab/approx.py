@@ -7,9 +7,9 @@ Two classical shortcuts replace the exact log-growth maximization:
 
 Both can land outside the feasible set; the repairs are a scalar clamp to
 [0, 1] and a ray projection back onto the unit-sum face. This module also
-quantifies the reward-monotonicity failure of the repaired expansion on the
-single-risky-bet family (win gamma with probability p, lose the stake
-otherwise): beyond a threshold reward the prescribed fraction decreases.
+gives the unclamped expansion fraction on the single-risky-bet family (win
+gamma with probability p, lose the stake otherwise) and the threshold reward
+beyond which that fraction decreases.
 """
 
 from __future__ import annotations
@@ -119,12 +119,6 @@ def taylor_gain_raw(gamma: float, p: float) -> float:
     return (p * gamma + p - 1.0) / (p * gamma * gamma - p + 1.0)
 
 
-def taylor_gain_curve(gamma: float, p: float) -> float:
-    """Clamped expansion fraction for the (gamma, -1) coin; the denominator is
-    positive for every p < 1, so the curve is defined for all gamma > 0."""
-    return saturate(taylor_gain_raw(gamma, p))
-
-
 def inefficiency_threshold(p: float) -> float:
     """Reward level beyond which the unclamped fraction decreases in gamma:
     (1 - p + sqrt(1 - p)) / p."""
@@ -132,29 +126,3 @@ def inefficiency_threshold(p: float) -> float:
         raise ValueError("p must be in (0, 1)")
     q = 1.0 - p
     return (q + math.sqrt(q)) / p
-
-
-def inefficiency_witness(p: float) -> dict:
-    """Concrete monotonicity failure: a reward pair gamma_hi > gamma_lo whose
-    prescribed fractions are both interior yet decreasing.
-
-    Diagnostic only; the repairs above do not try to fix this.
-    """
-    g_star = inefficiency_threshold(p)
-    gamma_lo = None
-    for step in np.arange(0.0, 6.0, 0.05):
-        g = g_star + step
-        if 0.0 < taylor_gain_raw(g, p) < 1.0:
-            gamma_lo = float(g)
-            break
-    if gamma_lo is None:
-        raise ValueError(f"no interior fraction found past the threshold for p={p!r}")
-    gamma_hi = gamma_lo + 1.0
-    return {
-        "p": p,
-        "threshold": g_star,
-        "gamma_lo": gamma_lo,
-        "k_lo": taylor_gain_curve(gamma_lo, p),
-        "gamma_hi": gamma_hi,
-        "k_hi": taylor_gain_curve(gamma_hi, p),
-    }

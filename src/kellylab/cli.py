@@ -92,6 +92,8 @@ def _is_even_coin(model: GambleModel) -> bool:
 # ---------------------------------------------------------------------------
 
 def cmd_optimize(args) -> int:
+    if not args.dt > 0.0:
+        raise ModelValidationError("--dt must be positive")
     model = _resolve_model(args)
     _echo(args)
 
@@ -137,6 +139,8 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_drawdown(args) -> int:
+    if args.k_grid < 1:
+        raise ModelValidationError("--k-grid must be >= 1")
     model = _resolve_model(args)
     if model.n_assets != 1:
         raise ModelValidationError("drawdown sweep requires a 1-asset model")
@@ -191,6 +195,8 @@ def cmd_drawdown(args) -> int:
 
 
 def cmd_constrained(args) -> int:
+    if not args.dt > 0.0:
+        raise ModelValidationError("--dt must be positive")
     model = _resolve_model(args)
     _echo(args)
     spec = drawdown.ConstraintSpec(kind=args.kind, epsilon=args.eps, delta=args.delta)
@@ -212,6 +218,8 @@ def cmd_constrained(args) -> int:
 
 
 def cmd_probe_convexity(args) -> int:
+    if args.pairs < 1:
+        raise ModelValidationError("--pairs must be >= 1")
     model = _resolve_model(args)
     if model.n_assets != 2:
         raise ModelValidationError("probe-convexity requires a 2-asset model")
@@ -268,15 +276,15 @@ def cmd_adaptive(args) -> int:
 def cmd_ingest(args) -> int:
     _echo(args)
     symbols = args.symbols.split(",") if args.symbols else None
-    series, report = load_prices(args.data, symbols=symbols)
-    model = to_returns(series)
+    table, report = load_prices(args.data, symbols=symbols)
+    model = to_returns(table)
     print(f"rows read:    {report.rows_read}")
     print(f"rows dropped: {len(report.dropped_rows)}"
           + (f" (indices {list(report.dropped_rows)})" if report.dropped_rows else ""))
-    print(f"symbols:      {', '.join(s.symbol for s in series)}")
+    print(f"symbols:      {', '.join(table.symbols)}")
     print(f"atoms:        {model.n_atoms} (weight {1.0 / model.n_atoms:.6g} each)")
     if args.out:
-        dump_model(model, args.out, provenance=model.provenance)
+        dump_model(model, args.out, provenance=table.provenance)
         print(f"wrote {args.out}")
     return EXIT_OK
 

@@ -576,6 +576,8 @@ def convexity_probe(model: GambleModel, n_steps: int, spec: ConstraintSpec,
         raise ValueError("probe applies to expected/probabilistic sets")
     if grid_resolution < 20:
         raise ValueError("grid_resolution must be >= 20")
+    if pair_samples < 1:
+        raise ValueError("pair_samples must be >= 1")
     indices = sample_path_indices(model, mc.paths, n_steps, mc.seed)
 
     # Membership uses the plain rule: the probe reports the set as estimated.

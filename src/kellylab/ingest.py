@@ -1,9 +1,11 @@
-"""Price CSV ingestion: validated series, arithmetic returns, empirical PMFs.
+"""Price CSV ingestion: one validated price table, arithmetic returns.
 
 Input files are plain CSVs with a `date` column (YYYY-MM-DD) and one column
-of adjusted closing prices per symbol. Returns are arithmetic,
-(P(k+1) - P(k)) / P(k), matching the multiplicative wealth recursion, and the
-empirical model weights every observed return vector equally.
+of adjusted closing prices per symbol. `load_prices` reads a file into one
+`PriceTable` and validates it in a single pass over its rows. Returns are
+arithmetic, (P(k+1) - P(k)) / P(k), matching the multiplicative wealth
+recursion, and the empirical model weights every observed return vector
+equally.
 """
 
 from __future__ import annotations
@@ -18,38 +20,25 @@ from .gamble import GambleModel
 
 
 class PriceDataError(ValueError):
-    """A price file or series violates a validation rule."""
+    """A price file violates a validation rule."""
 
 
 @dataclass(frozen=True, eq=False)
-class PriceSeries:
-    symbol: str
-    dates: tuple          # ISO date strings, strictly increasing
-    prices: np.ndarray    # strictly positive
+class PriceTable:
+    """The complete rows of a price file, as `load_prices` validated them."""
 
-    def __post_init__(self):
-        prices = np.asarray(self.prices, dtype=float)
-        dates = tuple(self.dates)
-        if len(dates) != prices.size:
-            raise PriceDataError(f"{self.symbol}: {len(dates)} dates vs {prices.size} prices")
-        if prices.size < 2:
-            raise PriceDataError(f"{self.symbol}: need at least 2 rows, got {prices.size}")
-        bad = np.nonzero(~(prices > 0.0))[0]
-        if bad.size:
-            raise PriceDataError(
-                f"{self.symbol}: nonpositive price {prices[bad[0]]!r} at row {int(bad[0])}"
-            )
-        parsed = [_parse_date(self.symbol, d) for d in dates]
-        for i in range(1, len(parsed)):
-            if parsed[i] == parsed[i - 1]:
-                raise PriceDataError(f"{self.symbol}: duplicate date {dates[i]}")
-            if parsed[i] < parsed[i - 1]:
-                raise PriceDataError(
-                    f"{self.symbol}: dates not sorted ({dates[i]} after {dates[i - 1]})"
-                )
-        prices.setflags(write=False)
-        object.__setattr__(self, "prices", prices)
-        object.__setattr__(self, "dates", dates)
+    symbols: tuple
+    dates: tuple          # ISO date strings, strictly increasing
+    prices: np.ndarray    # (rows, symbols), strictly positive, read-only
+
+    @property
+    def provenance(self) -> dict:
+        return {
+            "symbols": list(self.symbols),
+            "start": self.dates[0],
+            "end": self.dates[-1],
+            "observations": len(self.dates),
+        }
 
 
 @dataclass(frozen=True)
@@ -58,81 +47,71 @@ class LoadReport:
     dropped_rows: tuple   # 0-based data row indices dropped for missing values
 
 
-@dataclass(frozen=True, eq=False)
-class EmpiricalPMF(GambleModel):
-    """Equal-weight empirical return model with its data provenance."""
-
-    provenance: dict = None
-
-
-def _parse_date(symbol: str, text: str) -> datetime.date:
-    try:
-        return datetime.date.fromisoformat(text)
-    except ValueError:
-        raise PriceDataError(f"{symbol}: unparseable date {text!r} (need YYYY-MM-DD)")
-
-
 def load_prices(path, symbols=None) -> tuple:
-    """Read one CSV into per-symbol series.
+    """Read one CSV into a PriceTable of the requested symbols (default: all).
 
-    Rows missing any requested value are dropped pairwise (all symbols keep
-    the same dates) and reported. Returns (list of PriceSeries, LoadReport).
+    Rows missing the date or any requested value are dropped and reported.
+    Every kept row must have a date after the previous kept row's and prices
+    > 0; an error names the data row (0-based, blank lines not counted).
+    Returns (PriceTable, LoadReport).
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "date" not in reader.fieldnames:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        column = {name: j for j, name in enumerate(header)}
+        if "date" not in column:
             raise PriceDataError('price file needs a header with a "date" column')
-        available = [c for c in reader.fieldnames if c != "date"]
+        available = [c for c in header if c != "date"]
         wanted = list(symbols) if symbols else available
+        if not wanted:
+            raise PriceDataError("price file has no symbol columns")
         missing = [s for s in wanted if s not in available]
         if missing:
             raise PriceDataError(f"symbols not in file: {', '.join(missing)}")
-        rows = list(reader)
+        rows = [row for row in reader if row]
 
-    kept_dates = []
-    kept_values = {s: [] for s in wanted}
-    dropped = []
+    date_col, cols, width = column["date"], [column[s] for s in wanted], len(header)
+    dates, prices, dropped = [], [], []
+    last = None
     for i, row in enumerate(rows):
-        cells = {s: (row.get(s) or "").strip() for s in wanted}
-        if not (row.get("date") or "").strip() or any(not v for v in cells.values()):
+        row += [""] * (width - len(row))
+        date = row[date_col].strip()
+        cells = [row[j].strip() for j in cols]
+        if not (date and all(cells)):
             dropped.append(i)
             continue
-        kept_dates.append(row["date"].strip())
-        for s in wanted:
+        try:
+            day = datetime.date.fromisoformat(date)
+        except ValueError:
+            raise PriceDataError(f"unparseable date {date!r} at row {i} (need YYYY-MM-DD)")
+        if last is not None and day <= last:
+            raise PriceDataError(f"duplicate date {date} at row {i}" if day == last else
+                                 f"dates not sorted ({date} after {dates[-1]}) at row {i}")
+        last = day
+        values = []
+        for s, cell in zip(wanted, cells):
             try:
-                kept_values[s].append(float(cells[s]))
+                value = float(cell)
             except ValueError:
-                raise PriceDataError(f"{s}: non-numeric price {cells[s]!r} at row {i}")
+                raise PriceDataError(f"{s}: non-numeric price {cell!r} at row {i}")
+            if not value > 0.0:
+                raise PriceDataError(f"{s}: nonpositive price {value!r} at row {i}")
+            values.append(value)
+        dates.append(date)
+        prices.append(values)
 
-    series = [
-        PriceSeries(symbol=s, dates=tuple(kept_dates), prices=np.asarray(kept_values[s]))
-        for s in wanted
-    ]
-    return series, LoadReport(rows_read=len(rows), dropped_rows=tuple(dropped))
+    if len(dates) < 2:
+        raise PriceDataError(f"need at least 2 complete rows, got {len(dates)}")
+    table = np.array(prices)
+    table.setflags(write=False)
+    return (PriceTable(symbols=tuple(wanted), dates=tuple(dates), prices=table),
+            LoadReport(rows_read=len(rows), dropped_rows=tuple(dropped)))
 
 
-def to_returns(series) -> EmpiricalPMF:
-    """Build the equal-weight empirical return model from aligned price series.
-
-    Series are joined on the intersection of their dates (kept in order);
-    an empty intersection is an error.
-    """
-    series = list(series)
-    if not series:
-        raise PriceDataError("no series given")
-    common = set(series[0].dates)
-    for s in series[1:]:
-        common &= set(s.dates)
-    if len(common) < 2:
-        raise PriceDataError("date intersection across series has fewer than 2 rows")
-    dates = [d for d in series[0].dates if d in common]
-
-    aligned = np.empty((len(dates), len(series)))
-    for j, s in enumerate(series):
-        pos = {d: i for i, d in enumerate(s.dates)}
-        aligned[:, j] = s.prices[[pos[d] for d in dates]]
-
-    rets = (aligned[1:] - aligned[:-1]) / aligned[:-1]
+def to_returns(table: PriceTable) -> GambleModel:
+    """The equal-weight empirical model of the table's arithmetic returns."""
+    p = table.prices
+    rets = (p[1:] - p[:-1]) / p[:-1]
     m = rets.shape[0]
     probs = np.full(m, 1.0 / m)
     # Nudge the last weight so the float sum is exactly 1, not 1 +/- 1 ulp.
@@ -141,10 +120,4 @@ def to_returns(series) -> EmpiricalPMF:
         if err == 0.0:
             break
         probs[-1] -= err
-    provenance = {
-        "symbols": [s.symbol for s in series],
-        "start": dates[0],
-        "end": dates[-1],
-        "observations": len(dates),
-    }
-    return EmpiricalPMF(xs=rets, probs=probs, provenance=provenance)
+    return GambleModel(xs=rets, probs=probs)

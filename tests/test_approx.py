@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from kellylab import (DegenerateModelError, GambleModel, approx_solution, gbm_solution,
-                      inefficiency_threshold, inefficiency_witness, make_coin, moments,
-                      project_simplex_ray, repair_allocation, saturate, taylor_gain_curve,
-                      taylor_gain_raw, taylor_solution)
+                      inefficiency_threshold, make_coin, moments, project_simplex_ray,
+                      repair_allocation, saturate, taylor_gain_raw, taylor_solution)
 
 SKEWED = make_coin(0.15, -0.95, 0.95)
 
@@ -146,21 +145,29 @@ def test_threshold_limit_as_p_to_one():
     assert inefficiency_threshold(1 - 1e-12) == pytest.approx(0.0, abs=1e-5)
 
 
+def clamped_fraction(gamma, p):
+    """The repaired expansion fraction of the (gamma, -1) coin."""
+    return saturate(taylor_gain_raw(gamma, p))
+
+
 def test_curve_vanishes_for_tiny_reward():
-    assert taylor_gain_curve(1e-9, 0.8) == 0.0
+    assert clamped_fraction(1e-9, 0.8) == 0.0
 
 
 def test_monotonicity_failure_witness_p08():
-    k1 = taylor_gain_curve(1.0, 0.8)
-    k2 = taylor_gain_curve(2.0, 0.8)
+    k1 = clamped_fraction(1.0, 0.8)
+    k2 = clamped_fraction(2.0, 0.8)
     assert 0.0 < k2 < k1 < 1.0
 
 
 def test_witness_report():
+    # Past the threshold, a larger reward gets a smaller interior fraction.
     for p in (0.6, 0.8, 0.9):
-        w = inefficiency_witness(p)
-        assert w["gamma_hi"] > w["gamma_lo"] >= w["threshold"]
-        assert 0.0 < w["k_hi"] < w["k_lo"] < 1.0
+        g_star = inefficiency_threshold(p)
+        gamma_lo = next(g for g in g_star + np.arange(0.0, 6.0, 0.05)
+                        if 0.0 < taylor_gain_raw(g, p) < 1.0)
+        gamma_hi = gamma_lo + 1.0
+        assert 0.0 < clamped_fraction(gamma_hi, p) < clamped_fraction(gamma_lo, p) < 1.0
 
 
 @pytest.mark.parametrize("p", [0.6, 0.7, 0.8, 0.9])

@@ -157,6 +157,28 @@ def test_zero_paths_is_validation_error(capsys, argv):
     assert "nan" not in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("drawdown", "--coin", "1,-1,0.9", "--n", "10", "--paths", "100", "--k-grid", "0"),
+    ("drawdown", "--coin", "1,-1,0.9", "--n", "10", "--paths", "100", "--k-grid", "-2"),
+    ("probe-convexity", "--coin", "1,-1,0.9", "--coin2", "1,-1,0.8", "--n", "10",
+     "--paths", "100", "--pairs", "0"),
+    ("probe-convexity", "--coin", "1,-1,0.9", "--coin2", "1,-1,0.8", "--n", "10",
+     "--paths", "100", "--pairs", "-1"),
+    ("optimize", "--coin", "1,-1,0.6", "--dt", "0"),
+    ("optimize", "--coin", "1,-1,0.6", "--dt", "-1"),
+    ("constrained", "--coin", "0.15,-0.95,0.95", "--kind", "expected", "--eps", "0.2",
+     "--n", "20", "--paths", "100", "--dt", "0"),
+    ("constrained", "--coin", "1,-1,0.9", "--kind", "surrogate", "--eps", "0.3",
+     "--n", "10", "--dt", "-0.5"),
+], ids=["k-grid-0", "k-grid-negative", "pairs-0", "pairs-negative", "optimize-dt-0",
+        "optimize-dt-negative", "constrained-dt-0", "constrained-surrogate-dt-negative"])
+def test_sizes_without_data_are_rejected_before_the_report(capsys, argv):
+    flag = next(a for a in argv if a in ("--k-grid", "--pairs", "--dt"))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and flag in err
+    assert "config:" not in out
+
+
 # ---------------------------------------------------------------------------
 # probe-convexity
 # ---------------------------------------------------------------------------

@@ -645,6 +645,14 @@ def test_probe_requires_two_assets():
         convexity_probe(SKEWED, 20, spec)
 
 
+@pytest.mark.parametrize("pairs", [0, -1])
+def test_probe_requires_a_pair(pairs):
+    spec = ConstraintSpec(kind="expected", epsilon=0.3)
+    with pytest.raises(ValueError, match="pair_samples"):
+        convexity_probe(TWO_COINS, 10, spec, pair_samples=pairs,
+                        mc=MonteCarloConfig(paths=100, seed=0))
+
+
 def test_probe_near_vacuous_level_has_no_violations():
     spec = ConstraintSpec(kind="expected", epsilon=0.999)
     rep = convexity_probe(TWO_COINS, 20, spec, grid_resolution=20, pair_samples=30,

@@ -91,6 +91,9 @@ CASES = {
         "--out", f"{OUT}/opt.csv"),
     "ingest-blank-cell": (
         "ingest", "--data", f"{OUT}/prices.csv", "--out", f"{OUT}/ingested.json"),
+    "ingest-reordered-symbols": (
+        "ingest", "--data", f"{OUT}/prices.csv", "--symbols", "BBB,AAA",
+        "--out", f"{OUT}/ingested.json"),
     "constrained-1d-unconstrained-feasible": (
         "constrained", "--coin", "0.15,-0.95,0.95", "--kind", "expected", "--eps", "0.99",
         "--n", "20", "--paths", "300"),
@@ -107,7 +110,8 @@ CASES = {
 # drawdown kernel; the surrogate, adaptive and optimize cases before the
 # boundary rule moved onto ConstraintSpec.slack; the ingest, optimize-model
 # and unconstrained-feasible cases before the constrained searches shared one
-# constraint evaluator.
+# constraint evaluator; the reordered-symbols ingest case before a price file
+# was read into one validated table.
 EXPECTED = {
     "adaptive-traces": (
         0, "786b777616f66bf92cf5d380b54a3d8c1004c1063c1119941858ff6d479a1cab",
@@ -154,6 +158,9 @@ EXPECTED = {
     "ingest-blank-cell": (
         0, "ae190274ab2e9299e73ac37beb852d135a82d48c5c1d3f1bfc2cb677a715e40a",
         {"ingested.json": "4471bc3d918d2cfdc3a9cfe919521c79510a5abf89fbdaa6d97ec2c5ce0409a6"}),
+    "ingest-reordered-symbols": (
+        0, "26bac0ef26e42da43f22e33b0e0f7a9aea841ba7009c872de61b630e655fe2da",
+        {"ingested.json": "4ac8f946b1fb8d9977b405d437880ed148cdcf44d05d0ea8abb77a3376e6dcf4"}),
     "optimize-model-csv": (
         0, "0068918be5d0a18b950964ace6c069d331c90411a0dc6ec36ebcec3ba7846ec5",
         {"opt.csv": "28ab670ceddec15e6ac8e2cf4c4d15a6e9d5b01ebe127e1ba53f335a7243afc9"}),

@@ -1,12 +1,16 @@
 """Price loading, return construction, and the ingest-to-optimizer pipeline."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kellylab import (DegenerateModelError, GambleModel, PriceDataError, approx_solution,
-                      gbm_solution, is_feasible, load_prices, log_growth, maximize_growth,
-                      to_returns)
-from kellylab.ingest import PriceSeries
+                      dump_model, gbm_solution, is_feasible, load_model, load_prices,
+                      log_growth, maximize_growth, to_returns)
 
 
 def write_csv(path, header, rows):
@@ -23,6 +27,12 @@ def synthetic_prices(tmp_path, seed, days=90, symbols=("AAA", "BBB")):
     return path
 
 
+def one_symbol_table(tmp_path, prices):
+    path = tmp_path / "p.csv"
+    write_csv(path, ["date", "AAA"], [[f"2013-01-{2 + i:02d}", p] for i, p in enumerate(prices)])
+    return load_prices(path)[0]
+
+
 # ---------------------------------------------------------------------------
 # load_prices
 # ---------------------------------------------------------------------------
@@ -30,17 +40,26 @@ def synthetic_prices(tmp_path, seed, days=90, symbols=("AAA", "BBB")):
 def test_load_small_file(tmp_path):
     path = tmp_path / "p.csv"
     write_csv(path, ["date", "AAA"], [["2013-01-02", 100], ["2013-01-03", 110], ["2013-01-04", 99]])
-    series, report = load_prices(path)
-    assert len(series) == 1 and series[0].symbol == "AAA"
-    assert series[0].prices.tolist() == [100.0, 110.0, 99.0]
+    table, report = load_prices(path)
+    assert table.symbols == ("AAA",)
+    assert table.dates == ("2013-01-02", "2013-01-03", "2013-01-04")
+    assert table.prices.tolist() == [[100.0], [110.0], [99.0]]
+    assert not table.prices.flags.writeable
     assert report.rows_read == 3 and report.dropped_rows == ()
 
 
 def test_ninety_day_two_symbol_shape(tmp_path):
-    series, report = load_prices(synthetic_prices(tmp_path, seed=0, days=90))
-    assert len(series) == 2
-    assert all(s.prices.size == 90 for s in series)
-    assert to_returns(series).n_atoms == 89
+    table, report = load_prices(synthetic_prices(tmp_path, seed=0, days=90))
+    assert table.prices.shape == (90, 2)
+    assert to_returns(table).n_atoms == 89
+
+
+def test_symbols_keep_the_requested_order(tmp_path):
+    path = synthetic_prices(tmp_path, seed=2, days=10)
+    both, _ = load_prices(path)
+    swapped, _ = load_prices(path, symbols=["BBB", "AAA"])
+    assert swapped.symbols == ("BBB", "AAA")
+    assert np.array_equal(swapped.prices, both.prices[:, ::-1])
 
 
 def test_zero_price_rejected_with_row(tmp_path):
@@ -48,6 +67,15 @@ def test_zero_price_rejected_with_row(tmp_path):
     write_csv(path, ["date", "AAA"], [["2013-01-02", 100], ["2013-01-03", 0.0]])
     with pytest.raises(PriceDataError, match="row 1"):
         load_prices(path)
+
+
+def test_zero_price_after_dropped_row_names_its_file_row(tmp_path):
+    path = tmp_path / "p.csv"
+    write_csv(path, ["date", "AAA", "BBB"],
+              [["2013-01-02", 100, 50], ["2013-01-03", "", 51], ["2013-01-04", 0.0, 52]])
+    with pytest.raises(PriceDataError) as info:
+        load_prices(path)
+    assert str(info.value) == "AAA: nonpositive price 0.0 at row 2"
 
 
 def test_unsorted_dates_rejected(tmp_path):
@@ -64,15 +92,37 @@ def test_duplicate_dates_rejected(tmp_path):
         load_prices(path)
 
 
+@pytest.mark.parametrize("date, message", [
+    ("2013-01-03", "duplicate date 2013-01-03 at row 3"),
+    ("2013-01-01", "dates not sorted (2013-01-01 after 2013-01-03) at row 3"),
+])
+def test_date_order_errors_name_their_row(tmp_path, date, message):
+    path = tmp_path / "p.csv"
+    write_csv(path, ["date", "AAA"], [["2013-01-02", 100], ["2013-01-03", 101],
+                                      ["2013-01-04", ""], [date, 102]])
+    with pytest.raises(PriceDataError) as info:
+        load_prices(path)
+    assert str(info.value) == message
+
+
+def test_first_defective_row_is_reported(tmp_path):
+    # A date out of order at row 1 is found before the zero price at row 2.
+    path = tmp_path / "p.csv"
+    write_csv(path, ["date", "AAA"], [["2013-01-03", 100], ["2013-01-02", 101],
+                                      ["2013-01-04", 0.0]])
+    with pytest.raises(PriceDataError, match="at row 1$"):
+        load_prices(path)
+
+
 def test_missing_values_dropped_pairwise_and_reported(tmp_path):
     path = tmp_path / "p.csv"
     write_csv(path, ["date", "AAA", "BBB"],
               [["2013-01-02", 100, 50], ["2013-01-03", "", 51],
                ["2013-01-04", 102, 52], ["2013-01-07", 103, ""]])
-    series, report = load_prices(path)
+    table, report = load_prices(path)
     assert report.dropped_rows == (1, 3)
-    assert all(s.prices.size == 2 for s in series)
-    assert series[0].dates == series[1].dates
+    assert table.dates == ("2013-01-02", "2013-01-04")
+    assert table.prices.tolist() == [[100.0, 50.0], [102.0, 52.0]]
 
 
 def test_unknown_symbol_rejected(tmp_path):
@@ -95,30 +145,39 @@ def test_bad_date_rejected(tmp_path):
         load_prices(path)
 
 
+def test_date_only_file_rejected(tmp_path):
+    path = tmp_path / "p.csv"
+    write_csv(path, ["date"], [["2013-01-02"], ["2013-01-03"]])
+    with pytest.raises(PriceDataError, match="no symbol columns"):
+        load_prices(path)
+
+
+def test_fewer_than_two_complete_rows_rejected(tmp_path):
+    path = tmp_path / "p.csv"
+    write_csv(path, ["date", "AAA"], [["2013-01-02", 100], ["2013-01-03", ""]])
+    with pytest.raises(PriceDataError, match="2 complete rows"):
+        load_prices(path)
+
+
 # ---------------------------------------------------------------------------
 # to_returns
 # ---------------------------------------------------------------------------
 
-def test_single_return_atom():
-    s = PriceSeries("AAA", ("2013-01-02", "2013-01-03"), np.array([100.0, 110.0]))
-    pmf = to_returns([s])
+def test_single_return_atom(tmp_path):
+    pmf = to_returns(one_symbol_table(tmp_path, [100.0, 110.0]))
     assert pmf.n_atoms == 1
     assert pmf.xs[0, 0] == pytest.approx(0.10, abs=1e-15)
     assert pmf.probs[0] == 1.0
 
 
-def test_two_return_atoms_hand_values():
-    s = PriceSeries("AAA", ("2013-01-02", "2013-01-03", "2013-01-04"),
-                    np.array([100.0, 110.0, 99.0]))
-    pmf = to_returns([s])
+def test_two_return_atoms_hand_values(tmp_path):
+    pmf = to_returns(one_symbol_table(tmp_path, [100.0, 110.0, 99.0]))
     assert pmf.xs[:, 0] == pytest.approx([0.10, -0.10], abs=1e-12)
     assert np.all(pmf.probs == 0.5)
 
 
-def test_constant_prices_degenerate_for_gbm():
-    s = PriceSeries("AAA", ("2013-01-02", "2013-01-03", "2013-01-04"),
-                    np.array([100.0, 100.0, 100.0]))
-    pmf = to_returns([s])
+def test_constant_prices_degenerate_for_gbm(tmp_path):
+    pmf = to_returns(one_symbol_table(tmp_path, [100.0, 100.0, 100.0]))
     assert np.all(pmf.xs == 0.0)
     with pytest.raises(DegenerateModelError):
         gbm_solution(pmf)
@@ -126,42 +185,68 @@ def test_constant_prices_degenerate_for_gbm():
 
 def test_probabilities_sum_exactly_to_one(tmp_path):
     for days in (3, 25, 41, 90):
-        series, _ = load_prices(synthetic_prices(tmp_path, seed=days, days=days))
-        pmf = to_returns(series)
+        table, _ = load_prices(synthetic_prices(tmp_path, seed=days, days=days))
+        pmf = to_returns(table)
         assert float(np.sum(pmf.probs)) == 1.0
 
 
 def test_round_trip_prices_from_returns(tmp_path):
-    series, _ = load_prices(synthetic_prices(tmp_path, seed=3))
-    pmf = to_returns(series)
-    for j, s in enumerate(series):
-        recon = s.prices[0] * np.cumprod(1.0 + pmf.xs[:, j])
-        assert np.allclose(recon, s.prices[1:], rtol=1e-10)
-
-
-def test_intersection_join_drops_unmatched_dates():
-    a = PriceSeries("AAA", ("2013-01-02", "2013-01-03", "2013-01-04"),
-                    np.array([100.0, 101.0, 102.0]))
-    b = PriceSeries("BBB", ("2013-01-03", "2013-01-04", "2013-01-07"),
-                    np.array([50.0, 51.0, 52.0]))
-    pmf = to_returns([a, b])
-    assert pmf.n_atoms == 1
-    assert pmf.provenance["observations"] == 2
-
-
-def test_empty_intersection_rejected():
-    a = PriceSeries("AAA", ("2013-01-02", "2013-01-03"), np.array([100.0, 101.0]))
-    b = PriceSeries("BBB", ("2013-02-02", "2013-02-03"), np.array([50.0, 51.0]))
-    with pytest.raises(PriceDataError, match="intersection"):
-        to_returns([a, b])
+    table, _ = load_prices(synthetic_prices(tmp_path, seed=3))
+    pmf = to_returns(table)
+    recon = table.prices[0] * np.cumprod(1.0 + pmf.xs, axis=0)
+    assert np.allclose(recon, table.prices[1:], rtol=1e-10)
 
 
 def test_empirical_pmf_is_a_gamble_model(tmp_path):
-    series, _ = load_prices(synthetic_prices(tmp_path, seed=4))
-    pmf = to_returns(series)
-    assert isinstance(pmf, GambleModel)
-    assert pmf.provenance["symbols"] == ["AAA", "BBB"]
-    assert pmf.provenance["start"] < pmf.provenance["end"]
+    table, _ = load_prices(synthetic_prices(tmp_path, seed=4))
+    assert type(to_returns(table)) is GambleModel
+    assert table.provenance == {"symbols": ["AAA", "BBB"], "start": table.dates[0],
+                                "end": table.dates[-1], "observations": 90}
+    assert table.provenance["start"] < table.provenance["end"]
+
+
+# ---------------------------------------------------------------------------
+# Property: random files with blank cells
+# ---------------------------------------------------------------------------
+
+PRICE = st.floats(min_value=1e-3, max_value=1e6, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n_symbols=st.integers(1, 4), n_rows=st.integers(2, 30))
+def test_random_file_drops_blank_rows_and_round_trips(data, n_symbols, n_rows):
+    prices = np.array(data.draw(st.lists(st.lists(PRICE, min_size=n_symbols, max_size=n_symbols),
+                                         min_size=n_rows, max_size=n_rows)))
+    blank = np.array(data.draw(st.lists(st.lists(st.booleans(), min_size=n_symbols,
+                                                 max_size=n_symbols),
+                                        min_size=n_rows, max_size=n_rows)))
+    kept = ~blank.any(axis=1)
+    if kept.sum() < 2:
+        blank[:2] = False
+        kept[:2] = True
+    symbols = [f"S{j}" for j in range(n_symbols)]
+    lines = ["date," + ",".join(symbols)] + [
+        f"2013-{1 + i // 28:02d}-{1 + i % 28:02d}," + ",".join(
+            "" if b else repr(float(v)) for v, b in zip(prices[i], blank[i]))
+        for i in range(n_rows)]
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "prices.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        table, report = load_prices(path)
+        model = to_returns(table)
+        model_path = os.path.join(tmp, "model.json")
+        dump_model(model, model_path, provenance=table.provenance)
+        loaded = load_model(model_path)
+
+    assert report.rows_read == n_rows
+    assert report.dropped_rows == tuple(np.nonzero(~kept)[0].tolist())
+    p = prices[kept]
+    assert np.array_equal(table.prices, p)
+    assert np.array_equal(model.xs, (p[1:] - p[:-1]) / p[:-1])
+    assert np.array_equal(loaded.xs, model.xs)
+    assert np.array_equal(loaded.probs, model.probs)
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +255,8 @@ def test_empirical_pmf_is_a_gamble_model(tmp_path):
 
 @pytest.mark.parametrize("seed", [11, 12, 13])
 def test_optimizer_dominates_repaired_approximations(tmp_path, seed):
-    series, _ = load_prices(synthetic_prices(tmp_path, seed=seed))
-    pmf = to_returns(series)
+    table, _ = load_prices(synthetic_prices(tmp_path, seed=seed))
+    pmf = to_returns(table)
     best = maximize_growth(pmf)
     assert best.converged
     for method in ("taylor", "gbm"):
