@@ -51,12 +51,8 @@ def run_adaptive(p_true: float, n_steps: int, window: int, seed: int = 0) -> Ada
     p_hats = (win_counts[window:n_steps] - win_counts[:n_steps - window]) / window
     fractions = np.clip(2.0 * p_hats - 1.0, 0.0, 1.0)
 
-    values = np.empty(n_steps + 1)
-    values[0] = v = 1.0
-    for k in range(n_steps):
-        if k >= window:
-            v = (1.0 + fractions[k - window] * x[k]) * v
-        values[k + 1] = v
+    step = np.concatenate([np.ones(window), 1.0 + fractions * x[window:]])
+    values = np.concatenate([[1.0], np.cumprod(step)])
 
     path = WealthPath(values=values, outcomes=x.reshape(-1, 1))
     return AdaptiveRun(estimates=p_hats, fractions=fractions, path=path, window=window)

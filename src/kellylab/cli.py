@@ -144,10 +144,10 @@ def cmd_drawdown(args) -> int:
     model = _resolve_model(args)
     if model.n_assets != 1:
         raise ModelValidationError("drawdown sweep requires a 1-asset model")
-    _echo(args)
-
     expected_spec = drawdown.ConstraintSpec(kind="expected", epsilon=args.eps)
     prob_spec = drawdown.ConstraintSpec(kind="probabilistic", epsilon=args.eps, delta=args.delta)
+    _echo(args)
+
     k_values = np.linspace(0.0, 1.0, args.k_grid)
     indices = drawdown.sample_path_indices(model, args.paths, args.n, args.seed)
     even = _is_even_coin(model)
@@ -198,8 +198,8 @@ def cmd_constrained(args) -> int:
     if not args.dt > 0.0:
         raise ModelValidationError("--dt must be positive")
     model = _resolve_model(args)
-    _echo(args)
     spec = drawdown.ConstraintSpec(kind=args.kind, epsilon=args.eps, delta=args.delta)
+    _echo(args)
     mc = drawdown.MonteCarloConfig(paths=args.paths, seed=args.seed)
     result = drawdown.maximize_growth_constrained(model, args.n, spec, mc=mc)
 
@@ -220,11 +220,13 @@ def cmd_constrained(args) -> int:
 def cmd_probe_convexity(args) -> int:
     if args.pairs < 1:
         raise ModelValidationError("--pairs must be >= 1")
+    if args.grid_resolution < 20:
+        raise ModelValidationError("--grid-resolution must be >= 20")
     model = _resolve_model(args)
     if model.n_assets != 2:
         raise ModelValidationError("probe-convexity requires a 2-asset model")
-    _echo(args)
     spec = drawdown.ConstraintSpec(kind=args.kind, epsilon=args.eps, delta=args.delta)
+    _echo(args)
     mc = drawdown.MonteCarloConfig(paths=args.paths, seed=args.seed)
     report = drawdown.convexity_probe(model, args.n, spec, grid_resolution=args.grid_resolution,
                                       pair_samples=args.pairs, mc=mc)
@@ -245,6 +247,10 @@ def cmd_probe_convexity(args) -> int:
 
 
 def cmd_adaptive(args) -> int:
+    if not 0.0 < args.p_true < 1.0:
+        raise ModelValidationError("--p-true must be in (0, 1)")
+    if args.window < 1:
+        raise ModelValidationError("--window must be >= 1")
     if args.window >= args.n:
         raise ModelValidationError("--window must be smaller than --n")
     if args.runs < 1:

@@ -23,15 +23,15 @@ rather than by dividing V by its running peak: the first drop from a peak is
 then the exact float factor, so threshold events classify exactly and the
 even-coin enumeration matches 1 - p^N to summation accuracy.
 
-One private kernel runs that recursion, with the running minimum
-d <- min(d, r), for Monte Carlo and enumeration alike. It takes the
-per-atom factors of a batch of fractions and the atom-index rows of a block
-of paths, one row per step. The CRN matrix of sample_path_indices is
-step-major, (n_steps, paths), so each row is contiguous. dbar_samples takes
-one allocation, giving (paths,), or a (B, n_assets) batch, giving (B, paths),
-and every row of a batch is bitwise the single-fraction result. Enumeration
-generates its index rows per block of sequences and gets each sequence's
-probability as the kernel's output for the row of model weights.
+One private helper applies a step of that recursion, with the running
+minimum d <- min(d, r), in place; Monte Carlo and enumeration both call it.
+Monte Carlo runs it over the step-major (n_steps, paths) CRN matrix of
+sample_path_indices, one contiguous row per step, in blocks of paths.
+dbar_samples takes one allocation, giving (paths,), or a (B, n_assets)
+batch, giving (B, paths), and every row of a batch is bitwise the
+single-fraction result. Enumeration forks every state once per atom at each
+step, so it needs no index rows, and gets each sequence's probability as the
+recursion's output for the row of model weights.
 """
 
 from __future__ import annotations
@@ -152,45 +152,17 @@ def coin_drawdown_probability(p: float, n_steps: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# The drawdown kernel, shared by Monte Carlo and enumeration
+# The recursion step, shared by Monte Carlo and enumeration
 # ---------------------------------------------------------------------------
 
-# A kernel block is (paths x fractions) of about this many elements: small
-# enough that its three work arrays stay in cache, large enough that numpy's
-# per-call cost is spread over many elements.
-_BLOCK_ELEMENTS = 32_768
-_MIN_BLOCK_PATHS = 256
-# Paths per chunk when filling the step-major index matrix.
-_SAMPLE_CHUNK = 256
+def _recursion_step(r: np.ndarray, d: np.ndarray, f: np.ndarray) -> None:
+    """One step of the recursion, in place: r <- min(1, r * f), d <- min(d, r).
 
-
-def _min_recursion(factors: np.ndarray, n_paths: int, rows) -> np.ndarray:
-    """Per path, the running minimum of r <- min(1, r * f), r starting at 1.
-
-    factors is (B, m): per-atom factors, one row per fraction. rows(lo, hi)
-    yields the atom-index rows of paths lo..hi-1, one row per step in order.
-    Returns (B, n_paths). Indices must lie in [-m, m): mode="wrap" maps them
-    as fancy indexing does but does not check them.
-
-    A block holds its paths as rows and its fractions as columns, so the
-    gather copies one contiguous run of B factors per path.
+    f is the step's factors, broadcast against r and d.
     """
-    b = factors.shape[0]
-    by_atom = np.ascontiguousarray(factors.T)
-    out = np.empty((b, n_paths))
-    width = max(_MIN_BLOCK_PATHS, _BLOCK_ELEMENTS // max(b, 1))
-    for lo in range(0, n_paths, width):
-        hi = min(lo + width, n_paths)
-        r = np.ones((hi - lo, b))
-        d = np.ones((hi - lo, b))
-        f = np.empty((hi - lo, b))
-        for row in rows(lo, hi):
-            by_atom.take(row, axis=0, out=f, mode="wrap")
-            r *= f
-            np.minimum(r, 1.0, out=r)
-            np.minimum(d, r, out=d)
-        out[:, lo:hi] = d.T
-    return out
+    r *= f
+    np.minimum(r, 1.0, out=r)
+    np.minimum(d, r, out=d)
 
 
 def _checked_factors(model: GambleModel, ks) -> np.ndarray:
@@ -207,6 +179,15 @@ def _checked_factors(model: GambleModel, ks) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Monte Carlo engine (common random numbers = shared index matrix)
 # ---------------------------------------------------------------------------
+
+# A dbar_samples block is (paths x fractions) of about this many elements:
+# small enough that its three work arrays stay in cache, large enough that
+# numpy's per-call cost is spread over many elements.
+_BLOCK_ELEMENTS = 32_768
+_MIN_BLOCK_PATHS = 256
+# Paths per chunk when filling the step-major index matrix.
+_SAMPLE_CHUNK = 256
+
 
 def sample_path_indices(model: GambleModel, paths: int, n_steps: int, seed: int) -> np.ndarray:
     """Step-major (n_steps, paths) atom-index matrix; reuse it across fractions for CRN.
@@ -236,7 +217,22 @@ def dbar_samples(model: GambleModel, k, indices: np.ndarray) -> np.ndarray:
     m = model.n_atoms
     if indices.size and (indices.min() < -m or indices.max() >= m):
         raise IndexError(f"atom index out of range for a model with {m} atoms")
-    dbar = _min_recursion(factors, indices.shape[1], lambda lo, hi: indices[:, lo:hi])
+    # A block holds its paths as rows and its fractions as columns, so the
+    # gather copies one contiguous run of B factors per path. mode="wrap"
+    # maps indices in [-m, m) as fancy indexing does, without checking them.
+    b, n_paths = factors.shape[0], indices.shape[1]
+    by_atom = np.ascontiguousarray(factors.T)
+    dbar = np.empty((b, n_paths))
+    width = max(_MIN_BLOCK_PATHS, _BLOCK_ELEMENTS // max(b, 1))
+    for lo in range(0, n_paths, width):
+        hi = min(lo + width, n_paths)
+        r = np.ones((hi - lo, b))
+        d = np.ones((hi - lo, b))
+        f = np.empty((hi - lo, b))
+        for row in indices[:, lo:hi]:
+            by_atom.take(row, axis=0, out=f, mode="wrap")
+            _recursion_step(r, d, f)
+        dbar[:, lo:hi] = d.T
     return dbar if batch else dbar[0]
 
 
@@ -269,30 +265,30 @@ def _enumerable(model: GambleModel, n_steps: int) -> bool:
 def enumerate_dbar(model: GambleModel, k, n_steps: int) -> tuple:
     """(probability, complementary drawdown) over every outcome sequence.
 
-    Sequence s takes atom (s // m^(N-1-j)) % m at step j. The kernel runs on
-    those index rows, generated per block of sequences, with the model
-    weights as a second factor row: every weight is <= 1, so that row's
-    running minimum is the running product, i.e. the sequence probability.
+    Enumeration starts from one state, r = d = 1, and at each step forks
+    every state m ways, one per atom, applying the recursion step with that
+    atom's factor; sequence s = sum_j a_j m^(N-1-j) then ends at index s.
+    The model weights run as a second factor row: every weight is <= 1, so
+    that row's running minimum is the running product, i.e. the sequence
+    probability.
     Raises EnumerationBudgetError when atom_count^n_steps exceeds ENUM_BUDGET.
     """
     factors = _checked_factors(model, [k])
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     m = model.n_atoms
-    total = m ** n_steps
     if not _enumerable(model, n_steps):
         raise EnumerationBudgetError(
-            f"{m}^{n_steps} = {total} sequences exceed the budget of {ENUM_BUDGET}"
+            f"{m}^{n_steps} = {m ** n_steps} sequences exceed the budget of {ENUM_BUDGET}"
         )
-
-    def rows(lo, hi):
-        seq = np.arange(lo, hi)
-        stride = total
-        for _ in range(n_steps):
-            stride //= m
-            yield (seq // stride) % m
-
-    dbar, prob = _min_recursion(np.vstack([factors, model.probs]), total, rows)
+    f = np.vstack([factors, model.probs])[:, None, :]
+    r = np.ones((2, 1))
+    d = np.ones((2, 1))
+    for _ in range(n_steps):
+        r = np.repeat(r, m, axis=1)
+        d = np.repeat(d, m, axis=1)
+        _recursion_step(r.reshape(2, -1, m), d.reshape(2, -1, m), f)
+    dbar, prob = d
     return prob, dbar
 
 

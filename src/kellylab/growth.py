@@ -57,7 +57,7 @@ def growth_gradient(k, model: GambleModel) -> np.ndarray:
 
 def annualized_return(g: float, dt_years: float) -> float:
     """Convert per-period log growth to an annualized simple rate: (e^g - 1) / dt."""
-    if dt_years <= 0.0:
+    if not dt_years > 0.0:
         raise ValueError(f"dt_years must be positive, got {dt_years!r}")
     return (math.exp(g) - 1.0) / dt_years
 

@@ -1,5 +1,7 @@
 """The adaptive betting loop: sliding-window estimates, clamped fractions, paths."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -112,13 +114,19 @@ def test_estimates_match_estimate_p():
 
 
 def test_path_reconstruction_is_exact():
-    run = run_adaptive(0.6, 300, 50, seed=2)
-    x = run.path.outcomes[:, 0]
-    v = 1.0
-    for k in range(300):
-        if k >= 50:
-            v = (1.0 + run.fractions[k - 50] * x[k]) * v
-        assert v == run.path.values[k + 1]
+    # The second run's wealth passes 1.8e308 near step 9600 and becomes inf
+    # there, in the run and in this loop alike.
+    for p_true, n, window, seed in [(0.6, 300, 50, 2), (0.7, 20_000, 100, 1)]:
+        with np.errstate(over="ignore"):
+            run = run_adaptive(p_true, n, window, seed=seed)
+            x = run.path.outcomes[:, 0]
+            assert run.path.values.shape == (n + 1,) and run.path.values[0] == 1.0
+            v = 1.0
+            for k in range(n):
+                if k >= window:
+                    v = (1.0 + run.fractions[k - window] * x[k]) * v
+                assert v == run.path.values[k + 1]
+        assert math.isinf(v) == (n == 20_000)
 
 
 def test_estimate_moves_at_most_one_over_window():

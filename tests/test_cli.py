@@ -104,12 +104,20 @@ def test_drawdown_rejects_two_asset_models(capsys):
 
 
 def test_drawdown_levels_are_validated_like_constraints(capsys):
-    code, _, err = run_cli(capsys, "drawdown", "--coin", "1,-1,0.9", "--n", "10",
-                           "--paths", "100", "--eps", "1.5")
-    assert code == 2 and "epsilon" in err
-    code, _, err = run_cli(capsys, "drawdown", "--coin", "1,-1,0.9", "--n", "10",
-                           "--paths", "100", "--delta", "0")
-    assert code == 2 and "delta" in err
+    # Levels and sizes that no run can use exit 2 before the config echo.
+    coin = ("--coin", "1,-1,0.9", "--n", "10", "--paths", "100")
+    for argv, word in [
+        (("drawdown", *coin, "--eps", "1.5"), "epsilon"),
+        (("drawdown", *coin, "--eps", "2"), "epsilon"),
+        (("drawdown", *coin, "--delta", "0"), "delta"),
+        (("probe-convexity", *coin, "--coin2", "1,-1,0.8", "--grid-resolution", "5"),
+         "--grid-resolution"),
+        (("adaptive", "--p-true", "1.5", "--n", "100", "--window", "10"), "--p-true"),
+        (("adaptive", "--n", "100", "--window", "0"), "--window"),
+    ]:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and word in err, argv
+        assert "config:" not in out, argv
 
 
 # ---------------------------------------------------------------------------
@@ -138,9 +146,11 @@ def test_constrained_surrogate(capsys):
 
 
 def test_constrained_bad_epsilon(capsys):
-    code, _, err = run_cli(capsys, "constrained", "--coin", "1,-1,0.9",
-                           "--kind", "expected", "--eps", "2.0")
-    assert code == 2
+    for argv, word in [(("--kind", "expected", "--eps", "2.0"), "epsilon"),
+                       (("--kind", "probabilistic", "--eps", "0.3"), "delta")]:
+        code, out, err = run_cli(capsys, "constrained", "--coin", "1,-1,0.9", *argv)
+        assert code == 2 and word in err, argv
+        assert "config:" not in out, argv
 
 
 @pytest.mark.parametrize("argv", [

@@ -21,6 +21,8 @@ from kellylab.config import GRID_STEP
 EVEN9 = make_coin(1.0, -1.0, 0.9)
 SKEWED = make_coin(0.15, -0.95, 0.95)
 TWO_COINS = independent_join(EVEN9, EVEN9)
+# An atom return of a random model; exact -1 atoms sit on the ruin boundary.
+ATOM_COMPONENT = st.one_of(st.just(-1.0), st.floats(-1.0, 3.0))
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +300,8 @@ def dbar_samples_loop(model, k, indices):
 
 
 def enumerate_dbar_loop(model, k, n_steps):
-    """The whole-array enumeration the kernel replaced."""
+    """Whole-array enumeration that reads each sequence's atom digits: the oracle
+    for enumerate_dbar, which forks its states instead."""
     f_atom = np.maximum(1.0 + model.xs @ np.atleast_1d(np.asarray(k, dtype=float)), 0.0)
     m = model.n_atoms
     total = m ** n_steps
@@ -347,14 +350,27 @@ def test_batched_rows_equal_single_calls_bitwise(model, ks):
 @pytest.mark.parametrize("model", [EVEN9, SKEWED, FOUR_ATOMS, TWO_COINS],
                          ids=["even", "skewed", "4-atom", "2-asset"])
 def test_enumeration_equals_whole_array_loop_bitwise(model):
-    # N <= 10, or up to the enumeration budget: 4^10 exceeds it.
+    # Two atoms up to N = 16, the largest exact N of the benchmark; four
+    # atoms up to the enumeration budget, which 4^10 exceeds.
     rng = np.random.default_rng(17)
-    for n in range(1, 11 if model.n_atoms == 2 else 10):
+    for n in range(1, 17 if model.n_atoms == 2 else 10):
         k = rng.dirichlet(np.ones(model.n_assets + 1))[:model.n_assets]
         prob, dbar = enumerate_dbar(model, k, n)
         ref_prob, ref_dbar = enumerate_dbar_loop(model, k, n)
         assert np.array_equal(prob, ref_prob)
         assert np.array_equal(dbar, ref_dbar)
+
+
+@settings(max_examples=60, deadline=None)
+@given(atoms=st.lists(st.tuples(ATOM_COMPONENT, st.floats(0.05, 1.0)), min_size=2, max_size=5),
+       k=st.floats(0.0, 1.0), n=st.integers(1, 6))
+def test_enumeration_equals_whole_array_loop_for_any_model(atoms, k, n):
+    weights = np.array([w for _, w in atoms])
+    model = GambleModel(xs=[[x] for x, _ in atoms], probs=weights / weights.sum())
+    prob, dbar = enumerate_dbar(model, k, n)
+    ref_prob, ref_dbar = enumerate_dbar_loop(model, k, n)
+    assert np.array_equal(prob, ref_prob)
+    assert np.array_equal(dbar, ref_dbar)
 
 
 def test_enumeration_with_ruin_factor():
@@ -677,8 +693,6 @@ def test_probe_on_deterministic_model_matches_direct_computation():
         assert pt.in_set == (expected <= eps)
     assert rep.significant_violations == 0 and len(rep.violations) == 0
 
-
-ATOM_COMPONENT = st.one_of(st.just(-1.0), st.floats(-1.0, 3.0))
 
 
 @settings(max_examples=40, deadline=None)

@@ -32,6 +32,8 @@ INPUTS = {
         for d in range(1, 16)),
     "model.json": '{"atoms": [{"x": [0.5, -0.2], "p": 0.3}, {"x": [-0.3, 0.4], "p": 0.25},'
                   ' {"x": [0.1, 0.1], "p": 0.25}, {"x": [-0.2, -0.1], "p": 0.2}]}\n',
+    "model3.json": '{"atoms": [{"x": [0.4], "p": 0.45}, {"x": [-0.25], "p": 0.35},'
+                   ' {"x": [-0.6], "p": 0.2}]}\n',
 }
 
 CASES = {
@@ -47,6 +49,12 @@ CASES = {
     "drawdown-exact-even": (
         "drawdown", "--coin", "1,-1,0.9", "--n", "10", "--paths", "300",
         "--seed", "8", "--k-grid", "11", "--exact", "--out", f"{OUT}/dd"),
+    "drawdown-exact-n16": (
+        "drawdown", "--coin", "0.6,-0.45,0.62", "--n", "16", "--paths", "400",
+        "--seed", "12", "--k-grid", "9", "--exact", "--out", f"{OUT}/dd"),
+    "drawdown-exact-three-atoms": (
+        "drawdown", "--model", f"{OUT}/model3.json", "--n", "9", "--paths", "500",
+        "--seed", "13", "--k-grid", "11", "--exact", "--out", f"{OUT}/dd"),
     "probe-expected": (
         "probe-convexity", "--coin", "1,-1,0.7", "--coin2", "0.5,-0.4,0.6",
         "--kind", "expected", "--eps", "0.3", "--n", "30", "--paths", "400",
@@ -111,7 +119,8 @@ CASES = {
 # boundary rule moved onto ConstraintSpec.slack; the ingest, optimize-model
 # and unconstrained-feasible cases before the constrained searches shared one
 # constraint evaluator; the reordered-symbols ingest case before a price file
-# was read into one validated table.
+# was read into one validated table; the N=16 and three-atom exact drawdown
+# cases before enumeration forked its states step by step.
 EXPECTED = {
     "adaptive-traces": (
         0, "786b777616f66bf92cf5d380b54a3d8c1004c1063c1119941858ff6d479a1cab",
@@ -151,6 +160,14 @@ EXPECTED = {
         0, "3a21c6fd2f6a1de2b4abdbd20f2cf2ae1e3b535470686d85b02862e29233b181",
         {"dd.expected.csv": "34bd78a447d413d580ee6c4efbf33a36161c49fb358981f79ff7e88bdcb3e35e",
          "dd.prob.csv": "ae5a0b7923057952f77702036b1aada4598d2d3c8106218f1c30cee92bcc789b"}),
+    "drawdown-exact-n16": (
+        0, "fe5d2540fae40c06d13d83833ce670804514080aadea9a2f9ed749d6c5fff585",
+        {"dd.expected.csv": "e05862669f34e135e03b33145068bd1cc3089f69525ca529369216f9ef40a0d7",
+         "dd.prob.csv": "7199dd1f3c6528bb6d7ead17724800ce486d09d6782a7f799148d70914d32d8a"}),
+    "drawdown-exact-three-atoms": (
+        0, "ee2abde241dd149c9a63a52c56e2875aad82b33a426280fb9631d175e19c1083",
+        {"dd.expected.csv": "6fe8fa5fa096f1ccacd76e94a31278cca69b8adca5668a196dbd0a3162e74a84",
+         "dd.prob.csv": "fcfa1920561aa33750e159db4c95c89f70ec82b922101394d6839bdd176609ef"}),
     "drawdown-skewed": (
         0, "a268e9f6ed8733e1b059ce546c20c91347602dc185ccf50f4f6faa215cf03ac8",
         {"dd.expected.csv": "d97ff2839243d4e40ee9ff968970de62a71fd9700259c1951651d03eae2699f0",

@@ -196,8 +196,9 @@ def test_rate_formula_value_at_full_bet():
 
 
 def test_rate_requires_positive_dt():
-    with pytest.raises(ValueError):
-        annualized_return(0.1, 0.0)
+    for dt in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            annualized_return(0.1, dt)
 
 
 # ---------------------------------------------------------------------------
