@@ -146,6 +146,8 @@ def cmd_drawdown(args) -> int:
         raise ModelValidationError("drawdown sweep requires a 1-asset model")
     expected_spec = drawdown.ConstraintSpec(kind="expected", epsilon=args.eps)
     prob_spec = drawdown.ConstraintSpec(kind="probabilistic", epsilon=args.eps, delta=args.delta)
+    if args.exact:
+        drawdown.require_enumerable(model, args.n)
     _echo(args)
 
     k_values = np.linspace(0.0, 1.0, args.k_grid)

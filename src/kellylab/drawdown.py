@@ -18,6 +18,14 @@ every kind, estimates the constraint through one evaluator: it samples the
 CRN matrix on first use, estimates each allocation once, and gives the
 search's answer the estimate the search itself judged.
 
+The evaluator is batched. It checks the feasibility of a whole
+(B, n_assets) batch at once and runs every Monte Carlo row, of any kind,
+through one kernel call, reducing the (B, paths) samples once along axis 1;
+a surrogate that fits the enumeration budget is enumerated one allocation at
+a time, and a ruinous allocation is -inf. Each row is bitwise the
+single-allocation estimate. The surrogate ascent checks its whole ladder of
+step sizes in one batch per iteration.
+
 Relative wealth level is tracked by the recursion r <- min(1, r * factor)
 rather than by dividing V by its running peak: the first drop from a peak is
 then the exact float factor, so threshold events classify exactly and the
@@ -44,8 +52,8 @@ from typing import Optional
 
 import numpy as np
 
-from .config import ENUM_BUDGET, GRID_STEP, REFINE_TOL
-from .gamble import GambleModel, as_allocation, is_feasible, sample_indices, wealth_factors
+from .config import ASCENT_MAX_ITER, ENUM_BUDGET, FEAS_TOL, GRID_STEP, REFINE_TOL
+from .gamble import GambleModel, as_allocation, sample_indices
 from .growth import growth_gradient, log_growth, maximize_growth, project_allocation
 
 
@@ -87,12 +95,17 @@ class ConstraintSpec:
             if self.delta is None or not (0.0 < self.delta < 1.0):
                 raise ValueError(f"delta must be in (0, 1), got {self.delta!r}")
 
+    def samples(self, dbar: np.ndarray) -> np.ndarray:
+        """Per-path samples of the statistic, any shape: D = 1 - dbar for
+        "expected", the indicator of D <= epsilon for "probabilistic"."""
+        if self.kind == "expected":
+            return 1.0 - dbar
+        return (dbar >= 1.0 - self.epsilon).astype(float)
+
     def statistic(self, dbar: np.ndarray) -> tuple:
         """(estimate, std_error) from per-path complementary drawdowns:
         E[D] for "expected", P(D <= epsilon) for "probabilistic"."""
-        if self.kind == "expected":
-            return mean_se(1.0 - dbar)
-        return mean_se((dbar >= 1.0 - self.epsilon).astype(float))
+        return mean_se(self.samples(dbar))
 
     def slack(self, estimate: float) -> float:
         """eps - E[D], P - (1 - delta), or h - log(1 - eps) for the surrogate."""
@@ -166,14 +179,31 @@ def _recursion_step(r: np.ndarray, d: np.ndarray, f: np.ndarray) -> None:
 
 
 def _checked_factors(model: GambleModel, ks) -> np.ndarray:
-    """(B, m) wealth factors of a sequence of B allocations; each must be feasible."""
-    factors = np.empty((len(ks), model.n_atoms))
-    for i, k in enumerate(ks):
-        kv = as_allocation(k, model.n_assets)
-        if not is_feasible(kv, model):
-            raise ValueError(f"allocation {kv!r} is infeasible for this model")
-        factors[i] = wealth_factors(model, kv)
-    return factors
+    """(B, m) wealth factors of a (B, n_assets) batch of allocations.
+
+    Every row must pass gamble.is_feasible; the batch is checked at once and
+    the first infeasible row is named. Row b is one model.xs @ ks[b], clamped
+    as in gamble.wealth_factors, so it is bitwise that function's result: a
+    single (B, n) x (n, m) product rounds differently.
+    """
+    kvs = np.asarray(ks, dtype=float)
+    if kvs.ndim != 2 or kvs.shape[1] != model.n_assets:
+        raise ValueError(f"allocation has dimension {kvs.shape[-1]}, "
+                         f"model has {model.n_assets} assets")
+    factors = np.empty((kvs.shape[0], model.n_atoms))
+    for row, kv in zip(factors, kvs):
+        row[:] = model.xs @ kv
+    factors += 1.0
+    bad = ((kvs < -FEAS_TOL).any(axis=1) | (kvs.sum(axis=1) > 1.0 + FEAS_TOL)
+           | ~(factors.min(axis=1) >= -FEAS_TOL))
+    if bad.any():
+        raise ValueError(f"allocation {kvs[bad.argmax()]!r} is infeasible for this model")
+    return np.maximum(factors, 0.0, out=factors)
+
+
+def _one(model: GambleModel, k) -> np.ndarray:
+    """One allocation as a (1, n_assets) batch."""
+    return as_allocation(k, model.n_assets)[None]
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +243,7 @@ def dbar_samples(model: GambleModel, k, indices: np.ndarray) -> np.ndarray:
     (B, paths) whose row b is bitwise the single call for k[b].
     """
     batch = np.ndim(k) == 2
-    factors = _checked_factors(model, k if batch else [k])
+    factors = _checked_factors(model, k if batch else _one(model, k))
     m = model.n_atoms
     if indices.size and (indices.min() < -m or indices.max() >= m):
         raise IndexError(f"atom index out of range for a model with {m} atoms")
@@ -244,6 +274,15 @@ def mean_se(samples: np.ndarray) -> tuple:
     return est, se
 
 
+def _row_mean_se(samples: np.ndarray) -> list:
+    """[(mean, standard error)] of each row of a (B, paths) sample block,
+    reduced once along axis 1; row b is bitwise mean_se(samples[b])."""
+    n = samples.shape[1]
+    est = samples.mean(axis=1)
+    se = samples.std(axis=1, ddof=1) / math.sqrt(n) if n > 1 else np.zeros_like(est)
+    return list(zip(est.tolist(), se.tolist()))
+
+
 def expected_drawdown_mc(model: GambleModel, k, n_steps: int, paths: int,
                          seed: int) -> tuple:
     """(estimate, std_error) of E[D] from `paths` independently sampled paths."""
@@ -262,6 +301,15 @@ def _enumerable(model: GambleModel, n_steps: int) -> bool:
     return model.n_atoms ** n_steps <= ENUM_BUDGET
 
 
+def require_enumerable(model: GambleModel, n_steps: int) -> None:
+    """Raise EnumerationBudgetError when atom_count^n_steps exceeds ENUM_BUDGET."""
+    if not _enumerable(model, n_steps):
+        m = model.n_atoms
+        raise EnumerationBudgetError(
+            f"{m}^{n_steps} = {m ** n_steps} sequences exceed the budget of {ENUM_BUDGET}"
+        )
+
+
 def enumerate_dbar(model: GambleModel, k, n_steps: int) -> tuple:
     """(probability, complementary drawdown) over every outcome sequence.
 
@@ -273,14 +321,11 @@ def enumerate_dbar(model: GambleModel, k, n_steps: int) -> tuple:
     probability.
     Raises EnumerationBudgetError when atom_count^n_steps exceeds ENUM_BUDGET.
     """
-    factors = _checked_factors(model, [k])
+    factors = _checked_factors(model, _one(model, k))
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
+    require_enumerable(model, n_steps)
     m = model.n_atoms
-    if not _enumerable(model, n_steps):
-        raise EnumerationBudgetError(
-            f"{m}^{n_steps} = {m ** n_steps} sequences exceed the budget of {ENUM_BUDGET}"
-        )
     f = np.vstack([factors, model.probs])[:, None, :]
     r = np.ones((2, 1))
     d = np.ones((2, 1))
@@ -315,20 +360,33 @@ def expected_log_complementary(model: GambleModel, k, n_steps: int,
                                mc: MonteCarloConfig = MonteCarloConfig()) -> LogDrawdownEstimate:
     """E[log(1 - D)]: exact by enumeration when it fits ENUM_BUDGET, otherwise a
     flagged Monte Carlo estimate. -inf whenever ruin has positive probability."""
-    return _log_complementary(model, k, n_steps,
-                              lambda: sample_path_indices(model, mc.paths, n_steps, mc.seed))
+    return _log_complementary_batch(
+        model, _one(model, k), n_steps,
+        lambda: sample_path_indices(model, mc.paths, n_steps, mc.seed))[0]
 
 
-def _log_complementary(model, k, n_steps, crn) -> LogDrawdownEstimate:
-    """expected_log_complementary; crn() gives the Monte Carlo fallback's index matrix."""
-    if np.min(_checked_factors(model, [k])) <= 0.0:
-        # Some atom wipes the account; that sequence has positive mass.
-        return LogDrawdownEstimate(value=-math.inf, exact=True)
+def _log_complementary_batch(model, ks, n_steps, crn) -> list:
+    """[LogDrawdownEstimate] of E[log(1 - D)] for each row of a (B, n_assets)
+    batch; crn() gives the Monte Carlo fallback's index matrix.
+
+    A row with a zero wealth factor is -inf. Otherwise, when the sequences
+    fit ENUM_BUDGET each row is enumerated on its own; when they do not,
+    every row goes through one kernel call on crn(), bitwise as one call
+    per row. crn() is called only when some row needs it.
+    """
+    ruinous = _checked_factors(model, ks).min(axis=1) <= 0.0
+    # Some atom wipes the account; that sequence has positive mass.
+    out = [LogDrawdownEstimate(value=-math.inf, exact=True)] * len(ruinous)
+    live = np.flatnonzero(~ruinous)
     if _enumerable(model, n_steps):
-        prob, dbar = enumerate_dbar(model, k, n_steps)
-        return LogDrawdownEstimate(value=float(prob @ np.log(dbar)), exact=True)
-    est, se = mean_se(np.log(dbar_samples(model, k, crn())))
-    return LogDrawdownEstimate(value=est, exact=False, std_error=se)
+        for i in live:
+            prob, dbar = enumerate_dbar(model, ks[i], n_steps)
+            out[i] = LogDrawdownEstimate(value=float(prob @ np.log(dbar)), exact=True)
+    elif live.size:
+        logs = np.log(dbar_samples(model, ks[live], crn()))
+        for i, (est, se) in zip(live, _row_mean_se(logs)):
+            out[i] = LogDrawdownEstimate(value=est, exact=False, std_error=se)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -350,20 +408,23 @@ class ConstrainedResult:
 
 def _batch_stats(model, spec, ks, indices) -> list:
     """[(estimate, std_error)] of spec's statistic for each allocation in ks,
-    from one kernel call on the shared index matrix."""
+    from one kernel call on the shared index matrix; each is bitwise
+    spec.statistic of that allocation's row."""
     batch = np.reshape(np.asarray(ks, dtype=float), (-1, model.n_assets))
-    return [spec.statistic(dbar) for dbar in dbar_samples(model, batch, indices)]
+    return _row_mean_se(spec.samples(dbar_samples(model, batch, indices)))
 
 
 class _ConstraintEvaluator:
     """Conservative constraint checks of one search, for every kind.
 
     Calling it checks one allocation; batch() checks a sequence of
-    allocations, estimating the new ones in one kernel call. Both give
-    (ok, estimate, std_error). The surrogate's estimate is E[log(1 - D)]
-    with std_error None. The CRN index matrix is sampled on first use, so an
-    enumerable surrogate search never samples it. Each allocation is
-    estimated once and remembered; evals counts the estimates made.
+    allocations, estimating the new ones together: in one kernel call on the
+    CRN matrix, or, for a surrogate whose sequences fit ENUM_BUDGET, by
+    enumerating each. Both give (ok, estimate, std_error). The surrogate's
+    estimate is E[log(1 - D)] with std_error None. The CRN index matrix is
+    sampled on first use, so an enumerable surrogate search never samples
+    it. Each allocation is estimated once and remembered; evals counts the
+    estimates made.
     """
 
     def __init__(self, model, n_steps, spec, mc):
@@ -382,15 +443,15 @@ class _ConstraintEvaluator:
         """ks: float64 allocation vectors of length n_assets; their bytes key the memo."""
         keys = [kv.tobytes() for kv in ks]
         new = {key: kv for key, kv in zip(keys, ks) if key not in self.seen}
-        if self.spec.kind == "surrogate":
-            stats = [(_log_complementary(self.model, kv, self.n_steps,
-                                         lambda: self.indices).value, None)
-                     for kv in new.values()]
-        else:
-            stats = _batch_stats(self.model, self.spec, list(new.values()),
-                                 self.indices) if new else []
-        for key, (est, se) in zip(new, stats):
-            self.seen[key] = (self.spec.contains_conservatively(est, se), est, se)
+        if new:
+            batch = np.array(list(new.values()))
+            if self.spec.kind == "surrogate":
+                stats = [(h.value, None) for h in _log_complementary_batch(
+                    self.model, batch, self.n_steps, lambda: self.indices)]
+            else:
+                stats = _batch_stats(self.model, self.spec, batch, self.indices)
+            for key, (est, se) in zip(new, stats):
+                self.seen[key] = (self.spec.contains_conservatively(est, se), est, se)
         return [self.seen[key] for key in keys]
 
     def __call__(self, kv) -> tuple:
@@ -420,7 +481,7 @@ def _grid_refine(model, evaluate, unconstrained):
             else:
                 hi = mid
     k = np.array([min(lo, k_un)])
-    return k, log_growth(k, model), "grid-refine"
+    return k, log_growth(k, model), "grid-refine", True
 
 
 def _grid_scan(model, evaluate, unconstrained):
@@ -442,7 +503,7 @@ def _grid_scan(model, evaluate, unconstrained):
         raise InfeasibleConstraintError(
             f"no grid point satisfies {evaluate.spec.kind} <= {evaluate.spec.epsilon}"
         )
-    return (*best, "grid-scan")
+    return (*best, "grid-scan", True)
 
 
 def _surrogate_bisect(model, evaluate, unconstrained):
@@ -456,29 +517,37 @@ def _surrogate_bisect(model, evaluate, unconstrained):
         else:
             hi = mid
     k = np.array([lo])
-    return k, log_growth(k, model), "surrogate-bisect"
+    return k, log_growth(k, model), "surrogate-bisect", True
+
+
+# Step sizes of the ascent's backtracking: 0.5, 0.25, ..., every halving above 1e-10.
+_ASCENT_STEPS = [0.5 ** j for j in range(1, 34)]
 
 
 def _surrogate_ascent(model, evaluate, unconstrained):
     """Ascent on g with a restoration step: shrink any step that leaves the
     surrogate-feasible region (which is convex, so shrinking works). h is
-    -inf at any ruinous trial, so the constraint check also rejects those."""
+    -inf at any ruinous trial, so the constraint check also rejects those.
+
+    Each iteration checks its whole ladder of step sizes in one batch, then
+    takes the longest step that is feasible and improves g. The search has
+    converged when no step improves g; it has not when it stops at
+    ASCENT_MAX_ITER iterations.
+    """
     kv = np.zeros(model.n_assets)
     g = 0.0
-    for _ in range(500):
+    for _ in range(ASCENT_MAX_ITER):
         grad = growth_gradient(kv, model)
-        t = 0.5
-        while t > 1e-10:
-            trial = project_allocation(kv + t * grad)
-            if evaluate(trial)[0]:
+        ladder = [project_allocation(kv + t * grad) for t in _ASCENT_STEPS]
+        for trial, (ok, _, _) in zip(ladder, evaluate.batch(ladder)):
+            if ok:
                 g_trial = log_growth(trial, model)
                 if g_trial > g + 1e-12:
                     kv, g = trial, g_trial
                     break
-            t *= 0.5
         else:
-            break   # no step size improved g
-    return kv, g, "surrogate-ascent"
+            return kv, g, "surrogate-ascent", True   # no step size improved g
+    return kv, g, "surrogate-ascent", False
 
 
 def maximize_growth_constrained(model: GambleModel, n_steps: int, spec: ConstraintSpec,
@@ -490,7 +559,8 @@ def maximize_growth_constrained(model: GambleModel, n_steps: int, spec: Constrai
     refinement for one asset, grid scan for two (no convexity guarantee is
     claimed for those constraint sets, so no interior method is used).
     Every search checks the constraint through one _ConstraintEvaluator and
-    starts by testing the unconstrained optimum.
+    starts by testing the unconstrained optimum. converged is False only
+    when the surrogate ascent stops at its iteration cap.
     Raises InfeasibleConstraintError when nothing on the grid qualifies.
     """
     if n_steps < 1:
@@ -504,11 +574,12 @@ def maximize_growth_constrained(model: GambleModel, n_steps: int, spec: Constrai
     unconstrained = maximize_growth(model)
     evaluate = _ConstraintEvaluator(model, n_steps, spec, mc)
     if evaluate(unconstrained.k_star)[0]:
-        k, g, method = unconstrained.k_star, unconstrained.g_star, "unconstrained-feasible"
+        k, g, method, converged = (unconstrained.k_star, unconstrained.g_star,
+                                   "unconstrained-feasible", True)
     else:
-        k, g, method = search(model, evaluate, unconstrained)
+        k, g, method, converged = search(model, evaluate, unconstrained)
     _, est, se = evaluate(k)
-    return ConstrainedResult(k, g, evaluate.evals, True, method, est, se)
+    return ConstrainedResult(k, g, evaluate.evals, converged, method, est, se)
 
 
 # ---------------------------------------------------------------------------

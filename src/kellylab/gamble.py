@@ -221,6 +221,20 @@ def load_model(path) -> GambleModel:
 
 
 def dump_model(model: GambleModel, path, provenance=None) -> None:
+    """Write json.dumps(model_to_dict(model, provenance), indent=2) plus a newline.
+
+    The atoms are laid out here, one write per atom, from repr of each float,
+    which is how json writes a finite float: json's indenting encoder is pure
+    Python and slow on large models. The provenance goes through json itself.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model, provenance=provenance), fh, indent=2)
-        fh.write("\n")
+        fh.write('{\n  "atoms": [')
+        for i, (x, p) in enumerate(zip(model.xs, model.probs.tolist())):
+            xs = ("[\n        " + ",\n        ".join(map(repr, x.tolist())) + "\n      ]"
+                  if x.size else "[]")
+            fh.write(f'{"," if i else ""}\n    {{\n      "x": {xs},\n      "p": {p!r}\n    }}')
+        fh.write("\n  ]")
+        if provenance:
+            fh.write(',\n  "provenance": '
+                     + json.dumps(dict(provenance), indent=2).replace("\n", "\n  "))
+        fh.write("\n}\n")

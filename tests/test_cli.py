@@ -92,9 +92,13 @@ def test_drawdown_exact_column(capsys, tmp_path):
 
 
 def test_drawdown_budget_exceeded_is_validation_error(capsys):
-    code, _, err = run_cli(capsys, "drawdown", "--coin", "1,-1,0.9", "--n", "30",
-                           "--paths", "300", "--k-grid", "3", "--exact")
-    assert code == 2 and "budget" in err
+    # The budget is checked before the config echo, so stdout stays empty.
+    for extra in ((), ("--paths", "300", "--k-grid", "3")):
+        code, out, err = run_cli(capsys, "drawdown", "--coin", "1,-1,0.9", "--n", "30",
+                                 *extra, "--exact")
+        assert code == 2
+        assert err == "error: 2^30 = 1073741824 sequences exceed the budget of 1000000\n"
+        assert out == ""
 
 
 def test_drawdown_rejects_two_asset_models(capsys):
@@ -143,6 +147,16 @@ def test_constrained_surrogate(capsys):
     code, out, _ = run_cli(capsys, "constrained", "--coin", "1,-1,0.9",
                            "--kind", "surrogate", "--eps", "0.3", "--n", "10")
     assert code == 0 and "surrogate-bisect" in out
+
+
+def test_constrained_ascent_at_its_cap_warns_and_exits_3(capsys, monkeypatch):
+    from kellylab import drawdown
+    monkeypatch.setattr(drawdown, "ASCENT_MAX_ITER", 1)
+    code, out, _ = run_cli(capsys, "constrained", "--coin", "1,-1,0.9", "--coin2", "1,-1,0.9",
+                           "--kind", "surrogate", "--eps", "0.1", "--n", "6")
+    assert code == 3
+    assert "method:              surrogate-ascent" in out
+    assert out.endswith("warning: constrained search did not converge\n")
 
 
 def test_constrained_bad_epsilon(capsys):

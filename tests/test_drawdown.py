@@ -15,7 +15,7 @@ from kellylab import (ConstraintSpec, EnumerationBudgetError, GambleModel,
                       expected_drawdown_mc, expected_log_complementary, independent_join,
                       is_feasible, log_growth, make_coin, maximize_growth,
                       maximize_growth_constrained, mean_se, sample_indices,
-                      sample_path_indices, write_level_set_csv)
+                      sample_path_indices, wealth_factors, write_level_set_csv)
 from kellylab.config import GRID_STEP
 
 EVEN9 = make_coin(1.0, -1.0, 0.9)
@@ -401,6 +401,88 @@ def test_batch_rejects_infeasible_row():
     idx = sample_path_indices(SKEWED, 100, 10, seed=1)
     with pytest.raises(ValueError, match="infeasible"):
         dbar_samples(SKEWED, [[0.2], [1.5]], idx)
+    with pytest.raises(ValueError, match="dimension 2, model has 1 assets"):
+        dbar_samples(SKEWED, [[0.2, 0.1]], idx)
+
+
+# ---------------------------------------------------------------------------
+# The batched evaluator path, row by row
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=80, deadline=None)
+@given(atoms=st.lists(st.lists(ATOM_COMPONENT, min_size=3, max_size=3), min_size=1, max_size=6),
+       n_assets=st.integers(1, 3),
+       rows=st.lists(st.lists(st.floats(-0.1, 1.1), min_size=3, max_size=3),
+                     min_size=1, max_size=8))
+def test_checked_factors_rows_equal_wealth_factors(atoms, n_assets, rows):
+    # Feasibility is judged for the whole batch at once, by is_feasible's
+    # rule; the first infeasible row is named with the single-row message.
+    from kellylab import drawdown
+    model = GambleModel(xs=np.array(atoms)[:, :n_assets],
+                        probs=np.full(len(atoms), 1 / len(atoms)))
+    ks = np.array(rows)[:, :n_assets]
+    bad = [kv for kv in ks if not is_feasible(kv, model)]
+    if bad:
+        with pytest.raises(ValueError) as err:
+            drawdown._checked_factors(model, ks)
+        assert str(err.value) == f"allocation {bad[0]!r} is infeasible for this model"
+    else:
+        factors = drawdown._checked_factors(model, ks)
+        assert factors.shape == (len(ks), model.n_atoms)
+        for kv, row in zip(ks, factors):
+            assert np.array_equal(row, wealth_factors(model, kv))
+
+
+@pytest.mark.parametrize("n_assets", [1, 2, 3, 5])
+def test_checked_factors_rows_are_bitwise_single_matvecs(n_assets):
+    # A single (B, n) x (n, m) product rounds differently for n >= 2.
+    from kellylab import drawdown
+    rng = np.random.default_rng(n_assets)
+    model = GambleModel(xs=rng.uniform(-1.0, 2.0, (7, n_assets)), probs=np.full(7, 1 / 7))
+    ks = 0.3 * rng.dirichlet(np.ones(n_assets + 1), size=200)[:, :n_assets]
+    factors = drawdown._checked_factors(model, ks)
+    for kv, row in zip(ks, factors):
+        assert np.array_equal(row, wealth_factors(model, kv))
+
+
+@pytest.mark.parametrize("spec", [ConstraintSpec(kind="expected", epsilon=0.2),
+                                  ConstraintSpec(kind="probabilistic", epsilon=0.2, delta=0.1)],
+                         ids=["expected", "probabilistic"])
+@pytest.mark.parametrize("paths", [1, 2, 999])
+def test_batched_statistics_equal_mean_se_per_row(spec, paths):
+    from kellylab import drawdown
+    ks = np.array([[a, b] for a in np.linspace(0.0, 1.0, 11)
+                   for b in np.linspace(0.0, 1.0, 11) if a + b <= 1.0])
+    idx = sample_path_indices(TWO_COINS, paths, 40, seed=4)
+    stats = drawdown._batch_stats(TWO_COINS, spec, ks, idx)
+    assert len(stats) == len(ks)
+    for kv, (est, se) in zip(ks, stats):
+        ref = spec.statistic(dbar_samples(TWO_COINS, kv, idx))
+        assert (est, se) == ref
+        assert type(est) is float and type(se) is float
+
+
+@pytest.mark.parametrize("n_steps,exact", [(6, True), (12, False)], ids=["enumerable", "mc"])
+def test_batched_surrogate_equals_expected_log_complementary(n_steps, exact):
+    # Row 0 bets everything on the first even coin, so a loss ruins it.
+    from kellylab import drawdown
+    mc = MonteCarloConfig(paths=300, seed=6)
+    ks = np.array([[1.0, 0.0], [0.0, 0.0], [0.1, 0.2], [0.3, 0.05], [0.45, 0.5], [0.2, 0.1]])
+    built = []
+
+    def crn():
+        built.append(1)
+        return sample_path_indices(TWO_COINS, mc.paths, n_steps, mc.seed)
+
+    batch = drawdown._log_complementary_batch(TWO_COINS, ks, n_steps, crn)
+    assert len(built) == (0 if exact else 1)
+    assert batch[0].value == -math.inf and batch[0].exact
+    for kv, h in zip(ks, batch):
+        assert h == expected_log_complementary(TWO_COINS, kv, n_steps, mc=mc)
+    assert [h.exact for h in batch[1:]] == [exact] * 5
+    # A batch of ruinous rows needs no index matrix.
+    ruinous = drawdown._log_complementary_batch(TWO_COINS, ks[:1], n_steps, None)
+    assert ruinous[0].value == -math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -549,26 +631,37 @@ def test_surrogate_chooses_estimator_without_calling_enumeration(monkeypatch, n_
         "1d-surrogate-mc", "2d-surrogate-exact", "2d-surrogate-mc", "unconstrained-feasible"])
 def test_search_estimates_each_allocation_once(monkeypatch, model, n_steps, spec, method):
     # Every estimate goes through _batch_stats (expected, probabilistic) or
-    # _log_complementary (surrogate); record the allocations each one sees.
+    # _log_complementary_batch (surrogate); record the allocations each one sees.
     from kellylab import drawdown
     seen = []
-    batch_stats, log_complementary = drawdown._batch_stats, drawdown._log_complementary
+    batch_stats, log_complementary = drawdown._batch_stats, drawdown._log_complementary_batch
 
     def counting_batch_stats(model, spec, ks, indices):
         seen.extend(np.asarray(k, dtype=float).tobytes() for k in ks)
         return batch_stats(model, spec, ks, indices)
 
-    def counting_log_complementary(model, k, *args):
-        seen.append(np.asarray(k, dtype=float).tobytes())
-        return log_complementary(model, k, *args)
+    def counting_log_complementary(model, ks, *args):
+        seen.extend(np.asarray(k, dtype=float).tobytes() for k in ks)
+        return log_complementary(model, ks, *args)
 
     monkeypatch.setattr(drawdown, "_batch_stats", counting_batch_stats)
-    monkeypatch.setattr(drawdown, "_log_complementary", counting_log_complementary)
+    monkeypatch.setattr(drawdown, "_log_complementary_batch", counting_log_complementary)
     res = maximize_growth_constrained(model, n_steps, spec,
                                       mc=MonteCarloConfig(paths=300, seed=2))
     assert res.method == method
     assert len(seen) == len(set(seen))
     assert res.iterations == len(seen)
+
+
+def test_ascent_stopped_by_its_cap_has_not_converged(monkeypatch):
+    from kellylab import drawdown
+    spec = ConstraintSpec(kind="surrogate", epsilon=0.1)
+    res = maximize_growth_constrained(TWO_COINS, 6, spec)
+    assert res.method == "surrogate-ascent" and res.converged
+    monkeypatch.setattr(drawdown, "ASCENT_MAX_ITER", 1)
+    capped = maximize_growth_constrained(TWO_COINS, 6, spec)
+    assert capped.method == "surrogate-ascent" and not capped.converged
+    assert capped.g_star < res.g_star
 
 
 def test_three_asset_search_dispatch(monkeypatch):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kellylab import (GambleModel, ModelValidationError, dump_model, independent_join,
                       is_feasible, load_model, make_coin, model_from_dict, model_to_dict,
@@ -236,6 +238,31 @@ def test_json_round_trip(tmp_path):
     assert np.allclose(loaded.probs, m.probs)
     assert json.loads(path.read_text())["provenance"] == {"note": "round trip"}
     assert "provenance" not in model_to_dict(m)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False, width=64)
+JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | FINITE | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner,
+                                                                max_size=3),
+    max_leaves=8)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n_assets=st.integers(1, 4), data=st.data(),
+       provenance=st.none() | st.dictionaries(st.text(max_size=6), JSON_VALUE, max_size=4))
+def test_dump_model_writes_json_indent_2(tmp_path_factory, n_assets, data, provenance):
+    # Every float repr is json's; -0.0, subnormals and long reprs included.
+    rows = data.draw(st.lists(st.lists(st.floats(-1.0, 1e300) | st.just(-0.0),
+                                       min_size=n_assets, max_size=n_assets),
+                              min_size=1, max_size=6))
+    weights = np.array(data.draw(st.lists(st.floats(1e-3, 1.0), min_size=len(rows),
+                                          max_size=len(rows))))
+    m = GambleModel(xs=np.array(rows), probs=weights / weights.sum())
+    path = tmp_path_factory.mktemp("dump") / "model.json"
+    dump_model(m, path, provenance=provenance)
+    assert path.read_text(encoding="utf-8") == json.dumps(
+        model_to_dict(m, provenance), indent=2) + "\n"
 
 
 def test_loader_names_first_violation(tmp_path):

@@ -88,6 +88,10 @@ CASES = {
     "constrained-2d-surrogate-exact": (
         "constrained", "--coin", "1,-1,0.9", "--coin2", "0.5,-0.4,0.6", "--kind", "surrogate",
         "--eps", "0.2", "--n", "6"),
+    # 4^50 sequences: the Monte Carlo fallback, over about 17 ascent steps.
+    "constrained-2d-surrogate-mc-n50": (
+        "constrained", "--coin", "1,-1,0.8", "--coin2", "0.5,-0.4,0.6", "--kind", "surrogate",
+        "--eps", "0.2", "--n", "50", "--paths", "1000", "--seed", "14"),
     "adaptive-traces": (
         "adaptive", "--p-true", "0.6", "--n", "300", "--window", "40", "--runs", "2",
         "--seed", "3", "--out", f"{OUT}/adapt"),
@@ -120,7 +124,9 @@ CASES = {
 # and unconstrained-feasible cases before the constrained searches shared one
 # constraint evaluator; the reordered-symbols ingest case before a price file
 # was read into one validated table; the N=16 and three-atom exact drawdown
-# cases before enumeration forked its states step by step.
+# cases before enumeration forked its states step by step; the N=50 Monte
+# Carlo surrogate case before the surrogate ascent checked its step sizes in
+# one batch.
 EXPECTED = {
     "adaptive-traces": (
         0, "786b777616f66bf92cf5d380b54a3d8c1004c1063c1119941858ff6d479a1cab",
@@ -148,6 +154,8 @@ EXPECTED = {
         0, "b559e2958781a07e1d2c47593768e0aa534bd5620fb37a2407bc2497075d40fd", {}),
     "constrained-2d-surrogate-exact-unconstrained-feasible": (
         0, "87737e66a357b2ddca1beed36ec8ae7baac1ad1dbd014239ee480fbd3c8659cf", {}),
+    "constrained-2d-surrogate-mc-n50": (
+        0, "35b972d7b27138bfa7373377acdccad5a2be40b3873896527e0530c5734c9bc3", {}),
     "drawdown-even": (
         0, "622ed799ef51a37715bd46dd98f15ddf81935f17cd61416712220886178bfb1d",
         {"dd.expected.csv": "af06a53775b5e0140dce867b2ac65b6f923b86bd92b0716a5f70b58ae0a9277f",
@@ -215,6 +223,11 @@ def run_case(argv) -> tuple:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_seeded_output_is_byte_identical(name):
     assert run_case(CASES[name]) == EXPECTED[name]
+
+
+def test_repeated_constrained_run_prints_the_same_bytes():
+    argv = CASES["constrained-2d-surrogate-mc-n50"]
+    assert run_case(argv) == run_case(argv)
 
 
 if __name__ == "__main__":
