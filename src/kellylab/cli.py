@@ -165,8 +165,9 @@ def cmd_drawdown(args) -> int:
           + ("  exact" if args.exact else ""))
     # One kernel call for the whole sweep; in_set columns use the plain rule.
     dbars = drawdown.dbar_samples(model, k_values[:, None], indices)
-    for kk, dbar in zip(k_values, dbars):
-        kv = np.array([kk])
+    exact = (drawdown.expected_drawdown_exact(model, k_values[:, None], args.n)
+             if args.exact else [None] * len(k_values))
+    for kk, dbar, ed_exact in zip(k_values, dbars, exact):
         ed, ed_se = expected_spec.statistic(dbar)
         pe, pe_se = prob_spec.statistic(dbar)
         line = f"{kk:>8.4f} {ed:>10.4f} {ed_se:>10.5f} {pe:>10.4f} {pe_se:>10.5f}"
@@ -178,7 +179,6 @@ def cmd_drawdown(args) -> int:
             line += f"  {exceed:>10.4f}  {_fmt(a) if a != '' else '-':>8}"
             prow += [repr(exceed), repr(exceed_se), "" if a == "" else repr(a)]
         if args.exact:
-            ed_exact = drawdown.expected_drawdown_exact(model, kv, args.n)
             line += f"  {ed_exact:>8.4f}"
             erow.append(repr(ed_exact))
         print(line)

@@ -21,10 +21,11 @@ search's answer the estimate the search itself judged.
 The evaluator is batched. It checks the feasibility of a whole
 (B, n_assets) batch at once and runs every Monte Carlo row, of any kind,
 through one kernel call, reducing the (B, paths) samples once along axis 1;
-a surrogate that fits the enumeration budget is enumerated one allocation at
-a time, and a ruinous allocation is -inf. Each row is bitwise the
-single-allocation estimate. The surrogate ascent checks its whole ladder of
-step sizes in one batch per iteration.
+a surrogate that fits the enumeration budget is enumerated in bounded chunks
+of rows, and a ruinous allocation is -inf. Each row is bitwise the
+single-allocation estimate. The surrogate ascent checks its ladder of step
+sizes in one batch per iteration on Monte Carlo, and one enumeration chunk
+at a time, up to the first accepted step, when it enumerates.
 
 Relative wealth level is tracked by the recursion r <- min(1, r * factor)
 rather than by dividing V by its running peak: the first drop from a peak is
@@ -32,14 +33,19 @@ then the exact float factor, so threshold events classify exactly and the
 even-coin enumeration matches 1 - p^N to summation accuracy.
 
 One private helper applies a step of that recursion, with the running
-minimum d <- min(d, r), in place; Monte Carlo and enumeration both call it.
-Monte Carlo runs it over the step-major (n_steps, paths) CRN matrix of
-sample_path_indices, one contiguous row per step, in blocks of paths.
-dbar_samples takes one allocation, giving (paths,), or a (B, n_assets)
-batch, giving (B, paths), and every row of a batch is bitwise the
-single-fraction result. Enumeration forks every state once per atom at each
-step, so it needs no index rows, and gets each sequence's probability as the
-recursion's output for the row of model weights.
+minimum d <- min(d, r), in place or into given output arrays; Monte Carlo
+and enumeration both call it. Monte Carlo runs it over the step-major
+(n_steps, paths) CRN matrix of sample_path_indices, one contiguous row per
+step, in blocks of paths. Enumeration forks every state once per atom at
+each step, writing atom j's children into the strided slice [..., j] of a
+(B, K, m) array, so it needs no index rows and every numpy loop runs over
+the K states. Both take one allocation or a (B, n_assets) batch, and every
+row of a batch is bitwise the single-allocation result. The probability of
+each sequence is the running product of the model weights; it is computed
+once and shared by every enumeration of a model at the same N, for as long
+as the model lives.
+The exact E[D] sweep and the enumerated surrogate go through enumeration in
+bounded chunks of rows, so neither holds every row at once.
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -168,14 +175,16 @@ def coin_drawdown_probability(p: float, n_steps: int) -> float:
 # The recursion step, shared by Monte Carlo and enumeration
 # ---------------------------------------------------------------------------
 
-def _recursion_step(r: np.ndarray, d: np.ndarray, f: np.ndarray) -> None:
-    """One step of the recursion, in place: r <- min(1, r * f), d <- min(d, r).
+def _recursion_step(r: np.ndarray, d: np.ndarray, f: np.ndarray, out=None) -> None:
+    """One step of the recursion: r' <- min(1, r * f), d' <- min(d, r').
 
-    f is the step's factors, broadcast against r and d.
+    f is the step's factors, broadcast against r and d. out is the pair of
+    arrays (r', d') to write; by default the step runs in place on (r, d).
     """
-    r *= f
-    np.minimum(r, 1.0, out=r)
-    np.minimum(d, r, out=d)
+    r_out, d_out = (r, d) if out is None else out
+    np.multiply(r, f, out=r_out)
+    np.minimum(r_out, 1.0, out=r_out)
+    np.minimum(d, r_out, out=d_out)
 
 
 def _checked_factors(model: GambleModel, ks) -> np.ndarray:
@@ -296,13 +305,25 @@ def expected_drawdown_mc(model: GambleModel, k, n_steps: int, paths: int,
 # Exact enumeration engine
 # ---------------------------------------------------------------------------
 
+# Elements of one unit of enumeration work. A batch is enumerated in chunks
+# of rows that hold about this many sequences together (at least one row),
+# and a step of a larger array is done in tiles of this many children: big
+# enough that numpy's per-call cost is spread over long loops, small enough
+# that a tile's arrays stay in cache and a 21-fraction sweep never holds
+# every row at once.
+_ENUM_CHUNK = 2**16
+
+
 def _enumerable(model: GambleModel, n_steps: int) -> bool:
     """True iff all atom_count^n_steps outcome sequences fit ENUM_BUDGET."""
     return model.n_atoms ** n_steps <= ENUM_BUDGET
 
 
 def require_enumerable(model: GambleModel, n_steps: int) -> None:
-    """Raise EnumerationBudgetError when atom_count^n_steps exceeds ENUM_BUDGET."""
+    """Raise ValueError when n_steps < 1, and EnumerationBudgetError when
+    atom_count^n_steps exceeds ENUM_BUDGET."""
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
     if not _enumerable(model, n_steps):
         m = model.n_atoms
         raise EnumerationBudgetError(
@@ -310,37 +331,94 @@ def require_enumerable(model: GambleModel, n_steps: int) -> None:
         )
 
 
+# (n_steps, probability row) of each live model, for the last N it was
+# enumerated at. An entry goes when its model does, so a row is not kept
+# past the run that built it.
+_SEQUENCE_PROBS = weakref.WeakKeyDictionary()
+
+
+def _sequence_probs(model: GambleModel, n_steps: int) -> np.ndarray:
+    """Read-only probability of every outcome sequence, in sequence order.
+
+    It is the running product of the model weights. That is what the
+    recursion gives for the row of weights: every weight is <= 1, so
+    min(1, r * w) = r * w <= r and the running minimum is r itself.
+    """
+    cached = _SEQUENCE_PROBS.get(model)
+    if cached is None or cached[0] != n_steps:
+        prob = np.ones(1)
+        for _ in range(n_steps):
+            prob = np.multiply.outer(prob, model.probs).ravel()
+        prob.flags.writeable = False
+        cached = _SEQUENCE_PROBS[model] = (n_steps, prob)
+    return cached[1]
+
+
 def enumerate_dbar(model: GambleModel, k, n_steps: int) -> tuple:
     """(probability, complementary drawdown) over every outcome sequence.
 
-    Enumeration starts from one state, r = d = 1, and at each step forks
-    every state m ways, one per atom, applying the recursion step with that
-    atom's factor; sequence s = sum_j a_j m^(N-1-j) then ends at index s.
-    The model weights run as a second factor row: every weight is <= 1, so
-    that row's running minimum is the running product, i.e. the sequence
-    probability.
+    k is one allocation, giving a (S,) drawdown row for S = atom_count^N
+    sequences, or a (B, n_assets) batch, giving (B, S) whose row b is
+    bitwise the single call for k[b]. The probability row is read-only; it
+    is kept while the model lives, for the last N it was enumerated at.
+
+    Enumeration starts from one state, r = d = 1. At each step the K states
+    of every row fork m ways into a (B, K, m) array: the recursion step
+    writes atom j's children straight into the strided slice [..., j], so
+    every numpy loop runs over K states. A step whose (B, K, m) array holds
+    more than _ENUM_CHUNK elements is done in tiles of states, so the m
+    strided passes over a tile's children stay in cache. Sequence
+    s = sum_j a_j m^(N-1-j) then ends at index s.
     Raises EnumerationBudgetError when atom_count^n_steps exceeds ENUM_BUDGET.
     """
-    factors = _checked_factors(model, _one(model, k))
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
+    batch = np.ndim(k) == 2
+    factors = _checked_factors(model, k if batch else _one(model, k))
     require_enumerable(model, n_steps)
-    m = model.n_atoms
-    f = np.vstack([factors, model.probs])[:, None, :]
-    r = np.ones((2, 1))
-    d = np.ones((2, 1))
+    b, m = factors.shape
+    tile = max(1, _ENUM_CHUNK // (b * m))
+    r = np.ones((b, 1))
+    d = np.ones((b, 1))
     for _ in range(n_steps):
-        r = np.repeat(r, m, axis=1)
-        d = np.repeat(d, m, axis=1)
-        _recursion_step(r.reshape(2, -1, m), d.reshape(2, -1, m), f)
-    dbar, prob = d
-    return prob, dbar
+        r_next, d_next = np.empty((2, b, r.shape[1], m))
+        for lo in range(0, r.shape[1], tile):
+            states = slice(lo, lo + tile)
+            for j in range(m):
+                _recursion_step(r[:, states], d[:, states], factors[:, j:j + 1],
+                                out=(r_next[:, states, j], d_next[:, states, j]))
+        r, d = r_next.reshape(b, -1), d_next.reshape(b, -1)
+    return _sequence_probs(model, n_steps), d if batch else d[0]
 
 
-def expected_drawdown_exact(model: GambleModel, k, n_steps: int) -> float:
-    """Probability-weighted E[D] over all outcome sequences."""
-    prob, dbar = enumerate_dbar(model, k, n_steps)
-    return float(prob @ (1.0 - dbar))
+def _chunk_rows(model: GambleModel, n_steps: int) -> int:
+    """Allocations in one enumeration chunk: together their sequences fill
+    about _ENUM_CHUNK, and a chunk holds at least one."""
+    return max(1, _ENUM_CHUNK // model.n_atoms ** n_steps)
+
+
+def _enumerated_rows(model: GambleModel, ks, n_steps: int, reduce) -> list:
+    """[reduce(prob, dbar)] for each row of a (B, n_assets) batch.
+
+    The rows go through enumerate_dbar in chunks of about _ENUM_CHUNK
+    sequences, one chunk call at a time, so no call holds every row.
+    """
+    require_enumerable(model, n_steps)
+    step = _chunk_rows(model, n_steps)
+    out = []
+    for lo in range(0, len(ks), step):
+        prob, dbar = enumerate_dbar(model, ks[lo:lo + step], n_steps)
+        out += [reduce(prob, row) for row in dbar]
+        del dbar   # free this chunk before the next one is enumerated
+    return out
+
+
+def expected_drawdown_exact(model: GambleModel, k, n_steps: int):
+    """Probability-weighted E[D] over all outcome sequences: a float for one
+    allocation, or a list of floats for a (B, n_assets) batch, each bitwise
+    the single call."""
+    batch = np.ndim(k) == 2
+    ed = _enumerated_rows(model, k if batch else _one(model, k), n_steps,
+                          lambda prob, dbar: float(prob @ (1.0 - dbar)))
+    return ed if batch else ed[0]
 
 
 def expected_complementary_exact(model: GambleModel, k, n_steps: int) -> float:
@@ -370,18 +448,20 @@ def _log_complementary_batch(model, ks, n_steps, crn) -> list:
     batch; crn() gives the Monte Carlo fallback's index matrix.
 
     A row with a zero wealth factor is -inf. Otherwise, when the sequences
-    fit ENUM_BUDGET each row is enumerated on its own; when they do not,
-    every row goes through one kernel call on crn(), bitwise as one call
-    per row. crn() is called only when some row needs it.
+    fit ENUM_BUDGET the rows are enumerated in bounded chunks, one
+    enumerate_dbar call per chunk; when they do not, every row goes through
+    one kernel call on crn(). Either way each row is bitwise the
+    single-allocation estimate. crn() is called only when some row needs it.
     """
     ruinous = _checked_factors(model, ks).min(axis=1) <= 0.0
     # Some atom wipes the account; that sequence has positive mass.
     out = [LogDrawdownEstimate(value=-math.inf, exact=True)] * len(ruinous)
     live = np.flatnonzero(~ruinous)
     if _enumerable(model, n_steps):
-        for i in live:
-            prob, dbar = enumerate_dbar(model, ks[i], n_steps)
-            out[i] = LogDrawdownEstimate(value=float(prob @ np.log(dbar)), exact=True)
+        values = _enumerated_rows(model, ks[live], n_steps,
+                                  lambda prob, dbar: float(prob @ np.log(dbar)))
+        for i, value in zip(live, values):
+            out[i] = LogDrawdownEstimate(value=value, exact=True)
     elif live.size:
         logs = np.log(dbar_samples(model, ks[live], crn()))
         for i, (est, se) in zip(live, _row_mean_se(logs)):
@@ -420,11 +500,11 @@ class _ConstraintEvaluator:
     Calling it checks one allocation; batch() checks a sequence of
     allocations, estimating the new ones together: in one kernel call on the
     CRN matrix, or, for a surrogate whose sequences fit ENUM_BUDGET, by
-    enumerating each. Both give (ok, estimate, std_error). The surrogate's
-    estimate is E[log(1 - D)] with std_error None. The CRN index matrix is
-    sampled on first use, so an enumerable surrogate search never samples
-    it. Each allocation is estimated once and remembered; evals counts the
-    estimates made.
+    enumerating them in bounded chunks. Both give (ok, estimate, std_error).
+    The surrogate's estimate is E[log(1 - D)] with std_error None. The CRN
+    index matrix is sampled on first use, so an enumerable surrogate search
+    never samples it. Each allocation is estimated once and remembered;
+    evals counts the estimates made.
     """
 
     def __init__(self, model, n_steps, spec, mc):
@@ -529,17 +609,24 @@ def _surrogate_ascent(model, evaluate, unconstrained):
     surrogate-feasible region (which is convex, so shrinking works). h is
     -inf at any ruinous trial, so the constraint check also rejects those.
 
-    Each iteration checks its whole ladder of step sizes in one batch, then
-    takes the longest step that is feasible and improves g. The search has
-    converged when no step improves g; it has not when it stops at
-    ASCENT_MAX_ITER iterations.
+    Each iteration takes the longest step size of its ladder that is
+    feasible and improves g. A Monte Carlo ladder is checked whole, in one
+    kernel call; an enumerated one in batches of one enumeration chunk, only
+    as far as the first accepted step, since batching saves nothing past a
+    chunk. The search has converged when no step improves g; it has not
+    when it stops at ASCENT_MAX_ITER iterations.
     """
     kv = np.zeros(model.n_assets)
     g = 0.0
+    n_steps = evaluate.n_steps
+    width = (_chunk_rows(model, n_steps) if _enumerable(model, n_steps)
+             else len(_ASCENT_STEPS))
     for _ in range(ASCENT_MAX_ITER):
         grad = growth_gradient(kv, model)
         ladder = [project_allocation(kv + t * grad) for t in _ASCENT_STEPS]
-        for trial, (ok, _, _) in zip(ladder, evaluate.batch(ladder)):
+        checks = (check for lo in range(0, len(ladder), width)
+                  for check in evaluate.batch(ladder[lo:lo + width]))
+        for trial, (ok, _, _) in zip(ladder, checks):
             if ok:
                 g_trial = log_growth(trial, model)
                 if g_trial > g + 1e-12:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -373,6 +374,80 @@ def test_enumeration_equals_whole_array_loop_for_any_model(atoms, k, n):
     assert np.array_equal(dbar, ref_dbar)
 
 
+def _one_asset_model(atoms):
+    weights = np.array([w for _, w in atoms])
+    return GambleModel(xs=[[x] for x, _ in atoms], probs=weights / weights.sum())
+
+
+@settings(max_examples=60, deadline=None)
+@given(atoms=st.lists(st.tuples(ATOM_COMPONENT, st.floats(0.05, 1.0)), min_size=2, max_size=5),
+       coin2=st.one_of(st.none(), st.tuples(ATOM_COMPONENT, ATOM_COMPONENT,
+                                            st.floats(0.05, 0.95))),
+       fractions=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                          min_size=1, max_size=25),
+       n=st.integers(1, 6))
+def test_batched_enumeration_rows_equal_single_calls_and_loop(atoms, coin2, fractions, n):
+    # A 1-asset model of 2-5 atoms, or its first two atoms joined with a
+    # second coin; (a, (1 - a) c) is a feasible 2-asset allocation.
+    model = _one_asset_model(atoms)
+    if coin2 is None:
+        ks = np.array([[a] for a, _ in fractions])
+    else:
+        model = independent_join(_one_asset_model(atoms[:2]),
+                                 GambleModel(xs=[[coin2[0]], [coin2[1]]],
+                                             probs=[coin2[2], 1.0 - coin2[2]]))
+        ks = np.array([[a, (1.0 - a) * c] for a, c in fractions])
+    prob, dbar = enumerate_dbar(model, ks, n)
+    assert dbar.shape == (len(ks), model.n_atoms ** n)
+    for kv, row in zip(ks, dbar):
+        single_prob, single = enumerate_dbar(model, kv, n)
+        ref_prob, ref = enumerate_dbar_loop(model, kv, n)
+        assert np.array_equal(row, single) and np.array_equal(row, ref)
+        assert np.array_equal(single_prob, prob) and np.array_equal(prob, ref_prob)
+
+
+@pytest.mark.parametrize("model,n", [(SKEWED, 13), (SKEWED, 16), (FOUR_ATOMS, 7)],
+                         ids=["2-atom-chunks", "2-atom-row-per-chunk", "4-atom"])
+def test_batched_exact_column_equals_single_calls(model, n):
+    # 21 fractions span several enumeration chunks and end in a partial one.
+    ks = np.linspace(0.0, 1.0, 21)
+    column = expected_drawdown_exact(model, ks[:, None], n)
+    assert column == [expected_drawdown_exact(model, k, n) for k in ks]
+    assert all(type(ed) is float for ed in column)
+
+
+def test_probability_row_is_shared_and_read_only():
+    prob, _ = enumerate_dbar(FOUR_ATOMS, 0.3, 5)
+    again, _ = enumerate_dbar(FOUR_ATOMS, [[0.1], [0.6]], 5)
+    assert again is prob
+    assert not prob.flags.writeable
+    with pytest.raises(ValueError):
+        prob[0] = 1.0
+    assert np.array_equal(prob, enumerate_dbar_loop(FOUR_ATOMS, 0.3, 5)[0])
+    # The row is kept only while its model lives.
+    from kellylab import drawdown
+    model = make_coin(0.6, -0.45, 0.62)
+    enumerate_dbar(model, 0.3, 4)
+    held = len(drawdown._SEQUENCE_PROBS)
+    del model
+    assert len(drawdown._SEQUENCE_PROBS) == held - 1
+
+
+def test_exact_column_holds_one_chunk_at_a_time():
+    # One 2^16-sequence row at a time: the row's r and d, their parents and
+    # the probability row come to about 5 rows of floats. Holding all 21
+    # fractions would take over 40.
+    model = make_coin(0.6, -0.45, 0.62)
+    row_bytes = 8 * 2 ** 16
+    tracemalloc.start()
+    try:
+        expected_drawdown_exact(model, np.linspace(0.0, 1.0, 21)[:, None], 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * row_bytes
+
+
 def test_enumeration_with_ruin_factor():
     prob, dbar = enumerate_dbar(EVEN9, 1.0, 8)
     ref_prob, ref_dbar = enumerate_dbar_loop(EVEN9, 1.0, 8)
@@ -462,7 +537,8 @@ def test_batched_statistics_equal_mean_se_per_row(spec, paths):
         assert type(est) is float and type(se) is float
 
 
-@pytest.mark.parametrize("n_steps,exact", [(6, True), (12, False)], ids=["enumerable", "mc"])
+@pytest.mark.parametrize("n_steps,exact", [(6, True), (8, True), (12, False)],
+                         ids=["enumerable", "enumerable-row-per-chunk", "mc"])
 def test_batched_surrogate_equals_expected_log_complementary(n_steps, exact):
     # Row 0 bets everything on the first even coin, so a loss ruins it.
     from kellylab import drawdown
@@ -651,6 +727,23 @@ def test_search_estimates_each_allocation_once(monkeypatch, model, n_steps, spec
     assert res.method == method
     assert len(seen) == len(set(seen))
     assert res.iterations == len(seen)
+
+
+def test_enumerated_ladder_walk_does_not_change_the_answer(monkeypatch):
+    # 4^6 sequences: a chunk of 4^6 holds one ladder point, the one-at-a-time
+    # walk; 2^16 holds 16; 33 * 4^6 holds the whole ladder.
+    from kellylab import drawdown
+    spec = ConstraintSpec(kind="surrogate", epsilon=0.1)
+    runs = []
+    for chunk in (4 ** 6, 2 ** 16, 33 * 4 ** 6):
+        monkeypatch.setattr(drawdown, "_ENUM_CHUNK", chunk)
+        runs.append(maximize_growth_constrained(TWO_COINS, 6, spec))
+    lazy, default, whole = runs
+    assert lazy.method == "surrogate-ascent"
+    for res in (default, whole):
+        assert np.array_equal(res.k_star, lazy.k_star) and res.g_star == lazy.g_star
+        assert res.constraint_estimate == lazy.constraint_estimate
+    assert lazy.iterations < default.iterations < whole.iterations
 
 
 def test_ascent_stopped_by_its_cap_has_not_converged(monkeypatch):

@@ -52,6 +52,11 @@ CASES = {
     "drawdown-exact-n16": (
         "drawdown", "--coin", "0.6,-0.45,0.62", "--n", "16", "--paths", "400",
         "--seed", "12", "--k-grid", "9", "--exact", "--out", f"{OUT}/dd"),
+    # 21 fractions at 2^13 sequences span several enumeration chunks and
+    # end in a partial one.
+    "drawdown-exact-chunks": (
+        "drawdown", "--coin", "0.6,-0.45,0.62", "--n", "13", "--paths", "300",
+        "--seed", "15", "--k-grid", "21", "--exact", "--out", f"{OUT}/dd"),
     "drawdown-exact-three-atoms": (
         "drawdown", "--model", f"{OUT}/model3.json", "--n", "9", "--paths", "500",
         "--seed", "13", "--k-grid", "11", "--exact", "--out", f"{OUT}/dd"),
@@ -82,12 +87,20 @@ CASES = {
     "constrained-1d-surrogate": (
         "constrained", "--coin", "1,-1,0.9", "--kind", "surrogate", "--eps", "0.3",
         "--n", "10"),
+    # An enumerable surrogate bisection at the largest N of the benchmark.
+    "constrained-1d-surrogate-n15": (
+        "constrained", "--coin", "0.8,-0.5,0.6", "--kind", "surrogate", "--eps", "0.15",
+        "--n", "15"),
     "constrained-1d-surrogate-mc": (
         "constrained", "--coin", "0.15,-0.95,0.95", "--kind", "surrogate", "--eps", "0.2",
         "--n", "40", "--paths", "300", "--seed", "2"),
     "constrained-2d-surrogate-exact": (
         "constrained", "--coin", "1,-1,0.9", "--coin2", "0.5,-0.4,0.6", "--kind", "surrogate",
         "--eps", "0.2", "--n", "6"),
+    # 4^7 sequences: each 33-point ladder is enumerated in several chunks.
+    "constrained-2d-surrogate-exact-n7": (
+        "constrained", "--coin", "1,-1,0.9", "--coin2", "0.5,-0.4,0.6", "--kind", "surrogate",
+        "--eps", "0.2", "--n", "7"),
     # 4^50 sequences: the Monte Carlo fallback, over about 17 ascent steps.
     "constrained-2d-surrogate-mc-n50": (
         "constrained", "--coin", "1,-1,0.8", "--coin2", "0.5,-0.4,0.6", "--kind", "surrogate",
@@ -126,7 +139,9 @@ CASES = {
 # was read into one validated table; the N=16 and three-atom exact drawdown
 # cases before enumeration forked its states step by step; the N=50 Monte
 # Carlo surrogate case before the surrogate ascent checked its step sizes in
-# one batch.
+# one batch; the N=13 chunked exact drawdown, N=15 surrogate bisection and
+# N=7 surrogate ascent cases before enumeration wrote each atom's children
+# into a strided slice and ran a batch of allocations per call.
 EXPECTED = {
     "adaptive-traces": (
         0, "786b777616f66bf92cf5d380b54a3d8c1004c1063c1119941858ff6d479a1cab",
@@ -138,6 +153,8 @@ EXPECTED = {
         0, "6dc7838513efd331d6d24b1798a1f9dedc2aa70425f015f2dfe2dbb99ba4fcc1", {}),
     "constrained-1d-surrogate": (
         0, "80e0540a8ab32680f3f594394fb022e4f949a4afe986bbd5a413f8e1652865dc", {}),
+    "constrained-1d-surrogate-n15": (
+        0, "69fbedebb934c80f30a3280ac4dfa46ae414964ba19f5e4a74cf83ee9591675d", {}),
     "constrained-1d-surrogate-mc": (
         0, "7ce9765db30445ebeca351569dbce05462df9e47a75f11bbff9c056de53dab8a", {}),
     "constrained-1d-surrogate-mc-unconstrained-feasible": (
@@ -152,6 +169,8 @@ EXPECTED = {
         0, "6124ece6dc3b9ab65b8eb9500e2eb53c7ae975e9c909bcb4d62b2c73d80b1c69", {}),
     "constrained-2d-surrogate-exact": (
         0, "b559e2958781a07e1d2c47593768e0aa534bd5620fb37a2407bc2497075d40fd", {}),
+    "constrained-2d-surrogate-exact-n7": (
+        0, "70a2cea3d5dde7ab28fe5f64d1dd1f993789590b770eb387e5f6f15d14c53749", {}),
     "constrained-2d-surrogate-exact-unconstrained-feasible": (
         0, "87737e66a357b2ddca1beed36ec8ae7baac1ad1dbd014239ee480fbd3c8659cf", {}),
     "constrained-2d-surrogate-mc-n50": (
@@ -164,6 +183,10 @@ EXPECTED = {
         0, "09e4ae2bfa46e270df5888b053b6a01e57d0e01307b164380d7ffb5d9d79dcf0",
         {"dd.expected.csv": "c840254addc5df91ec8c3787de3b6816f76f18532c85650e4ddc5dd982234065",
          "dd.prob.csv": "3ee357b0f159b0b585ca3e9cf822d1c6131c7b07ab2990e0b9d4b91b25d72cc1"}),
+    "drawdown-exact-chunks": (
+        0, "910a9a9c600ffde1243821c57d37ecd94e8ed66fea370683bcf95b15c67b9251",
+        {"dd.expected.csv": "42c993f5124766e4b969552e290b37c8370d40c8211c8a8dd5d0525a5846b5a1",
+         "dd.prob.csv": "4a94678e4ef305f20f60ee22805d78b93bc81a4145a2aaeffb6ab4c7466490fb"}),
     "drawdown-exact-even": (
         0, "3a21c6fd2f6a1de2b4abdbd20f2cf2ae1e3b535470686d85b02862e29233b181",
         {"dd.expected.csv": "34bd78a447d413d580ee6c4efbf33a36161c49fb358981f79ff7e88bdcb3e35e",
