@@ -27,6 +27,21 @@ single-allocation estimate. The surrogate ascent checks its ladder of step
 sizes in one batch per iteration on Monte Carlo, and one enumeration chunk
 at a time, up to the first accepted step, when it enumerates.
 
+An expected or probabilistic search screens its Monte Carlo rows. A step can
+only lower the running minimum d, so the partial mean of 1 - d can only rise
+and that of 1{d >= 1 - eps} only fall: the slack of a partial estimate can
+only fall as steps are added, and the conservative rule's est - 3 se is at
+most est. The kernel runs its steps in chunks of 8 and, after each, drops
+the rows whose partial slack is below -SCREEN_MARGIN; the margin covers the
+rounding of two differently ordered sums. A dropped row would fail the
+search's rule at step N, so it is remembered as infeasible with no estimate,
+and every kept row is bitwise the unscreened one. Only the flag drives the
+searches; an answer whose row was dropped is estimated again, unscreened.
+The kernel then holds r and d for every path of the live rows. The drawdown
+sweep and the convexity probe are not screened, since they print every
+estimate, nor is the surrogate's Monte Carlo fallback, whose statistic needs
+a log of every partial d.
+
 Relative wealth level is tracked by the recursion r <- min(1, r * factor)
 rather than by dividing V by its running peak: the first drop from a peak is
 then the exact float factor, so threshold events classify exactly and the
@@ -36,14 +51,14 @@ One private helper applies a step of that recursion, with the running
 minimum d <- min(d, r), in place or into given output arrays; Monte Carlo
 and enumeration both call it. Monte Carlo runs it over the step-major
 (n_steps, paths) CRN matrix of sample_path_indices, one contiguous row per
-step, in blocks of paths. Enumeration forks every state once per atom at
-each step, writing atom j's children into the strided slice [..., j] of a
-(B, K, m) array, so it needs no index rows and every numpy loop runs over
-the K states. Both take one allocation or a (B, n_assets) batch, and every
-row of a batch is bitwise the single-allocation result. The probability of
-each sequence is the running product of the model weights; it is computed
-once and shared by every enumeration of a model at the same N, for as long
-as the model lives.
+step, in blocks of paths; the matrix is int8 for models of up to 128
+atoms. Enumeration forks every state once per atom at each step, writing
+atom j's children into the strided slice [..., j] of a (B, K, m) array, so
+it needs no index rows and every numpy loop runs over the K states. Both
+take one allocation or a (B, n_assets) batch, and every row of a batch is
+bitwise the single-allocation result. The probability of each sequence is
+the running product of the model weights; it is computed once and shared by
+every enumeration of a model at the same N, for as long as the model lives.
 The exact E[D] sweep and the enumerated surrogate go through enumeration in
 bounded chunks of rows, so neither holds every row at once.
 """
@@ -59,8 +74,8 @@ from typing import Optional
 
 import numpy as np
 
-from .config import ASCENT_MAX_ITER, ENUM_BUDGET, FEAS_TOL, GRID_STEP, REFINE_TOL
-from .gamble import GambleModel, as_allocation, sample_indices
+from .config import ASCENT_MAX_ITER, ENUM_BUDGET, GRID_STEP, REFINE_TOL, SCREEN_MARGIN
+from .gamble import GambleModel, _checked_factors, as_allocation, sample_indices
 from .growth import growth_gradient, log_growth, maximize_growth, project_allocation
 
 
@@ -187,29 +202,6 @@ def _recursion_step(r: np.ndarray, d: np.ndarray, f: np.ndarray, out=None) -> No
     np.minimum(d, r_out, out=d_out)
 
 
-def _checked_factors(model: GambleModel, ks) -> np.ndarray:
-    """(B, m) wealth factors of a (B, n_assets) batch of allocations.
-
-    Every row must pass gamble.is_feasible; the batch is checked at once and
-    the first infeasible row is named. Row b is one model.xs @ ks[b], clamped
-    as in gamble.wealth_factors, so it is bitwise that function's result: a
-    single (B, n) x (n, m) product rounds differently.
-    """
-    kvs = np.asarray(ks, dtype=float)
-    if kvs.ndim != 2 or kvs.shape[1] != model.n_assets:
-        raise ValueError(f"allocation has dimension {kvs.shape[-1]}, "
-                         f"model has {model.n_assets} assets")
-    factors = np.empty((kvs.shape[0], model.n_atoms))
-    for row, kv in zip(factors, kvs):
-        row[:] = model.xs @ kv
-    factors += 1.0
-    bad = ((kvs < -FEAS_TOL).any(axis=1) | (kvs.sum(axis=1) > 1.0 + FEAS_TOL)
-           | ~(factors.min(axis=1) >= -FEAS_TOL))
-    if bad.any():
-        raise ValueError(f"allocation {kvs[bad.argmax()]!r} is infeasible for this model")
-    return np.maximum(factors, 0.0, out=factors)
-
-
 def _one(model: GambleModel, k) -> np.ndarray:
     """One allocation as a (1, n_assets) batch."""
     return as_allocation(k, model.n_assets)[None]
@@ -224,6 +216,9 @@ def _one(model: GambleModel, k) -> np.ndarray:
 # numpy's per-call cost is spread over many elements.
 _BLOCK_ELEMENTS = 32_768
 _MIN_BLOCK_PATHS = 256
+# Steps of a dbar_samples chunk when it screens its rows; also the index rows
+# it converts to intp at once.
+_SCREEN_STEPS = 8
 # Paths per chunk when filling the step-major index matrix.
 _SAMPLE_CHUNK = 256
 
@@ -233,23 +228,34 @@ def sample_path_indices(model: GambleModel, paths: int, n_steps: int, seed: int)
 
     Column i holds the draws of row i of sample_indices(model, (paths, n_steps),
     default_rng(seed)): chunks of paths are drawn in order from one generator.
+    The matrix has the smallest signed dtype that holds -n_atoms (int8 up to
+    128 atoms), so it takes an eighth of the memory of intp indices.
     """
     if paths < 1 or n_steps < 1:
         raise ValueError(f"need paths >= 1 and n_steps >= 1, got {paths} and {n_steps}")
     rng = np.random.default_rng(seed)
-    out = np.empty((n_steps, paths), dtype=np.intp)
+    out = np.empty((n_steps, paths), dtype=np.min_scalar_type(-model.n_atoms))
     for lo in range(0, paths, _SAMPLE_CHUNK):
         hi = min(lo + _SAMPLE_CHUNK, paths)
         out[:, lo:hi] = sample_indices(model, (hi - lo, n_steps), rng).T
     return out
 
 
-def dbar_samples(model: GambleModel, k, indices: np.ndarray) -> np.ndarray:
+def dbar_samples(model: GambleModel, k, indices: np.ndarray, screen=None) -> np.ndarray:
     """Per-path complementary drawdown min V(k)/V(l) for the given outcome indices.
 
     indices is the step-major (n_steps, paths) matrix of sample_path_indices.
     k is one allocation, giving (paths,), or a (B, n_assets) batch, giving
     (B, paths) whose row b is bitwise the single call for k[b].
+
+    The kernel holds r and d for every path of every live row, 2 * paths * B
+    floats, and runs the steps in chunks, each over every block of paths.
+    screen, if given, is called after each chunk of _SCREEN_STEPS steps but
+    the last with the (paths, live rows) running minima so far, and returns
+    a bool mask of the live rows to go on with; a row it drops is NaN in the
+    result, and every other row is bitwise the unscreened one. A screen may
+    drop a row only when more steps cannot change its verdict (see _screen).
+    Without a screen the steps run in one chunk.
     """
     batch = np.ndim(k) == 2
     factors = _checked_factors(model, k if batch else _one(model, k))
@@ -257,21 +263,34 @@ def dbar_samples(model: GambleModel, k, indices: np.ndarray) -> np.ndarray:
     if indices.size and (indices.min() < -m or indices.max() >= m):
         raise IndexError(f"atom index out of range for a model with {m} atoms")
     # A block holds its paths as rows and its fractions as columns, so the
-    # gather copies one contiguous run of B factors per path. mode="wrap"
-    # maps indices in [-m, m) as fancy indexing does, without checking them.
-    b, n_paths = factors.shape[0], indices.shape[1]
+    # gather copies one contiguous run of factors per path. mode="wrap" maps
+    # indices in [-m, m) as fancy indexing does, without checking them.
+    n_steps, n_paths = indices.shape
     by_atom = np.ascontiguousarray(factors.T)
-    dbar = np.empty((b, n_paths))
-    width = max(_MIN_BLOCK_PATHS, _BLOCK_ELEMENTS // max(b, 1))
-    for lo in range(0, n_paths, width):
-        hi = min(lo + width, n_paths)
-        r = np.ones((hi - lo, b))
-        d = np.ones((hi - lo, b))
-        f = np.empty((hi - lo, b))
-        for row in indices[:, lo:hi]:
-            by_atom.take(row, axis=0, out=f, mode="wrap")
-            _recursion_step(r, d, f)
-        dbar[:, lo:hi] = d.T
+    live = np.arange(factors.shape[0])
+    r = np.ones((n_paths, live.size))
+    d = np.ones((n_paths, live.size))
+    chunk = _SCREEN_STEPS if screen is not None else max(n_steps, 1)
+    for start in range(0, n_steps, chunk):
+        width = max(_MIN_BLOCK_PATHS, _BLOCK_ELEMENTS // max(live.size, 1))
+        f = np.empty((min(width, n_paths), live.size))
+        for lo in range(0, n_paths, width):
+            hi = min(lo + width, n_paths)
+            rb, db, fb = r[lo:hi], d[lo:hi], f[:hi - lo]
+            for t in range(start, min(start + chunk, n_steps), _SCREEN_STEPS):
+                # take() converts int8 indices on every call; convert a slab once.
+                for row in indices[t:t + _SCREEN_STEPS, lo:hi].astype(np.intp):
+                    by_atom.take(row, axis=0, out=fb, mode="wrap")
+                    _recursion_step(rb, db, fb)
+        if screen is not None and start + chunk < n_steps:
+            keep = screen(d)
+            if not keep.all():
+                live, by_atom = live[keep], by_atom.compress(keep, axis=1)
+                r, d = r.compress(keep, axis=1), d.compress(keep, axis=1)
+                if not live.size:
+                    break
+    dbar = np.full((factors.shape[0], n_paths), np.nan)
+    dbar[live] = d.T
     return dbar if batch else dbar[0]
 
 
@@ -486,12 +505,34 @@ class ConstrainedResult:
     constraint_std_error: Optional[float] = None
 
 
+@dataclass(frozen=True)
+class _ScreenedSpec(ConstraintSpec):
+    """The constraint as a search judges it: _batch_stats stops a row of a
+    screened spec at the first chunk of steps that proves it infeasible."""
+
+
+def _screen(spec: ConstraintSpec, n_paths: int):
+    """Keep mask of a screened kernel call: the rows whose partial slack is
+    not yet below -SCREEN_MARGIN, so a dropped row would fail
+    contains_conservatively at step N (see the module docstring). The
+    partial mean sums down the paths axis and the final one pairwise; each
+    rounds by less than n_paths * eps, which is added to the margin.
+    """
+    tol = SCREEN_MARGIN + 2 * n_paths * np.finfo(float).eps
+    return lambda d: spec.slack(spec.samples(d).mean(axis=0)) >= -tol
+
+
 def _batch_stats(model, spec, ks, indices) -> list:
     """[(estimate, std_error)] of spec's statistic for each allocation in ks,
     from one kernel call on the shared index matrix; each is bitwise
-    spec.statistic of that allocation's row."""
+    spec.statistic of that allocation's row. A _ScreenedSpec screens the
+    call, and a row it drops is (None, None)."""
     batch = np.reshape(np.asarray(ks, dtype=float), (-1, model.n_assets))
-    return _row_mean_se(spec.samples(dbar_samples(model, batch, indices)))
+    screen = _screen(spec, indices.shape[1]) if isinstance(spec, _ScreenedSpec) else None
+    dbar = dbar_samples(model, batch, indices, screen=screen)
+    kept = ~np.isnan(dbar[:, 0])
+    stats = iter(_row_mean_se(spec.samples(dbar[kept])))
+    return [next(stats) if keep else (None, None) for keep in kept]
 
 
 class _ConstraintEvaluator:
@@ -501,14 +542,18 @@ class _ConstraintEvaluator:
     allocations, estimating the new ones together: in one kernel call on the
     CRN matrix, or, for a surrogate whose sequences fit ENUM_BUDGET, by
     enumerating them in bounded chunks. Both give (ok, estimate, std_error).
-    The surrogate's estimate is E[log(1 - D)] with std_error None. The CRN
-    index matrix is sampled on first use, so an enumerable surrogate search
-    never samples it. Each allocation is estimated once and remembered;
-    evals counts the estimates made.
+    The surrogate's estimate is E[log(1 - D)] with std_error None. An
+    expected or probabilistic row stops as soon as its partial statistic
+    proves it infeasible, and is (False, None, None); estimate() gives such
+    an allocation its full estimate. The CRN index matrix is sampled on
+    first use, so an enumerable surrogate search never samples it. Each
+    allocation is estimated once and remembered; evals counts the estimates
+    made.
     """
 
     def __init__(self, model, n_steps, spec, mc):
         self.model, self.n_steps, self.spec, self.mc = model, n_steps, spec, mc
+        self.screened = _ScreenedSpec(spec.kind, spec.epsilon, spec.delta)
         self.seen = {}
 
     @functools.cached_property
@@ -529,18 +574,29 @@ class _ConstraintEvaluator:
                 stats = [(h.value, None) for h in _log_complementary_batch(
                     self.model, batch, self.n_steps, lambda: self.indices)]
             else:
-                stats = _batch_stats(self.model, self.spec, batch, self.indices)
+                stats = _batch_stats(self.model, self.screened, batch, self.indices)
             for key, (est, se) in zip(new, stats):
-                self.seen[key] = (self.spec.contains_conservatively(est, se), est, se)
+                ok = est is not None and self.spec.contains_conservatively(est, se)
+                self.seen[key] = (ok, est, se)
         return [self.seen[key] for key in keys]
 
     def __call__(self, kv) -> tuple:
         return self.batch([kv])[0]
 
+    def estimate(self, kv) -> tuple:
+        """(ok, estimate, std_error) of one allocation; one the screen
+        dropped is estimated again, unscreened, and remembered."""
+        ok, est, se = self(kv)
+        if est is None:
+            (est, se), = _batch_stats(self.model, self.spec, kv[None], self.indices)
+            self.seen[kv.tobytes()] = (ok, est, se)
+        return ok, est, se
+
 
 def _grid_refine(model, evaluate, unconstrained):
     """One asset: best feasible point of the coarse grid, then bisection
-    toward its infeasible neighbour on the ascending-growth side."""
+    toward its infeasible neighbour on the ascending-growth side. The first
+    best point wins a tie."""
     k_un = float(unconstrained.k_star[0])
     grid = np.linspace(0.0, 1.0, int(round(1.0 / GRID_STEP)) + 1)
     flags = [ok for ok, _, _ in evaluate.batch(grid[:, None])]
@@ -549,7 +605,7 @@ def _grid_refine(model, evaluate, unconstrained):
         raise InfeasibleConstraintError(
             f"no fraction on the grid satisfies {evaluate.spec.kind} <= {evaluate.spec.epsilon}"
         )
-    i_best = max(feasible_idx, key=lambda i: log_growth(np.array([grid[i]]), model))
+    i_best = feasible_idx[int(np.argmax(log_growth(grid[feasible_idx, None], model)))]
 
     lo = grid[i_best]
     if i_best + 1 < grid.size and not flags[i_best + 1] and lo < k_un:
@@ -566,24 +622,21 @@ def _grid_refine(model, evaluate, unconstrained):
 
 def _grid_scan(model, evaluate, unconstrained):
     """Two assets: best feasible point of the simplex grid, one kernel call
-    per k1 row. Points are visited in the order of a point-by-point scan, and
-    the strict > keeps the first best. Every atom is >= -1, so every point of
-    the simplex grid is a feasible allocation."""
+    per k1 row. Points are collected in the order of a point-by-point scan,
+    and the first best one wins a tie. Every atom is >= -1, so every point
+    of the simplex grid is a feasible allocation."""
     axis = np.arange(0.0, 1.0 + 1e-12, 2 * GRID_STEP)
-    best = None
+    feasible = []
     for k1 in axis:
         row = [np.array([k1, k2]) for k2 in axis if k1 + k2 <= 1.0 + 1e-12]
-        for kv, (ok, _, _) in zip(row, evaluate.batch(row)):
-            if not ok:
-                continue
-            g = log_growth(kv, model)
-            if best is None or g > best[1]:
-                best = (kv, g)
-    if best is None:
+        feasible += [kv for kv, (ok, _, _) in zip(row, evaluate.batch(row)) if ok]
+    if not feasible:
         raise InfeasibleConstraintError(
             f"no grid point satisfies {evaluate.spec.kind} <= {evaluate.spec.epsilon}"
         )
-    return (*best, "grid-scan", True)
+    g = log_growth(np.array(feasible), model)
+    best = int(np.argmax(g))
+    return feasible[best], float(g[best]), "grid-scan", True
 
 
 def _surrogate_bisect(model, evaluate, unconstrained):
@@ -665,7 +718,7 @@ def maximize_growth_constrained(model: GambleModel, n_steps: int, spec: Constrai
                                    "unconstrained-feasible", True)
     else:
         k, g, method, converged = search(model, evaluate, unconstrained)
-    _, est, se = evaluate(k)
+    _, est, se = evaluate.estimate(k)
     return ConstrainedResult(k, g, evaluate.evals, converged, method, est, se)
 
 

@@ -159,6 +159,30 @@ def is_feasible(k, model: GambleModel) -> bool:
     return float(np.min(1.0 + model.xs @ kv)) >= -FEAS_TOL
 
 
+def _checked_factors(model: GambleModel, ks) -> np.ndarray:
+    """(B, m) wealth factors of a (B, n_assets) batch of allocations.
+
+    Every row must pass is_feasible; the batch is checked at once and the
+    first infeasible row is named. Row b is one model.xs @ ks[b], clamped as
+    in wealth_factors, so it is bitwise that function's result: a single
+    (B, n) x (n, m) product rounds differently. The drawdown kernels and the
+    batched log_growth share it.
+    """
+    kvs = np.asarray(ks, dtype=float)
+    if kvs.ndim != 2 or kvs.shape[1] != model.n_assets:
+        raise ValueError(f"allocation has dimension {kvs.shape[-1]}, "
+                         f"model has {model.n_assets} assets")
+    factors = np.empty((kvs.shape[0], model.n_atoms))
+    for row, kv in zip(factors, kvs):
+        row[:] = model.xs @ kv
+    factors += 1.0
+    bad = ((kvs < -FEAS_TOL).any(axis=1) | (kvs.sum(axis=1) > 1.0 + FEAS_TOL)
+           | ~(factors.min(axis=1) >= -FEAS_TOL))
+    if bad.any():
+        raise ValueError(f"allocation {kvs[bad.argmax()]!r} is infeasible for this model")
+    return np.maximum(factors, 0.0, out=factors)
+
+
 def _cumulative(model: GambleModel) -> np.ndarray:
     cum = np.cumsum(model.probs)
     cum[-1] = 1.0

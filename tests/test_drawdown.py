@@ -327,7 +327,9 @@ def test_step_major_matrix_is_transposed_sample(model, paths):
     # Below, equal to, and not a multiple of the sampling chunk of 256 paths.
     idx = sample_path_indices(model, paths, 37, seed=5)
     ref = sample_indices(model, (paths, 37), np.random.default_rng(5)).T
-    assert idx.shape == (37, paths) and idx.dtype == np.intp
+    # The smallest signed dtype that holds -n_atoms: int8 for both models.
+    assert idx.shape == (37, paths) and idx.dtype == np.int8
+    assert idx.dtype == np.min_scalar_type(-model.n_atoms)
     assert np.array_equal(idx, ref)
 
 
@@ -727,6 +729,123 @@ def test_search_estimates_each_allocation_once(monkeypatch, model, n_steps, spec
     assert res.method == method
     assert len(seen) == len(set(seen))
     assert res.iterations == len(seen)
+
+
+@pytest.mark.parametrize("n_steps", [5, 8, 9, 17, 40])
+def test_screened_kernel_keeps_its_rows_bitwise(n_steps):
+    # The screen drops every other live row after each chunk of 8 steps but
+    # the last; a dropped row is NaN and every other row is the unscreened one.
+    idx = sample_path_indices(FOUR_ATOMS, 500, n_steps, seed=3)
+    ks = np.linspace(0.0, 1.0, 11)[:, None]
+    seen = []
+
+    def screen(d):
+        seen.append(d.shape)
+        return np.arange(d.shape[1]) % 2 == 0
+
+    out = dbar_samples(FOUR_ATOMS, ks, idx, screen=screen)
+    live = np.arange(len(ks))
+    for _ in range(math.ceil(n_steps / 8) - 1):
+        live = live[::2]
+    assert seen == [(500, n) for n in (11, 6, 3, 2)[:len(seen)]]
+    assert len(seen) == math.ceil(n_steps / 8) - 1
+    full = dbar_samples(FOUR_ATOMS, ks, idx)
+    assert np.array_equal(out[live], full[live])
+    assert np.isnan(np.delete(out, live, axis=0)).all()
+    # int8 indices, intp indices and indices counted from the end agree.
+    assert idx.dtype == np.int8
+    assert np.array_equal(dbar_samples(FOUR_ATOMS, ks, idx.astype(np.intp)), full)
+    assert np.array_equal(dbar_samples(FOUR_ATOMS, ks, (idx - 4).astype(np.int8)), full)
+
+
+def test_screen_that_drops_every_row_stops_the_kernel():
+    idx = sample_path_indices(SKEWED, 300, 40, seed=1)
+    seen = []
+
+    def drop_all(d):
+        seen.append(d.shape)
+        return np.zeros(d.shape[1], dtype=bool)
+
+    assert np.isnan(dbar_samples(SKEWED, [[0.1], [0.5]], idx, screen=drop_all)).all()
+    assert seen == [(300, 2)]
+
+
+COIN = st.builds(lambda win, loss, p: make_coin(win, -loss, p),
+                 st.floats(0.05, 2.0), st.floats(0.05, 1.0), st.floats(0.05, 0.95))
+
+
+@settings(max_examples=40, deadline=None)
+@given(coin=COIN, coin2=st.one_of(st.none(), COIN),
+       kind=st.sampled_from(["expected", "probabilistic"]), eps=st.floats(0.02, 0.9),
+       delta=st.floats(0.01, 0.5), n=st.integers(1, 60), seed=st.integers(0, 2**16))
+def test_screened_evaluator_keeps_every_verdict(coin, coin2, kind, eps, delta, n, seed):
+    # Against one unscreened kernel call on the same CRN matrix: the same ok
+    # for every row, the same (estimate, std_error) bit for bit for every row
+    # kept, and a row dropped only if its full slack is negative.
+    from kellylab import drawdown
+    model = coin if coin2 is None else independent_join(coin, coin2)
+    spec = ConstraintSpec(kind=kind, epsilon=eps,
+                          delta=delta if kind == "probabilistic" else None)
+    axis = np.linspace(0.0, 1.0, 21)
+    ks = (axis[:, None] if coin2 is None
+          else np.array([[a, b] for a in axis[::2] for b in axis[::2] if a + b <= 1.0]))
+    mc = MonteCarloConfig(paths=200, seed=seed)
+    evaluate = drawdown._ConstraintEvaluator(model, n, spec, mc)
+    screened = evaluate.batch(list(ks))
+    plain = drawdown._batch_stats(model, spec, ks, evaluate.indices)
+    for (ok, est, se), (full_est, full_se) in zip(screened, plain):
+        assert ok == spec.contains_conservatively(full_est, full_se)
+        if est is None:
+            assert not ok and se is None and spec.slack(full_est) < 0.0
+        else:
+            assert (est, se) == (full_est, full_se)
+
+
+def test_pruned_allocation_gets_its_full_estimate(monkeypatch):
+    from kellylab import drawdown
+    spec = ConstraintSpec(kind="expected", epsilon=0.2)
+    mc = MonteCarloConfig(paths=300, seed=2)
+    evaluate = drawdown._ConstraintEvaluator(SKEWED, 120, spec, mc)
+    kv = np.array([1.0])   # a 95% loss each 20th step on average: far outside
+    assert evaluate(kv) == (False, None, None)
+    full = drawdown._batch_stats(SKEWED, spec, kv[None], evaluate.indices)[0]
+    assert spec.slack(full[0]) < -0.5
+    assert evaluate.estimate(kv) == (False, *full)
+    assert evaluate(kv) == (False, *full) and evaluate.evals == 1
+    # A search whose answer the screen dropped still reports its estimate.
+    monkeypatch.setattr(drawdown, "_grid_refine",
+                        lambda model, ev, un: (kv, log_growth(kv, model), "grid-refine", True))
+    res = maximize_growth_constrained(SKEWED, 120, spec, mc)
+    assert (res.constraint_estimate, res.constraint_std_error) == full
+
+
+def test_screen_cuts_grid_refine_work_by_more_than_half(monkeypatch):
+    # Path-steps are counted at the recursion step; unscreened, every
+    # estimate runs all 120 steps on all 300 paths.
+    from kellylab import drawdown
+    spec = ConstraintSpec(kind="expected", epsilon=0.2)
+    mc = MonteCarloConfig(paths=300, seed=2)
+    step = drawdown._recursion_step
+    work = []
+
+    def counting(r, d, f, out=None):
+        work[-1] += r.size
+        step(r, d, f, out)
+
+    monkeypatch.setattr(drawdown, "_recursion_step", counting)
+    runs = []
+    for screen in (drawdown._screen, lambda spec, n_paths: None):
+        monkeypatch.setattr(drawdown, "_screen", screen)
+        work.append(0)
+        runs.append(maximize_growth_constrained(SKEWED, 120, spec, mc))
+    screened, plain = runs
+    assert screened.method == "grid-refine"
+    assert np.array_equal(screened.k_star, plain.k_star) and screened.g_star == plain.g_star
+    assert (screened.constraint_estimate, screened.constraint_std_error) == (
+        plain.constraint_estimate, plain.constraint_std_error)
+    assert screened.iterations == plain.iterations
+    assert work[1] == plain.iterations * 300 * 120
+    assert work[0] < 0.5 * work[1]
 
 
 def test_enumerated_ladder_walk_does_not_change_the_answer(monkeypatch):

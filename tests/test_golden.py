@@ -77,6 +77,14 @@ CASES = {
     "constrained-2d-scan": (
         "constrained", "--coin", "1,-1,0.9", "--coin2", "1,-1,0.9", "--kind", "expected",
         "--eps", "0.1", "--n", "40", "--paths", "300", "--seed", "7"),
+    # A 252-step probabilistic grid refine and a 50-step 2-asset scan, on
+    # 1000 paths: most grid points break the constraint well before step N.
+    "constrained-1d-probabilistic-n252": (
+        "constrained", "--coin", "0.6,-0.45,0.62", "--kind", "probabilistic",
+        "--eps", "0.2", "--delta", "0.1", "--n", "252", "--paths", "1000", "--seed", "21"),
+    "constrained-2d-scan-n50": (
+        "constrained", "--coin", "1,-1,0.8", "--coin2", "0.5,-0.4,0.6", "--kind", "expected",
+        "--eps", "0.2", "--n", "50", "--paths", "1000", "--seed", "23"),
     "constrained-2d-scan-probabilistic": (
         "constrained", "--coin", "1,-1,0.8", "--coin2", "0.5,-0.4,0.6",
         "--kind", "probabilistic", "--eps", "0.3", "--delta", "0.15", "--n", "30",
@@ -141,7 +149,9 @@ CASES = {
 # Carlo surrogate case before the surrogate ascent checked its step sizes in
 # one batch; the N=13 chunked exact drawdown, N=15 surrogate bisection and
 # N=7 surrogate ascent cases before enumeration wrote each atom's children
-# into a strided slice and ran a batch of allocations per call.
+# into a strided slice and ran a batch of allocations per call; the N=252
+# probabilistic refine and N=50 expected scan cases before Monte Carlo
+# evaluations stopped at the first chunk of steps that proves a row infeasible.
 EXPECTED = {
     "adaptive-traces": (
         0, "786b777616f66bf92cf5d380b54a3d8c1004c1063c1119941858ff6d479a1cab",
@@ -151,6 +161,8 @@ EXPECTED = {
         0, "fa4102950fa36e562c84d6917cc4c188c7658f4b15eb68b7d85a14a6747906c5", {}),
     "constrained-1d-probabilistic": (
         0, "6dc7838513efd331d6d24b1798a1f9dedc2aa70425f015f2dfe2dbb99ba4fcc1", {}),
+    "constrained-1d-probabilistic-n252": (
+        0, "a62d76fa87ef6a79e37585bc68a75cdd4cf838302073311c2d0a77853c1b0e6a", {}),
     "constrained-1d-surrogate": (
         0, "80e0540a8ab32680f3f594394fb022e4f949a4afe986bbd5a413f8e1652865dc", {}),
     "constrained-1d-surrogate-n15": (
@@ -163,6 +175,8 @@ EXPECTED = {
         0, "cd4c8ea02074d8380173b7f0fb66c3c2a0344671b9521dd346c90ed11073c6d0", {}),
     "constrained-2d-scan": (
         0, "19a72a46135a17940f0d2b073f6087d491bf6c14253cf2072dde74dc686e560e", {}),
+    "constrained-2d-scan-n50": (
+        0, "ceb12500573c9a02ef576e74380ffea9d1aaa1351cd57cd90dd021154b30aa40", {}),
     "constrained-2d-scan-probabilistic": (
         0, "f9ed6bb13517abce441c2b72137416d7d68c6bb27e4baa09852a8111ed2a3b69", {}),
     "constrained-2d-surrogate": (

@@ -57,6 +57,31 @@ def test_infeasible_allocation_rejected():
         log_growth(1.5, SKEWED)
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_batched_log_growth_rows_equal_single_calls(seed):
+    # Each row keeps its own matvec and dot: one (B, m) @ (m,) product rounds
+    # differently. A -1 atom at a full bet zeroes a factor, giving -inf.
+    rng = np.random.default_rng(seed)
+    m = random_model(rng)
+    if seed % 3 == 0:
+        m = GambleModel(xs=np.vstack([m.xs, -np.ones(m.n_assets)]),
+                        probs=np.append(0.9 * m.probs, 0.1))
+    ks = np.array([random_feasible(rng, m.n_assets) for _ in range(40)]
+                  + [np.full(m.n_assets, 1.0 / m.n_assets), np.zeros(m.n_assets)])
+    g = log_growth(ks, m)
+    assert g.shape == (len(ks),)
+    for kv, gb in zip(ks, g):
+        single = log_growth(kv, m)
+        assert gb == single and type(single) is float
+    assert (seed % 3 == 0) == (g[-2] == -math.inf)
+
+
+def test_batched_log_growth_names_the_infeasible_row():
+    with pytest.raises(ValueError, match=r"allocation array\(\[1\.5\]\) is infeasible"):
+        log_growth(np.array([[0.2], [1.5], [2.0]]), SKEWED)
+    assert log_growth(np.empty((0, 1)), SKEWED).shape == (0,)
+
+
 # ---------------------------------------------------------------------------
 # growth_gradient
 # ---------------------------------------------------------------------------
