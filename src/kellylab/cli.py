@@ -55,6 +55,13 @@ def _resolve_model(args) -> GambleModel:
     return model
 
 
+def _require_sizes(args) -> None:
+    """Reject --paths and --n below 1 before the report starts."""
+    for flag in ("paths", "n"):
+        if getattr(args, flag) < 1:
+            raise ModelValidationError(f"need --{flag} >= 1, got {getattr(args, flag)}")
+
+
 def _echo(args) -> None:
     parts = [f"{k.replace('_', '-')}={v}" for k, v in vars(args).items()
              if k not in ("command", "func") and v is not None]
@@ -139,6 +146,7 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_drawdown(args) -> int:
+    _require_sizes(args)
     if args.k_grid < 1:
         raise ModelValidationError("--k-grid must be >= 1")
     model = _resolve_model(args)
@@ -197,6 +205,7 @@ def cmd_drawdown(args) -> int:
 
 
 def cmd_constrained(args) -> int:
+    _require_sizes(args)
     if not args.dt > 0.0:
         raise ModelValidationError("--dt must be positive")
     model = _resolve_model(args)
@@ -220,6 +229,7 @@ def cmd_constrained(args) -> int:
 
 
 def cmd_probe_convexity(args) -> int:
+    _require_sizes(args)
     if args.pairs < 1:
         raise ModelValidationError("--pairs must be >= 1")
     if args.grid_resolution < 20:

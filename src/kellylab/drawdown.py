@@ -23,9 +23,20 @@ The evaluator is batched. It checks the feasibility of a whole
 through one kernel call, reducing the (B, paths) samples once along axis 1;
 a surrogate that fits the enumeration budget is enumerated in bounded chunks
 of rows, and a ruinous allocation is -inf. Each row is bitwise the
-single-allocation estimate. The surrogate ascent checks its ladder of step
-sizes in one batch per iteration on Monte Carlo, and one enumeration chunk
-at a time, up to the first accepted step, when it enumerates.
+single-allocation estimate.
+
+Every constrained search stops estimating once its answer is fixed, and
+the answer is the one a check of every candidate would give. A grid search
+computes g at every grid point in one batched log_growth call and checks
+the points in falling order of g, sorted stably, in chunks; it stops at
+the first chunk that holds a feasible point. That point has no feasible
+point of larger g, nor one of equal g earlier in scan order, so it is the
+scan's first best point. The surrogate ascent takes the first step of its
+ladder that is feasible and improves g, and checks the ladder in order, in
+batches, up to the batch that holds that step: on Monte Carlo the steps up
+to a few past the one accepted in the previous iteration, then the rest if
+none of those is accepted; when it enumerates, one enumeration chunk at a
+time. Either way the same step is accepted.
 
 An expected or probabilistic search screens its Monte Carlo rows. A step can
 only lower the running minimum d, so the partial mean of 1 - d can only rise
@@ -494,7 +505,12 @@ def _log_complementary_batch(model, ks, n_steps, crn) -> list:
 
 @dataclass(frozen=True, eq=False)
 class ConstrainedResult:
-    """GrowthResult fields plus how the constraint was handled."""
+    """GrowthResult fields plus how the constraint was handled.
+
+    iterations counts the search's constraint evaluations, the allocations
+    it estimated, each once; perfbench's tracer reports it per op as
+    drawdown.constraint_evals_per_op.
+    """
 
     k_star: np.ndarray
     g_star: float
@@ -593,22 +609,53 @@ class _ConstraintEvaluator:
         return ok, est, se
 
 
+# Grid points in one evaluate.batch of a grid search: one kernel call per
+# chunk, and a chunk is checked only if every point before it was infeasible.
+# Of 16, 32, 64 and 128, 64 gave the fastest 1- and 2-asset searches.
+_GRID_CHUNK = 64
+
+
+def _best_feasible(evaluate, points, g):
+    """Index of the feasible point of largest g among the (P, n_assets)
+    points, the first in scan order on a tie; None if no point is feasible.
+
+    The points are checked in falling order of g, sorted stably so that
+    equal g keep their scan order, in chunks of _GRID_CHUNK, and the walk
+    stops at the first chunk that holds a feasible point. No feasible point
+    has a larger g than that chunk's first feasible point, and none with an
+    equal g comes before it in scan order, so it is the first best feasible
+    point of the whole grid.
+    """
+    order = np.argsort(-g, kind="stable")
+    for lo in range(0, order.size, _GRID_CHUNK):
+        chunk = order[lo:lo + _GRID_CHUNK]
+        for i, (ok, _, _) in zip(chunk, evaluate.batch(points[chunk])):
+            if ok:
+                return int(i)
+    return None
+
+
 def _grid_refine(model, evaluate, unconstrained):
     """One asset: best feasible point of the coarse grid, then bisection
     toward its infeasible neighbour on the ascending-growth side. The first
-    best point wins a tie."""
+    best point wins a tie.
+
+    The grid points are checked by falling g, so the search estimates no
+    point of lower g than the answer (see _best_feasible). The right
+    neighbour matters only when the answer lies below k_un, and only then is
+    it checked; the bisection is the same.
+    """
     k_un = float(unconstrained.k_star[0])
     grid = np.linspace(0.0, 1.0, int(round(1.0 / GRID_STEP)) + 1)
-    flags = [ok for ok, _, _ in evaluate.batch(grid[:, None])]
-    feasible_idx = [i for i, ok in enumerate(flags) if ok]
-    if not feasible_idx:
+    points = grid[:, None]
+    i_best = _best_feasible(evaluate, points, log_growth(points, model))
+    if i_best is None:
         raise InfeasibleConstraintError(
             f"no fraction on the grid satisfies {evaluate.spec.kind} <= {evaluate.spec.epsilon}"
         )
-    i_best = feasible_idx[int(np.argmax(log_growth(grid[feasible_idx, None], model)))]
 
     lo = grid[i_best]
-    if i_best + 1 < grid.size and not flags[i_best + 1] and lo < k_un:
+    if i_best + 1 < grid.size and lo < k_un and not evaluate(grid[i_best + 1:i_best + 2])[0]:
         hi = grid[i_best + 1]
         while hi - lo > REFINE_TOL:
             mid = 0.5 * (lo + hi)
@@ -621,22 +668,20 @@ def _grid_refine(model, evaluate, unconstrained):
 
 
 def _grid_scan(model, evaluate, unconstrained):
-    """Two assets: best feasible point of the simplex grid, one kernel call
-    per k1 row. Points are collected in the order of a point-by-point scan,
-    and the first best one wins a tie. Every atom is >= -1, so every point
-    of the simplex grid is a feasible allocation."""
+    """Two assets: best feasible point of the simplex grid. Its points are
+    listed in the order of a point-by-point scan, k1 then k2 ascending, and
+    checked by falling g (see _best_feasible), so the first best one wins a
+    tie and no point of lower g than the answer is estimated. Every atom is
+    >= -1, so every point of the simplex grid is a feasible allocation."""
     axis = np.arange(0.0, 1.0 + 1e-12, 2 * GRID_STEP)
-    feasible = []
-    for k1 in axis:
-        row = [np.array([k1, k2]) for k2 in axis if k1 + k2 <= 1.0 + 1e-12]
-        feasible += [kv for kv, (ok, _, _) in zip(row, evaluate.batch(row)) if ok]
-    if not feasible:
+    points = np.array([[k1, k2] for k1 in axis for k2 in axis if k1 + k2 <= 1.0 + 1e-12])
+    g = log_growth(points, model)
+    best = _best_feasible(evaluate, points, g)
+    if best is None:
         raise InfeasibleConstraintError(
             f"no grid point satisfies {evaluate.spec.kind} <= {evaluate.spec.epsilon}"
         )
-    g = log_growth(np.array(feasible), model)
-    best = int(np.argmax(g))
-    return feasible[best], float(g[best]), "grid-scan", True
+    return points[best], float(g[best]), "grid-scan", True
 
 
 def _surrogate_bisect(model, evaluate, unconstrained):
@@ -655,6 +700,9 @@ def _surrogate_bisect(model, evaluate, unconstrained):
 
 # Step sizes of the ascent's backtracking: 0.5, 0.25, ..., every halving above 1e-10.
 _ASCENT_STEPS = [0.5 ** j for j in range(1, 34)]
+# Steps past the previous iteration's accepted one that a Monte Carlo ladder
+# checks in its first batch; of 2, 3, 4, 6 and 8, 4 gave the fastest ascents.
+_LADDER_LEAD = 4
 
 
 def _surrogate_ascent(model, evaluate, unconstrained):
@@ -663,27 +711,36 @@ def _surrogate_ascent(model, evaluate, unconstrained):
     -inf at any ruinous trial, so the constraint check also rejects those.
 
     Each iteration takes the longest step size of its ladder that is
-    feasible and improves g. A Monte Carlo ladder is checked whole, in one
-    kernel call; an enumerated one in batches of one enumeration chunk, only
-    as far as the first accepted step, since batching saves nothing past a
-    chunk. The search has converged when no step improves g; it has not
-    when it stops at ASCENT_MAX_ITER iterations.
+    feasible and improves g. The ladder is checked in batches, in order, and
+    only as far as the batch that holds the accepted step: the steps before
+    it in that batch are rejected, as they would be in a whole-ladder check,
+    so the accepted step is the same. A Monte Carlo ladder is checked in two
+    kernel calls at most: from the longest step to _LADDER_LEAD steps past
+    the one accepted in the previous iteration (the first iteration takes
+    step 0 as that one), then the rest if that part accepts nothing. An
+    enumerated ladder is checked one enumeration chunk at a time, since
+    batching saves nothing past a chunk. The search has converged when no
+    step improves g; it has not when it stops at ASCENT_MAX_ITER iterations.
     """
     kv = np.zeros(model.n_assets)
     g = 0.0
     n_steps = evaluate.n_steps
-    width = (_chunk_rows(model, n_steps) if _enumerable(model, n_steps)
-             else len(_ASCENT_STEPS))
+    size = len(_ASCENT_STEPS)
+    chunk = _chunk_rows(model, n_steps) if _enumerable(model, n_steps) else None
+    accepted = 0
     for _ in range(ASCENT_MAX_ITER):
         grad = growth_gradient(kv, model)
         ladder = [project_allocation(kv + t * grad) for t in _ASCENT_STEPS]
-        checks = (check for lo in range(0, len(ladder), width)
-                  for check in evaluate.batch(ladder[lo:lo + width]))
-        for trial, (ok, _, _) in zip(ladder, checks):
+        cuts = (range(chunk, size, chunk) if chunk is not None
+                else [min(accepted + 1 + _LADDER_LEAD, size)])
+        bounds = [0, *cuts, size]
+        checks = (check for lo, hi in zip(bounds, bounds[1:])
+                  for check in evaluate.batch(ladder[lo:hi]))
+        for j, (trial, (ok, _, _)) in enumerate(zip(ladder, checks)):
             if ok:
                 g_trial = log_growth(trial, model)
                 if g_trial > g + 1e-12:
-                    kv, g = trial, g_trial
+                    kv, g, accepted = trial, g_trial, j
                     break
         else:
             return kv, g, "surrogate-ascent", True   # no step size improved g

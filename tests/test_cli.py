@@ -167,18 +167,32 @@ def test_constrained_bad_epsilon(capsys):
         assert "config:" not in out, argv
 
 
-@pytest.mark.parametrize("argv", [
-    ("drawdown", "--coin", "1,-1,0.9", "--n", "20", "--k-grid", "3"),
-    ("probe-convexity", "--coin", "1,-1,0.9", "--coin2", "1,-1,0.9", "--n", "20"),
-    ("constrained", "--coin", "0.15,-0.95,0.95", "--kind", "surrogate", "--eps", "0.2",
-     "--n", "40"),
-    ("constrained", "--coin", "0.15,-0.95,0.95", "--kind", "expected", "--eps", "0.2",
-     "--n", "40"),
-], ids=["drawdown", "probe-convexity", "constrained-surrogate", "constrained-expected"])
-def test_zero_paths_is_validation_error(capsys, argv):
-    code, out, err = run_cli(capsys, *argv, "--paths", "0")
-    assert code == 2 and "paths >= 1" in err
+@pytest.mark.parametrize("argv,size", [
+    (("drawdown", "--coin", "1,-1,0.9", "--n", "20", "--k-grid", "3"), "--paths"),
+    (("probe-convexity", "--coin", "1,-1,0.9", "--coin2", "1,-1,0.9", "--n", "20"), "--paths"),
+    (("constrained", "--coin", "0.15,-0.95,0.95", "--kind", "surrogate", "--eps", "0.2",
+      "--n", "40"), "--paths"),
+    (("constrained", "--coin", "0.15,-0.95,0.95", "--kind", "expected", "--eps", "0.2",
+      "--n", "40"), "--paths"),
+    # 2^10 sequences: the surrogate is enumerated and never samples a path.
+    (("constrained", "--coin", "1,-1,0.9", "--kind", "surrogate", "--eps", "0.3",
+      "--n", "10"), "--paths"),
+    (("drawdown", "--coin", "1,-1,0.9", "--paths", "100", "--k-grid", "3"), "--n"),
+    (("drawdown", "--coin", "1,-1,0.9", "--paths", "100", "--exact"), "--n"),
+    (("probe-convexity", "--coin", "1,-1,0.9", "--coin2", "1,-1,0.9", "--paths", "100"),
+     "--n"),
+    (("constrained", "--coin", "0.15,-0.95,0.95", "--kind", "expected", "--eps", "0.2",
+      "--paths", "100"), "--n"),
+    (("constrained", "--coin", "1,-1,0.9", "--kind", "surrogate", "--eps", "0.3",
+      "--paths", "100"), "--n"),
+], ids=["drawdown", "probe-convexity", "constrained-surrogate", "constrained-expected",
+        "constrained-surrogate-enumerable", "drawdown-n-0", "drawdown-exact-n-0",
+        "probe-convexity-n-0", "constrained-expected-n-0", "constrained-surrogate-n-0"])
+def test_zero_paths_is_validation_error(capsys, argv, size):
+    code, out, err = run_cli(capsys, *argv, size, "0")
+    assert code == 2 and f"{size} >= 1" in err
     assert "nan" not in out
+    assert "config:" not in out
 
 
 @pytest.mark.parametrize("argv", [

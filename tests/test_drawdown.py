@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,14 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kellylab import (ConstraintSpec, EnumerationBudgetError, GambleModel,
-                      MonteCarloConfig, coin_drawdown_probability, convexity_probe,
-                      dbar_samples, drawdown_exceedance_exact, enumerate_dbar,
+                      InfeasibleConstraintError, MonteCarloConfig, coin_drawdown_probability,
+                      convexity_probe, dbar_samples, drawdown_exceedance_exact, enumerate_dbar,
                       expected_complementary_exact, expected_drawdown_exact,
                       expected_drawdown_mc, expected_log_complementary, independent_join,
                       is_feasible, log_growth, make_coin, maximize_growth,
                       maximize_growth_constrained, mean_se, sample_indices,
                       sample_path_indices, wealth_factors, write_level_set_csv)
-from kellylab.config import GRID_STEP
+from kellylab.config import GRID_STEP, REFINE_TOL
 
 EVEN9 = make_coin(1.0, -1.0, 0.9)
 SKEWED = make_coin(0.15, -0.95, 0.95)
@@ -863,6 +864,134 @@ def test_enumerated_ladder_walk_does_not_change_the_answer(monkeypatch):
         assert np.array_equal(res.k_star, lazy.k_star) and res.g_star == lazy.g_star
         assert res.constraint_estimate == lazy.constraint_estimate
     assert lazy.iterations < default.iterations < whole.iterations
+
+
+def full_scan_grid_refine(model, evaluate, unconstrained):
+    """The 1-asset grid refine that checks every grid point: the best
+    feasible point by argmax (the first one on a tie), then bisection."""
+    k_un = float(unconstrained.k_star[0])
+    grid = np.linspace(0.0, 1.0, int(round(1.0 / GRID_STEP)) + 1)
+    flags = [ok for ok, _, _ in evaluate.batch(grid[:, None])]
+    feasible_idx = [i for i, ok in enumerate(flags) if ok]
+    if not feasible_idx:
+        raise InfeasibleConstraintError("no feasible grid point")
+    i_best = feasible_idx[int(np.argmax(log_growth(grid[feasible_idx, None], model)))]
+    lo = grid[i_best]
+    if i_best + 1 < grid.size and not flags[i_best + 1] and lo < k_un:
+        hi = grid[i_best + 1]
+        while hi - lo > REFINE_TOL:
+            mid = 0.5 * (lo + hi)
+            if evaluate(np.array([mid]))[0]:
+                lo = mid
+            else:
+                hi = mid
+    k = np.array([min(lo, k_un)])
+    return k, log_growth(k, model), "grid-refine", True
+
+
+def full_scan_grid_scan(model, evaluate, unconstrained):
+    """The 2-asset grid scan that checks every simplex grid point and keeps
+    the first feasible point of largest g in scan order."""
+    axis = np.arange(0.0, 1.0 + 1e-12, 2 * GRID_STEP)
+    feasible = []
+    for k1 in axis:
+        row = [np.array([k1, k2]) for k2 in axis if k1 + k2 <= 1.0 + 1e-12]
+        feasible += [kv for kv, (ok, _, _) in zip(row, evaluate.batch(row)) if ok]
+    if not feasible:
+        raise InfeasibleConstraintError("no feasible grid point")
+    g = log_growth(np.array(feasible), model)
+    best = int(np.argmax(g))
+    return feasible[best], float(g[best]), "grid-scan", True
+
+
+# A coin whose mean is positive: its unconstrained optimum bets, so a tight
+# constraint sends the search to the grid.
+EDGE_COIN = st.builds(lambda loss, p, edge: make_coin(loss * (1 - p) / p * (1 + edge), -loss, p),
+                      st.floats(0.05, 1.0), st.floats(0.2, 0.95), st.floats(0.05, 3.0))
+
+
+@settings(max_examples=50, deadline=None)
+@given(coin=EDGE_COIN, coin2=st.one_of(st.none(), st.just("twin"), st.just("same"), COIN),
+       kind=st.sampled_from(["expected", "probabilistic"]), eps=st.floats(0.02, 0.3),
+       delta=st.floats(0.01, 0.5), n=st.integers(5, 60), seed=st.integers(0, 2**16))
+def test_grid_searches_by_falling_growth_equal_the_full_scan(coin, coin2, kind, eps, delta,
+                                                             n, seed):
+    # Two perfectly correlated copies of a coin ("twin") give swapped grid
+    # points the same wealth factors bit for bit, so their g tie exactly; an
+    # independent join of a coin with itself ("same") has g symmetric in
+    # (k1, k2) up to rounding.
+    from kellylab import drawdown
+    if coin2 == "twin":
+        model = GambleModel(xs=np.repeat(coin.xs, 2, axis=1), probs=coin.probs)
+    else:
+        model = (coin if coin2 is None
+                 else independent_join(coin, coin if coin2 == "same" else coin2))
+    spec = ConstraintSpec(kind=kind, epsilon=eps,
+                          delta=delta if kind == "probabilistic" else None)
+    mc = MonteCarloConfig(paths=200, seed=seed)
+    res = maximize_growth_constrained(model, n, spec, mc)
+    with mock.patch.object(drawdown, "_grid_refine", full_scan_grid_refine), \
+            mock.patch.object(drawdown, "_grid_scan", full_scan_grid_scan):
+        full = maximize_growth_constrained(model, n, spec, mc)
+    assert res.method == full.method
+    assert np.array_equal(res.k_star, full.k_star) and res.g_star == full.g_star
+    assert (res.constraint_estimate, res.constraint_std_error) == (
+        full.constraint_estimate, full.constraint_std_error)
+    assert res.iterations <= full.iterations
+
+
+class FlagEvaluator:
+    """Stands in for _ConstraintEvaluator: point i of np.arange(P)[:, None]
+    is feasible iff i is in `feasible`; records the points of each batch."""
+
+    def __init__(self, feasible):
+        self.feasible, self.batches = set(feasible), []
+
+    def batch(self, ks):
+        self.batches.append([int(kv[0]) for kv in ks])
+        return [(i in self.feasible, None, None) for i in self.batches[-1]]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 64])
+def test_best_feasible_keeps_the_first_of_tied_points(monkeypatch, chunk):
+    from kellylab import drawdown
+    monkeypatch.setattr(drawdown, "_GRID_CHUNK", chunk)
+    inf = math.inf
+    g = np.array([1.0, 3.0, -inf, 3.0, 2.0, 3.0, -inf, 0.5])
+    points = np.arange(g.size, dtype=float)[:, None]
+    falling = [1, 3, 5, 4, 0, 7, 2, 6]   # stable order of falling g
+    for feasible, best in [({0, 3, 5, 6}, 3), ({5, 7}, 5), ({4, 5}, 5), ({0, 7}, 0),
+                           ({2, 6}, 2), ({6}, 6), (set(range(8)), 1)]:
+        evaluate = FlagEvaluator(feasible)
+        assert drawdown._best_feasible(evaluate, points, g) == best
+        checked = sum(evaluate.batches, [])
+        # Every batch is a chunk of the falling order, and the walk stops at
+        # the chunk that holds the answer.
+        assert checked == falling[:len(checked)]
+        assert all(len(b) == chunk for b in evaluate.batches[:-1])
+        assert best in evaluate.batches[-1]
+        assert len(checked) == min(g.size, chunk * (falling.index(best) // chunk + 1))
+    evaluate = FlagEvaluator(set())
+    assert drawdown._best_feasible(evaluate, points, g) is None
+    assert sum(evaluate.batches, []) == falling
+
+
+def test_ladder_from_the_last_step_does_not_change_the_ascent(monkeypatch):
+    # 4^12 sequences: the Monte Carlo ladder. A lead as long as the ladder
+    # checks all of it in the first batch of every iteration. At this eps
+    # some iterations accept a step beyond their first batch, so the answer
+    # depends on the second one too.
+    from kellylab import drawdown
+    spec = ConstraintSpec(kind="surrogate", epsilon=0.15)
+    mc = MonteCarloConfig(paths=300, seed=2)
+    res = maximize_growth_constrained(TWO_COINS, 12, spec, mc)
+    monkeypatch.setattr(drawdown, "_LADDER_LEAD", len(drawdown._ASCENT_STEPS))
+    whole = maximize_growth_constrained(TWO_COINS, 12, spec, mc)
+    assert res.method == "surrogate-ascent" and res.converged and whole.converged
+    assert np.array_equal(res.k_star, whole.k_star) and res.g_star == whole.g_star
+    assert (res.constraint_estimate, res.constraint_std_error) == (
+        whole.constraint_estimate, whole.constraint_std_error)
+    assert res.iterations < whole.iterations
 
 
 def test_ascent_stopped_by_its_cap_has_not_converged(monkeypatch):

@@ -85,6 +85,10 @@ CASES = {
     "constrained-2d-scan-n50": (
         "constrained", "--coin", "1,-1,0.8", "--coin2", "0.5,-0.4,0.6", "--kind", "expected",
         "--eps", "0.2", "--n", "50", "--paths", "1000", "--seed", "23"),
+    "constrained-2d-scan-probabilistic-n50": (
+        0, "f07de19493a603b70593b7d294ef76f0bebd7c6a5d7b6c3b51a88fc398e38157", {}),
+    "constrained-2d-scan-symmetric": (
+        0, "c05582fbca2e5ff3514cadfdb181e47ea8d0744c9c1d865bca6e68722debcc59", {}),
     "constrained-2d-scan-probabilistic": (
         "constrained", "--coin", "1,-1,0.8", "--coin2", "0.5,-0.4,0.6",
         "--kind", "probabilistic", "--eps", "0.3", "--delta", "0.15", "--n", "30",
@@ -110,9 +114,24 @@ CASES = {
         "constrained", "--coin", "1,-1,0.9", "--coin2", "0.5,-0.4,0.6", "--kind", "surrogate",
         "--eps", "0.2", "--n", "7"),
     # 4^50 sequences: the Monte Carlo fallback, over about 17 ascent steps.
+    "constrained-2d-surrogate-mc-n40": (
+        0, "e50baa336d1e68e64b4abaccd9d2cd059a156925e784573482ee4066aa49b01f", {}),
     "constrained-2d-surrogate-mc-n50": (
         "constrained", "--coin", "1,-1,0.8", "--coin2", "0.5,-0.4,0.6", "--kind", "surrogate",
         "--eps", "0.2", "--n", "50", "--paths", "1000", "--seed", "14"),
+    # Two identical coins: g is symmetric in (k1, k2), so grid points can
+    # tie exactly and the tie rule of the scan decides the answer.
+    "constrained-2d-scan-symmetric": (
+        "constrained", "--coin", "1,-1,0.9", "--coin2", "1,-1,0.9", "--kind", "expected",
+        "--eps", "0.1", "--n", "50", "--paths", "1000", "--seed", "31"),
+    "constrained-2d-scan-probabilistic-n50": (
+        "constrained", "--coin", "1,-1,0.9", "--coin2", "0.5,-0.4,0.6",
+        "--kind", "probabilistic", "--eps", "0.25", "--delta", "0.1", "--n", "50",
+        "--paths", "1000", "--seed", "33"),
+    # 4^40 sequences: the Monte Carlo fallback, over 16 ascent iterations.
+    "constrained-2d-surrogate-mc-n40": (
+        "constrained", "--coin", "1,-1,0.9", "--coin2", "0.5,-0.4,0.6", "--kind", "surrogate",
+        "--eps", "0.15", "--n", "40", "--paths", "800", "--seed", "35"),
     "adaptive-traces": (
         "adaptive", "--p-true", "0.6", "--n", "300", "--window", "40", "--runs", "2",
         "--seed", "3", "--out", f"{OUT}/adapt"),
@@ -151,7 +170,10 @@ CASES = {
 # N=7 surrogate ascent cases before enumeration wrote each atom's children
 # into a strided slice and ran a batch of allocations per call; the N=252
 # probabilistic refine and N=50 expected scan cases before Monte Carlo
-# evaluations stopped at the first chunk of steps that proves a row infeasible.
+# evaluations stopped at the first chunk of steps that proves a row infeasible;
+# the symmetric and N=50 probabilistic scans and the N=40 Monte Carlo surrogate
+# before the searches checked their grid points by falling growth and the
+# ascent's ladder from its last accepted step.
 EXPECTED = {
     "adaptive-traces": (
         0, "786b777616f66bf92cf5d380b54a3d8c1004c1063c1119941858ff6d479a1cab",
@@ -177,6 +199,10 @@ EXPECTED = {
         0, "19a72a46135a17940f0d2b073f6087d491bf6c14253cf2072dde74dc686e560e", {}),
     "constrained-2d-scan-n50": (
         0, "ceb12500573c9a02ef576e74380ffea9d1aaa1351cd57cd90dd021154b30aa40", {}),
+    "constrained-2d-scan-probabilistic-n50": (
+        0, "f07de19493a603b70593b7d294ef76f0bebd7c6a5d7b6c3b51a88fc398e38157", {}),
+    "constrained-2d-scan-symmetric": (
+        0, "c05582fbca2e5ff3514cadfdb181e47ea8d0744c9c1d865bca6e68722debcc59", {}),
     "constrained-2d-scan-probabilistic": (
         0, "f9ed6bb13517abce441c2b72137416d7d68c6bb27e4baa09852a8111ed2a3b69", {}),
     "constrained-2d-surrogate": (
@@ -187,6 +213,8 @@ EXPECTED = {
         0, "70a2cea3d5dde7ab28fe5f64d1dd1f993789590b770eb387e5f6f15d14c53749", {}),
     "constrained-2d-surrogate-exact-unconstrained-feasible": (
         0, "87737e66a357b2ddca1beed36ec8ae7baac1ad1dbd014239ee480fbd3c8659cf", {}),
+    "constrained-2d-surrogate-mc-n40": (
+        0, "e50baa336d1e68e64b4abaccd9d2cd059a156925e784573482ee4066aa49b01f", {}),
     "constrained-2d-surrogate-mc-n50": (
         0, "35b972d7b27138bfa7373377acdccad5a2be40b3873896527e0530c5734c9bc3", {}),
     "drawdown-even": (
