@@ -8,18 +8,17 @@ sliding-window betting, and ingestion of daily price data into empirical
 return models. A CLI (`kellylab`) wires it all into reproducible experiments.
 """
 
-from .adaptive import AdaptiveRun, run_adaptive
+from .adaptive import AdaptiveRun, WealthPath, run_adaptive
 from .approx import (ApproxSolution, DegenerateModelError, approx_solution, gbm_solution,
                      inefficiency_threshold, project_simplex_ray, repair_allocation, saturate,
                      taylor_gain_raw, taylor_solution)
 from .drawdown import (ConstrainedResult, ConstraintSpec, EnumerationBudgetError,
-                       InfeasibleConstraintError, LogDrawdownEstimate, MonteCarloConfig,
-                       ProbeReport, WealthPath, coin_drawdown_probability, convexity_probe,
-                       dbar_samples, drawdown_exceedance_exact, enumerate_dbar,
-                       expected_complementary_exact, expected_drawdown_exact,
-                       expected_drawdown_mc, expected_log_complementary,
-                       maximize_growth_constrained, mean_se, sample_path_indices,
-                       write_level_set_csv)
+                       LogDrawdownEstimate, MonteCarloConfig, ProbeReport,
+                       coin_drawdown_probability, convexity_probe, dbar_samples,
+                       drawdown_exceedance_exact, enumerate_dbar, expected_complementary_exact,
+                       expected_drawdown_exact, expected_drawdown_mc,
+                       expected_log_complementary, maximize_growth_constrained, mean_se,
+                       sample_path_indices, write_level_set_csv)
 from .gamble import (GambleModel, ModelValidationError, MomentSet, dump_model,
                      independent_join, is_feasible, load_model, make_coin, model_from_dict,
                      model_to_dict, moments, sample_indices, wealth_factors)

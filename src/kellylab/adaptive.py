@@ -13,7 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drawdown import WealthPath
+
+@dataclass(frozen=True, eq=False)
+class WealthPath:
+    """Realized wealth trajectory V(0..N) plus the outcome sequence behind it."""
+
+    values: np.ndarray       # (N+1,)
+    outcomes: np.ndarray     # (N, n)
 
 
 @dataclass(frozen=True, eq=False)

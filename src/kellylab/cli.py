@@ -5,8 +5,7 @@ ingest. Every run is fully determined by its flags plus the seed; reports
 echo the configuration, and file outputs are byte-identical across repeated
 runs. Human tables go to stdout, machine output (CSV/JSON) to --out paths.
 
-Exit codes: 0 success, 2 validation error, 3 numerical non-convergence,
-4 infeasible constraint.
+Exit codes: 0 success, 2 validation error, 3 numerical non-convergence.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from .ingest import PriceDataError, load_prices, to_returns
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NO_CONVERGENCE = 3
-EXIT_INFEASIBLE = 4
 
 
 def _parse_coin(text: str) -> GambleModel:
@@ -210,6 +208,8 @@ def cmd_constrained(args) -> int:
         raise ModelValidationError("--dt must be positive")
     model = _resolve_model(args)
     spec = drawdown.ConstraintSpec(kind=args.kind, epsilon=args.eps, delta=args.delta)
+    if args.kind != "surrogate" and model.n_assets > 2:
+        raise ModelValidationError(f"--kind {args.kind} supports 1 or 2 assets")
     _echo(args)
     mc = drawdown.MonteCarloConfig(paths=args.paths, seed=args.seed)
     result = drawdown.maximize_growth_constrained(model, args.n, spec, mc=mc)
@@ -391,9 +391,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except drawdown.InfeasibleConstraintError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     except (ModelValidationError, PriceDataError, drawdown.EnumerationBudgetError,
             approx.DegenerateModelError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

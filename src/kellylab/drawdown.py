@@ -72,6 +72,9 @@ the running product of the model weights; it is computed once and shared by
 every enumeration of a model at the same N, for as long as the model lives.
 The exact E[D] sweep and the enumerated surrogate go through enumeration in
 bounded chunks of rows, so neither holds every row at once.
+
+The README's "Numerical notes" state what these arguments guarantee, with
+the memory each engine takes.
 """
 
 from __future__ import annotations
@@ -92,18 +95,6 @@ from .growth import growth_gradient, log_growth, maximize_growth, project_alloca
 
 class EnumerationBudgetError(ValueError):
     """atom_count^N exceeds the exact-enumeration budget."""
-
-
-class InfeasibleConstraintError(ValueError):
-    """No feasible betting fraction satisfies the drawdown constraint."""
-
-
-@dataclass(frozen=True, eq=False)
-class WealthPath:
-    """Realized wealth trajectory V(0..N) plus the outcome sequence behind it."""
-
-    values: np.ndarray       # (N+1,)
-    outcomes: np.ndarray     # (N, n)
 
 
 @dataclass(frozen=True)
@@ -306,16 +297,13 @@ def dbar_samples(model: GambleModel, k, indices: np.ndarray, screen=None) -> np.
 
 
 def mean_se(samples: np.ndarray) -> tuple:
-    """(mean, standard error of the mean) of a sample."""
-    n = samples.size
-    est = float(samples.mean())
-    se = float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return est, se
+    """(mean, standard error of the mean) of a sample, as one row of _row_mean_se."""
+    return _row_mean_se(np.reshape(samples, (1, -1)))[0]
 
 
 def _row_mean_se(samples: np.ndarray) -> list:
     """[(mean, standard error)] of each row of a (B, paths) sample block,
-    reduced once along axis 1; row b is bitwise mean_se(samples[b])."""
+    reduced once along axis 1."""
     n = samples.shape[1]
     est = samples.mean(axis=1)
     se = samples.std(axis=1, ddof=1) / math.sqrt(n) if n > 1 else np.zeros_like(est)
@@ -521,12 +509,6 @@ class ConstrainedResult:
     constraint_std_error: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class _ScreenedSpec(ConstraintSpec):
-    """The constraint as a search judges it: _batch_stats stops a row of a
-    screened spec at the first chunk of steps that proves it infeasible."""
-
-
 def _screen(spec: ConstraintSpec, n_paths: int):
     """Keep mask of a screened kernel call: the rows whose partial slack is
     not yet below -SCREEN_MARGIN, so a dropped row would fail
@@ -538,13 +520,14 @@ def _screen(spec: ConstraintSpec, n_paths: int):
     return lambda d: spec.slack(spec.samples(d).mean(axis=0)) >= -tol
 
 
-def _batch_stats(model, spec, ks, indices) -> list:
+def _batch_stats(model, spec, ks, indices, screened=False) -> list:
     """[(estimate, std_error)] of spec's statistic for each allocation in ks,
     from one kernel call on the shared index matrix; each is bitwise
-    spec.statistic of that allocation's row. A _ScreenedSpec screens the
-    call, and a row it drops is (None, None)."""
+    spec.statistic of that allocation's row. A screened call stops a row at
+    the first chunk of steps that proves it infeasible (see _screen), and
+    such a row is (None, None)."""
     batch = np.reshape(np.asarray(ks, dtype=float), (-1, model.n_assets))
-    screen = _screen(spec, indices.shape[1]) if isinstance(spec, _ScreenedSpec) else None
+    screen = _screen(spec, indices.shape[1]) if screened else None
     dbar = dbar_samples(model, batch, indices, screen=screen)
     kept = ~np.isnan(dbar[:, 0])
     stats = iter(_row_mean_se(spec.samples(dbar[kept])))
@@ -569,7 +552,6 @@ class _ConstraintEvaluator:
 
     def __init__(self, model, n_steps, spec, mc):
         self.model, self.n_steps, self.spec, self.mc = model, n_steps, spec, mc
-        self.screened = _ScreenedSpec(spec.kind, spec.epsilon, spec.delta)
         self.seen = {}
 
     @functools.cached_property
@@ -590,7 +572,7 @@ class _ConstraintEvaluator:
                 stats = [(h.value, None) for h in _log_complementary_batch(
                     self.model, batch, self.n_steps, lambda: self.indices)]
             else:
-                stats = _batch_stats(self.model, self.screened, batch, self.indices)
+                stats = _batch_stats(self.model, self.spec, batch, self.indices, screened=True)
             for key, (est, se) in zip(new, stats):
                 ok = est is not None and self.spec.contains_conservatively(est, se)
                 self.seen[key] = (ok, est, se)
@@ -617,7 +599,9 @@ _GRID_CHUNK = 64
 
 def _best_feasible(evaluate, points, g):
     """Index of the feasible point of largest g among the (P, n_assets)
-    points, the first in scan order on a tie; None if no point is feasible.
+    points, the first in scan order on a tie. Every grid holds K = 0, and
+    every expected or probabilistic constraint admits it (E[D] = 0, or
+    P(D <= eps) = 1 with std_error 0), so some point is feasible.
 
     The points are checked in falling order of g, sorted stably so that
     equal g keep their scan order, in chunks of _GRID_CHUNK, and the walk
@@ -632,7 +616,25 @@ def _best_feasible(evaluate, points, g):
         for i, (ok, _, _) in zip(chunk, evaluate.batch(points[chunk])):
             if ok:
                 return int(i)
-    return None
+
+
+def _bisect(evaluate, lo, hi, tol):
+    """One asset: the last feasible fraction of the bisection of [lo, hi]
+    down to width tol, where lo is feasible; each midpoint replaces the end
+    that shares its verdict."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if evaluate(np.array([mid]))[0]:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _simplex_grid(axis) -> np.ndarray:
+    """(P, 2) points of axis x axis with k1 + k2 <= 1, k1 then k2 ascending.
+    Every atom is >= -1, so every point is a feasible allocation."""
+    return np.array([[k1, k2] for k1 in axis for k2 in axis if k1 + k2 <= 1.0 + 1e-12])
 
 
 def _grid_refine(model, evaluate, unconstrained):
@@ -649,20 +651,9 @@ def _grid_refine(model, evaluate, unconstrained):
     grid = np.linspace(0.0, 1.0, int(round(1.0 / GRID_STEP)) + 1)
     points = grid[:, None]
     i_best = _best_feasible(evaluate, points, log_growth(points, model))
-    if i_best is None:
-        raise InfeasibleConstraintError(
-            f"no fraction on the grid satisfies {evaluate.spec.kind} <= {evaluate.spec.epsilon}"
-        )
-
     lo = grid[i_best]
     if i_best + 1 < grid.size and lo < k_un and not evaluate(grid[i_best + 1:i_best + 2])[0]:
-        hi = grid[i_best + 1]
-        while hi - lo > REFINE_TOL:
-            mid = 0.5 * (lo + hi)
-            if evaluate(np.array([mid]))[0]:
-                lo = mid
-            else:
-                hi = mid
+        lo = _bisect(evaluate, lo, grid[i_best + 1], REFINE_TOL)
     k = np.array([min(lo, k_un)])
     return k, log_growth(k, model), "grid-refine", True
 
@@ -671,30 +662,17 @@ def _grid_scan(model, evaluate, unconstrained):
     """Two assets: best feasible point of the simplex grid. Its points are
     listed in the order of a point-by-point scan, k1 then k2 ascending, and
     checked by falling g (see _best_feasible), so the first best one wins a
-    tie and no point of lower g than the answer is estimated. Every atom is
-    >= -1, so every point of the simplex grid is a feasible allocation."""
-    axis = np.arange(0.0, 1.0 + 1e-12, 2 * GRID_STEP)
-    points = np.array([[k1, k2] for k1 in axis for k2 in axis if k1 + k2 <= 1.0 + 1e-12])
+    tie and no point of lower g than the answer is estimated."""
+    points = _simplex_grid(np.arange(0.0, 1.0 + 1e-12, 2 * GRID_STEP))
     g = log_growth(points, model)
     best = _best_feasible(evaluate, points, g)
-    if best is None:
-        raise InfeasibleConstraintError(
-            f"no grid point satisfies {evaluate.spec.kind} <= {evaluate.spec.epsilon}"
-        )
     return points[best], float(g[best]), "grid-scan", True
 
 
 def _surrogate_bisect(model, evaluate, unconstrained):
     """One asset: h is concave with h(0) = 0 > log(1 - eps), so the set it
     admits on [0, k_un] is an interval starting at 0; bisect for its right end."""
-    lo, hi = 0.0, float(unconstrained.k_star[0])
-    while hi - lo > REFINE_TOL * 1e-2:
-        mid = 0.5 * (lo + hi)
-        if evaluate(np.array([mid]))[0]:
-            lo = mid
-        else:
-            hi = mid
-    k = np.array([lo])
+    k = np.array([_bisect(evaluate, 0.0, float(unconstrained.k_star[0]), REFINE_TOL * 1e-2)])
     return k, log_growth(k, model), "surrogate-bisect", True
 
 
@@ -751,14 +729,26 @@ def maximize_growth_constrained(model: GambleModel, n_steps: int, spec: Constrai
                                 mc: MonteCarloConfig = MonteCarloConfig()) -> ConstrainedResult:
     """Maximize log growth subject to a drawdown constraint.
 
-    surrogate: concave program (objective and constraint both concave) solved
-    exactly-at-desk-scale; expected/probabilistic: grid plus boundary
-    refinement for one asset, grid scan for two (no convexity guarantee is
-    claimed for those constraint sets, so no interior method is used).
-    Every search checks the constraint through one _ConstraintEvaluator and
-    starts by testing the unconstrained optimum. converged is False only
-    when the surrogate ascent stops at its iteration cap.
-    Raises InfeasibleConstraintError when nothing on the grid qualifies.
+    Every search checks the constraint through one _ConstraintEvaluator, and
+    returns the unconstrained optimum when that lies inside the set.
+    Otherwise it searches by the constraint's kind and the number of assets:
+
+    * surrogate, one asset: bisection of [0, k_un] for the right end of the
+      set, an interval that starts at 0 (surrogate-bisect);
+    * surrogate, more assets: projected ascent on g whose steps shrink until
+      they stay in the set (surrogate-ascent); converged is False when it
+      stops at ASCENT_MAX_ITER iterations, and True for every other search;
+    * expected or probabilistic, one asset: the best feasible point of a
+      grid of step GRID_STEP on [0, 1], then bisection toward its
+      infeasible neighbour (grid-refine);
+    * expected or probabilistic, two assets: the best feasible point of the
+      simplex grid of step 2 * GRID_STEP (grid-scan). No convexity is
+      claimed for these sets, so no interior method is used.
+
+    Both grids hold K = 0, which every expected or probabilistic constraint
+    admits, so a grid search always returns a point. Raises ValueError when
+    n_steps < 1, or for an expected or probabilistic constraint on more than
+    two assets.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -845,9 +835,7 @@ def convexity_probe(model: GambleModel, n_steps: int, spec: ConstraintSpec,
     indices = sample_path_indices(model, mc.paths, n_steps, mc.seed)
 
     # Membership uses the plain rule: the probe reports the set as estimated.
-    # Every atom is >= -1, so every point of the simplex grid is feasible.
-    axis = np.linspace(0.0, 1.0, grid_resolution)
-    points = [np.array([k1, k2]) for k1 in axis for k2 in axis if k1 + k2 <= 1.0 + 1e-12]
+    points = _simplex_grid(np.linspace(0.0, 1.0, grid_resolution))
     grid = []
     in_points = []
     for kv, (est, se) in zip(points, _batch_stats(model, spec, points, indices)):

@@ -50,7 +50,8 @@ class LoadReport:
 def load_prices(path, symbols=None) -> tuple:
     """Read one CSV into a PriceTable of the requested symbols (default: all).
 
-    Rows missing the date or any requested value are dropped and reported.
+    Every header name must be unique. Rows missing the date or any
+    requested value are dropped and reported.
     Every kept row must have a date after the previous kept row's and prices
     > 0; an error names the data row (0-based, blank lines not counted).
     Returns (PriceTable, LoadReport).
@@ -59,6 +60,9 @@ def load_prices(path, symbols=None) -> tuple:
         reader = csv.reader(fh)
         header = next(reader, [])
         column = {name: j for j, name in enumerate(header)}
+        repeated = [name for j, name in enumerate(header) if column[name] != j]
+        if repeated:
+            raise PriceDataError(f"column {repeated[0]!r} appears more than once in the header")
         if "date" not in column:
             raise PriceDataError('price file needs a header with a "date" column')
         available = [c for c in header if c != "date"]

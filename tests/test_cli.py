@@ -1,11 +1,13 @@
 """CLI subcommands: reports, file outputs, determinism, exit codes."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kellylab import load_model
+from kellylab import cli, dump_model, independent_join, load_model, make_coin
 from kellylab.cli import main
 
 
@@ -13,6 +15,15 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_documented_exit_codes_are_the_cli_constants():
+    # The README and the module docstring list every EXIT_* code and no other.
+    codes = {v for k, v in vars(cli).items() if k.startswith("EXIT_")}
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    for text in (readme, cli.__doc__):
+        listed = re.search(r"Exit codes:([^.]*)\.", text).group(1)
+        assert {int(c) for c in re.findall(r"\b(\d+) [a-z]", listed)} == codes
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +176,23 @@ def test_constrained_bad_epsilon(capsys):
         code, out, err = run_cli(capsys, "constrained", "--coin", "1,-1,0.9", *argv)
         assert code == 2 and word in err, argv
         assert "config:" not in out, argv
+
+
+@pytest.mark.parametrize("kind,args", [("expected", ()), ("probabilistic", ("--delta", "0.1"))])
+def test_constrained_grid_search_rejects_three_assets_before_the_report(capsys, tmp_path,
+                                                                        kind, args):
+    model = tmp_path / "three.json"
+    dump_model(independent_join(independent_join(make_coin(1.0, -1.0, 0.9),
+                                                 make_coin(0.5, -0.4, 0.6)),
+                                make_coin(0.15, -0.95, 0.95)), model)
+    code, out, err = run_cli(capsys, "constrained", "--model", str(model), "--kind", kind,
+                             "--eps", "0.2", *args, "--n", "20", "--paths", "100")
+    assert code == 2 and "1 or 2 assets" in err
+    assert "config:" not in out
+    # The surrogate ascent takes any number of assets.
+    code, out, _ = run_cli(capsys, "constrained", "--model", str(model), "--kind", "surrogate",
+                           "--eps", "0.2", "--n", "5")
+    assert code == 0 and "surrogate-ascent" in out
 
 
 @pytest.mark.parametrize("argv,size", [

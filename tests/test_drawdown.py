@@ -10,9 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kellylab import (ConstraintSpec, EnumerationBudgetError, GambleModel,
-                      InfeasibleConstraintError, MonteCarloConfig, coin_drawdown_probability,
-                      convexity_probe, dbar_samples, drawdown_exceedance_exact, enumerate_dbar,
+from kellylab import (ConstraintSpec, EnumerationBudgetError, GambleModel, MonteCarloConfig,
+                      coin_drawdown_probability, convexity_probe, dbar_samples, drawdown_exceedance_exact, enumerate_dbar,
                       expected_complementary_exact, expected_drawdown_exact,
                       expected_drawdown_mc, expected_log_complementary, independent_join,
                       is_feasible, log_growth, make_coin, maximize_growth,
@@ -65,6 +64,15 @@ def path_values(model, k, column):
     for idx in column:
         values.append(values[-1] * max(1.0 + float(model.xs[idx] @ kv), 0.0))
     return values
+
+
+def mean_se_oracle(samples):
+    """(mean, standard error) of a 1-D sample, computed on its own: the
+    single-sample mean_se from before it became a row of _row_mean_se."""
+    n = samples.size
+    est = float(samples.mean())
+    se = float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return est, se
 
 
 def dbar_of_values(values):
@@ -535,8 +543,9 @@ def test_batched_statistics_equal_mean_se_per_row(spec, paths):
     stats = drawdown._batch_stats(TWO_COINS, spec, ks, idx)
     assert len(stats) == len(ks)
     for kv, (est, se) in zip(ks, stats):
-        ref = spec.statistic(dbar_samples(TWO_COINS, kv, idx))
-        assert (est, se) == ref
+        dbar = dbar_samples(TWO_COINS, kv, idx)
+        ref = mean_se_oracle(spec.samples(dbar))
+        assert (est, se) == ref and spec.statistic(dbar) == ref
         assert type(est) is float and type(se) is float
 
 
@@ -715,9 +724,9 @@ def test_search_estimates_each_allocation_once(monkeypatch, model, n_steps, spec
     seen = []
     batch_stats, log_complementary = drawdown._batch_stats, drawdown._log_complementary_batch
 
-    def counting_batch_stats(model, spec, ks, indices):
+    def counting_batch_stats(model, spec, ks, *args, **kwargs):
         seen.extend(np.asarray(k, dtype=float).tobytes() for k in ks)
-        return batch_stats(model, spec, ks, indices)
+        return batch_stats(model, spec, ks, *args, **kwargs)
 
     def counting_log_complementary(model, ks, *args):
         seen.extend(np.asarray(k, dtype=float).tobytes() for k in ks)
@@ -802,6 +811,28 @@ def test_screened_evaluator_keeps_every_verdict(coin, coin2, kind, eps, delta, n
             assert (est, se) == (full_est, full_se)
 
 
+@settings(max_examples=40, deadline=None)
+@given(coin=COIN, coin2=st.one_of(st.none(), COIN),
+       kind=st.sampled_from(["expected", "probabilistic", "surrogate"]),
+       eps=st.floats(1e-9, 0.9), delta=st.floats(1e-9, 0.5), n=st.integers(1, 60),
+       paths=st.integers(1, 200), seed=st.integers(0, 2**16))
+def test_every_search_admits_the_zero_allocation(coin, coin2, kind, eps, delta, n, paths,
+                                                 seed):
+    # K = 0 is on both grids, so a grid search always finds a feasible point:
+    # E[D] = 0, P(D <= eps) = 1 with std_error 0, and h = 0 > log(1 - eps).
+    from kellylab import drawdown
+    model = coin if coin2 is None else independent_join(coin, coin2)
+    spec = ConstraintSpec(kind=kind, epsilon=eps,
+                          delta=delta if kind == "probabilistic" else None)
+    evaluate = drawdown._ConstraintEvaluator(model, n, spec,
+                                             MonteCarloConfig(paths=paths, seed=seed))
+    zero = np.zeros(model.n_assets)
+    ok, est, se = evaluate.batch([np.full(model.n_assets, 1.0 / model.n_assets), zero])[1]
+    assert ok
+    assert est == (1.0 if kind == "probabilistic" else 0.0)
+    assert se == (None if kind == "surrogate" else 0.0)
+
+
 def test_pruned_allocation_gets_its_full_estimate(monkeypatch):
     from kellylab import drawdown
     spec = ConstraintSpec(kind="expected", epsilon=0.2)
@@ -873,8 +904,6 @@ def full_scan_grid_refine(model, evaluate, unconstrained):
     grid = np.linspace(0.0, 1.0, int(round(1.0 / GRID_STEP)) + 1)
     flags = [ok for ok, _, _ in evaluate.batch(grid[:, None])]
     feasible_idx = [i for i, ok in enumerate(flags) if ok]
-    if not feasible_idx:
-        raise InfeasibleConstraintError("no feasible grid point")
     i_best = feasible_idx[int(np.argmax(log_growth(grid[feasible_idx, None], model)))]
     lo = grid[i_best]
     if i_best + 1 < grid.size and not flags[i_best + 1] and lo < k_un:
@@ -897,8 +926,6 @@ def full_scan_grid_scan(model, evaluate, unconstrained):
     for k1 in axis:
         row = [np.array([k1, k2]) for k2 in axis if k1 + k2 <= 1.0 + 1e-12]
         feasible += [kv for kv, (ok, _, _) in zip(row, evaluate.batch(row)) if ok]
-    if not feasible:
-        raise InfeasibleConstraintError("no feasible grid point")
     g = log_growth(np.array(feasible), model)
     best = int(np.argmax(g))
     return feasible[best], float(g[best]), "grid-scan", True
@@ -971,9 +998,6 @@ def test_best_feasible_keeps_the_first_of_tied_points(monkeypatch, chunk):
         assert all(len(b) == chunk for b in evaluate.batches[:-1])
         assert best in evaluate.batches[-1]
         assert len(checked) == min(g.size, chunk * (falling.index(best) // chunk + 1))
-    evaluate = FlagEvaluator(set())
-    assert drawdown._best_feasible(evaluate, points, g) is None
-    assert sum(evaluate.batches, []) == falling
 
 
 def test_ladder_from_the_last_step_does_not_change_the_ascent(monkeypatch):

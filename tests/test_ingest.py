@@ -131,6 +131,17 @@ def test_unknown_symbol_rejected(tmp_path):
         load_prices(path, symbols=["CCC"])
 
 
+@pytest.mark.parametrize("symbols", [None, ["AAA"], ["BBB"]])
+def test_repeated_column_name_rejected(tmp_path, symbols):
+    # A name-to-column map would send both AAA columns to the last one and
+    # lose the first column's prices (100, 110, 99).
+    path = tmp_path / "p.csv"
+    write_csv(path, ["date", "AAA", "BBB", "AAA"],
+              [["2013-01-02", 100, 7, 50], ["2013-01-03", 110, 8, 40], ["2013-01-04", 99, 9, 44]])
+    with pytest.raises(PriceDataError, match="'AAA' appears more than once"):
+        load_prices(path, symbols=symbols)
+
+
 def test_non_numeric_price_rejected(tmp_path):
     path = tmp_path / "p.csv"
     write_csv(path, ["date", "AAA"], [["2013-01-02", 100], ["2013-01-03", "n/a"]])
