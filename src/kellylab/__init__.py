@@ -21,7 +21,7 @@ from .drawdown import (ConstrainedResult, ConstraintSpec, EnumerationBudgetError
                        sample_path_indices, write_level_set_csv)
 from .gamble import (GambleModel, ModelValidationError, MomentSet, dump_model,
                      independent_join, is_feasible, load_model, make_coin, model_from_dict,
-                     model_to_dict, moments, sample_indices, wealth_factors)
+                     moments, sample_indices)
 from .growth import (GrowthResult, annualized_return, growth_gradient, log_growth,
                      maximize_growth, project_allocation)
 from .ingest import LoadReport, PriceDataError, PriceTable, load_prices, to_returns

@@ -169,18 +169,19 @@ def cmd_drawdown(args) -> int:
     print(f"{'K':>8} {'E[D]':>10} {'se':>10} {'P(D<=eps)':>10} {'se':>10}"
           + ("  exceed(MC)  analytic" if even else "")
           + ("  exact" if args.exact else ""))
-    # One kernel call for the whole sweep; in_set columns use the plain rule.
+    # One kernel call and one reduction per column for the whole sweep;
+    # in_set columns use the plain rule.
     dbars = drawdown.dbar_samples(model, k_values[:, None], indices)
+    exceeds = (drawdown.mean_se((dbars <= 1.0 - k_values[:, None]).astype(float))
+               if even else [(None, None)] * len(k_values))
     exact = (drawdown.expected_drawdown_exact(model, k_values[:, None], args.n)
              if args.exact else [None] * len(k_values))
-    for kk, dbar, ed_exact in zip(k_values, dbars, exact):
-        ed, ed_se = expected_spec.statistic(dbar)
-        pe, pe_se = prob_spec.statistic(dbar)
+    for kk, (ed, ed_se), (pe, pe_se), (exceed, exceed_se), ed_exact in zip(
+            k_values, expected_spec.statistic(dbars), prob_spec.statistic(dbars), exceeds, exact):
         line = f"{kk:>8.4f} {ed:>10.4f} {ed_se:>10.5f} {pe:>10.4f} {pe_se:>10.5f}"
         erow = [repr(float(kk)), repr(ed), repr(ed_se), int(expected_spec.contains(ed))]
         prow = [repr(float(kk)), repr(pe), repr(pe_se), int(prob_spec.contains(pe))]
         if even:
-            exceed, exceed_se = drawdown.mean_se((dbar <= 1.0 - kk).astype(float))
             a = analytic if 0.0 < kk < 1.0 else ""
             line += f"  {exceed:>10.4f}  {_fmt(a) if a != '' else '-':>8}"
             prow += [repr(exceed), repr(exceed_se), "" if a == "" else repr(a)]

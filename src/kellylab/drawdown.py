@@ -10,6 +10,16 @@
   concave log-complementary surrogate;
 * an empirical convexity probe for two-asset drawdown constraint sets.
 
+One allocation is a batch of one. log_growth, dbar_samples, enumerate_dbar,
+expected_drawdown_exact and expected_log_complementary take one allocation
+or a (B, n_assets) batch; mean_se and ConstraintSpec.statistic take one
+sample or a (B, paths) block. Each has one path, on which one allocation or
+sample is a batch of one row, and returns that row's result on its own.
+gamble._checked_factors is the path's one feasibility check; it takes each
+row's factors from a matvec of its own, and every reduction runs along the
+row. So row b of a batch is bitwise the call for k[b] alone, and a sweep, a
+grid search or a probe batches its fractions without moving a digit.
+
 ConstraintSpec holds the one boundary rule: slack(estimate) is the signed
 distance of an estimate inside its constraint, and contains(estimate) is
 slack(estimate) >= 0. The constrained searches, the probe and the CLI all
@@ -22,8 +32,7 @@ The evaluator is batched. It checks the feasibility of a whole
 (B, n_assets) batch at once and runs every Monte Carlo row, of any kind,
 through one kernel call, reducing the (B, paths) samples once along axis 1;
 a surrogate that fits the enumeration budget is enumerated in bounded chunks
-of rows, and a ruinous allocation is -inf. Each row is bitwise the
-single-allocation estimate.
+of rows, and a ruinous allocation is -inf.
 
 Every constrained search stops estimating once its answer is fixed, and
 the answer is the one a check of every candidate would give. A grid search
@@ -65,11 +74,10 @@ and enumeration both call it. Monte Carlo runs it over the step-major
 step, in blocks of paths; the matrix is int8 for models of up to 128
 atoms. Enumeration forks every state once per atom at each step, writing
 atom j's children into the strided slice [..., j] of a (B, K, m) array, so
-it needs no index rows and every numpy loop runs over the K states. Both
-take one allocation or a (B, n_assets) batch, and every row of a batch is
-bitwise the single-allocation result. The probability of each sequence is
-the running product of the model weights; it is computed once and shared by
-every enumeration of a model at the same N, for as long as the model lives.
+it needs no index rows and every numpy loop runs over the K states. The
+probability of each sequence is the running product of the model weights;
+it is computed once and shared by every enumeration of a model at the same
+N, for as long as the model lives.
 The exact E[D] sweep and the enumerated surrogate go through enumeration in
 bounded chunks of rows, so neither holds every row at once.
 
@@ -89,7 +97,7 @@ from typing import Optional
 import numpy as np
 
 from .config import ASCENT_MAX_ITER, ENUM_BUDGET, GRID_STEP, REFINE_TOL, SCREEN_MARGIN
-from .gamble import GambleModel, _checked_factors, as_allocation, sample_indices
+from .gamble import GambleModel, _checked_factors, sample_indices
 from .growth import growth_gradient, log_growth, maximize_growth, project_allocation
 
 
@@ -121,14 +129,18 @@ class ConstraintSpec:
 
     def samples(self, dbar: np.ndarray) -> np.ndarray:
         """Per-path samples of the statistic, any shape: D = 1 - dbar for
-        "expected", the indicator of D <= epsilon for "probabilistic"."""
+        "expected", the indicator of D <= epsilon for "probabilistic", and
+        log(1 - D) = log(dbar) for "surrogate", -inf on a ruined path."""
         if self.kind == "expected":
             return 1.0 - dbar
-        return (dbar >= 1.0 - self.epsilon).astype(float)
+        if self.kind == "probabilistic":
+            return (dbar >= 1.0 - self.epsilon).astype(float)
+        with np.errstate(divide="ignore"):
+            return np.log(dbar)
 
-    def statistic(self, dbar: np.ndarray) -> tuple:
-        """(estimate, std_error) from per-path complementary drawdowns:
-        E[D] for "expected", P(D <= epsilon) for "probabilistic"."""
+    def statistic(self, dbar: np.ndarray):
+        """mean_se of the samples of per-path complementary drawdowns: E[D],
+        P(D <= epsilon) or E[log(1 - D)], with its standard error."""
         return mean_se(self.samples(dbar))
 
     def slack(self, estimate: float) -> float:
@@ -204,11 +216,6 @@ def _recursion_step(r: np.ndarray, d: np.ndarray, f: np.ndarray, out=None) -> No
     np.minimum(d, r_out, out=d_out)
 
 
-def _one(model: GambleModel, k) -> np.ndarray:
-    """One allocation as a (1, n_assets) batch."""
-    return as_allocation(k, model.n_assets)[None]
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo engine (common random numbers = shared index matrix)
 # ---------------------------------------------------------------------------
@@ -248,7 +255,7 @@ def dbar_samples(model: GambleModel, k, indices: np.ndarray, screen=None) -> np.
 
     indices is the step-major (n_steps, paths) matrix of sample_path_indices.
     k is one allocation, giving (paths,), or a (B, n_assets) batch, giving
-    (B, paths) whose row b is bitwise the single call for k[b].
+    (B, paths).
 
     The kernel holds r and d for every path of every live row, 2 * paths * B
     floats, and runs the steps in chunks, each over every block of paths.
@@ -259,8 +266,7 @@ def dbar_samples(model: GambleModel, k, indices: np.ndarray, screen=None) -> np.
     drop a row only when more steps cannot change its verdict (see _screen).
     Without a screen the steps run in one chunk.
     """
-    batch = np.ndim(k) == 2
-    factors = _checked_factors(model, k if batch else _one(model, k))
+    factors = _checked_factors(model, k)
     m = model.n_atoms
     if indices.size and (indices.min() < -m or indices.max() >= m):
         raise IndexError(f"atom index out of range for a model with {m} atoms")
@@ -293,26 +299,26 @@ def dbar_samples(model: GambleModel, k, indices: np.ndarray, screen=None) -> np.
                     break
     dbar = np.full((factors.shape[0], n_paths), np.nan)
     dbar[live] = d.T
-    return dbar if batch else dbar[0]
+    return dbar if np.ndim(k) == 2 else dbar[0]
 
 
-def mean_se(samples: np.ndarray) -> tuple:
-    """(mean, standard error of the mean) of a sample, as one row of _row_mean_se."""
-    return _row_mean_se(np.reshape(samples, (1, -1)))[0]
-
-
-def _row_mean_se(samples: np.ndarray) -> list:
-    """[(mean, standard error)] of each row of a (B, paths) sample block,
-    reduced once along axis 1."""
-    n = samples.shape[1]
-    est = samples.mean(axis=1)
-    se = samples.std(axis=1, ddof=1) / math.sqrt(n) if n > 1 else np.zeros_like(est)
-    return list(zip(est.tolist(), se.tolist()))
+def mean_se(samples: np.ndarray):
+    """(mean, standard error of the mean) of a 1-D sample, or a list of
+    those pairs for a (B, paths) block, one per row, reduced once along
+    axis 1. A row holding -inf has mean -inf and standard error NaN."""
+    block = np.atleast_2d(samples)
+    n = block.shape[1]
+    est = block.mean(axis=1)
+    with np.errstate(invalid="ignore"):
+        se = block.std(axis=1, ddof=1) / math.sqrt(n) if n > 1 else np.zeros_like(est)
+    pairs = list(zip(est.tolist(), se.tolist()))
+    return pairs if np.ndim(samples) == 2 else pairs[0]
 
 
 def expected_drawdown_mc(model: GambleModel, k, n_steps: int, paths: int,
                          seed: int) -> tuple:
-    """(estimate, std_error) of E[D] from `paths` independently sampled paths."""
+    """(estimate, std_error) of E[D] from `paths` independently sampled paths;
+    a list of them for a (B, n_assets) batch."""
     if paths < 100:
         raise ValueError("need at least 100 paths")
     indices = sample_path_indices(model, paths, n_steps, seed)
@@ -376,9 +382,9 @@ def enumerate_dbar(model: GambleModel, k, n_steps: int) -> tuple:
     """(probability, complementary drawdown) over every outcome sequence.
 
     k is one allocation, giving a (S,) drawdown row for S = atom_count^N
-    sequences, or a (B, n_assets) batch, giving (B, S) whose row b is
-    bitwise the single call for k[b]. The probability row is read-only; it
-    is kept while the model lives, for the last N it was enumerated at.
+    sequences, or a (B, n_assets) batch, giving (B, S). The probability row
+    is read-only; it is kept while the model lives, for the last N it was
+    enumerated at.
 
     Enumeration starts from one state, r = d = 1. At each step the K states
     of every row fork m ways into a (B, K, m) array: the recursion step
@@ -389,8 +395,7 @@ def enumerate_dbar(model: GambleModel, k, n_steps: int) -> tuple:
     s = sum_j a_j m^(N-1-j) then ends at index s.
     Raises EnumerationBudgetError when atom_count^n_steps exceeds ENUM_BUDGET.
     """
-    batch = np.ndim(k) == 2
-    factors = _checked_factors(model, k if batch else _one(model, k))
+    factors = _checked_factors(model, k)
     require_enumerable(model, n_steps)
     b, m = factors.shape
     tile = max(1, _ENUM_CHUNK // (b * m))
@@ -404,7 +409,7 @@ def enumerate_dbar(model: GambleModel, k, n_steps: int) -> tuple:
                 _recursion_step(r[:, states], d[:, states], factors[:, j:j + 1],
                                 out=(r_next[:, states, j], d_next[:, states, j]))
         r, d = r_next.reshape(b, -1), d_next.reshape(b, -1)
-    return _sequence_probs(model, n_steps), d if batch else d[0]
+    return _sequence_probs(model, n_steps), d if np.ndim(k) == 2 else d[0]
 
 
 def _chunk_rows(model: GambleModel, n_steps: int) -> int:
@@ -431,12 +436,10 @@ def _enumerated_rows(model: GambleModel, ks, n_steps: int, reduce) -> list:
 
 def expected_drawdown_exact(model: GambleModel, k, n_steps: int):
     """Probability-weighted E[D] over all outcome sequences: a float for one
-    allocation, or a list of floats for a (B, n_assets) batch, each bitwise
-    the single call."""
-    batch = np.ndim(k) == 2
-    ed = _enumerated_rows(model, k if batch else _one(model, k), n_steps,
+    allocation, or a list of floats for a (B, n_assets) batch."""
+    ed = _enumerated_rows(model, np.atleast_2d(k), n_steps,
                           lambda prob, dbar: float(prob @ (1.0 - dbar)))
-    return ed if batch else ed[0]
+    return ed if np.ndim(k) == 2 else ed[0]
 
 
 def expected_complementary_exact(model: GambleModel, k, n_steps: int) -> float:
@@ -453,12 +456,14 @@ def drawdown_exceedance_exact(model: GambleModel, k, n_steps: int, threshold: fl
 
 
 def expected_log_complementary(model: GambleModel, k, n_steps: int,
-                               mc: MonteCarloConfig = MonteCarloConfig()) -> LogDrawdownEstimate:
+                               mc: MonteCarloConfig = MonteCarloConfig()):
     """E[log(1 - D)]: exact by enumeration when it fits ENUM_BUDGET, otherwise a
-    flagged Monte Carlo estimate. -inf whenever ruin has positive probability."""
-    return _log_complementary_batch(
-        model, _one(model, k), n_steps,
-        lambda: sample_path_indices(model, mc.paths, n_steps, mc.seed))[0]
+    flagged Monte Carlo estimate. -inf whenever ruin has positive probability.
+    A (B, n_assets) batch gives a list of estimates, one per row."""
+    h = _log_complementary_batch(
+        model, np.atleast_2d(k), n_steps,
+        lambda: sample_path_indices(model, mc.paths, n_steps, mc.seed))
+    return h if np.ndim(k) == 2 else h[0]
 
 
 def _log_complementary_batch(model, ks, n_steps, crn) -> list:
@@ -468,8 +473,7 @@ def _log_complementary_batch(model, ks, n_steps, crn) -> list:
     A row with a zero wealth factor is -inf. Otherwise, when the sequences
     fit ENUM_BUDGET the rows are enumerated in bounded chunks, one
     enumerate_dbar call per chunk; when they do not, every row goes through
-    one kernel call on crn(). Either way each row is bitwise the
-    single-allocation estimate. crn() is called only when some row needs it.
+    one kernel call on crn(). crn() is called only when some row needs it.
     """
     ruinous = _checked_factors(model, ks).min(axis=1) <= 0.0
     # Some atom wipes the account; that sequence has positive mass.
@@ -482,7 +486,7 @@ def _log_complementary_batch(model, ks, n_steps, crn) -> list:
             out[i] = LogDrawdownEstimate(value=value, exact=True)
     elif live.size:
         logs = np.log(dbar_samples(model, ks[live], crn()))
-        for i, (est, se) in zip(live, _row_mean_se(logs)):
+        for i, (est, se) in zip(live, mean_se(logs)):
             out[i] = LogDrawdownEstimate(value=est, exact=False, std_error=se)
     return out
 
@@ -526,11 +530,12 @@ def _batch_stats(model, spec, ks, indices, screened=False) -> list:
     spec.statistic of that allocation's row. A screened call stops a row at
     the first chunk of steps that proves it infeasible (see _screen), and
     such a row is (None, None)."""
-    batch = np.reshape(np.asarray(ks, dtype=float), (-1, model.n_assets))
     screen = _screen(spec, indices.shape[1]) if screened else None
-    dbar = dbar_samples(model, batch, indices, screen=screen)
+    dbar = dbar_samples(model, ks, indices, screen=screen)
     kept = ~np.isnan(dbar[:, 0])
-    stats = iter(_row_mean_se(spec.samples(dbar[kept])))
+    # spec.statistic would hold the copy dbar[kept] while it reduces: one
+    # more (B, paths) block at the peak. Here it is freed once sampled.
+    stats = iter(mean_se(spec.samples(dbar[kept])))
     return [next(stats) if keep else (None, None) for keep in kept]
 
 

@@ -139,47 +139,44 @@ def moments(model: GambleModel) -> MomentSet:
     return MomentSet(mean=mean, second_moment=second, covariance=cov)
 
 
-def wealth_factors(model: GambleModel, k) -> np.ndarray:
-    """Per-atom wealth multipliers max(1 + k'x, 0).
-
-    Feasible allocations keep 1 + k'x >= 0 up to rounding; any negative
-    residue is rounding noise on the ruin boundary, so it clamps to 0.
-    """
-    kv = as_allocation(k, model.n_assets)
-    return np.maximum(1.0 + model.xs @ kv, 0.0)
-
-
 def is_feasible(k, model: GambleModel) -> bool:
-    """True iff k >= 0, sum(k) <= 1, and min over atoms of k'x >= -1 (all within FEAS_TOL)."""
+    """True iff one allocation k is feasible: k >= 0, sum(k) <= 1 and
+    1 + k'x >= 0 on every atom, within FEAS_TOL, as _checked_factors checks."""
     kv = as_allocation(k, model.n_assets)
-    if np.any(kv < -FEAS_TOL):
+    try:
+        _checked_factors(model, kv)
+    except ValueError:
         return False
-    if float(kv.sum()) > 1.0 + FEAS_TOL:
-        return False
-    return float(np.min(1.0 + model.xs @ kv)) >= -FEAS_TOL
+    return True
 
 
-def _checked_factors(model: GambleModel, ks) -> np.ndarray:
-    """(B, m) wealth factors of a (B, n_assets) batch of allocations.
+def _checked_factors(model: GambleModel, k) -> np.ndarray:
+    """(B, m) wealth factors max(1 + K'x, 0) of a (B, n_assets) batch of
+    allocations; one allocation is a (1, n_assets) batch.
 
-    Every row must pass is_feasible; the batch is checked at once and the
-    first infeasible row is named. Row b is one model.xs @ ks[b], clamped as
-    in wealth_factors, so it is bitwise that function's result: a single
-    (B, n) x (n, m) product rounds differently. The drawdown kernels and the
-    batched log_growth share it.
+    This is the feasibility rule: K >= 0, sum(K) <= 1 and 1 + K'x >= 0 on
+    every atom x, each within FEAS_TOL. The batch is checked at once and the
+    first infeasible row is named; a factor below 0 is then rounding noise
+    on the ruin boundary, so it clamps to 0. Row b is one model.xs @ k[b]:
+    a single (B, n) x (n, m) product rounds differently.
     """
-    kvs = np.asarray(ks, dtype=float)
-    if kvs.ndim != 2 or kvs.shape[1] != model.n_assets:
-        raise ValueError(f"allocation has dimension {kvs.shape[-1]}, "
+    kvs = np.asarray(k, dtype=float)
+    if kvs.ndim != 2:
+        kvs = as_allocation(kvs, model.n_assets)[None]
+    elif kvs.shape[1] != model.n_assets:
+        raise ValueError(f"allocation has dimension {kvs.shape[1]}, "
                          f"model has {model.n_assets} assets")
-    factors = np.empty((kvs.shape[0], model.n_atoms))
+    factors = np.empty((len(kvs), model.n_atoms))
     for row, kv in zip(factors, kvs):
-        row[:] = model.xs @ kv
+        np.matmul(model.xs, kv, out=row)
     factors += 1.0
-    bad = ((kvs < -FEAS_TOL).any(axis=1) | (kvs.sum(axis=1) > 1.0 + FEAS_TOL)
-           | ~(factors.min(axis=1) >= -FEAS_TOL))
-    if bad.any():
-        raise ValueError(f"allocation {kvs[bad.argmax()]!r} is infeasible for this model")
+    # The ufunc reductions are the array methods' own, without their
+    # per-call wrapper: a one-row check is most of a log_growth call.
+    ok = (np.logical_and.reduce(kvs >= -FEAS_TOL, axis=1)
+          & (np.add.reduce(kvs, axis=1) <= 1.0 + FEAS_TOL)
+          & (np.minimum.reduce(factors, axis=1) >= -FEAS_TOL))
+    if not ok.all():
+        raise ValueError(f"allocation {kvs[ok.argmin()]!r} is infeasible for this model")
     return np.maximum(factors, 0.0, out=factors)
 
 
@@ -206,14 +203,6 @@ def sample_indices(model: GambleModel, shape, rng: np.random.Generator) -> np.nd
 # ---------------------------------------------------------------------------
 # JSON model files: {"atoms": [{"x": [...], "p": ...}, ...], "provenance": {...}?}
 # ---------------------------------------------------------------------------
-
-def model_to_dict(model: GambleModel, provenance=None) -> dict:
-    out = {"atoms": [{"x": [float(v) for v in x], "p": float(p)}
-                     for x, p in zip(model.xs, model.probs)]}
-    if provenance:
-        out["provenance"] = dict(provenance)
-    return out
-
 
 def model_from_dict(data: dict) -> GambleModel:
     if not isinstance(data, dict) or "atoms" not in data:
@@ -245,7 +234,8 @@ def load_model(path) -> GambleModel:
 
 
 def dump_model(model: GambleModel, path, provenance=None) -> None:
-    """Write json.dumps(model_to_dict(model, provenance), indent=2) plus a newline.
+    """Write the model file laid out above as json.dumps writes it with
+    indent=2, plus a newline; the provenance only when given.
 
     The atoms are laid out here, one write per atom, from repr of each float,
     which is how json writes a finite float: json's indenting encoder is pure

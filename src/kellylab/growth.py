@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import MAX_OPT_ITER, OBJ_FLAT_WINDOW, OPT_TOL, RUIN_EPS
-from .gamble import GambleModel, _checked_factors, as_allocation, is_feasible
+from .gamble import GambleModel, _checked_factors, as_allocation
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,22 +36,12 @@ def log_growth(k, model: GambleModel):
     """g(K) = sum over atoms of p * log(1 + K'x); -inf if any atom zeroes the factor.
 
     k is one allocation, giving a float, or a (B, n_assets) batch, giving a
-    (B,) array whose entry b is bitwise the single call for k[b]: the batch
-    is checked at once, and each row keeps its own matvec, log and dot.
+    (B,) array (see the batch convention in the drawdown module docstring):
+    each row keeps its own matvec, log and dot.
     """
-    if np.ndim(k) == 2:
-        factors = _checked_factors(model, k)
-        g = np.full(len(factors), -math.inf)
-        for i in np.flatnonzero(factors.min(axis=1) > 0.0):
-            g[i] = model.probs @ np.log(factors[i])
-        return g
-    kv = as_allocation(k, model.n_assets)
-    if not is_feasible(kv, model):
-        raise ValueError(f"allocation {kv!r} is infeasible for this model")
-    f = 1.0 + model.xs @ kv
-    if np.any(f <= 0.0):
-        return -math.inf
-    return float(model.probs @ np.log(f))
+    with np.errstate(divide="ignore"):   # a zero factor's log is -inf, and so is g
+        g = [model.probs @ np.log(row) for row in _checked_factors(model, k)]
+    return np.array(g) if np.ndim(k) == 2 else float(g[0])
 
 
 def growth_gradient(k, model: GambleModel) -> np.ndarray:

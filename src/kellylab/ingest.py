@@ -86,6 +86,8 @@ def load_prices(path, symbols=None) -> tuple:
             continue
         try:
             day = datetime.date.fromisoformat(date)
+            if day.isoformat() != date:   # 20200101 and 2020-W01-3 parse too
+                raise ValueError(date)
         except ValueError:
             raise PriceDataError(f"unparseable date {date!r} at row {i} (need YYYY-MM-DD)")
         if last is not None and day <= last:

@@ -1,5 +1,6 @@
 """CLI subcommands: reports, file outputs, determinism, exit codes."""
 
+import ast
 import json
 import re
 from pathlib import Path
@@ -24,6 +25,33 @@ def test_documented_exit_codes_are_the_cli_constants():
     for text in (readme, cli.__doc__):
         listed = re.search(r"Exit codes:([^.]*)\.", text).group(1)
         assert {int(c) for c in re.findall(r"\b(\d+) [a-z]", listed)} == codes
+
+
+def names_used(path) -> set:
+    """Names and attributes a module reads, each top-level definition's own
+    name excluded inside its body."""
+    used = set()
+    for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+        for node in ast.walk(stmt):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name and name != getattr(stmt, "name", None):
+                used.add(name)
+    return used
+
+
+def test_every_export_has_a_user():
+    # A public name that only the tests use belongs in the tests.
+    root = Path(__file__).parents[1]
+    package = root / "src" / "kellylab"
+    exported = [alias.asname or alias.name
+                for stmt in ast.parse((package / "__init__.py").read_text(encoding="utf-8")).body
+                if isinstance(stmt, ast.ImportFrom) for alias in stmt.names]
+    used = set().union(*(names_used(path) for path in package.glob("*.py")
+                         if path.name != "__init__.py"),
+                       names_used(root / "tests" / "test_acceptance.py"))
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    assert [name for name in exported
+            if name not in used and not re.search(rf"\b{name}\b", readme)] == []
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ from kellylab import (ConstraintSpec, EnumerationBudgetError, GambleModel, Monte
                       expected_drawdown_mc, expected_log_complementary, independent_join,
                       is_feasible, log_growth, make_coin, maximize_growth,
                       maximize_growth_constrained, mean_se, sample_indices,
-                      sample_path_indices, wealth_factors, write_level_set_csv)
-from kellylab.config import GRID_STEP, REFINE_TOL
+                      sample_path_indices, write_level_set_csv)
+from kellylab.config import FEAS_TOL, GRID_STEP, REFINE_TOL
 
 EVEN9 = make_coin(1.0, -1.0, 0.9)
 SKEWED = make_coin(0.15, -0.95, 0.95)
@@ -67,12 +67,48 @@ def path_values(model, k, column):
 
 
 def mean_se_oracle(samples):
-    """(mean, standard error) of a 1-D sample, computed on its own: the
-    single-sample mean_se from before it became a row of _row_mean_se."""
+    """(mean, standard error) of a 1-D sample, computed on its own."""
     n = samples.size
     est = float(samples.mean())
     se = float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return est, se
+
+
+def allocation_oracle(k, n):
+    """One betting fraction as a length-n float vector, or the dimension error."""
+    arr = np.atleast_1d(np.asarray(k, dtype=float))
+    if arr.ndim != 1 or arr.size != n:
+        raise ValueError(f"allocation has dimension {arr.size}, model has {n} assets")
+    return arr
+
+
+def wealth_factors(model, k):
+    """Per-atom wealth multipliers max(1 + k'x, 0) of one allocation."""
+    kv = allocation_oracle(k, model.n_assets)
+    return np.maximum(1.0 + model.xs @ kv, 0.0)
+
+
+def is_feasible_oracle(k, model):
+    """k >= 0, sum(k) <= 1 and min over atoms of 1 + k'x >= 0 (all within
+    FEAS_TOL), checked one condition at a time for one allocation."""
+    kv = allocation_oracle(k, model.n_assets)
+    if np.any(kv < -FEAS_TOL):
+        return False
+    if float(kv.sum()) > 1.0 + FEAS_TOL:
+        return False
+    return float(np.min(1.0 + model.xs @ kv)) >= -FEAS_TOL
+
+
+def log_growth_oracle(k, model):
+    """g(K) of one allocation on a path of its own: its feasibility check,
+    one matvec, then -inf or the log and the dot."""
+    kv = allocation_oracle(k, model.n_assets)
+    if not is_feasible_oracle(kv, model):
+        raise ValueError(f"allocation {kv!r} is infeasible for this model")
+    f = 1.0 + model.xs @ kv
+    if np.any(f <= 0.0):
+        return -math.inf
+    return float(model.probs @ np.log(f))
 
 
 def dbar_of_values(values):
@@ -236,6 +272,9 @@ def test_enumeration_budget_enforced():
 def test_mc_zero_bet_is_exactly_zero():
     est, se = expected_drawdown_mc(SKEWED, 0.0, 100, 500, seed=0)
     assert est == 0.0 and se == 0.0
+    # A batch gives one (estimate, std_error) per row.
+    assert expected_drawdown_mc(SKEWED, [[0.0], [0.5]], 100, 500, seed=0) == [
+        (est, se), expected_drawdown_mc(SKEWED, 0.5, 100, 500, seed=0)]
 
 
 def test_mc_matches_exact_within_three_sigma():
@@ -501,13 +540,13 @@ def test_batch_rejects_infeasible_row():
        rows=st.lists(st.lists(st.floats(-0.1, 1.1), min_size=3, max_size=3),
                      min_size=1, max_size=8))
 def test_checked_factors_rows_equal_wealth_factors(atoms, n_assets, rows):
-    # Feasibility is judged for the whole batch at once, by is_feasible's
+    # Feasibility is judged for the whole batch at once, by the oracle's
     # rule; the first infeasible row is named with the single-row message.
     from kellylab import drawdown
     model = GambleModel(xs=np.array(atoms)[:, :n_assets],
                         probs=np.full(len(atoms), 1 / len(atoms)))
     ks = np.array(rows)[:, :n_assets]
-    bad = [kv for kv in ks if not is_feasible(kv, model)]
+    bad = [kv for kv in ks if not is_feasible_oracle(kv, model)]
     if bad:
         with pytest.raises(ValueError) as err:
             drawdown._checked_factors(model, ks)
@@ -531,6 +570,41 @@ def test_checked_factors_rows_are_bitwise_single_matvecs(n_assets):
         assert np.array_equal(row, wealth_factors(model, kv))
 
 
+@settings(max_examples=150, deadline=None)
+@given(atoms=st.lists(st.lists(ATOM_COMPONENT, min_size=3, max_size=3), min_size=1, max_size=6),
+       n_assets=st.integers(1, 3),
+       rows=st.lists(st.lists(st.floats(-0.1, 1.1) | st.just(math.nan), min_size=1, max_size=4),
+                     min_size=1, max_size=6))
+def test_one_allocation_is_a_batch_of_one(atoms, n_assets, rows):
+    # An allocation may be infeasible, hold NaN or have the wrong dimension;
+    # one allocation and a batch of one take the same path, so they agree
+    # with the single-allocation oracles bitwise, or raise the oracle's message.
+    from kellylab.gamble import _checked_factors
+    model = GambleModel(xs=np.array(atoms)[:, :n_assets],
+                        probs=np.full(len(atoms), 1 / len(atoms)))
+    for k in rows + [row[:n_assets] for row in rows if len(row) > n_assets]:
+        kv = np.array(k)
+        ones = [kv, list(k)] + ([k[0]] if len(k) == 1 else [])
+        try:
+            g, factors = log_growth_oracle(kv, model), wealth_factors(model, kv)
+        except ValueError as err:
+            for arg in ones + [kv[None]]:
+                for call in (lambda: log_growth(arg, model), lambda: _checked_factors(model, arg)):
+                    with pytest.raises(ValueError) as got:
+                        call()
+                    assert str(got.value) == str(err)
+            assert len(k) != n_assets or not is_feasible(kv, model)
+            continue
+        assert is_feasible(kv, model)
+        for arg in ones:
+            assert type(log_growth(arg, model)) is float
+            assert np.float64(log_growth(arg, model)).tobytes() == np.float64(g).tobytes()
+            assert _checked_factors(model, arg).tobytes() == factors.tobytes()
+        batch = log_growth(kv[None], model)
+        assert batch.shape == (1,) and batch.tobytes() == np.float64(g).tobytes()
+        assert _checked_factors(model, kv[None]).tobytes() == factors.tobytes()
+
+
 @pytest.mark.parametrize("spec", [ConstraintSpec(kind="expected", epsilon=0.2),
                                   ConstraintSpec(kind="probabilistic", epsilon=0.2, delta=0.1)],
                          ids=["expected", "probabilistic"])
@@ -542,10 +616,11 @@ def test_batched_statistics_equal_mean_se_per_row(spec, paths):
     idx = sample_path_indices(TWO_COINS, paths, 40, seed=4)
     stats = drawdown._batch_stats(TWO_COINS, spec, ks, idx)
     assert len(stats) == len(ks)
-    for kv, (est, se) in zip(ks, stats):
-        dbar = dbar_samples(TWO_COINS, kv, idx)
-        ref = mean_se_oracle(spec.samples(dbar))
-        assert (est, se) == ref and spec.statistic(dbar) == ref
+    dbars = [dbar_samples(TWO_COINS, kv, idx) for kv in ks]
+    refs = [mean_se_oracle(spec.samples(dbar)) for dbar in dbars]
+    assert stats == refs and spec.statistic(dbar_samples(TWO_COINS, ks, idx)) == refs
+    for dbar, (est, se), ref in zip(dbars, stats, refs):
+        assert spec.statistic(dbar) == ref and mean_se(spec.samples(dbar)) == ref
         assert type(est) is float and type(se) is float
 
 
@@ -567,6 +642,7 @@ def test_batched_surrogate_equals_expected_log_complementary(n_steps, exact):
     assert batch[0].value == -math.inf and batch[0].exact
     for kv, h in zip(ks, batch):
         assert h == expected_log_complementary(TWO_COINS, kv, n_steps, mc=mc)
+    assert expected_log_complementary(TWO_COINS, ks, n_steps, mc=mc) == batch
     assert [h.exact for h in batch[1:]] == [exact] * 5
     # A batch of ruinous rows needs no index matrix.
     ruinous = drawdown._log_complementary_batch(TWO_COINS, ks[:1], n_steps, None)
@@ -1078,6 +1154,24 @@ def test_membership_rules():
     dbar = np.array([1.0, 0.9, 0.6, 0.75])
     assert expected.statistic(dbar) == mean_se(1.0 - dbar)
     assert prob.statistic(dbar) == mean_se(np.array([1.0, 1.0, 0.0, 1.0]))
+
+
+def test_surrogate_statistic_is_mean_log_complement():
+    # P(D <= eps) of these paths is 2/3, but E[log(1 - D)] = -0.266 < log 0.8.
+    spec = ConstraintSpec(kind="surrogate", epsilon=0.2)
+    dbar = np.array([1.0, 0.5, 0.9])
+    est, se = spec.statistic(dbar)
+    assert (est, se) == mean_se_oracle(np.log(dbar))
+    assert est == pytest.approx(-0.2662, abs=1e-4) and not spec.contains(est)
+    # A ruined path is -inf, with no RuntimeWarning (pytest makes them errors).
+    assert spec.samples(np.array([0.0, 0.5]))[0] == -math.inf
+    assert spec.statistic(np.array([0.0, 0.5]))[0] == -math.inf
+    # The Monte Carlo surrogate estimate is this statistic of its paths.
+    mc = MonteCarloConfig(paths=300, seed=6)
+    idx = sample_path_indices(TWO_COINS, mc.paths, 12, mc.seed)
+    for kv in ([0.1, 0.2], [0.3, 0.05]):
+        h = expected_log_complementary(TWO_COINS, kv, 12, mc=mc)
+        assert (h.value, h.std_error) == spec.statistic(dbar_samples(TWO_COINS, kv, idx))
 
 
 @pytest.mark.parametrize("spec,boundary", [

@@ -156,6 +156,16 @@ def test_bad_date_rejected(tmp_path):
         load_prices(path)
 
 
+@pytest.mark.parametrize("date", ["20130103", "2013-W01-4"], ids=["basic-format", "iso-week"])
+def test_date_other_than_yyyy_mm_dd_rejected(tmp_path, date):
+    # Both name 2013-01-03, and date.fromisoformat parses both from Python 3.11 on.
+    path = tmp_path / "p.csv"
+    write_csv(path, ["date", "AAA"], [["2013-01-02", 100], [date, 101]])
+    with pytest.raises(PriceDataError) as info:
+        load_prices(path)
+    assert str(info.value) == f"unparseable date {date!r} at row 1 (need YYYY-MM-DD)"
+
+
 def test_date_only_file_rejected(tmp_path):
     path = tmp_path / "p.csv"
     write_csv(path, ["date"], [["2013-01-02"], ["2013-01-03"]])
