@@ -2,8 +2,8 @@
 
 Subcommands: optimize, drawdown, constrained, probe-convexity, adaptive,
 ingest. Every run is fully determined by its flags plus the seed; reports
-echo the configuration, and file outputs are byte-identical across repeated
-runs. Human tables go to stdout, machine output (CSV/JSON) to --out paths.
+echo the configuration once every flag has passed its range check, and file
+outputs are byte-identical across repeated runs. Human tables go to stdout, machine output (CSV/JSON) to --out paths.
 
 Exit codes: 0 success, 2 validation error, 3 numerical non-convergence.
 """
@@ -53,11 +53,17 @@ def _resolve_model(args) -> GambleModel:
     return model
 
 
-def _require_sizes(args) -> None:
-    """Reject --paths and --n below 1 before the report starts."""
-    for flag in ("paths", "n"):
-        if getattr(args, flag) < 1:
-            raise ModelValidationError(f"need --{flag} >= 1, got {getattr(args, flag)}")
+# dest -> (rule, test) of every int and float flag; ConstraintSpec checks
+# --eps and --delta. main() checks each flag a subcommand has before it
+# runs, so no report starts on a value out of range.
+_AT_LEAST_1 = (">= 1", lambda v: v >= 1)
+_FLAG_RANGES = {
+    **dict.fromkeys(("paths", "n", "k_grid", "pairs", "runs", "window"), _AT_LEAST_1),
+    "seed": (">= 0", lambda v: v >= 0),
+    "grid_resolution": (">= 20", lambda v: v >= 20),
+    "p_true": ("in (0, 1)", lambda v: 0.0 < v < 1.0),
+    "dt": ("> 0 and finite", lambda v: 0.0 < v < math.inf),
+}
 
 
 def _echo(args) -> None:
@@ -97,8 +103,6 @@ def _is_even_coin(model: GambleModel) -> bool:
 # ---------------------------------------------------------------------------
 
 def cmd_optimize(args) -> int:
-    if not args.dt > 0.0:
-        raise ModelValidationError("--dt must be positive")
     model = _resolve_model(args)
     _echo(args)
 
@@ -144,9 +148,6 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_drawdown(args) -> int:
-    _require_sizes(args)
-    if args.k_grid < 1:
-        raise ModelValidationError("--k-grid must be >= 1")
     model = _resolve_model(args)
     if model.n_assets != 1:
         raise ModelValidationError("drawdown sweep requires a 1-asset model")
@@ -204,9 +205,6 @@ def cmd_drawdown(args) -> int:
 
 
 def cmd_constrained(args) -> int:
-    _require_sizes(args)
-    if not args.dt > 0.0:
-        raise ModelValidationError("--dt must be positive")
     model = _resolve_model(args)
     spec = drawdown.ConstraintSpec(kind=args.kind, epsilon=args.eps, delta=args.delta)
     if args.kind != "surrogate" and model.n_assets > 2:
@@ -230,11 +228,6 @@ def cmd_constrained(args) -> int:
 
 
 def cmd_probe_convexity(args) -> int:
-    _require_sizes(args)
-    if args.pairs < 1:
-        raise ModelValidationError("--pairs must be >= 1")
-    if args.grid_resolution < 20:
-        raise ModelValidationError("--grid-resolution must be >= 20")
     model = _resolve_model(args)
     if model.n_assets != 2:
         raise ModelValidationError("probe-convexity requires a 2-asset model")
@@ -260,14 +253,8 @@ def cmd_probe_convexity(args) -> int:
 
 
 def cmd_adaptive(args) -> int:
-    if not 0.0 < args.p_true < 1.0:
-        raise ModelValidationError("--p-true must be in (0, 1)")
-    if args.window < 1:
-        raise ModelValidationError("--window must be >= 1")
     if args.window >= args.n:
         raise ModelValidationError("--window must be smaller than --n")
-    if args.runs < 1:
-        raise ModelValidationError("--runs must be >= 1")
     _echo(args)
     terminal, grand_sum, grand_count = [], 0.0, 0
     k_min, k_max = math.inf, -math.inf
@@ -293,10 +280,10 @@ def cmd_adaptive(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    _echo(args)
     symbols = args.symbols.split(",") if args.symbols else None
     table, report = load_prices(args.data, symbols=symbols)
     model = to_returns(table)
+    _echo(args)
     print(f"rows read:    {report.rows_read}")
     print(f"rows dropped: {len(report.dropped_rows)}"
           + (f" (indices {list(report.dropped_rows)})" if report.dropped_rows else ""))
@@ -391,6 +378,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag, (rule, ok) in _FLAG_RANGES.items():
+            if flag in args and not ok(getattr(args, flag)):
+                raise ModelValidationError(
+                    f"need --{flag.replace('_', '-')} {rule}, got {getattr(args, flag)}")
         return args.func(args)
     except (ModelValidationError, PriceDataError, drawdown.EnumerationBudgetError,
             approx.DegenerateModelError, ValueError, OSError) as exc:

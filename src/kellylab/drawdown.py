@@ -11,7 +11,8 @@
 * an empirical convexity probe for two-asset drawdown constraint sets.
 
 One allocation is a batch of one. log_growth, dbar_samples, enumerate_dbar,
-expected_drawdown_exact and expected_log_complementary take one allocation
+expected_drawdown_exact, expected_complementary_exact,
+drawdown_exceedance_exact and expected_log_complementary take one allocation
 or a (B, n_assets) batch; mean_se and ConstraintSpec.statistic take one
 sample or a (B, paths) block. Each has one path, on which one allocation or
 sample is a batch of one row, and returns that row's result on its own.
@@ -105,6 +106,13 @@ class EnumerationBudgetError(ValueError):
     """atom_count^N exceeds the exact-enumeration budget."""
 
 
+def _log_dbar(dbar: np.ndarray) -> np.ndarray:
+    """log(1 - D) = log(dbar) per path, -inf without a warning on a path
+    whose wealth reached 0 or underflowed to it."""
+    with np.errstate(divide="ignore"):
+        return np.log(dbar)
+
+
 @dataclass(frozen=True)
 class ConstraintSpec:
     """Drawdown constraint: E[D] <= eps, P(D <= eps) >= 1 - delta, or the
@@ -135,8 +143,7 @@ class ConstraintSpec:
             return 1.0 - dbar
         if self.kind == "probabilistic":
             return (dbar >= 1.0 - self.epsilon).astype(float)
-        with np.errstate(divide="ignore"):
-            return np.log(dbar)
+        return _log_dbar(dbar)
 
     def statistic(self, dbar: np.ndarray):
         """mean_se of the samples of per-path complementary drawdowns: E[D],
@@ -418,41 +425,41 @@ def _chunk_rows(model: GambleModel, n_steps: int) -> int:
     return max(1, _ENUM_CHUNK // model.n_atoms ** n_steps)
 
 
-def _enumerated_rows(model: GambleModel, ks, n_steps: int, reduce) -> list:
-    """[reduce(prob, dbar)] for each row of a (B, n_assets) batch.
+def _enumerated_rows(model: GambleModel, k, n_steps: int, reduce):
+    """reduce(prob, dbar) of one allocation, or a list of them, one per row,
+    for a (B, n_assets) batch.
 
     The rows go through enumerate_dbar in chunks of about _ENUM_CHUNK
     sequences, one chunk call at a time, so no call holds every row.
     """
     require_enumerable(model, n_steps)
+    ks = np.atleast_2d(k)
     step = _chunk_rows(model, n_steps)
     out = []
     for lo in range(0, len(ks), step):
         prob, dbar = enumerate_dbar(model, ks[lo:lo + step], n_steps)
         out += [reduce(prob, row) for row in dbar]
         del dbar   # free this chunk before the next one is enumerated
-    return out
+    return out if np.ndim(k) == 2 else out[0]
 
 
 def expected_drawdown_exact(model: GambleModel, k, n_steps: int):
     """Probability-weighted E[D] over all outcome sequences: a float for one
     allocation, or a list of floats for a (B, n_assets) batch."""
-    ed = _enumerated_rows(model, np.atleast_2d(k), n_steps,
-                          lambda prob, dbar: float(prob @ (1.0 - dbar)))
-    return ed if np.ndim(k) == 2 else ed[0]
+    return _enumerated_rows(model, k, n_steps, lambda prob, dbar: float(prob @ (1.0 - dbar)))
 
 
-def expected_complementary_exact(model: GambleModel, k, n_steps: int) -> float:
-    """Probability-weighted E[1 - D]."""
-    prob, dbar = enumerate_dbar(model, k, n_steps)
-    return float(prob @ dbar)
+def expected_complementary_exact(model: GambleModel, k, n_steps: int):
+    """Probability-weighted E[1 - D]: a float, or a list for a batch."""
+    return _enumerated_rows(model, k, n_steps, lambda prob, dbar: float(prob @ dbar))
 
 
-def drawdown_exceedance_exact(model: GambleModel, k, n_steps: int, threshold: float) -> float:
+def drawdown_exceedance_exact(model: GambleModel, k, n_steps: int, threshold: float):
     """Exact P(D >= threshold), classified in complementary space for float
-    consistency with the Monte Carlo estimators."""
-    prob, dbar = enumerate_dbar(model, k, n_steps)
-    return float(prob[dbar <= 1.0 - threshold].sum())
+    consistency with the Monte Carlo estimators: a float, or a list for a
+    batch."""
+    return _enumerated_rows(model, k, n_steps,
+                            lambda prob, dbar: float(prob[dbar <= 1.0 - threshold].sum()))
 
 
 def expected_log_complementary(model: GambleModel, k, n_steps: int,
@@ -460,35 +467,35 @@ def expected_log_complementary(model: GambleModel, k, n_steps: int,
     """E[log(1 - D)]: exact by enumeration when it fits ENUM_BUDGET, otherwise a
     flagged Monte Carlo estimate. -inf whenever ruin has positive probability.
     A (B, n_assets) batch gives a list of estimates, one per row."""
-    h = _log_complementary_batch(
-        model, np.atleast_2d(k), n_steps,
-        lambda: sample_path_indices(model, mc.paths, n_steps, mc.seed))
-    return h if np.ndim(k) == 2 else h[0]
+    return _log_complementary_batch(
+        model, k, n_steps, lambda: sample_path_indices(model, mc.paths, n_steps, mc.seed))
 
 
-def _log_complementary_batch(model, ks, n_steps, crn) -> list:
-    """[LogDrawdownEstimate] of E[log(1 - D)] for each row of a (B, n_assets)
-    batch; crn() gives the Monte Carlo fallback's index matrix.
+def _log_complementary_batch(model, k, n_steps, crn):
+    """LogDrawdownEstimate of E[log(1 - D)] for one allocation, or a list of
+    them, one per row, for a (B, n_assets) batch; crn() gives the Monte Carlo
+    fallback's index matrix.
 
     A row with a zero wealth factor is -inf. Otherwise, when the sequences
     fit ENUM_BUDGET the rows are enumerated in bounded chunks, one
     enumerate_dbar call per chunk; when they do not, every row goes through
     one kernel call on crn(). crn() is called only when some row needs it.
     """
+    ks = np.atleast_2d(k)
     ruinous = _checked_factors(model, ks).min(axis=1) <= 0.0
     # Some atom wipes the account; that sequence has positive mass.
     out = [LogDrawdownEstimate(value=-math.inf, exact=True)] * len(ruinous)
     live = np.flatnonzero(~ruinous)
     if _enumerable(model, n_steps):
         values = _enumerated_rows(model, ks[live], n_steps,
-                                  lambda prob, dbar: float(prob @ np.log(dbar)))
+                                  lambda prob, dbar: float(prob @ _log_dbar(dbar)))
         for i, value in zip(live, values):
             out[i] = LogDrawdownEstimate(value=value, exact=True)
     elif live.size:
-        logs = np.log(dbar_samples(model, ks[live], crn()))
+        logs = _log_dbar(dbar_samples(model, ks[live], crn()))
         for i, (est, se) in zip(live, mean_se(logs)):
             out[i] = LogDrawdownEstimate(value=est, exact=False, std_error=se)
-    return out
+    return out if np.ndim(k) == 2 else out[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """CLI subcommands: reports, file outputs, determinism, exit codes."""
 
+import argparse
 import ast
 import json
 import re
@@ -264,13 +265,39 @@ def test_zero_paths_is_validation_error(capsys, argv, size):
      "--n", "20", "--paths", "100", "--dt", "0"),
     ("constrained", "--coin", "1,-1,0.9", "--kind", "surrogate", "--eps", "0.3",
      "--n", "10", "--dt", "-0.5"),
+    ("drawdown", "--coin", "1,-1,0.9", "--n", "10", "--paths", "100", "--seed", "-1"),
+    ("probe-convexity", "--coin", "1,-1,0.9", "--coin2", "1,-1,0.8", "--n", "10",
+     "--paths", "100", "--seed", "-1"),
+    ("constrained", "--coin", "0.15,-0.95,0.95", "--kind", "expected", "--eps", "0.2",
+     "--n", "20", "--paths", "100", "--seed", "-1"),
+    # 2^10 sequences: the surrogate is enumerated and never samples a path.
+    ("constrained", "--coin", "1,-1,0.9", "--kind", "surrogate", "--eps", "0.3",
+     "--n", "10", "--seed", "-1"),
+    ("adaptive", "--n", "100", "--window", "10", "--seed", "-1"),
+    ("optimize", "--coin", "1,-1,0.6", "--dt", "inf"),
+    ("constrained", "--coin", "0.15,-0.95,0.95", "--kind", "expected", "--eps", "0.2",
+     "--n", "20", "--paths", "100", "--dt", "inf"),
 ], ids=["k-grid-0", "k-grid-negative", "pairs-0", "pairs-negative", "optimize-dt-0",
-        "optimize-dt-negative", "constrained-dt-0", "constrained-surrogate-dt-negative"])
+        "optimize-dt-negative", "constrained-dt-0", "constrained-surrogate-dt-negative",
+        "drawdown-seed-negative", "probe-convexity-seed-negative",
+        "constrained-seed-negative", "constrained-surrogate-enumerable-seed-negative",
+        "adaptive-seed-negative", "optimize-dt-inf", "constrained-dt-inf"])
 def test_sizes_without_data_are_rejected_before_the_report(capsys, argv):
-    flag = next(a for a in argv if a in ("--k-grid", "--pairs", "--dt"))
+    flag = next(a for a in argv if a in ("--k-grid", "--pairs", "--dt", "--seed"))
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and flag in err
     assert "config:" not in out
+
+
+def test_every_numeric_flag_has_a_range():
+    # main() checks each range before a subcommand echoes its config, so a
+    # number flag with no range could start a report that then exits 2.
+    # ConstraintSpec checks --eps and --delta before the echo.
+    subparsers = next(action for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    numeric = {action.dest for sub in subparsers.choices.values() for action in sub._actions
+               if action.type in (int, float)}
+    assert set(cli._FLAG_RANGES) == numeric - {"eps", "delta"}
 
 
 # ---------------------------------------------------------------------------
@@ -349,3 +376,13 @@ def test_ingest_writes_loadable_model(capsys, tmp_path):
 def test_ingest_missing_file_is_validation_error(capsys):
     code, _, err = run_cli(capsys, "ingest", "--data", "/nonexistent.csv")
     assert code == 2
+
+
+@pytest.mark.parametrize("text", ["", "date,AAA\n2013-01-01,100.0\n"],
+                         ids=["empty-file", "one-row"])
+def test_ingest_bad_data_is_rejected_before_the_report(capsys, tmp_path, text):
+    csv_path = tmp_path / "prices.csv"
+    csv_path.write_text(text)
+    code, out, err = run_cli(capsys, "ingest", "--data", str(csv_path))
+    assert code == 2 and err.startswith("error: ")
+    assert out == ""

@@ -456,6 +456,45 @@ def test_batched_enumeration_rows_equal_single_calls_and_loop(atoms, coin2, frac
         assert np.array_equal(single_prob, prob) and np.array_equal(prob, ref_prob)
 
 
+@settings(max_examples=40, deadline=None)
+@given(coin=st.tuples(ATOM_COMPONENT, ATOM_COMPONENT, st.floats(0.05, 0.95)),
+       coin2=st.one_of(st.none(), st.tuples(ATOM_COMPONENT, ATOM_COMPONENT,
+                                            st.floats(0.05, 0.95))),
+       fractions=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                          min_size=1, max_size=8),
+       n=st.integers(1, 8), threshold=st.floats(0.0, 1.0))
+def test_exact_statistics_of_a_batch_equal_single_calls(coin, coin2, fractions, n, threshold):
+    # A random coin, or its join with a second one; (a, (1 - a) c) is a
+    # feasible 2-asset allocation. Row b of a batch is bitwise the call for
+    # k[b] alone, for every exact statistic and the surrogate.
+    def as_coin(c):
+        return GambleModel(xs=[[c[0]], [c[1]]], probs=[c[2], 1.0 - c[2]])
+
+    model = as_coin(coin)
+    if coin2 is None:
+        ks = np.array([[a] for a, _ in fractions])
+    else:
+        model = independent_join(model, as_coin(coin2))
+        ks = np.array([[a, (1.0 - a) * c] for a, c in fractions])
+    for stat in (expected_drawdown_exact, expected_complementary_exact,
+                 lambda m, k, n: drawdown_exceedance_exact(m, k, n, threshold),
+                 expected_log_complementary):
+        batch = stat(model, ks, n)
+        singles = [stat(model, kv, n) for kv in ks]
+        assert batch == singles
+        assert [np.float64(getattr(v, "value", v)).tobytes() for v in batch] == \
+            [np.float64(getattr(v, "value", v)).tobytes() for v in singles]
+
+
+def test_log_complementary_underflow_is_minus_inf_without_a_warning():
+    # No atom is -1, but 0.001^n underflows to 0 on a long losing run; the
+    # surrogate's log is -inf there, and pytest turns a RuntimeWarning into
+    # an error.
+    res = expected_log_complementary(make_coin(1.0, -0.999, 0.5), 1.0, 252,
+                                     mc=MonteCarloConfig(paths=200, seed=1))
+    assert res.value == -math.inf and not res.exact
+
+
 @pytest.mark.parametrize("model,n", [(SKEWED, 13), (SKEWED, 16), (FOUR_ATOMS, 7)],
                          ids=["2-atom-chunks", "2-atom-row-per-chunk", "4-atom"])
 def test_batched_exact_column_equals_single_calls(model, n):
