@@ -64,14 +64,23 @@ def run_adaptive(p_true: float, n_steps: int, window: int, seed: int = 0) -> Ada
     return AdaptiveRun(estimates=p_hats, fractions=fractions, path=path, window=window)
 
 
+def _reprs(a: np.ndarray) -> list:
+    """repr(float(v)) of every element of the float array a.
+
+    Each distinct value is formatted once. Values are told apart by their
+    bits, so -0.0 and 0.0 keep their own repr.
+    """
+    bits, where = np.unique(np.ascontiguousarray(a, dtype=np.float64).view(np.int64),
+                            return_inverse=True)
+    text = [repr(v) for v in bits.view(np.float64).tolist()]
+    return [text[i] for i in where.tolist()]
+
+
 def trace_rows(run: AdaptiveRun):
-    """Per-step rows (k, outcome, p_hat, k_hat, wealth); p_hat blank in training."""
-    x = run.path.outcomes[:, 0]
-    values = run.path.values
-    for k in range(x.size):
-        if k < run.window:
-            p_str, k_hat = "", 0.0
-        else:
-            p_str = repr(float(run.estimates[k - run.window]))
-            k_hat = float(run.fractions[k - run.window])
-        yield (k, repr(float(x[k])), p_str, repr(k_hat), repr(float(values[k + 1])))
+    """Per-step rows (k, outcome, p_hat, k_hat, wealth); p_hat blank and
+    k_hat 0.0 in training."""
+    n, w = run.path.outcomes.shape[0], run.window
+    return zip(range(n), _reprs(run.path.outcomes[:, 0]),
+               [""] * w + _reprs(run.estimates),
+               _reprs(np.concatenate([np.zeros(w), run.fractions])),
+               _reprs(run.path.values[1:]))

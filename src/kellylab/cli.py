@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -267,8 +268,7 @@ def cmd_adaptive(args) -> int:
         k_max = max(k_max, float(run.fractions.max()))
         if args.out:
             path = f"{args.out}.run{i}.csv"
-            _write_csv(path, ["k", "outcome", "p_hat", "k_hat", "wealth"],
-                       list(trace_rows(run)))
+            _write_csv(path, ["k", "outcome", "p_hat", "k_hat", "wealth"], trace_rows(run))
     print(f"runs:                {args.runs}")
     print(f"mean p_hat:          {_fmt(grand_sum / grand_count)}")
     print(f"K_hat range:         [{_fmt(k_min)}, {_fmt(k_max)}]")
@@ -374,9 +374,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first main() call, not at import, and reused by every later
+# call in the process: parse_args leaves the parser as it found it.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         for flag, (rule, ok) in _FLAG_RANGES.items():
             if flag in args and not ok(getattr(args, flag)):

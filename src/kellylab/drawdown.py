@@ -73,7 +73,11 @@ minimum d <- min(d, r), in place or into given output arrays; Monte Carlo
 and enumeration both call it. Monte Carlo runs it over the step-major
 (n_steps, paths) CRN matrix of sample_path_indices, one contiguous row per
 step, in blocks of paths; the matrix is int8 for models of up to 128
-atoms. Enumeration forks every state once per atom at each step, writing
+atoms. Monte Carlo clamps r against a block of ones shaped like its factor
+block, since numpy's minimum of two arrays runs faster than its minimum
+against the scalar 1.0; enumeration clamps against the scalar, which is as
+fast on its strided slices. min is exact, so both give the same bits.
+Enumeration forks every state once per atom at each step, writing
 atom j's children into the strided slice [..., j] of a (B, K, m) array, so
 it needs no index rows and every numpy loop runs over the K states. The
 probability of each sequence is the running product of the model weights;
@@ -211,15 +215,17 @@ def coin_drawdown_probability(p: float, n_steps: int) -> float:
 # The recursion step, shared by Monte Carlo and enumeration
 # ---------------------------------------------------------------------------
 
-def _recursion_step(r: np.ndarray, d: np.ndarray, f: np.ndarray, out=None) -> None:
+def _recursion_step(r: np.ndarray, d: np.ndarray, f: np.ndarray, one, out=None) -> None:
     """One step of the recursion: r' <- min(1, r * f), d' <- min(d, r').
 
-    f is the step's factors, broadcast against r and d. out is the pair of
-    arrays (r', d') to write; by default the step runs in place on (r, d).
+    f is the step's factors, broadcast against r and d. one is the 1 of the
+    clamp: the scalar 1.0 or an array of ones shaped like r'. out is the
+    pair of arrays (r', d') to write; by default the step runs in place on
+    (r, d).
     """
     r_out, d_out = (r, d) if out is None else out
     np.multiply(r, f, out=r_out)
-    np.minimum(r_out, 1.0, out=r_out)
+    np.minimum(r_out, one, out=r_out)
     np.minimum(d, r_out, out=d_out)
 
 
@@ -289,14 +295,15 @@ def dbar_samples(model: GambleModel, k, indices: np.ndarray, screen=None) -> np.
     for start in range(0, n_steps, chunk):
         width = max(_MIN_BLOCK_PATHS, _BLOCK_ELEMENTS // max(live.size, 1))
         f = np.empty((min(width, n_paths), live.size))
+        ones = np.ones_like(f)
         for lo in range(0, n_paths, width):
             hi = min(lo + width, n_paths)
-            rb, db, fb = r[lo:hi], d[lo:hi], f[:hi - lo]
+            rb, db, fb, ob = r[lo:hi], d[lo:hi], f[:hi - lo], ones[:hi - lo]
             for t in range(start, min(start + chunk, n_steps), _SCREEN_STEPS):
                 # take() converts int8 indices on every call; convert a slab once.
                 for row in indices[t:t + _SCREEN_STEPS, lo:hi].astype(np.intp):
                     by_atom.take(row, axis=0, out=fb, mode="wrap")
-                    _recursion_step(rb, db, fb)
+                    _recursion_step(rb, db, fb, ob)
         if screen is not None and start + chunk < n_steps:
             keep = screen(d)
             if not keep.all():
@@ -413,7 +420,7 @@ def enumerate_dbar(model: GambleModel, k, n_steps: int) -> tuple:
         for lo in range(0, r.shape[1], tile):
             states = slice(lo, lo + tile)
             for j in range(m):
-                _recursion_step(r[:, states], d[:, states], factors[:, j:j + 1],
+                _recursion_step(r[:, states], d[:, states], factors[:, j:j + 1], 1.0,
                                 out=(r_next[:, states, j], d_next[:, states, j]))
         r, d = r_next.reshape(b, -1), d_next.reshape(b, -1)
     return _sequence_probs(model, n_steps), d if np.ndim(k) == 2 else d[0]

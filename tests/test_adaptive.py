@@ -1,12 +1,17 @@
 """The adaptive betting loop: sliding-window estimates, clamped fractions, paths."""
 
+import csv
+import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kellylab import run_adaptive
-from kellylab.adaptive import trace_rows
+from kellylab.adaptive import _reprs, trace_rows
+from kellylab.cli import main
 
 
 def estimate_p(outcomes, k, window):
@@ -15,6 +20,19 @@ def estimate_p(outcomes, k, window):
     if k < window or x.size < k:
         raise ValueError(f"no full window ends at step {k}")
     return float(np.count_nonzero(x[k - window:k] > 0.0)) / window
+
+
+def trace_rows_oracle(run):
+    """The per-cell trace writer: one repr per cell."""
+    x = run.path.outcomes[:, 0]
+    values = run.path.values
+    for k in range(x.size):
+        if k < run.window:
+            p_str, k_hat = "", 0.0
+        else:
+            p_str = repr(float(run.estimates[k - run.window]))
+            k_hat = float(run.fractions[k - run.window])
+        yield (k, repr(float(x[k])), p_str, repr(k_hat), repr(float(values[k + 1])))
 
 
 def windows(run):
@@ -178,3 +196,47 @@ def test_trace_rows_layout():
     k, outcome, p_hat, k_hat, wealth = rows[0]
     assert k == 0 and p_hat == "" and k_hat == "0.0"
     assert rows[50][2] != ""
+
+
+def test_reprs_format_each_value_as_its_own_repr():
+    # -0.0 and 0.0 compare equal but print differently; nan is unequal to itself.
+    x = 0.1 + 0.2
+    values = np.array([-0.0, 0.0, math.inf, math.nan, x, x, 5e-324, -math.inf])
+    assert _reprs(values) == [repr(float(v)) for v in values]
+    assert _reprs(values)[:2] == ["-0.0", "0.0"]
+
+
+@settings(max_examples=25, deadline=None)
+@given(p_true=st.floats(0.01, 0.99), n=st.integers(2, 20_000),
+       window_share=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_trace_rows_equal_the_per_cell_oracle(p_true, n, window_share, seed):
+    window = 1 + int(window_share * (n - 2))
+    with np.errstate(over="ignore"):    # wealth may overflow to inf
+        run = run_adaptive(p_true, n, window, seed=seed)
+    assert list(trace_rows(run)) == list(trace_rows_oracle(run))
+
+
+@pytest.mark.parametrize("p_true,n,window,last", [
+    (0.8, 20_000, 200, math.inf),
+    # Every step's factor is positive: wealth reaches 0 through subnormals.
+    (0.5, 50_000, 16, 0.0),
+], ids=["overflow-to-inf", "underflow-to-zero"])
+def test_trace_rows_equal_the_per_cell_oracle_at_the_float_limits(p_true, n, window, last):
+    with np.errstate(over="ignore"):
+        run = run_adaptive(p_true, n, window, seed=0)
+    assert run.path.values[-1] == last
+    assert np.all(1.0 + run.fractions * run.path.outcomes[window:, 0] > 0.0)
+    assert list(trace_rows(run)) == list(trace_rows_oracle(run))
+
+
+def test_adaptive_trace_file_is_the_oracle_rows_through_csv_writer(capsys, tmp_path):
+    code = main(["adaptive", "--p-true", "0.58", "--n", "3000", "--window", "40",
+                 "--runs", "2", "--seed", "3", "--out", str(tmp_path / "a")])
+    capsys.readouterr()
+    assert code == 0
+    for i in range(2):
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(["k", "outcome", "p_hat", "k_hat", "wealth"])
+        writer.writerows(trace_rows_oracle(run_adaptive(0.58, 3000, 40, seed=3 + i)))
+        assert (tmp_path / f"a.run{i}.csv").read_bytes() == buf.getvalue().encode()

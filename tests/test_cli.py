@@ -300,6 +300,57 @@ def test_every_numeric_flag_has_a_range():
     assert set(cli._FLAG_RANGES) == numeric - {"eps", "delta"}
 
 
+DRAWDOWN_EXACT = ("drawdown", "--coin", "1,-1,0.6", "--n", "10", "--paths", "200",
+                  "--k-grid", "5", "--exact", "--out", "dd")
+
+
+@pytest.mark.parametrize("calls,codes", [
+    ([("optimize", "--coin", "0.15,-0.95,0.95", "--out", "opt.json"),
+      DRAWDOWN_EXACT,
+      ("constrained", "--coin", "0.15,-0.95,0.95", "--kind", "expected", "--eps", "0.2",
+       "--n", "20", "--paths", "200"),
+      ("adaptive", "--n", "300", "--window", "20", "--runs", "2", "--out", "ad"),
+      ("ingest", "--data", "missing.csv"),
+      ("optimize", "--coin", "1,-1,0.6", "--format", "csv", "--out", "opt.csv")],
+     [0, 0, 0, 0, 2, 0]),
+    ([DRAWDOWN_EXACT, DRAWDOWN_EXACT[:-3]], [0, 0]),
+    ([("drawdown", "--paths", "abc"),
+      ("constrained", "--coin", "1,-1,0.6", "--eps", "0.2"),
+      ("nosuch",),
+      DRAWDOWN_EXACT[:-3],
+      ("constrained", "--coin", "1,-1,0.9", "--kind", "surrogate", "--eps", "0.3",
+       "--n", "10")],
+     [2, 2, 2, 0, 0]),
+], ids=["across-subcommands", "exact-then-plain", "after-argparse-errors"])
+def test_one_parser_per_process_answers_as_a_fresh_one(capsys, monkeypatch, tmp_path,
+                                                        calls, codes):
+    # main() reuses one parser; each call gives the exit code, output and
+    # files of a call through a parser built for it alone.
+    monkeypatch.chdir(tmp_path)
+
+    def run_all():
+        results = []
+        for argv in calls:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:   # argparse's own errors
+                code = exc.code
+            files = {p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())}
+            for p in tmp_path.iterdir():
+                p.unlink()
+            results.append((code, *capsys.readouterr(), files))
+        return results
+
+    reused = run_all()
+    assert cli._parser() is cli._parser()
+    assert [code for code, *_ in reused] == codes
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert run_all() == reused
+    if calls[-2:] == [DRAWDOWN_EXACT, DRAWDOWN_EXACT[:-3]]:
+        # --exact does not stick: the plain sweep has no exact column.
+        assert "exact=False" in reused[-1][1] and "exact\n" not in reused[-1][1]
+
+
 # ---------------------------------------------------------------------------
 # probe-convexity
 # ---------------------------------------------------------------------------

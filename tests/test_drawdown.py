@@ -895,6 +895,82 @@ def test_screen_that_drops_every_row_stops_the_kernel():
     assert seen == [(300, 2)]
 
 
+def dbar_samples_scalar_clamp(model, ks, indices, screen=None):
+    """The blocked kernel as it was when it clamped r against the scalar 1.0:
+    the oracle for the kernel that clamps against a block of ones."""
+    factors = np.array([wealth_factors(model, kv) for kv in ks])
+    n_steps, n_paths = indices.shape
+    by_atom = np.ascontiguousarray(factors.T)
+    live = np.arange(factors.shape[0])
+    r = np.ones((n_paths, live.size))
+    d = np.ones((n_paths, live.size))
+    chunk = 8 if screen is not None else max(n_steps, 1)
+    for start in range(0, n_steps, chunk):
+        width = max(256, 32_768 // max(live.size, 1))
+        f = np.empty((min(width, n_paths), live.size))
+        for lo in range(0, n_paths, width):
+            hi = min(lo + width, n_paths)
+            rb, db, fb = r[lo:hi], d[lo:hi], f[:hi - lo]
+            for t in range(start, min(start + chunk, n_steps), 8):
+                for row in indices[t:t + 8, lo:hi].astype(np.intp):
+                    by_atom.take(row, axis=0, out=fb, mode="wrap")
+                    np.multiply(rb, fb, out=rb)
+                    np.minimum(rb, 1.0, out=rb)
+                    np.minimum(db, rb, out=db)
+        if screen is not None and start + chunk < n_steps:
+            keep = screen(d)
+            if not keep.all():
+                live, by_atom = live[keep], by_atom.compress(keep, axis=1)
+                r, d = r.compress(keep, axis=1), d.compress(keep, axis=1)
+                if not live.size:
+                    break
+    dbar = np.full((factors.shape[0], n_paths), np.nan)
+    dbar[live] = d.T
+    return dbar
+
+
+def assert_kernel_equals_scalar_clamp(model, ks, idx, seed):
+    # The screen keeps a random share of the live rows after each chunk; it
+    # sees the same running minima in the same calls on both sides.
+    assert np.array_equal(dbar_samples(model, ks, idx),
+                          dbar_samples_scalar_clamp(model, ks, idx), equal_nan=True)
+    seen = [[], []]
+    for calls, kernel in zip(seen, (dbar_samples, dbar_samples_scalar_clamp)):
+        rng = np.random.default_rng(seed)
+
+        def screen(d, calls=calls, rng=rng):
+            calls.append(d.copy())
+            return rng.random(d.shape[1]) < 0.7
+
+        calls.append(kernel(model, ks, idx, screen=screen))
+    assert len(seen[0]) == len(seen[1])
+    assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(*seen))
+
+
+@settings(max_examples=40, deadline=None)
+@given(atoms=st.lists(st.tuples(ATOM_COMPONENT, st.floats(0.05, 1.0)), min_size=2, max_size=5),
+       rows=st.integers(1, 300), paths=st.integers(1, 700), n_steps=st.integers(1, 30),
+       seed=st.integers(0, 2**16))
+def test_kernel_equals_scalar_clamp_loop_bitwise(atoms, rows, paths, n_steps, seed):
+    # 1-300 rows: from 128 rows on, the block width is the 256-path floor;
+    # most path counts are not a multiple of the width. Rows 0 and 1 bet
+    # nothing and everything.
+    model = _one_asset_model(atoms)
+    ks = np.random.default_rng(seed).random((rows, 1))
+    ks[:2] = [[0.0], [1.0]][:rows]
+    idx = sample_path_indices(model, paths, n_steps, seed)
+    assert_kernel_equals_scalar_clamp(model, ks, idx, seed)
+
+
+def test_kernel_equals_scalar_clamp_loop_on_int16_indices():
+    # 130 atoms take int16 indices.
+    xs = np.linspace(-0.9, 0.9, 130)[:, None]
+    model = GambleModel(xs=xs, probs=np.full(130, 1.0 / 130))
+    idx = sample_path_indices(model, 1000, 20, seed=4)
+    assert idx.dtype == np.int16
+    assert_kernel_equals_scalar_clamp(model, np.linspace(0.0, 1.0, 21)[:, None], idx, 4)
+
+
 COIN = st.builds(lambda win, loss, p: make_coin(win, -loss, p),
                  st.floats(0.05, 2.0), st.floats(0.05, 1.0), st.floats(0.05, 0.95))
 
@@ -975,9 +1051,9 @@ def test_screen_cuts_grid_refine_work_by_more_than_half(monkeypatch):
     step = drawdown._recursion_step
     work = []
 
-    def counting(r, d, f, out=None):
+    def counting(r, d, f, one, out=None):
         work[-1] += r.size
-        step(r, d, f, out)
+        step(r, d, f, one, out)
 
     monkeypatch.setattr(drawdown, "_recursion_step", counting)
     runs = []
