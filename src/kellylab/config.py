@@ -10,8 +10,8 @@ SCREEN_MARGIN = 1e-9        # partial slack below -this stops a Monte Carlo row 
 RUIN_EPS = 1e-12            # wealth factor below this is treated as the ruin boundary
 ENUM_BUDGET = 10**6         # max outcome sequences for exact enumeration
 DEFAULT_DT_YEARS = 1.0 / 252.0   # daily betting
-GRID_STEP = 1e-2            # coarse fraction grid for constrained searches
-REFINE_TOL = 1e-4           # bracket width for boundary refinement
+GRID_STEP = 0.02            # simplex grid step of the two-asset constrained search
+REFINE_TOL = 1e-4           # bracket width of the constrained searches' ray bisection
 MAX_OPT_ITER = 10**5        # projected-ascent iteration budget
 OPT_TOL = 1e-8              # projected-gradient and flat-objective tolerance of the optimizer
 OBJ_FLAT_WINDOW = 5         # iterations of flat objective required for convergence

@@ -35,8 +35,16 @@ through one kernel call, reducing the (B, paths) samples once along axis 1;
 a surrogate that fits the enumeration budget is enumerated in bounded chunks
 of rows, and a ruinous allocation is -inf.
 
+Every constraint set is star-shaped about K = 0. Along a ray K = t * u,
+each segment's sum of log(1 + t * u'x) is concave in t and 0 at t = 0; a
+path's log(1 - D), the minimum of these sums and 0, is then concave, 0 at
+t = 0 and <= 0, so it never rises as t grows, nor do E[1 - D], P(D <= eps)
+and E[log(1 - D)]. The admitted t of a ray form one interval [0, rho], and
+since g is concave along the ray, its best admitted point is
+t = min(rho, peak), where peak maximizes g on the ray: bisection on t finds it.
+
 Every constrained search stops estimating once its answer is fixed, and
-the answer is the one a check of every candidate would give. A grid search
+the answer is the one a check of every candidate would give. The grid walk
 computes g at every grid point in one batched log_growth call and checks
 the points in falling order of g, sorted stably, in chunks; it stops at
 the first chunk that holds a feasible point. That point has no feasible
@@ -103,7 +111,8 @@ import numpy as np
 
 from .config import ASCENT_MAX_ITER, ENUM_BUDGET, GRID_STEP, REFINE_TOL, SCREEN_MARGIN
 from .gamble import GambleModel, _checked_factors, sample_indices
-from .growth import growth_gradient, log_growth, maximize_growth, project_allocation
+from .growth import (_bisect, _maximize_1d, growth_gradient, log_growth, maximize_growth,
+                     project_allocation)
 
 
 class EnumerationBudgetError(ValueError):
@@ -560,7 +569,8 @@ class _ConstraintEvaluator:
     allocations, estimating the new ones together: in one kernel call on the
     CRN matrix, or, for a surrogate whose sequences fit ENUM_BUDGET, by
     enumerating them in bounded chunks. Both give (ok, estimate, std_error).
-    The surrogate's estimate is E[log(1 - D)] with std_error None. An
+    The surrogate's estimate is E[log(1 - D)], with the Monte Carlo
+    std_error, or None when it is enumerated; its rule ignores std_error. An
     expected or probabilistic row stops as soon as its partial statistic
     proves it infeasible, and is (False, None, None); estimate() gives such
     an allocation its full estimate. The CRN index matrix is sampled on
@@ -588,7 +598,7 @@ class _ConstraintEvaluator:
         if new:
             batch = np.array(list(new.values()))
             if self.spec.kind == "surrogate":
-                stats = [(h.value, None) for h in _log_complementary_batch(
+                stats = [(h.value, h.std_error) for h in _log_complementary_batch(
                     self.model, batch, self.n_steps, lambda: self.indices)]
             else:
                 stats = _batch_stats(self.model, self.spec, batch, self.indices, screened=True)
@@ -610,15 +620,15 @@ class _ConstraintEvaluator:
         return ok, est, se
 
 
-# Grid points in one evaluate.batch of a grid search: one kernel call per
+# Grid points in one evaluate.batch of the grid walk: one kernel call per
 # chunk, and a chunk is checked only if every point before it was infeasible.
-# Of 16, 32, 64 and 128, 64 gave the fastest 1- and 2-asset searches.
+# Of 16, 32, 64 and 128, 64 gave the fastest searches.
 _GRID_CHUNK = 64
 
 
 def _best_feasible(evaluate, points, g):
     """Index of the feasible point of largest g among the (P, n_assets)
-    points, the first in scan order on a tie. Every grid holds K = 0, and
+    points, the first in scan order on a tie. The grid holds K = 0, and
     every expected or probabilistic constraint admits it (E[D] = 0, or
     P(D <= eps) = 1 with std_error 0), so some point is feasible.
 
@@ -637,62 +647,51 @@ def _best_feasible(evaluate, points, g):
                 return int(i)
 
 
-def _bisect(evaluate, lo, hi, tol):
-    """One asset: the last feasible fraction of the bisection of [lo, hi]
-    down to width tol, where lo is feasible; each midpoint replaces the end
-    that shares its verdict."""
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if evaluate(np.array([mid]))[0]:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def _simplex_grid(axis) -> np.ndarray:
     """(P, 2) points of axis x axis with k1 + k2 <= 1, k1 then k2 ascending.
     Every atom is >= -1, so every point is a feasible allocation."""
     return np.array([[k1, k2] for k1 in axis for k2 in axis if k1 + k2 <= 1.0 + 1e-12])
 
 
-def _grid_refine(model, evaluate, unconstrained):
-    """One asset: best feasible point of the coarse grid, then bisection
-    toward its infeasible neighbour on the ascending-growth side. The first
-    best point wins a tie.
+def _ray_best(model, evaluate, k_lo, u, tol):
+    """(K, g) of the best admitted point of the ray t * u, sum(u) = 1, past
+    its admitted point k_lo (see the module docstring): the ray's growth
+    peak if it is admitted, else the bisection of [sum(k_lo), peak] to width
+    tol. k_lo is kept when no farther point is admitted or has a larger g."""
+    lo, g_lo = float(k_lo.sum()), log_growth(k_lo, model)
+    peak, _ = _maximize_1d(model.xs @ u, model.probs)
+    if evaluate(peak * u)[0]:
+        t = peak
+    else:
+        t, _, _ = _bisect(lambda s: evaluate(s * u)[0], lo, peak, tol)
+    k = t * u
+    g = log_growth(k, model)
+    return (k, g) if t != lo and g > g_lo else (k_lo, g_lo)
 
-    The grid points are checked by falling g, so the search estimates no
-    point of lower g than the answer (see _best_feasible). The right
-    neighbour matters only when the answer lies below k_un, and only then is
-    it checked; the bisection is the same.
+
+def _ray_search(model, evaluate):
+    """Best admitted point of one ray, for every constraint kind on one
+    asset and for the expected and probabilistic kinds on two.
+
+    One asset: the ray u = 1, bisected on [0, k_un] to width REFINE_TOL, or
+    REFINE_TOL * 1e-2 for the surrogate (<kind>-bisect). Its peak is k_un,
+    which was judged outside the set already, so checking it is a memo hit.
+
+    Two assets: the ray through the best admitted point k_g of the simplex
+    grid of step GRID_STEP (see _best_feasible), bisected on
+    [sum(k_g), peak] to width REFINE_TOL (grid-ray). k_g = 0 has no ray and
+    is the answer.
     """
-    k_un = float(unconstrained.k_star[0])
-    grid = np.linspace(0.0, 1.0, int(round(1.0 / GRID_STEP)) + 1)
-    points = grid[:, None]
-    i_best = _best_feasible(evaluate, points, log_growth(points, model))
-    lo = grid[i_best]
-    if i_best + 1 < grid.size and lo < k_un and not evaluate(grid[i_best + 1:i_best + 2])[0]:
-        lo = _bisect(evaluate, lo, grid[i_best + 1], REFINE_TOL)
-    k = np.array([min(lo, k_un)])
-    return k, log_growth(k, model), "grid-refine", True
-
-
-def _grid_scan(model, evaluate, unconstrained):
-    """Two assets: best feasible point of the simplex grid. Its points are
-    listed in the order of a point-by-point scan, k1 then k2 ascending, and
-    checked by falling g (see _best_feasible), so the first best one wins a
-    tie and no point of lower g than the answer is estimated."""
-    points = _simplex_grid(np.arange(0.0, 1.0 + 1e-12, 2 * GRID_STEP))
-    g = log_growth(points, model)
-    best = _best_feasible(evaluate, points, g)
-    return points[best], float(g[best]), "grid-scan", True
-
-
-def _surrogate_bisect(model, evaluate, unconstrained):
-    """One asset: h is concave with h(0) = 0 > log(1 - eps), so the set it
-    admits on [0, k_un] is an interval starting at 0; bisect for its right end."""
-    k = np.array([_bisect(evaluate, 0.0, float(unconstrained.k_star[0]), REFINE_TOL * 1e-2)])
-    return k, log_growth(k, model), "surrogate-bisect", True
+    kind = evaluate.spec.kind
+    if model.n_assets == 1:
+        tol = REFINE_TOL * 1e-2 if kind == "surrogate" else REFINE_TOL
+        k, g = _ray_best(model, evaluate, np.zeros(1), np.ones(1), tol)
+        return k, g, f"{kind}-bisect", True
+    points = _simplex_grid(np.arange(0.0, 1.0 + 1e-12, GRID_STEP))
+    k = points[_best_feasible(evaluate, points, log_growth(points, model))]
+    s = k.sum()
+    k, g = _ray_best(model, evaluate, k, k / s, REFINE_TOL) if s > 0.0 else (k, 0.0)
+    return k, g, "grid-ray", True
 
 
 # Step sizes of the ascent's backtracking: 0.5, 0.25, ..., every halving above 1e-10.
@@ -702,7 +701,7 @@ _ASCENT_STEPS = [0.5 ** j for j in range(1, 34)]
 _LADDER_LEAD = 4
 
 
-def _surrogate_ascent(model, evaluate, unconstrained):
+def _surrogate_ascent(model, evaluate):
     """Ascent on g with a restoration step: shrink any step that leaves the
     surrogate-feasible region (which is convex, so shrinking works). h is
     -inf at any ruinous trial, so the constraint check also rejects those.
@@ -750,31 +749,22 @@ def maximize_growth_constrained(model: GambleModel, n_steps: int, spec: Constrai
 
     Every search checks the constraint through one _ConstraintEvaluator, and
     returns the unconstrained optimum when that lies inside the set.
-    Otherwise it searches by the constraint's kind and the number of assets:
-
-    * surrogate, one asset: bisection of [0, k_un] for the right end of the
-      set, an interval that starts at 0 (surrogate-bisect);
-    * surrogate, more assets: projected ascent on g whose steps shrink until
-      they stay in the set (surrogate-ascent); converged is False when it
-      stops at ASCENT_MAX_ITER iterations, and True for every other search;
-    * expected or probabilistic, one asset: the best feasible point of a
-      grid of step GRID_STEP on [0, 1], then bisection toward its
-      infeasible neighbour (grid-refine);
-    * expected or probabilistic, two assets: the best feasible point of the
-      simplex grid of step 2 * GRID_STEP (grid-scan). No convexity is
-      claimed for these sets, so no interior method is used.
-
-    Both grids hold K = 0, which every expected or probabilistic constraint
-    admits, so a grid search always returns a point. Raises ValueError when
-    n_steps < 1, or for an expected or probabilistic constraint on more than
-    two assets.
+    Otherwise a surrogate on two or more assets runs a projected ascent on g
+    whose steps shrink until they stay in the set (surrogate-ascent); its
+    converged is False when it stops at ASCENT_MAX_ITER iterations, and True
+    for every other search. Every other search bisects one ray from an
+    admitted point (see _ray_search): <kind>-bisect on one asset, grid-ray
+    on two. No convexity is claimed for the expected and probabilistic
+    sets, only that every set is star-shaped about K = 0. Raises ValueError
+    when n_steps < 1, or for an expected or probabilistic constraint on more
+    than two assets.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    if spec.kind == "surrogate":
-        search = _surrogate_bisect if model.n_assets == 1 else _surrogate_ascent
+    if spec.kind == "surrogate" and model.n_assets > 1:
+        search = _surrogate_ascent
     elif model.n_assets in (1, 2):
-        search = _grid_refine if model.n_assets == 1 else _grid_scan
+        search = _ray_search
     else:
         raise ValueError("Monte Carlo constrained search supports 1 or 2 assets")
     unconstrained = maximize_growth(model)
@@ -783,7 +773,7 @@ def maximize_growth_constrained(model: GambleModel, n_steps: int, spec: Constrai
         k, g, method, converged = (unconstrained.k_star, unconstrained.g_star,
                                    "unconstrained-feasible", True)
     else:
-        k, g, method, converged = search(model, evaluate, unconstrained)
+        k, g, method, converged = search(model, evaluate)
     _, est, se = evaluate.estimate(k)
     return ConstrainedResult(k, g, evaluate.evals, converged, method, est, se)
 

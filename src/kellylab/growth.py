@@ -76,32 +76,37 @@ def project_allocation(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def _maximize_1d(model: GambleModel) -> GrowthResult:
-    x = model.xs[:, 0]
-    p = model.probs
+def _bisect(keep_lo, lo: float, hi: float, tol: float) -> tuple:
+    """(lo, hi, steps) of the bisection of [lo, hi] down to width tol: each
+    midpoint replaces lo where keep_lo(midpoint) holds, and hi elsewhere."""
+    steps = 0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        steps += 1
+        if keep_lo(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi, steps
 
-    def deriv(kk: float) -> float:
-        f = 1.0 + kk * x
+
+def _maximize_1d(x: np.ndarray, p: np.ndarray) -> tuple:
+    """(t, iterations): the t in [0, 1] maximizing sum p * log(1 + t * x) for
+    a return column x, which may round below -1 on a ray through two
+    total-loss assets, and its weights p."""
+
+    def deriv(t: float) -> float:
+        f = 1.0 + t * x
         if np.min(f) <= 0.0:
             return -math.inf
         return float(np.sum(p * x / f))
 
-    iterations = 1
     if deriv(0.0) <= 0.0:
-        return GrowthResult(np.array([0.0]), 0.0, iterations, True)
+        return 0.0, 1
     if deriv(1.0) >= 0.0:
-        k = np.array([1.0])
-        return GrowthResult(k, log_growth(k, model), iterations, True)
-    lo, hi = 0.0, 1.0
-    while hi - lo > 1e-13:
-        mid = 0.5 * (lo + hi)
-        iterations += 1
-        if deriv(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    k = np.array([0.5 * (lo + hi)])
-    return GrowthResult(k, log_growth(k, model), iterations, True)
+        return 1.0, 1
+    lo, hi, steps = _bisect(lambda t: deriv(t) > 0.0, 0.0, 1.0, 1e-13)
+    return 0.5 * (lo + hi), 1 + steps
 
 
 def _newton_direction(model: GambleModel, k: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -193,5 +198,7 @@ def maximize_growth(model: GambleModel) -> GrowthResult:
     bisection path is accurate to ~1e-13.
     """
     if model.n_assets == 1:
-        return _maximize_1d(model)
+        t, iterations = _maximize_1d(model.xs[:, 0], model.probs)
+        k = np.array([t])
+        return GrowthResult(k, log_growth(k, model), iterations, True)
     return _maximize_nd(model)

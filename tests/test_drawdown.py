@@ -822,9 +822,10 @@ def test_surrogate_chooses_estimator_without_calling_enumeration(monkeypatch, n_
 
 
 @pytest.mark.parametrize("model,n_steps,spec,method", [
-    (SKEWED, 120, ConstraintSpec(kind="expected", epsilon=0.2), "grid-refine"),
-    (EVEN9, 60, ConstraintSpec(kind="probabilistic", epsilon=0.5, delta=0.1), "grid-refine"),
-    (TWO_COINS, 30, ConstraintSpec(kind="expected", epsilon=0.1), "grid-scan"),
+    (SKEWED, 120, ConstraintSpec(kind="expected", epsilon=0.2), "expected-bisect"),
+    (EVEN9, 60, ConstraintSpec(kind="probabilistic", epsilon=0.5, delta=0.1),
+     "probabilistic-bisect"),
+    (TWO_COINS, 30, ConstraintSpec(kind="expected", epsilon=0.1), "grid-ray"),
     (EVEN9, 10, ConstraintSpec(kind="surrogate", epsilon=0.3), "surrogate-bisect"),
     (SKEWED, 40, ConstraintSpec(kind="surrogate", epsilon=0.2), "surrogate-bisect"),  # MC
     (TWO_COINS, 6, ConstraintSpec(kind="surrogate", epsilon=0.1), "surrogate-ascent"),
@@ -1009,7 +1010,8 @@ def test_screened_evaluator_keeps_every_verdict(coin, coin2, kind, eps, delta, n
        paths=st.integers(1, 200), seed=st.integers(0, 2**16))
 def test_every_search_admits_the_zero_allocation(coin, coin2, kind, eps, delta, n, paths,
                                                  seed):
-    # K = 0 is on both grids, so a grid search always finds a feasible point:
+    # K = 0 is on the simplex grid and starts every one-asset ray, so every
+    # search has a feasible point:
     # E[D] = 0, P(D <= eps) = 1 with std_error 0, and h = 0 > log(1 - eps).
     from kellylab import drawdown
     model = coin if coin2 is None else independent_join(coin, coin2)
@@ -1021,7 +1023,8 @@ def test_every_search_admits_the_zero_allocation(coin, coin2, kind, eps, delta, 
     ok, est, se = evaluate.batch([np.full(model.n_assets, 1.0 / model.n_assets), zero])[1]
     assert ok
     assert est == (1.0 if kind == "probabilistic" else 0.0)
-    assert se == (None if kind == "surrogate" else 0.0)
+    # Only an enumerated surrogate has no standard error.
+    assert se == (None if kind == "surrogate" and drawdown._enumerable(model, n) else 0.0)
 
 
 def test_pruned_allocation_gets_its_full_estimate(monkeypatch):
@@ -1036,17 +1039,18 @@ def test_pruned_allocation_gets_its_full_estimate(monkeypatch):
     assert evaluate.estimate(kv) == (False, *full)
     assert evaluate(kv) == (False, *full) and evaluate.evals == 1
     # A search whose answer the screen dropped still reports its estimate.
-    monkeypatch.setattr(drawdown, "_grid_refine",
-                        lambda model, ev, un: (kv, log_growth(kv, model), "grid-refine", True))
+    monkeypatch.setattr(drawdown, "_ray_search",
+                        lambda model, ev: (kv, log_growth(kv, model), "expected-bisect", True))
     res = maximize_growth_constrained(SKEWED, 120, spec, mc)
     assert (res.constraint_estimate, res.constraint_std_error) == full
 
 
-def test_screen_cuts_grid_refine_work_by_more_than_half(monkeypatch):
+def test_screen_cuts_grid_ray_work_by_more_than_half(monkeypatch):
     # Path-steps are counted at the recursion step; unscreened, every
-    # estimate runs all 120 steps on all 300 paths.
+    # estimate runs all 30 steps on all 300 paths. The grid walk checks the
+    # points of largest g first, which lie far outside the set.
     from kellylab import drawdown
-    spec = ConstraintSpec(kind="expected", epsilon=0.2)
+    spec = ConstraintSpec(kind="expected", epsilon=0.1)
     mc = MonteCarloConfig(paths=300, seed=2)
     step = drawdown._recursion_step
     work = []
@@ -1060,14 +1064,14 @@ def test_screen_cuts_grid_refine_work_by_more_than_half(monkeypatch):
     for screen in (drawdown._screen, lambda spec, n_paths: None):
         monkeypatch.setattr(drawdown, "_screen", screen)
         work.append(0)
-        runs.append(maximize_growth_constrained(SKEWED, 120, spec, mc))
+        runs.append(maximize_growth_constrained(TWO_COINS, 30, spec, mc))
     screened, plain = runs
-    assert screened.method == "grid-refine"
+    assert screened.method == "grid-ray"
     assert np.array_equal(screened.k_star, plain.k_star) and screened.g_star == plain.g_star
     assert (screened.constraint_estimate, screened.constraint_std_error) == (
         plain.constraint_estimate, plain.constraint_std_error)
     assert screened.iterations == plain.iterations
-    assert work[1] == plain.iterations * 300 * 120
+    assert work[1] == plain.iterations * 300 * 30
     assert work[0] < 0.5 * work[1]
 
 
@@ -1088,11 +1092,12 @@ def test_enumerated_ladder_walk_does_not_change_the_answer(monkeypatch):
     assert lazy.iterations < default.iterations < whole.iterations
 
 
-def full_scan_grid_refine(model, evaluate, unconstrained):
-    """The 1-asset grid refine that checks every grid point: the best
-    feasible point by argmax (the first one on a tie), then bisection."""
-    k_un = float(unconstrained.k_star[0])
-    grid = np.linspace(0.0, 1.0, int(round(1.0 / GRID_STEP)) + 1)
+def full_scan_grid_refine(model, evaluate):
+    """The 1-asset search as it was before the ray search: the best feasible
+    point of a 101-point grid by argmax (the first one on a tie), then
+    bisection toward its infeasible neighbour."""
+    k_un = float(maximize_growth(model).k_star[0])
+    grid = np.linspace(0.0, 1.0, 101)
     flags = [ok for ok, _, _ in evaluate.batch(grid[:, None])]
     feasible_idx = [i for i, ok in enumerate(flags) if ok]
     i_best = feasible_idx[int(np.argmax(log_growth(grid[feasible_idx, None], model)))]
@@ -1109,10 +1114,11 @@ def full_scan_grid_refine(model, evaluate, unconstrained):
     return k, log_growth(k, model), "grid-refine", True
 
 
-def full_scan_grid_scan(model, evaluate, unconstrained):
-    """The 2-asset grid scan that checks every simplex grid point and keeps
-    the first feasible point of largest g in scan order."""
-    axis = np.arange(0.0, 1.0 + 1e-12, 2 * GRID_STEP)
+def full_scan_grid_scan(model, evaluate):
+    """The 2-asset search as it was before the ray search: check every
+    simplex grid point and keep the first feasible point of largest g in
+    scan order."""
+    axis = np.arange(0.0, 1.0 + 1e-12, GRID_STEP)
     feasible = []
     for k1 in axis:
         row = [np.array([k1, k2]) for k2 in axis if k1 + k2 <= 1.0 + 1e-12]
@@ -1123,39 +1129,105 @@ def full_scan_grid_scan(model, evaluate, unconstrained):
 
 
 # A coin whose mean is positive: its unconstrained optimum bets, so a tight
-# constraint sends the search to the grid.
+# constraint sends the search to the ray.
 EDGE_COIN = st.builds(lambda loss, p, edge: make_coin(loss * (1 - p) / p * (1 + edge), -loss, p),
                       st.floats(0.05, 1.0), st.floats(0.2, 0.95), st.floats(0.05, 3.0))
 
 
-@settings(max_examples=50, deadline=None)
-@given(coin=EDGE_COIN, coin2=st.one_of(st.none(), st.just("twin"), st.just("same"), COIN),
-       kind=st.sampled_from(["expected", "probabilistic"]), eps=st.floats(0.02, 0.3),
-       delta=st.floats(0.01, 0.5), n=st.integers(5, 60), seed=st.integers(0, 2**16))
-def test_grid_searches_by_falling_growth_equal_the_full_scan(coin, coin2, kind, eps, delta,
-                                                             n, seed):
-    # Two perfectly correlated copies of a coin ("twin") give swapped grid
-    # points the same wealth factors bit for bit, so their g tie exactly; an
-    # independent join of a coin with itself ("same") has g symmetric in
-    # (k1, k2) up to rounding.
+def search_and_oracle(model, n, kind, eps, delta, seed, oracle):
+    """(search result, oracle result) on the same constraint and CRN matrix."""
     from kellylab import drawdown
-    if coin2 == "twin":
-        model = GambleModel(xs=np.repeat(coin.xs, 2, axis=1), probs=coin.probs)
-    else:
-        model = (coin if coin2 is None
-                 else independent_join(coin, coin if coin2 == "same" else coin2))
     spec = ConstraintSpec(kind=kind, epsilon=eps,
                           delta=delta if kind == "probabilistic" else None)
     mc = MonteCarloConfig(paths=200, seed=seed)
     res = maximize_growth_constrained(model, n, spec, mc)
-    with mock.patch.object(drawdown, "_grid_refine", full_scan_grid_refine), \
-            mock.patch.object(drawdown, "_grid_scan", full_scan_grid_scan):
-        full = maximize_growth_constrained(model, n, spec, mc)
-    assert res.method == full.method
-    assert np.array_equal(res.k_star, full.k_star) and res.g_star == full.g_star
-    assert (res.constraint_estimate, res.constraint_std_error) == (
-        full.constraint_estimate, full.constraint_std_error)
-    assert res.iterations <= full.iterations
+    with mock.patch.object(drawdown, "_ray_search", oracle):
+        old = maximize_growth_constrained(model, n, spec, mc)
+    assert spec.slack(res.constraint_estimate) >= 0.0
+    return res, old
+
+
+@settings(max_examples=50, deadline=None)
+@given(coin=EDGE_COIN, coin2=st.one_of(st.just("twin"), st.just("same"), COIN),
+       kind=st.sampled_from(["expected", "probabilistic"]), eps=st.floats(0.02, 0.3),
+       delta=st.floats(0.01, 0.5), n=st.integers(5, 60), seed=st.integers(0, 2**16))
+def test_two_asset_ray_search_never_loses_growth_to_the_grid_scan(coin, coin2, kind, eps,
+                                                                  delta, n, seed):
+    # Two perfectly correlated copies of a coin ("twin") give swapped grid
+    # points the same wealth factors bit for bit, so their g tie exactly; an
+    # independent join of a coin with itself ("same") has g symmetric in
+    # (k1, k2) up to rounding. The ray starts at the scan's answer.
+    if coin2 == "twin":
+        model = GambleModel(xs=np.repeat(coin.xs, 2, axis=1), probs=coin.probs)
+    else:
+        model = independent_join(coin, coin if coin2 == "same" else coin2)
+    res, old = search_and_oracle(model, n, kind, eps, delta, seed, full_scan_grid_scan)
+    assert res.g_star >= old.g_star
+    assert (res.method == "unconstrained-feasible") == (old.method == "unconstrained-feasible")
+
+
+@settings(max_examples=50, deadline=None)
+@given(coin=EDGE_COIN, kind=st.sampled_from(["expected", "probabilistic"]),
+       eps=st.floats(0.02, 0.3), delta=st.floats(0.01, 0.5), n=st.integers(5, 60),
+       seed=st.integers(0, 2**16))
+def test_one_asset_bisection_lands_within_refine_tol_of_the_grid_refine(coin, kind, eps, delta,
+                                                                         n, seed):
+    # Both end in a bracket of width REFINE_TOL around the right end of the
+    # feasible interval [0, rho].
+    res, old = search_and_oracle(coin, n, kind, eps, delta, seed, full_scan_grid_refine)
+    assert abs(res.k_star[0] - old.k_star[0]) < REFINE_TOL
+    assert res.method in (f"{kind}-bisect", "unconstrained-feasible")
+    assert (res.method == "unconstrained-feasible") == (old.method == "unconstrained-feasible")
+
+
+@settings(max_examples=60, deadline=None)
+@given(atoms=st.lists(st.tuples(ATOM_COMPONENT, ATOM_COMPONENT, st.floats(0.05, 1.0)),
+                      min_size=1, max_size=5),
+       one_asset=st.booleans(), a=st.floats(0.0, 1.0),
+       ts=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=20),
+       n=st.integers(1, 60), seed=st.integers(0, 2**16))
+def test_complementary_drawdown_never_rises_along_a_ray(atoms, one_asset, a, ts, n, seed):
+    # Per path, log(1 - D) along K = t * u is a minimum of sums that are
+    # concave in t and 0 at t = 0, so it never rises. In floats a factor
+    # whose return along u cancels to within rounding of 0 can round one
+    # ulp either side of 1 as t moves, so 1 - D may move up by n ulps.
+    weights = np.array([w for _, _, w in atoms])
+    xs = [[x1] if one_asset else [x1, x2] for x1, x2, _ in atoms]
+    model = GambleModel(xs=xs, probs=weights / weights.sum())
+    u = np.ones(1) if one_asset else np.array([a, 1.0 - a])
+    t = np.sort(ts)
+    dbar = dbar_samples(model, t[:, None] * u, sample_path_indices(model, 50, n, seed))
+    assert (np.diff(dbar, axis=0) <= n * np.finfo(float).eps).all()
+
+
+def test_ray_through_two_total_loss_coins_rounds_below_minus_one(monkeypatch):
+    # u = (0.06, 0.58) / 0.64 gives the both-lose atom the return
+    # -1.0000000000000002 along u, which a GambleModel rejects; the ray's
+    # growth peak is found on the return column itself.
+    from kellylab import drawdown
+    kg = np.array([0.06, 0.58])
+    u = kg / kg.sum()
+    assert (TWO_COINS.xs @ u).min() < -1.0
+    with pytest.raises(ValueError):
+        GambleModel(xs=(TWO_COINS.xs @ u)[:, None], probs=TWO_COINS.probs)
+    best_feasible = drawdown._best_feasible
+
+    def at_kg(evaluate, points, g):
+        best_feasible(evaluate, points, g)
+        return int(np.flatnonzero((points == kg).all(axis=1))[0])
+
+    # The unconstrained optimum admits this eps, so the search runs alone:
+    # E[D] is 0.51 at kg and 0.71 at the ray's growth peak.
+    monkeypatch.setattr(drawdown, "_best_feasible", at_kg)
+    spec = ConstraintSpec(kind="expected", epsilon=0.6)
+    evaluate = drawdown._ConstraintEvaluator(TWO_COINS, 20, spec,
+                                             MonteCarloConfig(paths=200, seed=1))
+    k, g, method, converged = drawdown._ray_search(TWO_COINS, evaluate)
+    assert method == "grid-ray" and converged
+    assert g == log_growth(k, TWO_COINS) > log_growth(kg, TWO_COINS)
+    assert np.allclose(k / k.sum(), u, rtol=0, atol=1e-15) and k.sum() > kg.sum()
+    ok, est, _ = evaluate(k)
+    assert ok and 0.0 <= spec.slack(est) < 0.01
 
 
 class FlagEvaluator:
@@ -1245,15 +1317,28 @@ def test_sample_path_indices_rejects_empty_sizes(paths, n_steps):
         sample_path_indices(SKEWED, paths, n_steps, seed=0)
 
 
-def test_grid_scan_keeps_first_of_tied_points():
+def test_grid_scan_keeps_first_of_tied_points(monkeypatch):
     # Two identical, perfectly correlated assets: swapped allocations give the
     # same wealth factors bit for bit, so their growth and estimates tie. The
-    # scan visits K1 in ascending order and keeps the first best point.
+    # scan visits K1 in ascending order and keeps the first best point, and
+    # the ray starts from it.
+    from kellylab import drawdown
+    starts = []
+    ray_best = drawdown._ray_best
+
+    def recording(model, evaluate, k_lo, u, tol):
+        starts.append(k_lo)
+        return ray_best(model, evaluate, k_lo, u, tol)
+
+    monkeypatch.setattr(drawdown, "_ray_best", recording)
     m = GambleModel(xs=[[1.0, 1.0], [-1.0, -1.0]], probs=[0.8, 0.2])
     res = maximize_growth_constrained(m, 30, ConstraintSpec(kind="expected", epsilon=0.2),
                                       mc=MonteCarloConfig(paths=200, seed=1))
-    assert res.method == "grid-scan"
-    assert res.k_star[0] == 0.0 and res.k_star[1] > 0.0
+    assert res.method == "grid-ray"
+    (k_g,) = starts
+    assert k_g[0] == 0.0 and k_g[1] > 0.0
+    assert log_growth(k_g[::-1], m) == log_growth(k_g, m)
+    assert res.k_star[0] == 0.0 and res.k_star[1] > k_g[1]
     assert log_growth(res.k_star[::-1], m) == res.g_star
 
 
@@ -1369,7 +1454,7 @@ def test_simplex_grids_are_feasible_for_any_model(atoms, resolution):
     # Every atom is >= -1, so no point of the 2-asset scan axis or of a probe
     # grid needs a feasibility filter; exact -1 atoms sit on the ruin boundary.
     model = GambleModel(xs=np.array(atoms), probs=np.full(len(atoms), 1.0 / len(atoms)))
-    scan = np.arange(0.0, 1.0 + 1e-12, 2 * GRID_STEP)
+    scan = np.arange(0.0, 1.0 + 1e-12, GRID_STEP)
     assert all(is_feasible([k1, k2], model) for k1 in scan for k2 in scan
                if k1 + k2 <= 1.0 + 1e-12)
     rep = convexity_probe(model, 1, ConstraintSpec(kind="expected", epsilon=0.5),

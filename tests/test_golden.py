@@ -77,7 +77,7 @@ CASES = {
     "constrained-2d-scan": (
         "constrained", "--coin", "1,-1,0.9", "--coin2", "1,-1,0.9", "--kind", "expected",
         "--eps", "0.1", "--n", "40", "--paths", "300", "--seed", "7"),
-    # A 252-step probabilistic grid refine and a 50-step 2-asset scan, on
+    # A 252-step probabilistic bisection and a 50-step 2-asset scan, on
     # 1000 paths: most grid points break the constraint well before step N.
     "constrained-1d-probabilistic-n252": (
         "constrained", "--coin", "0.6,-0.45,0.62", "--kind", "probabilistic",
@@ -85,10 +85,6 @@ CASES = {
     "constrained-2d-scan-n50": (
         "constrained", "--coin", "1,-1,0.8", "--coin2", "0.5,-0.4,0.6", "--kind", "expected",
         "--eps", "0.2", "--n", "50", "--paths", "1000", "--seed", "23"),
-    "constrained-2d-scan-probabilistic-n50": (
-        0, "f07de19493a603b70593b7d294ef76f0bebd7c6a5d7b6c3b51a88fc398e38157", {}),
-    "constrained-2d-scan-symmetric": (
-        0, "c05582fbca2e5ff3514cadfdb181e47ea8d0744c9c1d865bca6e68722debcc59", {}),
     "constrained-2d-scan-probabilistic": (
         "constrained", "--coin", "1,-1,0.8", "--coin2", "0.5,-0.4,0.6",
         "--kind", "probabilistic", "--eps", "0.3", "--delta", "0.15", "--n", "30",
@@ -114,8 +110,6 @@ CASES = {
         "constrained", "--coin", "1,-1,0.9", "--coin2", "0.5,-0.4,0.6", "--kind", "surrogate",
         "--eps", "0.2", "--n", "7"),
     # 4^50 sequences: the Monte Carlo fallback, over about 17 ascent steps.
-    "constrained-2d-surrogate-mc-n40": (
-        0, "e50baa336d1e68e64b4abaccd9d2cd059a156925e784573482ee4066aa49b01f", {}),
     "constrained-2d-surrogate-mc-n50": (
         "constrained", "--coin", "1,-1,0.8", "--coin2", "0.5,-0.4,0.6", "--kind", "surrogate",
         "--eps", "0.2", "--n", "50", "--paths", "1000", "--seed", "14"),
@@ -173,40 +167,43 @@ CASES = {
 # evaluations stopped at the first chunk of steps that proves a row infeasible;
 # the symmetric and N=50 probabilistic scans and the N=40 Monte Carlo surrogate
 # before the searches checked their grid points by falling growth and the
-# ascent's ladder from its last accepted step.
+# ascent's ladder from its last accepted step; the 1-asset expected and
+# probabilistic cases and every 2-asset scan case when the searches bisected
+# one ray, and the Monte Carlo surrogate cases when `constrained` began to
+# print their standard error.
 EXPECTED = {
     "adaptive-traces": (
         0, "786b777616f66bf92cf5d380b54a3d8c1004c1063c1119941858ff6d479a1cab",
         {"adapt.run0.csv": "d59ce1dd57015007c8fd62be1ac6a0d403b4901aa6ce9e3cf1edcb29819130c4",
          "adapt.run1.csv": "45e5cf416a9d1c7e9f24f1d39f7eaea106db3c690775396b2be6f2375a14fb87"}),
     "constrained-1d-expected": (
-        0, "fa4102950fa36e562c84d6917cc4c188c7658f4b15eb68b7d85a14a6747906c5", {}),
+        0, "2db26cc1cc7afcf0708a720d05bc4dc6bd4ef0e383cbfe7771d9100e1f372710", {}),
     "constrained-1d-probabilistic": (
-        0, "6dc7838513efd331d6d24b1798a1f9dedc2aa70425f015f2dfe2dbb99ba4fcc1", {}),
+        0, "168f151620276b6041437615ff58c14cc9be67dd266c9f8d5c8e309c5f51c054", {}),
     "constrained-1d-probabilistic-n252": (
-        0, "a62d76fa87ef6a79e37585bc68a75cdd4cf838302073311c2d0a77853c1b0e6a", {}),
+        0, "855a2413fab75e5fdc496b425de043ea6bf54656d9d0593ab1a121d0e6757f7f", {}),
     "constrained-1d-surrogate": (
         0, "80e0540a8ab32680f3f594394fb022e4f949a4afe986bbd5a413f8e1652865dc", {}),
     "constrained-1d-surrogate-n15": (
         0, "69fbedebb934c80f30a3280ac4dfa46ae414964ba19f5e4a74cf83ee9591675d", {}),
     "constrained-1d-surrogate-mc": (
-        0, "7ce9765db30445ebeca351569dbce05462df9e47a75f11bbff9c056de53dab8a", {}),
+        0, "c21bf30f316ce55976223eb1f24e63343266db0561b10a5fcb8c1fc73139896f", {}),
     "constrained-1d-surrogate-mc-unconstrained-feasible": (
-        0, "dae0f48c61e5c0cc8dbf5aa349914ff2a5b392e3759c117763576c92f2cbf0ad", {}),
+        0, "535a179635b246dc8bfbd5f4d1c3b6140a4307c93c8b245516dac6e514a4d44f", {}),
     "constrained-1d-unconstrained-feasible": (
         0, "cd4c8ea02074d8380173b7f0fb66c3c2a0344671b9521dd346c90ed11073c6d0", {}),
     "constrained-2d-scan": (
-        0, "19a72a46135a17940f0d2b073f6087d491bf6c14253cf2072dde74dc686e560e", {}),
+        0, "ca9d2e643679ead9f6473b4aa17b63f3671b89f8ea31ae40b477ce7e5fcc7e17", {}),
     "constrained-2d-scan-n50": (
-        0, "ceb12500573c9a02ef576e74380ffea9d1aaa1351cd57cd90dd021154b30aa40", {}),
+        0, "738591948d8052f85f115f1eed9394d55dd2bdb797f5c8a16f2b79cd294cd9a8", {}),
     "constrained-2d-scan-probabilistic-n50": (
-        0, "f07de19493a603b70593b7d294ef76f0bebd7c6a5d7b6c3b51a88fc398e38157", {}),
+        0, "fe37f7f7c62638aa8b63f7067b93de51b9d4604b457fc8db73323d88bacca639", {}),
     "constrained-2d-scan-symmetric": (
-        0, "c05582fbca2e5ff3514cadfdb181e47ea8d0744c9c1d865bca6e68722debcc59", {}),
+        0, "939991f97b6e404cc8559d19992449deeaadae65d6dea4fdb46acd1f7d7033a7", {}),
     "constrained-2d-scan-probabilistic": (
-        0, "f9ed6bb13517abce441c2b72137416d7d68c6bb27e4baa09852a8111ed2a3b69", {}),
+        0, "0f479dc51a99cb90009fc7cc5ab3cfbd26f982fe31dd08a33cc6a8c9a89fee2e", {}),
     "constrained-2d-surrogate": (
-        0, "6124ece6dc3b9ab65b8eb9500e2eb53c7ae975e9c909bcb4d62b2c73d80b1c69", {}),
+        0, "db0adc32b337ac52a648b5bae2f997d9e756ab6c366e918311adca3bec7a13a2", {}),
     "constrained-2d-surrogate-exact": (
         0, "b559e2958781a07e1d2c47593768e0aa534bd5620fb37a2407bc2497075d40fd", {}),
     "constrained-2d-surrogate-exact-n7": (
@@ -214,9 +211,9 @@ EXPECTED = {
     "constrained-2d-surrogate-exact-unconstrained-feasible": (
         0, "87737e66a357b2ddca1beed36ec8ae7baac1ad1dbd014239ee480fbd3c8659cf", {}),
     "constrained-2d-surrogate-mc-n40": (
-        0, "e50baa336d1e68e64b4abaccd9d2cd059a156925e784573482ee4066aa49b01f", {}),
+        0, "6d50a0553948d0b72df8634af2174287c9d8aead3b31ecaed71c0062dd2889db", {}),
     "constrained-2d-surrogate-mc-n50": (
-        0, "35b972d7b27138bfa7373377acdccad5a2be40b3873896527e0530c5734c9bc3", {}),
+        0, "7a96f82d42c9aa7f31f7fa6b00f3dbf4cf12716ca51dd2d35d703ec0a33b18f8", {}),
     "drawdown-even": (
         0, "622ed799ef51a37715bd46dd98f15ddf81935f17cd61416712220886178bfb1d",
         {"dd.expected.csv": "af06a53775b5e0140dce867b2ac65b6f923b86bd92b0716a5f70b58ae0a9277f",
