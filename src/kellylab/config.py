@@ -15,4 +15,3 @@ REFINE_TOL = 1e-4           # bracket width of the constrained searches' ray bis
 MAX_OPT_ITER = 10**5        # projected-ascent iteration budget
 OPT_TOL = 1e-8              # projected-gradient and flat-objective tolerance of the optimizer
 OBJ_FLAT_WINDOW = 5         # iterations of flat objective required for convergence
-ASCENT_MAX_ITER = 500       # iteration cap of the constrained surrogate ascent

@@ -35,26 +35,44 @@ through one kernel call, reducing the (B, paths) samples once along axis 1;
 a surrogate that fits the enumeration budget is enumerated in bounded chunks
 of rows, and a ruinous allocation is -inf.
 
-Every constraint set is star-shaped about K = 0. Along a ray K = t * u,
-each segment's sum of log(1 + t * u'x) is concave in t and 0 at t = 0; a
-path's log(1 - D), the minimum of these sums and 0, is then concave, 0 at
-t = 0 and <= 0, so it never rises as t grows, nor do E[1 - D], P(D <= eps)
-and E[log(1 - D)]. The admitted t of a ray form one interval [0, rho], and
-since g is concave along the ray, its best admitted point is
-t = min(rho, peak), where peak maximizes g on the ray: bisection on t finds it.
+The ray rule. Every constraint set is star-shaped about K = 0. Along a ray
+K = t * u, each segment's sum of log(1 + t * u'x) is concave in t and 0 at
+t = 0; a path's log(1 - D), the minimum of these sums and 0, is then
+concave, 0 at t = 0 and <= 0, so it never rises as t grows, nor do
+E[1 - D], P(D <= eps) and E[log(1 - D)]. The admitted t of a ray form one
+interval [0, rho]. g is concave along the ray, so the test "g still rises
+at t, and t * u is admitted" holds on [0, min(rho, peak)) and nowhere past
+it, where peak maximizes g on the ray: bisecting a bracket on that test
+ends at the ray's best admitted point, and the constraint is estimated only
+where g rises. _ray_best bisects a batch of rays together, with one
+evaluate.batch per level. By concavity no point of a ray's bracket
+[lo, hi] has a g above the tangent bound g(lo) + g'(lo) (hi - lo), so a ray
+stops once that bound falls below the best g(lo) of the batch: the ray
+that ends best never does, since its g(lo) only rises.
 
-Every constrained search stops estimating once its answer is fixed, and
-the answer is the one a check of every candidate would give. The grid walk
-computes g at every grid point in one batched log_growth call and checks
-the points in falling order of g, sorted stably, in chunks; it stops at
-the first chunk that holds a feasible point. That point has no feasible
-point of larger g, nor one of equal g earlier in scan order, so it is the
-scan's first best point. The surrogate ascent takes the first step of its
-ladder that is feasible and improves g, and checks the ladder in order, in
-batches, up to the batch that holds that step: on Monte Carlo the steps up
-to a few past the one accepted in the previous iteration, then the rest if
-none of those is accepted; when it enumerates, one enumeration chunk at a
-time. Either way the same step is accepted.
+The surrogate set is also convex: each path's log(1 - D) is a minimum of
+functions concave in K, so E[log(1 - D)] is concave, under CRN or exactly.
+So for two admitted points on rays of directions u1 and u2, each point
+between them is admitted and has a g at least the smaller of theirs, and
+it lies on a ray whose direction is between u1 and u2: the best g of a
+ray is quasi-concave in its direction along any segment of directions.
+The surrogate search on two or more assets (surrogate-fan) starts at the
+simplex centre and runs three rounds. In each, for each pair of assets, a
+fan of 9 rays moves the pair's share of the best direction so far along
+the pair line: over the whole line in round 1, and over +-1 spacing of the
+best direction, at a quarter of the spacing, in later rounds. By
+quasi-concavity the best direction of the line stays within one spacing of
+a fan's best ray, so on two assets, one pair, the answer is within 1/128
+in direction, and REFINE_TOL along its ray, of the constrained optimum. The
+steps are dyadic there, so a ray a later fan repeats is bitwise the same and
+its estimates are memo hits. On more assets it claims no optimum.
+
+The grid walk of the two-asset expected and probabilistic search computes
+g at every grid point in one batched log_growth call and checks the points
+in falling order of g, sorted stably, in chunks; it stops at the first
+chunk that holds a feasible point. That point has no feasible point of
+larger g, nor one of equal g earlier in scan order, so it is the answer a
+check of every grid point gives: the scan's first best point.
 
 An expected or probabilistic search screens its Monte Carlo rows. A step can
 only lower the running minimum d, so the partial mean of 1 - d can only rise
@@ -102,6 +120,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import math
 import weakref
 from dataclasses import dataclass
@@ -109,10 +128,9 @@ from typing import Optional
 
 import numpy as np
 
-from .config import ASCENT_MAX_ITER, ENUM_BUDGET, GRID_STEP, REFINE_TOL, SCREEN_MARGIN
+from .config import ENUM_BUDGET, GRID_STEP, REFINE_TOL, SCREEN_MARGIN
 from .gamble import GambleModel, _checked_factors, sample_indices
-from .growth import (_bisect, _maximize_1d, growth_gradient, log_growth, maximize_growth,
-                     project_allocation)
+from .growth import _maximize_1d, log_growth, maximize_growth
 
 
 class EnumerationBudgetError(ValueError):
@@ -435,22 +453,17 @@ def enumerate_dbar(model: GambleModel, k, n_steps: int) -> tuple:
     return _sequence_probs(model, n_steps), d if np.ndim(k) == 2 else d[0]
 
 
-def _chunk_rows(model: GambleModel, n_steps: int) -> int:
-    """Allocations in one enumeration chunk: together their sequences fill
-    about _ENUM_CHUNK, and a chunk holds at least one."""
-    return max(1, _ENUM_CHUNK // model.n_atoms ** n_steps)
-
-
 def _enumerated_rows(model: GambleModel, k, n_steps: int, reduce):
     """reduce(prob, dbar) of one allocation, or a list of them, one per row,
     for a (B, n_assets) batch.
 
     The rows go through enumerate_dbar in chunks of about _ENUM_CHUNK
-    sequences, one chunk call at a time, so no call holds every row.
+    sequences (at least one row), one chunk call at a time, so no call holds
+    every row.
     """
     require_enumerable(model, n_steps)
     ks = np.atleast_2d(k)
-    step = _chunk_rows(model, n_steps)
+    step = max(1, _ENUM_CHUNK // model.n_atoms ** n_steps)
     out = []
     for lo in range(0, len(ks), step):
         prob, dbar = enumerate_dbar(model, ks[lo:lo + step], n_steps)
@@ -653,94 +666,103 @@ def _simplex_grid(axis) -> np.ndarray:
     return np.array([[k1, k2] for k1 in axis for k2 in axis if k1 + k2 <= 1.0 + 1e-12])
 
 
-def _ray_best(model, evaluate, k_lo, u, tol):
-    """(K, g) of the best admitted point of the ray t * u, sum(u) = 1, past
-    its admitted point k_lo (see the module docstring): the ray's growth
-    peak if it is admitted, else the bisection of [sum(k_lo), peak] to width
-    tol. k_lo is kept when no farther point is admitted or has a larger g."""
-    lo, g_lo = float(k_lo.sum()), log_growth(k_lo, model)
-    peak, _ = _maximize_1d(model.xs @ u, model.probs)
-    if evaluate(peak * u)[0]:
-        t = peak
-    else:
-        t, _, _ = _bisect(lambda s: evaluate(s * u)[0], lo, peak, tol)
-    k = t * u
-    g = log_growth(k, model)
-    return (k, g) if t != lo and g > g_lo else (k_lo, g_lo)
+def _along(xu: np.ndarray, probs: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Rows (g, g') at t[r] along each ray r, whose atom returns are the
+    column xu[:, r]; both are -inf where some wealth factor 1 + t * xu is not
+    positive."""
+    f = 1.0 + xu * t
+    safe = np.where(f > 0.0, f, 1.0)
+    return np.where(f.min(axis=0) > 0.0, [probs @ np.log(safe), probs @ (xu / safe)], -math.inf)
 
 
-def _ray_search(model, evaluate):
-    """Best admitted point of one ray, for every constraint kind on one
-    asset and for the expected and probabilistic kinds on two.
+def _ray_best(model, evaluate, k_lo, us, lo, hi, tol):
+    """(K, g) per ray r of the best admitted point of the ray t * us[r],
+    sum(us[r]) = 1, by the ray rule of the module docstring: the rays'
+    brackets [lo, hi] (per ray, or one for all), each lo admitted, are
+    bisected together to width tol, and a ray stops early once its tangent
+    bound falls below the best g(lo) of the batch. The bound takes g and g'
+    from the ray's return column; the answer's g is log_growth's. k_lo, an
+    admitted point of every ray, is a ray's answer when its t stays at
+    sum(k_lo) or gains no g over k_lo."""
+    xu = model.xs @ us.T
+    lo, hi = (np.full(len(us), end, dtype=float) for end in (lo, hi))
+    g, slope = _along(xu, model.probs, lo)
+    live = hi - lo > tol
+    while live.any():
+        mid = 0.5 * (lo + hi)
+        g_mid, slope_mid = _along(xu, model.probs, mid)
+        ok = live & (slope_mid > 0.0)
+        ok[ok] = [admitted for admitted, _, _ in evaluate.batch(mid[ok, None] * us[ok])]
+        lo, g, slope = np.where(ok, [mid, g_mid, slope_mid], [lo, g, slope])
+        hi = np.where(live & ~ok, mid, hi)
+        live &= (hi - lo > tol) & (g + slope * (hi - lo) >= g.max())
+    k = lo[:, None] * us
+    g, g_lo = log_growth(k, model), log_growth(k_lo, model)
+    better = (lo != k_lo.sum()) & (g > g_lo)
+    return np.where(better[:, None], k, k_lo), np.where(better, g, g_lo)
+
+
+# Rays of one fan of the surrogate search, and its rounds (see the module
+# docstring).
+_FAN_RAYS = 9
+_FAN_ROUNDS = 3
+
+
+def _surrogate_fan(model, evaluate):
+    """(K, g) of the surrogate search on two or more assets: the rounds of
+    fans of the module docstring, each ray from K = 0 over the bracket
+    [0, 1] to width REFINE_TOL. The best direction so far changes only to a
+    ray of larger g."""
+    n = model.n_assets
+    u, k, g = np.full(n, 1.0 / n), np.zeros(n), 0.0
+    offsets = np.linspace(-1.0, 1.0, _FAN_RAYS)
+    for rnd, (i, j) in itertools.product(range(_FAN_ROUNDS), itertools.combinations(range(n), 2)):
+        share = u[i] + u[j]
+        # A pair that holds no share has a line of one direction, u itself.
+        centre = u[i] / share if rnd and share else 0.5
+        fan = np.unique(np.clip(centre + 0.5 * (2.0 / (_FAN_RAYS - 1)) ** rnd * offsets, 0.0, 1.0))
+        us = np.tile(u, (fan.size, 1))
+        us[:, [i, j]] = share * np.stack([fan, 1.0 - fan], axis=1)
+        ks, gs = _ray_best(model, evaluate, np.zeros(n), us, 0.0, 1.0, REFINE_TOL)
+        r = int(np.argmax(gs))
+        if gs[r] > g:
+            u, k, g = us[r], ks[r], float(gs[r])
+    return k, g
+
+
+def _ray_search(model, evaluate, k_un):
+    """(K, g, method) of the constrained search, by the ray rule of the
+    module docstring, once the unconstrained optimum k_un is outside the set.
 
     One asset: the ray u = 1, bisected on [0, k_un] to width REFINE_TOL, or
-    REFINE_TOL * 1e-2 for the surrogate (<kind>-bisect). Its peak is k_un,
-    which was judged outside the set already, so checking it is a memo hit.
+    REFINE_TOL * 1e-2 for the surrogate (<kind>-bisect).
 
-    Two assets: the ray through the best admitted point k_g of the simplex
-    grid of step GRID_STEP (see _best_feasible), bisected on
-    [sum(k_g), peak] to width REFINE_TOL (grid-ray). k_g = 0 has no ray and
-    is the answer.
+    A surrogate on two or more assets: the fans of _surrogate_fan
+    (surrogate-fan).
+
+    An expected or probabilistic constraint on two assets: the ray through
+    the best admitted point k_g of the simplex grid of step GRID_STEP (see
+    _best_feasible), whose growth peak is checked first and is the answer if
+    admitted; otherwise [sum(k_g), peak] is bisected to width REFINE_TOL
+    (grid-ray). k_g = 0 has no ray and is the answer.
     """
     kind = evaluate.spec.kind
     if model.n_assets == 1:
         tol = REFINE_TOL * 1e-2 if kind == "surrogate" else REFINE_TOL
-        k, g = _ray_best(model, evaluate, np.zeros(1), np.ones(1), tol)
-        return k, g, f"{kind}-bisect", True
+        k, g = _ray_best(model, evaluate, np.zeros(1), np.ones((1, 1)), 0.0, k_un, tol)
+        return k[0], float(g[0]), f"{kind}-bisect"
+    if kind == "surrogate":
+        return (*_surrogate_fan(model, evaluate), "surrogate-fan")
     points = _simplex_grid(np.arange(0.0, 1.0 + 1e-12, GRID_STEP))
     k = points[_best_feasible(evaluate, points, log_growth(points, model))]
     s = k.sum()
-    k, g = _ray_best(model, evaluate, k, k / s, REFINE_TOL) if s > 0.0 else (k, 0.0)
-    return k, g, "grid-ray", True
-
-
-# Step sizes of the ascent's backtracking: 0.5, 0.25, ..., every halving above 1e-10.
-_ASCENT_STEPS = [0.5 ** j for j in range(1, 34)]
-# Steps past the previous iteration's accepted one that a Monte Carlo ladder
-# checks in its first batch; of 2, 3, 4, 6 and 8, 4 gave the fastest ascents.
-_LADDER_LEAD = 4
-
-
-def _surrogate_ascent(model, evaluate):
-    """Ascent on g with a restoration step: shrink any step that leaves the
-    surrogate-feasible region (which is convex, so shrinking works). h is
-    -inf at any ruinous trial, so the constraint check also rejects those.
-
-    Each iteration takes the longest step size of its ladder that is
-    feasible and improves g. The ladder is checked in batches, in order, and
-    only as far as the batch that holds the accepted step: the steps before
-    it in that batch are rejected, as they would be in a whole-ladder check,
-    so the accepted step is the same. A Monte Carlo ladder is checked in two
-    kernel calls at most: from the longest step to _LADDER_LEAD steps past
-    the one accepted in the previous iteration (the first iteration takes
-    step 0 as that one), then the rest if that part accepts nothing. An
-    enumerated ladder is checked one enumeration chunk at a time, since
-    batching saves nothing past a chunk. The search has converged when no
-    step improves g; it has not when it stops at ASCENT_MAX_ITER iterations.
-    """
-    kv = np.zeros(model.n_assets)
-    g = 0.0
-    n_steps = evaluate.n_steps
-    size = len(_ASCENT_STEPS)
-    chunk = _chunk_rows(model, n_steps) if _enumerable(model, n_steps) else None
-    accepted = 0
-    for _ in range(ASCENT_MAX_ITER):
-        grad = growth_gradient(kv, model)
-        ladder = [project_allocation(kv + t * grad) for t in _ASCENT_STEPS]
-        cuts = (range(chunk, size, chunk) if chunk is not None
-                else [min(accepted + 1 + _LADDER_LEAD, size)])
-        bounds = [0, *cuts, size]
-        checks = (check for lo, hi in zip(bounds, bounds[1:])
-                  for check in evaluate.batch(ladder[lo:hi]))
-        for j, (trial, (ok, _, _)) in enumerate(zip(ladder, checks)):
-            if ok:
-                g_trial = log_growth(trial, model)
-                if g_trial > g + 1e-12:
-                    kv, g, accepted = trial, g_trial, j
-                    break
-        else:
-            return kv, g, "surrogate-ascent", True   # no step size improved g
-    return kv, g, "surrogate-ascent", False
+    if s == 0.0:
+        return k, 0.0, "grid-ray"
+    u = k / s
+    peak, _ = _maximize_1d(model.xs @ u, model.probs)
+    lo = peak if evaluate(peak * u)[0] else s
+    k, g = _ray_best(model, evaluate, k, u[None], lo, peak, REFINE_TOL)
+    return k[0], float(g[0]), "grid-ray"
 
 
 def maximize_growth_constrained(model: GambleModel, n_steps: int, spec: ConstraintSpec,
@@ -749,33 +771,27 @@ def maximize_growth_constrained(model: GambleModel, n_steps: int, spec: Constrai
 
     Every search checks the constraint through one _ConstraintEvaluator, and
     returns the unconstrained optimum when that lies inside the set.
-    Otherwise a surrogate on two or more assets runs a projected ascent on g
-    whose steps shrink until they stay in the set (surrogate-ascent); its
-    converged is False when it stops at ASCENT_MAX_ITER iterations, and True
-    for every other search. Every other search bisects one ray from an
-    admitted point (see _ray_search): <kind>-bisect on one asset, grid-ray
-    on two. No convexity is claimed for the expected and probabilistic
-    sets, only that every set is star-shaped about K = 0. Raises ValueError
-    when n_steps < 1, or for an expected or probabilistic constraint on more
-    than two assets.
+    Otherwise it follows the ray rule of the module docstring (see
+    _ray_search): <kind>-bisect on one asset, surrogate-fan for a surrogate
+    on two or more, grid-ray for the other kinds on two. Each search is
+    finite and ends at its tolerances, so converged is always True. No
+    convexity is claimed for the expected and probabilistic sets, only that
+    every set is star-shaped about K = 0. Raises ValueError when
+    n_steps < 1, or for an expected or probabilistic constraint on more than
+    two assets.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    if spec.kind == "surrogate" and model.n_assets > 1:
-        search = _surrogate_ascent
-    elif model.n_assets in (1, 2):
-        search = _ray_search
-    else:
+    if spec.kind != "surrogate" and model.n_assets > 2:
         raise ValueError("Monte Carlo constrained search supports 1 or 2 assets")
     unconstrained = maximize_growth(model)
     evaluate = _ConstraintEvaluator(model, n_steps, spec, mc)
     if evaluate(unconstrained.k_star)[0]:
-        k, g, method, converged = (unconstrained.k_star, unconstrained.g_star,
-                                   "unconstrained-feasible", True)
+        k, g, method = unconstrained.k_star, unconstrained.g_star, "unconstrained-feasible"
     else:
-        k, g, method, converged = search(model, evaluate)
+        k, g, method = _ray_search(model, evaluate, unconstrained.k_star)
     _, est, se = evaluate.estimate(k)
-    return ConstrainedResult(k, g, evaluate.evals, converged, method, est, se)
+    return ConstrainedResult(k, g, evaluate.evals, True, method, est, se)
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,13 @@ def test_every_export_has_a_user():
     readme = (root / "README.md").read_text(encoding="utf-8")
     assert [name for name in exported
             if name not in used and not re.search(rf"\b{name}\b", readme)] == []
+    # A config constant that no other module of the package reads is dead.
+    constants = [target.id
+                 for stmt in ast.parse((package / "config.py").read_text(encoding="utf-8")).body
+                 if isinstance(stmt, ast.Assign) for target in stmt.targets]
+    read = set().union(*(names_used(path) for path in package.glob("*.py")
+                         if path.name not in ("__init__.py", "config.py")))
+    assert [name for name in constants if name not in read] == []
 
 
 # ---------------------------------------------------------------------------
@@ -189,16 +196,6 @@ def test_constrained_surrogate(capsys):
     assert code == 0 and "surrogate-bisect" in out
 
 
-def test_constrained_ascent_at_its_cap_warns_and_exits_3(capsys, monkeypatch):
-    from kellylab import drawdown
-    monkeypatch.setattr(drawdown, "ASCENT_MAX_ITER", 1)
-    code, out, _ = run_cli(capsys, "constrained", "--coin", "1,-1,0.9", "--coin2", "1,-1,0.9",
-                           "--kind", "surrogate", "--eps", "0.1", "--n", "6")
-    assert code == 3
-    assert "method:              surrogate-ascent" in out
-    assert out.endswith("warning: constrained search did not converge\n")
-
-
 def test_constrained_bad_epsilon(capsys):
     for argv, word in [(("--kind", "expected", "--eps", "2.0"), "epsilon"),
                        (("--kind", "probabilistic", "--eps", "0.3"), "delta")]:
@@ -218,10 +215,10 @@ def test_constrained_grid_search_rejects_three_assets_before_the_report(capsys, 
                              "--eps", "0.2", *args, "--n", "20", "--paths", "100")
     assert code == 2 and "1 or 2 assets" in err
     assert "config:" not in out
-    # The surrogate ascent takes any number of assets.
+    # The surrogate fan takes any number of assets.
     code, out, _ = run_cli(capsys, "constrained", "--model", str(model), "--kind", "surrogate",
                            "--eps", "0.2", "--n", "5")
-    assert code == 0 and "surrogate-ascent" in out
+    assert code == 0 and "surrogate-fan" in out
 
 
 @pytest.mark.parametrize("argv,size", [

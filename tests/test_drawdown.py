@@ -817,7 +817,7 @@ def test_surrogate_chooses_estimator_without_calling_enumeration(monkeypatch, n_
     spec = ConstraintSpec(kind="surrogate", epsilon=0.1)
     res = maximize_growth_constrained(TWO_COINS, n_steps, spec,
                                       mc=MonteCarloConfig(paths=300, seed=2))
-    assert res.method == "surrogate-ascent"
+    assert res.method == "surrogate-fan"
     assert (len(seen) > 0) == enumerates
 
 
@@ -828,8 +828,8 @@ def test_surrogate_chooses_estimator_without_calling_enumeration(monkeypatch, n_
     (TWO_COINS, 30, ConstraintSpec(kind="expected", epsilon=0.1), "grid-ray"),
     (EVEN9, 10, ConstraintSpec(kind="surrogate", epsilon=0.3), "surrogate-bisect"),
     (SKEWED, 40, ConstraintSpec(kind="surrogate", epsilon=0.2), "surrogate-bisect"),  # MC
-    (TWO_COINS, 6, ConstraintSpec(kind="surrogate", epsilon=0.1), "surrogate-ascent"),
-    (TWO_COINS, 12, ConstraintSpec(kind="surrogate", epsilon=0.2), "surrogate-ascent"),  # MC
+    (TWO_COINS, 6, ConstraintSpec(kind="surrogate", epsilon=0.1), "surrogate-fan"),
+    (TWO_COINS, 12, ConstraintSpec(kind="surrogate", epsilon=0.2), "surrogate-fan"),  # MC
     (SKEWED, 30, ConstraintSpec(kind="expected", epsilon=0.999999), "unconstrained-feasible"),
 ], ids=["1d-expected", "1d-probabilistic", "2d-scan", "1d-surrogate-exact",
         "1d-surrogate-mc", "2d-surrogate-exact", "2d-surrogate-mc", "unconstrained-feasible"])
@@ -1040,7 +1040,7 @@ def test_pruned_allocation_gets_its_full_estimate(monkeypatch):
     assert evaluate(kv) == (False, *full) and evaluate.evals == 1
     # A search whose answer the screen dropped still reports its estimate.
     monkeypatch.setattr(drawdown, "_ray_search",
-                        lambda model, ev: (kv, log_growth(kv, model), "expected-bisect", True))
+                        lambda model, ev, k_un: (kv, log_growth(kv, model), "expected-bisect"))
     res = maximize_growth_constrained(SKEWED, 120, spec, mc)
     assert (res.constraint_estimate, res.constraint_std_error) == full
 
@@ -1075,28 +1075,11 @@ def test_screen_cuts_grid_ray_work_by_more_than_half(monkeypatch):
     assert work[0] < 0.5 * work[1]
 
 
-def test_enumerated_ladder_walk_does_not_change_the_answer(monkeypatch):
-    # 4^6 sequences: a chunk of 4^6 holds one ladder point, the one-at-a-time
-    # walk; 2^16 holds 16; 33 * 4^6 holds the whole ladder.
-    from kellylab import drawdown
-    spec = ConstraintSpec(kind="surrogate", epsilon=0.1)
-    runs = []
-    for chunk in (4 ** 6, 2 ** 16, 33 * 4 ** 6):
-        monkeypatch.setattr(drawdown, "_ENUM_CHUNK", chunk)
-        runs.append(maximize_growth_constrained(TWO_COINS, 6, spec))
-    lazy, default, whole = runs
-    assert lazy.method == "surrogate-ascent"
-    for res in (default, whole):
-        assert np.array_equal(res.k_star, lazy.k_star) and res.g_star == lazy.g_star
-        assert res.constraint_estimate == lazy.constraint_estimate
-    assert lazy.iterations < default.iterations < whole.iterations
-
-
-def full_scan_grid_refine(model, evaluate):
+def full_scan_grid_refine(model, evaluate, k_un):
     """The 1-asset search as it was before the ray search: the best feasible
     point of a 101-point grid by argmax (the first one on a tie), then
     bisection toward its infeasible neighbour."""
-    k_un = float(maximize_growth(model).k_star[0])
+    k_un = float(k_un[0])
     grid = np.linspace(0.0, 1.0, 101)
     flags = [ok for ok, _, _ in evaluate.batch(grid[:, None])]
     feasible_idx = [i for i, ok in enumerate(flags) if ok]
@@ -1111,10 +1094,10 @@ def full_scan_grid_refine(model, evaluate):
             else:
                 hi = mid
     k = np.array([min(lo, k_un)])
-    return k, log_growth(k, model), "grid-refine", True
+    return k, log_growth(k, model), "grid-refine"
 
 
-def full_scan_grid_scan(model, evaluate):
+def full_scan_grid_scan(model, evaluate, k_un):
     """The 2-asset search as it was before the ray search: check every
     simplex grid point and keep the first feasible point of largest g in
     scan order."""
@@ -1125,7 +1108,7 @@ def full_scan_grid_scan(model, evaluate):
         feasible += [kv for kv, (ok, _, _) in zip(row, evaluate.batch(row)) if ok]
     g = log_growth(np.array(feasible), model)
     best = int(np.argmax(g))
-    return feasible[best], float(g[best]), "grid-scan", True
+    return feasible[best], float(g[best]), "grid-scan"
 
 
 # A coin whose mean is positive: its unconstrained optimum bets, so a tight
@@ -1164,6 +1147,34 @@ def test_two_asset_ray_search_never_loses_growth_to_the_grid_scan(coin, coin2, k
     res, old = search_and_oracle(model, n, kind, eps, delta, seed, full_scan_grid_scan)
     assert res.g_star >= old.g_star
     assert (res.method == "unconstrained-feasible") == (old.method == "unconstrained-feasible")
+
+
+@settings(max_examples=50, deadline=None)
+@given(coin=EDGE_COIN, coin2=st.one_of(st.just("twin"), st.just("same"), COIN),
+       eps=st.floats(0.02, 0.3), n=st.integers(5, 60), seed=st.integers(0, 2**16))
+def test_surrogate_fan_keeps_the_growth_of_the_grid_scan(coin, coin2, eps, n, seed):
+    # The surrogate set is convex, so the fan's answer is within 1/128 in
+    # direction and REFINE_TOL along its ray of the constrained optimum,
+    # which no admitted point of the simplex grid beats; 1e-3 of g covers
+    # those two tolerances.
+    if coin2 == "twin":
+        model = GambleModel(xs=np.repeat(coin.xs, 2, axis=1), probs=coin.probs)
+    else:
+        model = independent_join(coin, coin if coin2 == "same" else coin2)
+    res, old = search_and_oracle(model, n, "surrogate", eps, None, seed, full_scan_grid_scan)
+    assert res.method in ("surrogate-fan", "unconstrained-feasible")
+    assert res.g_star >= (1.0 - 1e-3) * old.g_star
+
+
+def test_surrogate_fan_reaches_the_enumerated_boundary():
+    # Exact enumeration admits K = [0.3574, 0.5396], where g = 0.270999 (slack
+    # 1.4e-5); a search that stops at the first boundary point it meets can
+    # end far below it.
+    model = independent_join(make_coin(1.0, -1.0, 0.9), make_coin(0.5, -0.4, 0.6))
+    res = maximize_growth_constrained(model, 6, ConstraintSpec(kind="surrogate", epsilon=0.2))
+    assert res.method == "surrogate-fan" and res.converged
+    assert res.g_star >= 0.27
+    assert expected_log_complementary(model, res.k_star, 6).value >= math.log(0.8)
 
 
 @settings(max_examples=50, deadline=None)
@@ -1222,8 +1233,8 @@ def test_ray_through_two_total_loss_coins_rounds_below_minus_one(monkeypatch):
     spec = ConstraintSpec(kind="expected", epsilon=0.6)
     evaluate = drawdown._ConstraintEvaluator(TWO_COINS, 20, spec,
                                              MonteCarloConfig(paths=200, seed=1))
-    k, g, method, converged = drawdown._ray_search(TWO_COINS, evaluate)
-    assert method == "grid-ray" and converged
+    k, g, method = drawdown._ray_search(TWO_COINS, evaluate, maximize_growth(TWO_COINS).k_star)
+    assert method == "grid-ray"
     assert g == log_growth(k, TWO_COINS) > log_growth(kg, TWO_COINS)
     assert np.allclose(k / k.sum(), u, rtol=0, atol=1e-15) and k.sum() > kg.sum()
     ok, est, _ = evaluate(k)
@@ -1263,35 +1274,6 @@ def test_best_feasible_keeps_the_first_of_tied_points(monkeypatch, chunk):
         assert len(checked) == min(g.size, chunk * (falling.index(best) // chunk + 1))
 
 
-def test_ladder_from_the_last_step_does_not_change_the_ascent(monkeypatch):
-    # 4^12 sequences: the Monte Carlo ladder. A lead as long as the ladder
-    # checks all of it in the first batch of every iteration. At this eps
-    # some iterations accept a step beyond their first batch, so the answer
-    # depends on the second one too.
-    from kellylab import drawdown
-    spec = ConstraintSpec(kind="surrogate", epsilon=0.15)
-    mc = MonteCarloConfig(paths=300, seed=2)
-    res = maximize_growth_constrained(TWO_COINS, 12, spec, mc)
-    monkeypatch.setattr(drawdown, "_LADDER_LEAD", len(drawdown._ASCENT_STEPS))
-    whole = maximize_growth_constrained(TWO_COINS, 12, spec, mc)
-    assert res.method == "surrogate-ascent" and res.converged and whole.converged
-    assert np.array_equal(res.k_star, whole.k_star) and res.g_star == whole.g_star
-    assert (res.constraint_estimate, res.constraint_std_error) == (
-        whole.constraint_estimate, whole.constraint_std_error)
-    assert res.iterations < whole.iterations
-
-
-def test_ascent_stopped_by_its_cap_has_not_converged(monkeypatch):
-    from kellylab import drawdown
-    spec = ConstraintSpec(kind="surrogate", epsilon=0.1)
-    res = maximize_growth_constrained(TWO_COINS, 6, spec)
-    assert res.method == "surrogate-ascent" and res.converged
-    monkeypatch.setattr(drawdown, "ASCENT_MAX_ITER", 1)
-    capped = maximize_growth_constrained(TWO_COINS, 6, spec)
-    assert capped.method == "surrogate-ascent" and not capped.converged
-    assert capped.g_star < res.g_star
-
-
 def test_three_asset_search_dispatch(monkeypatch):
     from kellylab import drawdown
     calls = []
@@ -1307,7 +1289,7 @@ def test_three_asset_search_dispatch(monkeypatch):
         maximize_growth_constrained(three, 30, ConstraintSpec(kind="expected", epsilon=0.1))
     assert calls == []
     res = maximize_growth_constrained(three, 4, ConstraintSpec(kind="surrogate", epsilon=0.1))
-    assert res.method == "surrogate-ascent"
+    assert res.method == "surrogate-fan"
     assert calls == []   # 8^4 sequences are enumerated, so no CRN matrix is sampled
 
 
@@ -1326,9 +1308,9 @@ def test_grid_scan_keeps_first_of_tied_points(monkeypatch):
     starts = []
     ray_best = drawdown._ray_best
 
-    def recording(model, evaluate, k_lo, u, tol):
+    def recording(model, evaluate, k_lo, us, lo, hi, tol):
         starts.append(k_lo)
-        return ray_best(model, evaluate, k_lo, u, tol)
+        return ray_best(model, evaluate, k_lo, us, lo, hi, tol)
 
     monkeypatch.setattr(drawdown, "_ray_best", recording)
     m = GambleModel(xs=[[1.0, 1.0], [-1.0, -1.0]], probs=[0.8, 0.2])

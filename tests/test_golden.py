@@ -105,11 +105,11 @@ CASES = {
     "constrained-2d-surrogate-exact": (
         "constrained", "--coin", "1,-1,0.9", "--coin2", "0.5,-0.4,0.6", "--kind", "surrogate",
         "--eps", "0.2", "--n", "6"),
-    # 4^7 sequences: each 33-point ladder is enumerated in several chunks.
+    # 4^7 sequences: a level of a fan's 9 rays is enumerated in chunks of 4 rows.
     "constrained-2d-surrogate-exact-n7": (
         "constrained", "--coin", "1,-1,0.9", "--coin2", "0.5,-0.4,0.6", "--kind", "surrogate",
         "--eps", "0.2", "--n", "7"),
-    # 4^50 sequences: the Monte Carlo fallback, over about 17 ascent steps.
+    # 4^50 sequences: the Monte Carlo fallback, one kernel call per level of each fan.
     "constrained-2d-surrogate-mc-n50": (
         "constrained", "--coin", "1,-1,0.8", "--coin2", "0.5,-0.4,0.6", "--kind", "surrogate",
         "--eps", "0.2", "--n", "50", "--paths", "1000", "--seed", "14"),
@@ -122,7 +122,7 @@ CASES = {
         "constrained", "--coin", "1,-1,0.9", "--coin2", "0.5,-0.4,0.6",
         "--kind", "probabilistic", "--eps", "0.25", "--delta", "0.1", "--n", "50",
         "--paths", "1000", "--seed", "33"),
-    # 4^40 sequences: the Monte Carlo fallback, over 16 ascent iterations.
+    # 4^40 sequences: the Monte Carlo fallback, at a smaller eps.
     "constrained-2d-surrogate-mc-n40": (
         "constrained", "--coin", "1,-1,0.9", "--coin2", "0.5,-0.4,0.6", "--kind", "surrogate",
         "--eps", "0.15", "--n", "40", "--paths", "800", "--seed", "35"),
@@ -170,7 +170,8 @@ CASES = {
 # ascent's ladder from its last accepted step; the 1-asset expected and
 # probabilistic cases and every 2-asset scan case when the searches bisected
 # one ray, and the Monte Carlo surrogate cases when `constrained` began to
-# print their standard error.
+# print their standard error; the five 2-asset surrogate cases that are not
+# unconstrained-feasible when the surrogate search became a fan of rays.
 EXPECTED = {
     "adaptive-traces": (
         0, "786b777616f66bf92cf5d380b54a3d8c1004c1063c1119941858ff6d479a1cab",
@@ -203,17 +204,17 @@ EXPECTED = {
     "constrained-2d-scan-probabilistic": (
         0, "0f479dc51a99cb90009fc7cc5ab3cfbd26f982fe31dd08a33cc6a8c9a89fee2e", {}),
     "constrained-2d-surrogate": (
-        0, "db0adc32b337ac52a648b5bae2f997d9e756ab6c366e918311adca3bec7a13a2", {}),
+        0, "a8f66470ac182fc23c41c1e5ed4e64f37cd5b14c7d464f455f6a7db05d81c3fe", {}),
     "constrained-2d-surrogate-exact": (
-        0, "b559e2958781a07e1d2c47593768e0aa534bd5620fb37a2407bc2497075d40fd", {}),
+        0, "e233fa823a93b81bc68931917dc3744fe4a14eafa022527f6c3607aa36373aa3", {}),
     "constrained-2d-surrogate-exact-n7": (
-        0, "70a2cea3d5dde7ab28fe5f64d1dd1f993789590b770eb387e5f6f15d14c53749", {}),
+        0, "b859dd214a30ea4d51ec3f8313e125357f932368035f450f2bedab48f5d46a17", {}),
     "constrained-2d-surrogate-exact-unconstrained-feasible": (
         0, "87737e66a357b2ddca1beed36ec8ae7baac1ad1dbd014239ee480fbd3c8659cf", {}),
     "constrained-2d-surrogate-mc-n40": (
-        0, "6d50a0553948d0b72df8634af2174287c9d8aead3b31ecaed71c0062dd2889db", {}),
+        0, "402008e06961756c53a1b257010a31a72680e60eab14ed5acbe627c85c712b7c", {}),
     "constrained-2d-surrogate-mc-n50": (
-        0, "7a96f82d42c9aa7f31f7fa6b00f3dbf4cf12716ca51dd2d35d703ec0a33b18f8", {}),
+        0, "5863f6f21028d26b1da35e91dccd23bb90af0ca24dfb47494d25b24aa08cdfe6", {}),
     "drawdown-even": (
         0, "622ed799ef51a37715bd46dd98f15ddf81935f17cd61416712220886178bfb1d",
         {"dd.expected.csv": "af06a53775b5e0140dce867b2ac65b6f923b86bd92b0716a5f70b58ae0a9277f",
