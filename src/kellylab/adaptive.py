@@ -58,7 +58,11 @@ def run_adaptive(p_true: float, n_steps: int, window: int, seed: int = 0) -> Ada
     fractions = np.clip(2.0 * p_hats - 1.0, 0.0, 1.0)
 
     step = np.concatenate([np.ones(window), 1.0 + fractions * x[window:]])
-    values = np.concatenate([[1.0], np.cumprod(step)])
+    # A lost full bet (factor 0) leaves wealth 0 for good. The product stops
+    # there, so a wealth that overflowed to inf is not multiplied by 0 (NaN).
+    ruin = np.flatnonzero(step == 0.0)
+    end = ruin[0] if ruin.size else n_steps
+    values = np.concatenate([[1.0], np.cumprod(step[:end]), np.zeros(n_steps - end)])
 
     path = WealthPath(values=values, outcomes=x.reshape(-1, 1))
     return AdaptiveRun(estimates=p_hats, fractions=fractions, path=path, window=window)

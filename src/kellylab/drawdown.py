@@ -17,9 +17,10 @@ or a (B, n_assets) batch; mean_se and ConstraintSpec.statistic take one
 sample or a (B, paths) block. Each has one path, on which one allocation or
 sample is a batch of one row, and returns that row's result on its own.
 gamble._checked_factors is the path's one feasibility check; it takes each
-row's factors from a matvec of its own, and every reduction runs along the
-row. So row b of a batch is bitwise the call for k[b] alone, and a sweep, a
-grid search or a probe batches its fractions without moving a digit.
+row's factors from a matvec of its own, one per row of a stacked matmul, and
+every reduction runs along the row. So row b of a batch is bitwise the call
+for k[b] alone, and a sweep, a grid search or a probe batches its fractions
+without moving a digit.
 
 ConstraintSpec holds the one boundary rule: slack(estimate) is the signed
 distance of an estimate inside its constraint, and contains(estimate) is
@@ -45,10 +46,25 @@ at t, and t * u is admitted" holds on [0, min(rho, peak)) and nowhere past
 it, where peak maximizes g on the ray: bisecting a bracket on that test
 ends at the ray's best admitted point, and the constraint is estimated only
 where g rises. _ray_best bisects a batch of rays together, with one
-evaluate.batch per level. By concavity no point of a ray's bracket
-[lo, hi] has a g above the tangent bound g(lo) + g'(lo) (hi - lo), so a ray
-stops once that bound falls below the best g(lo) of the batch: the ray
-that ends best never does, since its g(lo) only rises.
+evaluate.batch per level. An expected or probabilistic ray first checks, in
+one evaluate.batch every 3 levels, the 7 midpoints those levels can visit,
+each computed as its level computes it; the levels then find their verdicts
+in the evaluator's memo, so the answer is bitwise that of plain bisection
+and takes a third of the kernel calls. By concavity no point of a ray's
+bracket [lo, hi] has a g above the tangent bound g(lo) + g'(lo) (hi - lo),
+so a ray stops once that bound falls below the best g(lo) of the batch: the
+ray that ends best never does, since its g(lo) only rises.
+
+A surrogate ray splits its bracket where the line through its ends'
+slacks crosses 0, once both have a finite one, and at the midpoint until
+then or when its end is past the peak of g (regula falsi with the Illinois
+step: an end kept twice in a row halves its slack; the split stays
+_SPLIT_MARGIN of the bracket from either end). The test at the split
+moves lo or hi as at a midpoint, so the bracket, the width tol and the
+answer's guarantee are those of bisection; the surrogate statistic is
+smooth in t, so the split needs about half the levels. Over 400 random
+one- and two-coin surrogate searches (1217 calls of _ray_best), no call
+took more than the 14 levels that bisection takes to REFINE_TOL.
 
 The surrogate set is also convex: each path's log(1 - D) is a minimum of
 functions concave in K, so E[log(1 - D)] is concave, under CRN or exactly.
@@ -57,15 +73,20 @@ between them is admitted and has a g at least the smaller of theirs, and
 it lies on a ray whose direction is between u1 and u2: the best g of a
 ray is quasi-concave in its direction along any segment of directions.
 The surrogate search on two or more assets (surrogate-fan) starts at the
-simplex centre and runs three rounds. In each, for each pair of assets, a
+simplex centre and runs five rounds. In each, for each pair of assets, a
 fan of 9 rays moves the pair's share of the best direction so far along
 the pair line: over the whole line in round 1, and over +-1 spacing of the
 best direction, at a quarter of the spacing, in later rounds. By
 quasi-concavity the best direction of the line stays within one spacing of
-a fan's best ray, so on two assets, one pair, the answer is within 1/128
-in direction, and REFINE_TOL along its ray, of the constrained optimum. The
-steps are dyadic there, so a ray a later fan repeats is bitwise the same and
-its estimates are memo hits. On more assets it claims no optimum.
+a fan's best ray, so on two assets, one pair, the answer is within 1/2048
+in direction of the constrained optimum. A width of REFINE_TOL is a large
+share of a small t, so the best ray is then searched on alone to width
+REFINE_TOL * t, t its total bet so far: g is concave along the ray and 0
+at t = 0, so g'(t) t <= g(t) and the last bracket costs at most REFINE_TOL
+of g. A ray's split points depend on its own estimates only, and the steps
+are dyadic there, so a ray a later fan or the last search repeats visits
+the same points, and its estimates are memo hits. On more assets it claims
+no optimum.
 
 The grid walk of the two-asset expected and probabilistic search computes
 g at every grid point in one batched log_growth call and checks the points
@@ -84,10 +105,11 @@ rounding of two differently ordered sums. A dropped row would fail the
 search's rule at step N, so it is remembered as infeasible with no estimate,
 and every kept row is bitwise the unscreened one. Only the flag drives the
 searches; an answer whose row was dropped is estimated again, unscreened.
-The kernel then holds r and d for every path of the live rows. The drawdown
-sweep and the convexity probe are not screened, since they print every
-estimate, nor is the surrogate's Monte Carlo fallback, whose statistic needs
-a log of every partial d.
+The kernel then holds r and d for every path of the live rows, and
+allocates its factor and ones blocks once per call, and again only after a
+screen drops rows. The drawdown sweep and the convexity probe are not
+screened, since they print every estimate, nor is the surrogate's Monte
+Carlo fallback, whose statistic needs a log of every partial d.
 
 Relative wealth level is tracked by the recursion r <- min(1, r * factor)
 rather than by dividing V by its running peak: the first drop from a peak is
@@ -118,7 +140,6 @@ the memory each engine takes.
 
 from __future__ import annotations
 
-import csv
 import functools
 import itertools
 import math
@@ -290,6 +311,14 @@ def sample_path_indices(model: GambleModel, paths: int, n_steps: int, seed: int)
     return out
 
 
+def _work_blocks(n_paths: int, rows: int) -> tuple:
+    """(width, f, ones) of a kernel call on rows live rows: the paths of a
+    block, and the factor and ones blocks its steps share."""
+    width = max(_MIN_BLOCK_PATHS, _BLOCK_ELEMENTS // max(rows, 1))
+    f = np.empty((min(width, n_paths), rows))
+    return width, f, np.ones_like(f)
+
+
 def dbar_samples(model: GambleModel, k, indices: np.ndarray, screen=None) -> np.ndarray:
     """Per-path complementary drawdown min V(k)/V(l) for the given outcome indices.
 
@@ -318,11 +347,9 @@ def dbar_samples(model: GambleModel, k, indices: np.ndarray, screen=None) -> np.
     live = np.arange(factors.shape[0])
     r = np.ones((n_paths, live.size))
     d = np.ones((n_paths, live.size))
+    width, f, ones = _work_blocks(n_paths, live.size)
     chunk = _SCREEN_STEPS if screen is not None else max(n_steps, 1)
     for start in range(0, n_steps, chunk):
-        width = max(_MIN_BLOCK_PATHS, _BLOCK_ELEMENTS // max(live.size, 1))
-        f = np.empty((min(width, n_paths), live.size))
-        ones = np.ones_like(f)
         for lo in range(0, n_paths, width):
             hi = min(lo + width, n_paths)
             rb, db, fb, ob = r[lo:hi], d[lo:hi], f[:hi - lo], ones[:hi - lo]
@@ -338,6 +365,7 @@ def dbar_samples(model: GambleModel, k, indices: np.ndarray, screen=None) -> np.
                 r, d = r.compress(keep, axis=1), d.compress(keep, axis=1)
                 if not live.size:
                     break
+                width, f, ones = _work_blocks(n_paths, live.size)
     dbar = np.full((factors.shape[0], n_paths), np.nan)
     dbar[live] = d.T
     return dbar if np.ndim(k) == 2 else dbar[0]
@@ -536,8 +564,9 @@ class ConstrainedResult:
     """GrowthResult fields plus how the constraint was handled.
 
     iterations counts the search's constraint evaluations, the allocations
-    it estimated, each once; perfbench's tracer reports it per op as
-    drawdown.constraint_evals_per_op.
+    it estimated, each once, including the midpoints an expected or
+    probabilistic ray checks ahead that its bisection then skips;
+    perfbench's tracer reports it per op as drawdown.constraint_evals_per_op.
     """
 
     k_star: np.ndarray
@@ -557,7 +586,9 @@ def _screen(spec: ConstraintSpec, n_paths: int):
     rounds by less than n_paths * eps, which is added to the margin.
     """
     tol = SCREEN_MARGIN + 2 * n_paths * np.finfo(float).eps
-    return lambda d: spec.slack(spec.samples(d).mean(axis=0)) >= -tol
+    # np.add.reduce and the division are what .mean computes, bit for bit,
+    # without its per-call wrapper.
+    return lambda d: spec.slack(np.add.reduce(spec.samples(d), axis=0) / n_paths) >= -tol
 
 
 def _batch_stats(model, spec, ks, indices, screened=False) -> list:
@@ -675,6 +706,37 @@ def _along(xu: np.ndarray, probs: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.where(f.min(axis=0) > 0.0, [probs @ np.log(safe), probs @ (xu / safe)], -math.inf)
 
 
+# Bisection levels whose midpoints a screened search checks ahead, in one
+# evaluate.batch of 2 ** _PREFETCH_LEVELS - 1 points per ray. Of 2, 3 and 4
+# levels, 3 gave the fastest one-asset searches.
+_PREFETCH_LEVELS = 3
+
+# Least share of its bracket that a surrogate ray's interpolated split keeps
+# from either end. Of 2**-4, 2**-7, 2**-10 and none, 2**-7 made the fewest
+# kernel calls on the two-asset surrogate searches.
+_SPLIT_MARGIN = 2.0 ** -7
+
+
+def _midpoints(lo, hi, tol, levels):
+    """Every midpoint that the next `levels` levels of bisecting [lo, hi] to
+    width tol can visit, each computed as _ray_best computes it."""
+    if not levels or not hi - lo > tol:
+        return []
+    mid = 0.5 * (lo + hi)
+    return [mid, *_midpoints(lo, mid, tol, levels - 1), *_midpoints(mid, hi, tol, levels - 1)]
+
+
+def _split(lo, hi, s_lo, s_hi):
+    """Where each surrogate ray splits its bracket [lo, hi]: where the line
+    through its ends' slacks s_lo > 0 > s_hi crosses 0, at least
+    _SPLIT_MARGIN of the bracket from either end; the midpoint while an end
+    has no finite slack."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        w = s_lo / (s_lo - s_hi)
+    return np.where((w > 0.0) & (w < 1.0),
+                    lo + np.clip(w, _SPLIT_MARGIN, 1.0 - _SPLIT_MARGIN) * (hi - lo), 0.5 * (lo + hi))
+
+
 def _ray_best(model, evaluate, k_lo, us, lo, hi, tol):
     """(K, g) per ray r of the best admitted point of the ray t * us[r],
     sum(us[r]) = 1, by the ray rule of the module docstring: the rays'
@@ -683,18 +745,45 @@ def _ray_best(model, evaluate, k_lo, us, lo, hi, tol):
     bound falls below the best g(lo) of the batch. The bound takes g and g'
     from the ray's return column; the answer's g is log_growth's. k_lo, an
     admitted point of every ray, is a ray's answer when its t stays at
-    sum(k_lo) or gains no g over k_lo."""
+    sum(k_lo) or gains no g over k_lo.
+
+    An expected or probabilistic ray checks its next _PREFETCH_LEVELS
+    levels' midpoints ahead (see the module docstring). A surrogate ray
+    does not: its rows are not screened and run every step, so the points
+    its bisection skips would cost as much as those it checks. It splits
+    its bracket at _split instead of the midpoint (see the module
+    docstring); s_lo and s_hi are its ends' slacks, 0 has the slack of
+    E[log(1 - D)] = 0, and last is +1 or -1 as lo or hi moved last."""
     xu = model.xs @ us.T
     lo, hi = (np.full(len(us), end, dtype=float) for end in (lo, hi))
     g, slope = _along(xu, model.probs, lo)
     live = hi - lo > tol
-    while live.any():
-        mid = 0.5 * (lo + hi)
+    spec = evaluate.spec
+    surrogate = spec.kind == "surrogate"
+    s_lo = np.where(lo == 0.0, spec.slack(0.0), math.nan)
+    s_hi, last = np.full(len(us), math.nan), np.zeros(len(us))
+    for level in itertools.count():
+        if not live.any():
+            break
+        if not surrogate and level % _PREFETCH_LEVELS == 0:
+            evaluate.batch([t * us[r] for r in np.flatnonzero(live)
+                            for t in _midpoints(lo[r], hi[r], tol, _PREFETCH_LEVELS)])
+        mid = _split(lo, hi, s_lo, s_hi) if surrogate else 0.5 * (lo + hi)
         g_mid, slope_mid = _along(xu, model.probs, mid)
-        ok = live & (slope_mid > 0.0)
-        ok[ok] = [admitted for admitted, _, _ in evaluate.batch(mid[ok, None] * us[ok])]
+        checked = live & (slope_mid > 0.0)
+        verdicts = evaluate.batch(mid[checked, None] * us[checked])
+        ok = checked.copy()
+        ok[checked] = [admitted for admitted, _, _ in verdicts]
+        cut = live & ~ok
+        if surrogate:
+            s_mid = np.full(len(us), math.nan)
+            s_mid[checked] = [spec.slack(est) for _, est, _ in verdicts]
+            # The Illinois step: an end kept twice in a row halves its slack.
+            s_lo, s_hi = (np.where(ok, s_mid, np.where(cut & (last < 0), 0.5 * s_lo, s_lo)),
+                          np.where(cut, s_mid, np.where(ok & (last > 0), 0.5 * s_hi, s_hi)))
+            last = np.where(ok, 1.0, np.where(cut, -1.0, last))
         lo, g, slope = np.where(ok, [mid, g_mid, slope_mid], [lo, g, slope])
-        hi = np.where(live & ~ok, mid, hi)
+        hi = np.where(cut, mid, hi)
         live &= (hi - lo > tol) & (g + slope * (hi - lo) >= g.max())
     k = lo[:, None] * us
     g, g_lo = log_growth(k, model), log_growth(k_lo, model)
@@ -705,14 +794,15 @@ def _ray_best(model, evaluate, k_lo, us, lo, hi, tol):
 # Rays of one fan of the surrogate search, and its rounds (see the module
 # docstring).
 _FAN_RAYS = 9
-_FAN_ROUNDS = 3
+_FAN_ROUNDS = 5
 
 
 def _surrogate_fan(model, evaluate):
     """(K, g) of the surrogate search on two or more assets: the rounds of
     fans of the module docstring, each ray from K = 0 over the bracket
     [0, 1] to width REFINE_TOL. The best direction so far changes only to a
-    ray of larger g."""
+    ray of larger g; its ray is then searched on alone to width
+    REFINE_TOL * t, its first levels memo hits."""
     n = model.n_assets
     u, k, g = np.full(n, 1.0 / n), np.zeros(n), 0.0
     offsets = np.linspace(-1.0, 1.0, _FAN_RAYS)
@@ -727,6 +817,9 @@ def _surrogate_fan(model, evaluate):
         r = int(np.argmax(gs))
         if gs[r] > g:
             u, k, g = us[r], ks[r], float(gs[r])
+    if g > 0.0:
+        k, g = _ray_best(model, evaluate, np.zeros(n), u[None], 0.0, 1.0, REFINE_TOL * k.sum())
+        k, g = k[0], float(g[0])
     return k, g
 
 
@@ -734,7 +827,7 @@ def _ray_search(model, evaluate, k_un):
     """(K, g, method) of the constrained search, by the ray rule of the
     module docstring, once the unconstrained optimum k_un is outside the set.
 
-    One asset: the ray u = 1, bisected on [0, k_un] to width REFINE_TOL, or
+    One asset: the ray u = 1, searched on [0, k_un] to width REFINE_TOL, or
     REFINE_TOL * 1e-2 for the surrogate (<kind>-bisect).
 
     A surrogate on two or more assets: the fans of _surrogate_fan
@@ -890,10 +983,8 @@ def convexity_probe(model: GambleModel, n_steps: int, spec: ConstraintSpec,
 
 
 def write_level_set_csv(report: ProbeReport, path) -> None:
-    """Grid CSV with columns k1, k2, estimate, std_error, in_set."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k1", "k2", "estimate", "std_error", "in_set"])
-        for pt in report.grid:
-            writer.writerow([repr(pt.k1), repr(pt.k2), repr(pt.estimate),
-                             repr(pt.std_error), int(pt.in_set)])
+    """Grid CSV with columns k1, k2, estimate, std_error, in_set, each float
+    as its repr: the file `probe-convexity --out` writes."""
+    # The CLI writes every CSV; it imports this module, so it is imported on use.
+    from .cli import _write_level_set_csv
+    _write_level_set_csv(report, path)

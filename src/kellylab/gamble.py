@@ -157,8 +157,10 @@ def _checked_factors(model: GambleModel, k) -> np.ndarray:
     This is the feasibility rule: K >= 0, sum(K) <= 1 and 1 + K'x >= 0 on
     every atom x, each within FEAS_TOL. The batch is checked at once and the
     first infeasible row is named; a factor below 0 is then rounding noise
-    on the ruin boundary, so it clamps to 0. Row b is one model.xs @ k[b]:
-    a single (B, n) x (n, m) product rounds differently.
+    on the ruin boundary, so it clamps to 0. Row b is the matvec
+    model.xs @ k[b] on its own: the stacked matmul of model.xs with the
+    (B, n, 1) batch runs one such matvec per row, where a single
+    (B, n) x (n, m) product rounds differently.
     """
     kvs = np.asarray(k, dtype=float)
     if kvs.ndim != 2:
@@ -166,9 +168,7 @@ def _checked_factors(model: GambleModel, k) -> np.ndarray:
     elif kvs.shape[1] != model.n_assets:
         raise ValueError(f"allocation has dimension {kvs.shape[1]}, "
                          f"model has {model.n_assets} assets")
-    factors = np.empty((len(kvs), model.n_atoms))
-    for row, kv in zip(factors, kvs):
-        np.matmul(model.xs, kv, out=row)
+    factors = np.matmul(model.xs, kvs[:, :, None])[:, :, 0]
     factors += 1.0
     # The ufunc reductions are the array methods' own, without their
     # per-call wrapper: a one-row check is most of a log_growth call.

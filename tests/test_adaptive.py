@@ -229,6 +229,18 @@ def test_trace_rows_equal_the_per_cell_oracle_at_the_float_limits(p_true, n, win
     assert list(trace_rows(run)) == list(trace_rows_oracle(run))
 
 
+def test_lost_full_bet_after_an_overflow_leaves_wealth_zero():
+    # Wealth overflows to inf at step 1534, and the full bet of step 2805
+    # loses: the wealth is 0 from there on, not inf * 0 = NaN (which numpy
+    # also warns about, an error under pytest).
+    with np.errstate(over="ignore"):
+        run = run_adaptive(0.96, 3000, 150, seed=0)
+    v = run.path.values
+    assert np.isinf(v[1534]) and not np.isinf(v[1533])
+    assert np.isinf(v[2804]) and np.all(v[2805:] == 0.0)
+    assert list(trace_rows(run)) == list(trace_rows_oracle(run))
+
+
 def test_adaptive_trace_file_is_the_oracle_rows_through_csv_writer(capsys, tmp_path):
     code = main(["adaptive", "--p-true", "0.58", "--n", "3000", "--window", "40",
                  "--runs", "2", "--seed", "3", "--out", str(tmp_path / "a")])

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kellylab import (ConstraintSpec, EnumerationBudgetError, GambleModel, MonteCarloConfig,
@@ -17,7 +17,9 @@ from kellylab import (ConstraintSpec, EnumerationBudgetError, GambleModel, Monte
                       is_feasible, log_growth, make_coin, maximize_growth,
                       maximize_growth_constrained, mean_se, sample_indices,
                       sample_path_indices, write_level_set_csv)
+from kellylab import drawdown as drawdown_module
 from kellylab.config import FEAS_TOL, GRID_STEP, REFINE_TOL
+from test_growth import benchmark_size_case
 
 EVEN9 = make_coin(1.0, -1.0, 0.9)
 SKEWED = make_coin(0.15, -0.95, 0.95)
@@ -597,13 +599,19 @@ def test_checked_factors_rows_equal_wealth_factors(atoms, n_assets, rows):
             assert np.array_equal(row, wealth_factors(model, kv))
 
 
-@pytest.mark.parametrize("n_assets", [1, 2, 3, 5])
+@pytest.mark.parametrize("n_assets", [1, 2, 3, 5, "simplex-grid", "ingested-5", "ingested-20"])
 def test_checked_factors_rows_are_bitwise_single_matvecs(n_assets):
-    # A single (B, n) x (n, m) product rounds differently for n >= 2.
+    # A single (B, n) x (n, m) product rounds differently for n >= 2; the
+    # stacked matmul of model.xs with the (B, n, 1) batch runs one matvec
+    # per row. The named cases are the searches' grid and ingested-model
+    # sizes (see test_growth.benchmark_size_case).
     from kellylab import drawdown
-    rng = np.random.default_rng(n_assets)
-    model = GambleModel(xs=rng.uniform(-1.0, 2.0, (7, n_assets)), probs=np.full(7, 1 / 7))
-    ks = 0.3 * rng.dirichlet(np.ones(n_assets + 1), size=200)[:, :n_assets]
+    if isinstance(n_assets, str):
+        model, ks = benchmark_size_case(n_assets)
+    else:
+        rng = np.random.default_rng(n_assets)
+        model = GambleModel(xs=rng.uniform(-1.0, 2.0, (7, n_assets)), probs=np.full(7, 1 / 7))
+        ks = 0.3 * rng.dirichlet(np.ones(n_assets + 1), size=200)[:, :n_assets]
     factors = drawdown._checked_factors(model, ks)
     for kv, row in zip(ks, factors):
         assert np.array_equal(row, wealth_factors(model, kv))
@@ -1152,11 +1160,18 @@ def test_two_asset_ray_search_never_loses_growth_to_the_grid_scan(coin, coin2, k
 @settings(max_examples=50, deadline=None)
 @given(coin=EDGE_COIN, coin2=st.one_of(st.just("twin"), st.just("same"), COIN),
        eps=st.floats(0.02, 0.3), n=st.integers(5, 60), seed=st.integers(0, 2**16))
+@example(coin=GambleModel(xs=np.array([[0.3916626], [-0.18164062]]), probs=np.array([0.5, 0.5])),
+         coin2=make_coin(1.0, -0.05, 0.40625), eps=0.1, n=16, seed=6139)
+@example(coin=make_coin(3.199906556336572, -0.333447987147874, 0.27611020952465104),
+         coin2=make_coin(0.05, -0.8535563787354469, 0.675337045411062), eps=0.02, n=5, seed=5)
 def test_surrogate_fan_keeps_the_growth_of_the_grid_scan(coin, coin2, eps, n, seed):
-    # The surrogate set is convex, so the fan's answer is within 1/128 in
-    # direction and REFINE_TOL along its ray of the constrained optimum,
-    # which no admitted point of the simplex grid beats; 1e-3 of g covers
-    # those two tolerances.
+    # The surrogate set is convex, so the fan's answer is within 1/2048 in
+    # direction, and REFINE_TOL of g along its ray, of the constrained
+    # optimum, which no admitted point of the simplex grid beats; 1e-3 of g
+    # covers those two tolerances. With three rounds (1/128) and a width of
+    # REFINE_TOL the first example lost 0.17% of g to the grid in
+    # direction, and the second, whose answer is K = [0.02, 0] on the grid,
+    # 0.2% along its ray.
     if coin2 == "twin":
         model = GambleModel(xs=np.repeat(coin.xs, 2, axis=1), probs=coin.probs)
     else:
@@ -1175,6 +1190,52 @@ def test_surrogate_fan_reaches_the_enumerated_boundary():
     assert res.method == "surrogate-fan" and res.converged
     assert res.g_star >= 0.27
     assert expected_log_complementary(model, res.k_star, 6).value >= math.log(0.8)
+
+
+def test_split_interpolates_between_finite_slacks():
+    # Rows: the line through (0, 1) and (1, -3) crosses 0 at 0.25; lo has no
+    # slack yet; hi is ruinous; a crossing next to lo is kept 2**-7 of the
+    # bracket away; the line through (0.25, 3) and (0.75, -1) crosses at 0.625.
+    lo = np.array([0.0, 0.0, 0.0, 0.0, 0.25])
+    hi = np.array([1.0, 1.0, 1.0, 1.0, 0.75])
+    s_lo = np.array([1.0, math.nan, 1.0, 1e-30, 3.0])
+    s_hi = np.array([-3.0, -1.0, -math.inf, -1.0, -1.0])
+    assert drawdown_module._split(lo, hi, s_lo, s_hi).tolist() == [0.25, 0.5, 0.5, 2.0 ** -7, 0.625]
+
+
+def bisect_surrogate(lo, hi, s_lo, s_hi):
+    return 0.5 * (lo + hi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(coin=EDGE_COIN, eps=st.floats(0.02, 0.5), n=st.integers(1, 60),
+       paths=st.integers(1, 300), seed=st.integers(0, 2**16))
+def test_interpolated_surrogate_ray_ends_where_bisection_does(coin, eps, n, paths, seed):
+    # The verdict at an interpolated split moves lo or hi as at a midpoint,
+    # so both searches end with an admitted lo within their width of the
+    # same boundary point.
+    spec = ConstraintSpec(kind="surrogate", epsilon=eps)
+    mc = MonteCarloConfig(paths=paths, seed=seed)
+    res = maximize_growth_constrained(coin, n, spec, mc)
+    with mock.patch.object(drawdown_module, "_split", bisect_surrogate):
+        bisected = maximize_growth_constrained(coin, n, spec, mc)
+    assert res.method == bisected.method
+    assert spec.slack(res.constraint_estimate) >= 0.0
+    assert abs(res.k_star[0] - bisected.k_star[0]) <= REFINE_TOL * 1e-2 * (1 + 1e-9)
+
+
+def test_interpolated_surrogate_ray_takes_fewer_estimates():
+    # The one-asset search of the constrained-1d-surrogate golden case and
+    # the two-asset one of constrained-2d-surrogate-exact.
+    cases = [(make_coin(1.0, -1.0, 0.9), 10, 0.3),
+             (independent_join(make_coin(1.0, -1.0, 0.9), make_coin(0.5, -0.4, 0.6)), 6, 0.2)]
+    for model, n, eps in cases:
+        spec = ConstraintSpec(kind="surrogate", epsilon=eps)
+        res = maximize_growth_constrained(model, n, spec)
+        with mock.patch.object(drawdown_module, "_split", bisect_surrogate):
+            bisected = maximize_growth_constrained(model, n, spec)
+        assert res.iterations < bisected.iterations
+        assert res.g_star >= bisected.g_star - 1e-6 * abs(bisected.g_star)
 
 
 @settings(max_examples=50, deadline=None)
@@ -1297,6 +1358,102 @@ def test_three_asset_search_dispatch(monkeypatch):
 def test_sample_path_indices_rejects_empty_sizes(paths, n_steps):
     with pytest.raises(ValueError, match="paths >= 1 and n_steps >= 1"):
         sample_path_indices(SKEWED, paths, n_steps, seed=0)
+
+
+def serial_ray_best(model, evaluate, k_lo, us, lo, hi, tol):
+    """_ray_best without the prefetch: each level checks only its own
+    midpoints, in one evaluate.batch. The oracle for the prefetching one."""
+    xu = model.xs @ us.T
+    lo, hi = (np.full(len(us), end, dtype=float) for end in (lo, hi))
+    g, slope = drawdown_module._along(xu, model.probs, lo)
+    live = hi - lo > tol
+    while live.any():
+        mid = 0.5 * (lo + hi)
+        g_mid, slope_mid = drawdown_module._along(xu, model.probs, mid)
+        ok = live & (slope_mid > 0.0)
+        ok[ok] = [admitted for admitted, _, _ in evaluate.batch(mid[ok, None] * us[ok])]
+        lo, g, slope = np.where(ok, [mid, g_mid, slope_mid], [lo, g, slope])
+        hi = np.where(live & ~ok, mid, hi)
+        live &= (hi - lo > tol) & (g + slope * (hi - lo) >= g.max())
+    k = lo[:, None] * us
+    g, g_lo = log_growth(k, model), log_growth(k_lo, model)
+    better = (lo != k_lo.sum()) & (g > g_lo)
+    return np.where(better[:, None], k, k_lo), np.where(better, g, g_lo)
+
+
+def assert_search_equals_serial_ray_best(model, n_steps, spec, mc):
+    prefetched = maximize_growth_constrained(model, n_steps, spec, mc)
+    with mock.patch.object(drawdown_module, "_ray_best", serial_ray_best):
+        serial = maximize_growth_constrained(model, n_steps, spec, mc)
+    assert prefetched.method == serial.method
+    assert np.array_equal(prefetched.k_star, serial.k_star)
+    assert (prefetched.g_star, prefetched.constraint_estimate, prefetched.constraint_std_error) == (
+        serial.g_star, serial.constraint_estimate, serial.constraint_std_error)
+    # The prefetch estimates every point bisection visits, and more.
+    assert prefetched.iterations >= serial.iterations
+    return prefetched, serial
+
+
+@pytest.mark.parametrize("model,n_steps,spec,method", [
+    (SKEWED, 120, ConstraintSpec(kind="expected", epsilon=0.2), "expected-bisect"),
+    (EVEN9, 60, ConstraintSpec(kind="probabilistic", epsilon=0.5, delta=0.1),
+     "probabilistic-bisect"),
+    (TWO_COINS, 30, ConstraintSpec(kind="expected", epsilon=0.1), "grid-ray"),
+    (TWO_COINS, 30, ConstraintSpec(kind="probabilistic", epsilon=0.2, delta=0.2), "grid-ray"),
+], ids=["1d-expected", "1d-probabilistic", "2d-expected", "2d-probabilistic"])
+def test_prefetched_ray_equals_serial_bisection(model, n_steps, spec, method):
+    prefetched, serial = assert_search_equals_serial_ray_best(
+        model, n_steps, spec, MonteCarloConfig(paths=300, seed=2))
+    assert prefetched.method == method
+    assert prefetched.iterations > serial.iterations
+
+
+@settings(max_examples=30, deadline=None)
+@given(coin=COIN, coin2=st.one_of(st.none(), COIN),
+       kind=st.sampled_from(["expected", "probabilistic"]), eps=st.floats(0.02, 0.9),
+       delta=st.floats(0.01, 0.5), n=st.integers(1, 40), seed=st.integers(0, 2**16))
+def test_prefetched_ray_equals_serial_bisection_on_any_coins(coin, coin2, kind, eps, delta, n,
+                                                             seed):
+    model = coin if coin2 is None else independent_join(coin, coin2)
+    spec = ConstraintSpec(kind=kind, epsilon=eps,
+                          delta=delta if kind == "probabilistic" else None)
+    assert_search_equals_serial_ray_best(model, n, spec, MonteCarloConfig(paths=150, seed=seed))
+
+
+class RecordingEvaluator:
+    """Admits every allocation and records the size of each batch."""
+
+    def __init__(self, kind):
+        self.spec = ConstraintSpec(kind=kind, epsilon=0.2,
+                                   delta=0.1 if kind == "probabilistic" else None)
+        self.batches = []
+
+    def batch(self, ks):
+        self.batches.append(len(ks))
+        return [(True, 0.0, 0.0)] * len(ks)
+
+
+@pytest.mark.parametrize("kind", ["surrogate", "expected", "probabilistic"])
+def test_only_screened_kinds_prefetch_their_rays(kind):
+    # A surrogate ray checks one midpoint per level; a screened one checks
+    # the 7 midpoints of the next 3 levels first, and its levels then hit
+    # the memo (here: are asked again). Both bisect [0, 0.5] to width
+    # 2**-11, in 10 levels.
+    evaluate = RecordingEvaluator(kind)
+    k, g = drawdown_module._ray_best(SKEWED, evaluate, np.zeros(1), np.ones((1, 1)),
+                                     0.0, 0.5, 2.0 ** -11)
+    plain = serial_ray_best(SKEWED, RecordingEvaluator(kind), np.zeros(1), np.ones((1, 1)),
+                            0.0, 0.5, 2.0 ** -11)
+    assert np.array_equal(k, plain[0]) and np.array_equal(g, plain[1])
+    if kind == "surrogate":
+        assert evaluate.batches == [1] * 10
+    else:
+        # Levels 0, 3 and 6 prefetch 7 points; level 9 prefetches only its own.
+        assert evaluate.batches == [7, 1, 1, 1] * 3 + [1, 1]
+    fan = RecordingEvaluator("surrogate")
+    us = np.array([[1.0 - s, s] for s in np.linspace(0.0, 1.0, 9)])
+    drawdown_module._ray_best(TWO_COINS, fan, np.zeros(2), us, 0.0, 1.0, REFINE_TOL)
+    assert max(fan.batches) <= len(us)
 
 
 def test_grid_scan_keeps_first_of_tied_points(monkeypatch):
@@ -1446,12 +1603,22 @@ def test_simplex_grids_are_feasible_for_any_model(atoms, resolution):
     assert all(is_feasible([pt.k1, pt.k2], model) for pt in rep.grid)
 
 
-def test_probe_grid_csv_format(tmp_path):
+def test_probe_grid_csv_format(tmp_path, capsys):
+    # The CLI's grid file and write_level_set_csv are the same bytes: one
+    # CSV writer, each float as its repr and in_set as 0 or 1.
+    from kellylab.cli import main
     spec = ConstraintSpec(kind="probabilistic", epsilon=0.3, delta=0.2)
     rep = convexity_probe(TWO_COINS, 20, spec, grid_resolution=20, pair_samples=10,
                           mc=MonteCarloConfig(paths=300, seed=4))
     out = tmp_path / "grid.csv"
     write_level_set_csv(rep, out)
-    lines = out.read_text().strip().splitlines()
+    assert main(["probe-convexity", "--coin", "1,-1,0.9", "--coin2", "1,-1,0.9",
+                 "--kind", "probabilistic", "--eps", "0.3", "--delta", "0.2", "--n", "20",
+                 "--paths", "300", "--seed", "4", "--pairs", "10",
+                 "--out", str(tmp_path / "cli")]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "cli.grid.csv").read_bytes() == out.read_bytes()
+    lines = out.read_text().splitlines()
     assert lines[0] == "k1,k2,estimate,std_error,in_set"
-    assert len(lines) == len(rep.grid) + 1
+    assert lines[1:] == [f"{pt.k1!r},{pt.k2!r},{pt.estimate!r},{pt.std_error!r},{int(pt.in_set)}"
+                         for pt in rep.grid]

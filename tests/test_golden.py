@@ -184,11 +184,11 @@ EXPECTED = {
     "constrained-1d-probabilistic-n252": (
         0, "855a2413fab75e5fdc496b425de043ea6bf54656d9d0593ab1a121d0e6757f7f", {}),
     "constrained-1d-surrogate": (
-        0, "80e0540a8ab32680f3f594394fb022e4f949a4afe986bbd5a413f8e1652865dc", {}),
+        0, "b813811fb93273030a282fe4d26afe73a628c5f4c2678819f84b93128b4c55ec", {}),
     "constrained-1d-surrogate-n15": (
-        0, "69fbedebb934c80f30a3280ac4dfa46ae414964ba19f5e4a74cf83ee9591675d", {}),
+        0, "6ad9ebcd8f20e10d3544aaa22a204a8824872d8d092e99967724647da97a97f9", {}),
     "constrained-1d-surrogate-mc": (
-        0, "c21bf30f316ce55976223eb1f24e63343266db0561b10a5fcb8c1fc73139896f", {}),
+        0, "929a6fa79a224b863a2e0305cf669fc4c917c98fbb793eecc208560aa7df23f6", {}),
     "constrained-1d-surrogate-mc-unconstrained-feasible": (
         0, "535a179635b246dc8bfbd5f4d1c3b6140a4307c93c8b245516dac6e514a4d44f", {}),
     "constrained-1d-unconstrained-feasible": (
@@ -204,17 +204,17 @@ EXPECTED = {
     "constrained-2d-scan-probabilistic": (
         0, "0f479dc51a99cb90009fc7cc5ab3cfbd26f982fe31dd08a33cc6a8c9a89fee2e", {}),
     "constrained-2d-surrogate": (
-        0, "a8f66470ac182fc23c41c1e5ed4e64f37cd5b14c7d464f455f6a7db05d81c3fe", {}),
+        0, "b797679c65289cb6e7202ae6f518879d88f75f7c138e15f5ce0dc094e45986b8", {}),
     "constrained-2d-surrogate-exact": (
-        0, "e233fa823a93b81bc68931917dc3744fe4a14eafa022527f6c3607aa36373aa3", {}),
+        0, "c938d093b00716415b9f8ed141420d1c1c63b94f26e077518ff49b803f4ab110", {}),
     "constrained-2d-surrogate-exact-n7": (
-        0, "b859dd214a30ea4d51ec3f8313e125357f932368035f450f2bedab48f5d46a17", {}),
+        0, "b7f6f332df93994b1da2a759cc9a12d64784becfc6285262b65d0a29b92fdc83", {}),
     "constrained-2d-surrogate-exact-unconstrained-feasible": (
         0, "87737e66a357b2ddca1beed36ec8ae7baac1ad1dbd014239ee480fbd3c8659cf", {}),
     "constrained-2d-surrogate-mc-n40": (
-        0, "402008e06961756c53a1b257010a31a72680e60eab14ed5acbe627c85c712b7c", {}),
+        0, "bbeb50896cfc7767567aadaa18ea9f16d43bdc43d049e1845267c725d3dcef1d", {}),
     "constrained-2d-surrogate-mc-n50": (
-        0, "5863f6f21028d26b1da35e91dccd23bb90af0ca24dfb47494d25b24aa08cdfe6", {}),
+        0, "a5e758d0057af4834632181bd008f85e0ecad0cd22389440f126e153c50955cf", {}),
     "drawdown-even": (
         0, "622ed799ef51a37715bd46dd98f15ddf81935f17cd61416712220886178bfb1d",
         {"dd.expected.csv": "af06a53775b5e0140dce867b2ac65b6f923b86bd92b0716a5f70b58ae0a9277f",

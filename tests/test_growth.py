@@ -1,15 +1,22 @@
 """Log-growth evaluation, its gradient, and the maximizer."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kellylab import (GambleModel, annualized_return, growth_gradient, is_feasible,
-                      log_growth, make_coin, maximize_growth, moments)
+from kellylab import (GambleModel, annualized_return, growth_gradient, independent_join,
+                      is_feasible, log_growth, make_coin, maximize_growth, moments)
+from kellylab import growth
+from kellylab.config import GRID_STEP, RUIN_EPS
+from kellylab.drawdown import _simplex_grid
 from kellylab.growth import project_allocation
 
 SKEWED = make_coin(0.15, -0.95, 0.95)
+EVEN9 = make_coin(1.0, -1.0, 0.9)
 
 
 def random_model(rng, n_assets=None):
@@ -57,23 +64,47 @@ def test_infeasible_allocation_rejected():
         log_growth(1.5, SKEWED)
 
 
-@pytest.mark.parametrize("seed", range(12))
+def serial_log_growth(kv, model):
+    """g of one allocation as one matvec, one log and one dot of its own."""
+    with np.errstate(divide="ignore"):
+        return float(model.probs @ np.log(np.maximum(1.0 + model.xs @ kv, 0.0)))
+
+
+def benchmark_size_case(case):
+    """(model, allocations) at the sizes the searches and the optimizer
+    meet: the 1326-point simplex grid of the two-asset search on a two-coin
+    join, or a 2000-atom model of 5 to 20 assets, as ingest builds them."""
+    if case == "simplex-grid":
+        return independent_join(EVEN9, EVEN9), _simplex_grid(np.arange(0.0, 1.0 + 1e-12, GRID_STEP))
+    n = int(case.split("-")[1])
+    rng = np.random.default_rng(n)
+    model = GambleModel(xs=rng.normal(0.0, 0.02, (2000, n)).clip(-1.0),
+                        probs=np.full(2000, 1 / 2000))
+    return model, rng.dirichlet(np.ones(n + 1), size=60)[:, :n]
+
+
+@pytest.mark.parametrize("seed", [*range(12), "simplex-grid", "ingested-5", "ingested-20"])
 def test_batched_log_growth_rows_equal_single_calls(seed):
-    # Each row keeps its own matvec and dot: one (B, m) @ (m,) product rounds
-    # differently. A -1 atom at a full bet zeroes a factor, giving -inf.
-    rng = np.random.default_rng(seed)
-    m = random_model(rng)
-    if seed % 3 == 0:
-        m = GambleModel(xs=np.vstack([m.xs, -np.ones(m.n_assets)]),
-                        probs=np.append(0.9 * m.probs, 0.1))
-    ks = np.array([random_feasible(rng, m.n_assets) for _ in range(40)]
-                  + [np.full(m.n_assets, 1.0 / m.n_assets), np.zeros(m.n_assets)])
+    # Each row keeps its own matvec and dot, as a stacked matmul computes
+    # them: one (B, m) @ (m,) product rounds differently. A -1 atom at a full
+    # bet zeroes a factor, giving -inf.
+    if isinstance(seed, str):
+        m, ks = benchmark_size_case(seed)
+    else:
+        rng = np.random.default_rng(seed)
+        m = random_model(rng)
+        if seed % 3 == 0:
+            m = GambleModel(xs=np.vstack([m.xs, -np.ones(m.n_assets)]),
+                            probs=np.append(0.9 * m.probs, 0.1))
+        ks = np.array([random_feasible(rng, m.n_assets) for _ in range(40)]
+                      + [np.full(m.n_assets, 1.0 / m.n_assets), np.zeros(m.n_assets)])
     g = log_growth(ks, m)
     assert g.shape == (len(ks),)
     for kv, gb in zip(ks, g):
         single = log_growth(kv, m)
-        assert gb == single and type(single) is float
-    assert (seed % 3 == 0) == (g[-2] == -math.inf)
+        assert gb == single == serial_log_growth(kv, m) and type(single) is float
+    if not isinstance(seed, str):
+        assert (seed % 3 == 0) == (g[-2] == -math.inf)
 
 
 def test_batched_log_growth_names_the_infeasible_row():
@@ -181,6 +212,71 @@ def test_optimizer_is_deterministic():
     b = maximize_growth(m)
     assert np.array_equal(a.k_star, b.k_star)
     assert a.g_star == b.g_star and a.iterations == b.iterations
+
+
+def serial_line_search(model, k, g, grad, direction):
+    """The backtracking line search as a serial loop, one step and one
+    log_growth call at a time: the oracle for the blocked one."""
+    t = 1.0
+    while t > 1e-18:
+        trial = project_allocation(k + t * direction)
+        step = trial - k
+        if float(np.min(1.0 + model.xs @ trial)) >= RUIN_EPS:
+            g_trial = log_growth(trial, model)
+            if g_trial > g and g_trial >= g + 1e-4 * float(grad @ step):
+                return trial, g_trial
+        t *= 0.5
+    return None
+
+
+# An atom component; a -1 on every asset of an atom puts the ruin boundary
+# on the face sum(K) = 1, where the projected trials of a long step land.
+COMPONENT = st.one_of(st.just(-1.0), st.floats(-1.0, 3.0))
+VECTOR = st.lists(st.floats(-1e3, 1e3) | st.floats(-1.0, 1.0), min_size=4, max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(atoms=st.lists(st.tuples(st.lists(COMPONENT, min_size=4, max_size=4),
+                                st.floats(0.05, 1.0), st.booleans()), min_size=1, max_size=8),
+       n_assets=st.integers(1, 4), weights=st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5),
+       direction=VECTOR, grad=VECTOR, use_gradient=st.booleans())
+def test_blocked_line_search_equals_the_serial_loop(atoms, n_assets, weights, direction, grad,
+                                                    use_gradient):
+    # The blocked search returns the serial loop's (trial, g) bit for bit,
+    # or None where the loop does, from any feasible start and direction.
+    xs = np.array([[-1.0] * 4 if total_loss else x for x, _, total_loss in atoms])[:, :n_assets]
+    p = np.array([w for _, w, _ in atoms])
+    model = GambleModel(xs=xs, probs=p / p.sum())
+    w = np.array(weights)
+    k = (w[:n_assets] / w.sum() if w.sum() > 0 else np.zeros(n_assets))
+    g = log_growth(k, model)
+    grad = np.array(grad[:n_assets])
+    if use_gradient and np.min(1.0 + model.xs @ k) > 0.0:
+        grad = growth_gradient(k, model)
+    d = np.array(direction[:n_assets])
+    for direction in (d, grad):
+        got = growth._line_search(model, k, g, grad, direction)
+        want = serial_line_search(model, k, g, grad, direction)
+        if want is None:
+            assert got is None
+        else:
+            assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+            assert type(got[1]) is float
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_optimizer_with_blocked_line_search_equals_serial(seed):
+    rng = np.random.default_rng(100 + seed)
+    m = random_model(rng, n_assets=int(rng.integers(2, 5)))
+    if seed % 2:
+        m = GambleModel(xs=np.vstack([m.xs, -np.ones(m.n_assets)]),
+                        probs=np.append(0.95 * m.probs, 0.05))
+    blocked = maximize_growth(m)
+    with mock.patch.object(growth, "_line_search", serial_line_search):
+        serial = maximize_growth(m)
+    assert np.array_equal(blocked.k_star, serial.k_star)
+    assert (blocked.g_star, blocked.iterations, blocked.converged) == (
+        serial.g_star, serial.iterations, serial.converged)
 
 
 def test_growth_result_internally_consistent():
