@@ -99,17 +99,24 @@ An expected or probabilistic search screens its Monte Carlo rows. A step can
 only lower the running minimum d, so the partial mean of 1 - d can only rise
 and that of 1{d >= 1 - eps} only fall: the slack of a partial estimate can
 only fall as steps are added, and the conservative rule's est - 3 se is at
-most est. The kernel runs its steps in chunks of 8 and, after each, drops
-the rows whose partial slack is below -SCREEN_MARGIN; the margin covers the
-rounding of two differently ordered sums. A dropped row would fail the
-search's rule at step N, so it is remembered as infeasible with no estimate,
-and every kept row is bitwise the unscreened one. Only the flag drives the
-searches; an answer whose row was dropped is estimated again, unscreened.
-The kernel then holds r and d for every path of the live rows, and
-allocates its factor and ones blocks once per call, and again only after a
-screen drops rows. The drawdown sweep and the convexity probe are not
-screened, since they print every estimate, nor is the surrogate's Monte
-Carlo fallback, whose statistic needs a log of every partial d.
+most est. The kernel screens after steps 8, 16, 32, 64, 128, ... (8 * 2^j
+below N, never at N) and drops the rows whose partial slack is below
+-SCREEN_MARGIN; the margin covers the rounding of two differently ordered
+sums. As the slack only falls, a row that a screen after every 8 steps
+would drop after s steps is dropped at the first screen at or after s, so
+it runs fewer than 2s steps, while a call screens about log2(N / 8) times
+rather than N / 8 (at 1000 paths a screen of a few rows costs a step or
+two). A dropped row would fail the search's rule at step N, so it is
+remembered as infeasible with no estimate, and every kept row is bitwise
+the unscreened one. Only the flag drives the searches; an answer whose row
+was dropped is estimated again, unscreened. The kernel then holds r and d
+for every path of the live rows, and allocates its factor and ones blocks
+once per call, and again only after a screen drops rows. A row whose every
+factor is >= 1, such as K = 0, keeps r = 1: the kernel gives it 1.0 without
+running its steps; its slack is eps or delta, so no screen would drop it. The
+drawdown sweep and the convexity probe are not screened, since they print
+every estimate, nor is the surrogate's Monte Carlo fallback, whose
+statistic needs a log of every partial d.
 
 Relative wealth level is tracked by the recursion r <- min(1, r * factor)
 rather than by dividing V by its running peak: the first drop from a peak is
@@ -286,8 +293,8 @@ def _recursion_step(r: np.ndarray, d: np.ndarray, f: np.ndarray, one, out=None) 
 # numpy's per-call cost is spread over many elements.
 _BLOCK_ELEMENTS = 32_768
 _MIN_BLOCK_PATHS = 256
-# Steps of a dbar_samples chunk when it screens its rows; also the index rows
-# it converts to intp at once.
+# Step of a screened dbar_samples call's first screen (each later one is at
+# twice the step); also the index rows it converts to intp at once.
 _SCREEN_STEPS = 8
 # Paths per chunk when filling the step-major index matrix.
 _SAMPLE_CHUNK = 256
@@ -326,11 +333,14 @@ def dbar_samples(model: GambleModel, k, indices: np.ndarray, screen=None) -> np.
     k is one allocation, giving (paths,), or a (B, n_assets) batch, giving
     (B, paths).
 
-    The kernel holds r and d for every path of every live row, 2 * paths * B
-    floats, and runs the steps in chunks, each over every block of paths.
-    screen, if given, is called after each chunk of _SCREEN_STEPS steps but
-    the last with the (paths, live rows) running minima so far, and returns
-    a bool mask of the live rows to go on with; a row it drops is NaN in the
+    The kernel holds r and d for every path of every live row in
+    2 * paths * B floats, and runs the steps in chunks, each over every
+    block of paths.
+    A row whose every factor is >= 1 never leaves r = 1: it is 1.0 without
+    running a step, and the screen never sees it. screen, if given, is
+    called after steps _SCREEN_STEPS * 2^j below N (8, 16, 32, ...; never
+    at N) with the (paths, live rows) running minima so far, and returns a
+    bool mask of the live rows to go on with; a row it drops is NaN in the
     result, and every other row is bitwise the unscreened one. A screen may
     drop a row only when more steps cannot change its verdict (see _screen).
     Without a screen the steps run in one chunk.
@@ -339,34 +349,42 @@ def dbar_samples(model: GambleModel, k, indices: np.ndarray, screen=None) -> np.
     m = model.n_atoms
     if indices.size and (indices.min() < -m or indices.max() >= m):
         raise IndexError(f"atom index out of range for a model with {m} atoms")
+    n_steps, n_paths = indices.shape
+    # A row whose every factor is >= 1 keeps r = 1, so its d is 1.
+    flat = np.logical_and.reduce(factors >= 1.0, axis=1)
+    live = np.flatnonzero(~flat)
     # A block holds its paths as rows and its fractions as columns, so the
     # gather copies one contiguous run of factors per path. mode="wrap" maps
     # indices in [-m, m) as fancy indexing does, without checking them.
-    n_steps, n_paths = indices.shape
-    by_atom = np.ascontiguousarray(factors.T)
-    live = np.arange(factors.shape[0])
-    r = np.ones((n_paths, live.size))
-    d = np.ones((n_paths, live.size))
+    by_atom = np.ascontiguousarray(factors[live].T)
+    # r and d are views of blocks of paths * B floats, the size of the result
+    # and of the callers' (B, paths) blocks, so that those reuse the memory
+    # r and d free; blocks of the live rows alone left the heap to grow, by
+    # 3.3 MB on a 2000-path convexity probe.
+    size = n_paths * factors.shape[0]
+    r = np.ones(size)[:n_paths * live.size].reshape(n_paths, live.size)
+    d = np.ones(size)[:n_paths * live.size].reshape(n_paths, live.size)
     width, f, ones = _work_blocks(n_paths, live.size)
-    chunk = _SCREEN_STEPS if screen is not None else max(n_steps, 1)
-    for start in range(0, n_steps, chunk):
+    start, stop = 0, (_SCREEN_STEPS if screen is not None else n_steps)
+    while start < n_steps and live.size:
+        stop = min(stop, n_steps)
         for lo in range(0, n_paths, width):
             hi = min(lo + width, n_paths)
             rb, db, fb, ob = r[lo:hi], d[lo:hi], f[:hi - lo], ones[:hi - lo]
-            for t in range(start, min(start + chunk, n_steps), _SCREEN_STEPS):
+            for t in range(start, stop, _SCREEN_STEPS):
                 # take() converts int8 indices on every call; convert a slab once.
                 for row in indices[t:t + _SCREEN_STEPS, lo:hi].astype(np.intp):
                     by_atom.take(row, axis=0, out=fb, mode="wrap")
                     _recursion_step(rb, db, fb, ob)
-        if screen is not None and start + chunk < n_steps:
+        if stop < n_steps:
             keep = screen(d)
             if not keep.all():
                 live, by_atom = live[keep], by_atom.compress(keep, axis=1)
                 r, d = r.compress(keep, axis=1), d.compress(keep, axis=1)
-                if not live.size:
-                    break
                 width, f, ones = _work_blocks(n_paths, live.size)
+        start, stop = stop, 2 * stop
     dbar = np.full((factors.shape[0], n_paths), np.nan)
+    dbar[flat] = 1.0
     dbar[live] = d.T
     return dbar if np.ndim(k) == 2 else dbar[0]
 
@@ -595,8 +613,8 @@ def _batch_stats(model, spec, ks, indices, screened=False) -> list:
     """[(estimate, std_error)] of spec's statistic for each allocation in ks,
     from one kernel call on the shared index matrix; each is bitwise
     spec.statistic of that allocation's row. A screened call stops a row at
-    the first chunk of steps that proves it infeasible (see _screen), and
-    such a row is (None, None)."""
+    the first screen that proves it infeasible (see _screen), and such a
+    row is (None, None)."""
     screen = _screen(spec, indices.shape[1]) if screened else None
     dbar = dbar_samples(model, ks, indices, screen=screen)
     kept = ~np.isnan(dbar[:, 0])

@@ -865,27 +865,42 @@ def test_search_estimates_each_allocation_once(monkeypatch, model, n_steps, spec
     assert res.iterations == len(seen)
 
 
-@pytest.mark.parametrize("n_steps", [5, 8, 9, 17, 40])
+def screen_steps(n_steps):
+    """The steps after which a screened kernel call screens its rows:
+    8, 16, 32, ... below n_steps."""
+    return list(itertools.takewhile(lambda s: s < n_steps, (8 << j for j in itertools.count())))
+
+
+@pytest.mark.parametrize("n_steps", [1, 5, 8, 9, 16, 17, 33, 40, 129, 252])
 def test_screened_kernel_keeps_its_rows_bitwise(n_steps):
-    # The screen drops every other live row after each chunk of 8 steps but
-    # the last; a dropped row is NaN and every other row is the unscreened one.
+    # The screen drops every other live row after steps 8, 16, 32, ... below
+    # N and sees the running minima of the steps so far; a dropped row is NaN
+    # and every other row is the unscreened one. Row 0 bets nothing: it is
+    # 1.0 and the screen never sees it.
     idx = sample_path_indices(FOUR_ATOMS, 500, n_steps, seed=3)
     ks = np.linspace(0.0, 1.0, 11)[:, None]
+    steps = screen_steps(n_steps)
+    live = np.arange(1, len(ks))
     seen = []
 
     def screen(d):
-        seen.append(d.shape)
+        nonlocal live
+        seen.append(steps[len(seen)])
+        assert np.array_equal(d, dbar_samples(FOUR_ATOMS, ks[live], idx[:seen[-1]]).T)
+        live = live[::2]
         return np.arange(d.shape[1]) % 2 == 0
 
     out = dbar_samples(FOUR_ATOMS, ks, idx, screen=screen)
-    live = np.arange(len(ks))
-    for _ in range(math.ceil(n_steps / 8) - 1):
-        live = live[::2]
-    assert seen == [(500, n) for n in (11, 6, 3, 2)[:len(seen)]]
-    assert len(seen) == math.ceil(n_steps / 8) - 1
+    assert seen == steps
+    # A row that a screen after every 8 steps drops after s steps is dropped
+    # at the first screen at or after s, or runs to N: fewer than 2s steps.
+    for s in range(8, n_steps, 8):
+        assert min([t for t in steps if t >= s] + [n_steps]) < 2 * s
     full = dbar_samples(FOUR_ATOMS, ks, idx)
-    assert np.array_equal(out[live], full[live])
-    assert np.isnan(np.delete(out, live, axis=0)).all()
+    kept = np.r_[0, live]
+    assert np.array_equal(out[kept], full[kept])
+    assert (out[0] == 1.0).all()
+    assert np.isnan(np.delete(out, kept, axis=0)).all()
     # int8 indices, intp indices and indices counted from the end agree.
     assert idx.dtype == np.int8
     assert np.array_equal(dbar_samples(FOUR_ATOMS, ks, idx.astype(np.intp)), full)
@@ -905,29 +920,34 @@ def test_screen_that_drops_every_row_stops_the_kernel():
 
 
 def dbar_samples_scalar_clamp(model, ks, indices, screen=None):
-    """The blocked kernel as it was when it clamped r against the scalar 1.0:
-    the oracle for the kernel that clamps against a block of ones."""
+    """The blocked kernel as it was when it clamped r against the scalar 1.0
+    and ran every row: the oracle for the kernel that clamps against a block
+    of ones and skips the rows whose every factor is >= 1. The screen runs
+    after steps 8, 16, 32, ... below N and sees only the other rows, as the
+    kernel's does; a row it never sees runs its steps here all the same."""
     factors = np.array([wealth_factors(model, kv) for kv in ks])
+    flat = (factors >= 1.0).all(axis=1)
     n_steps, n_paths = indices.shape
     by_atom = np.ascontiguousarray(factors.T)
     live = np.arange(factors.shape[0])
     r = np.ones((n_paths, live.size))
     d = np.ones((n_paths, live.size))
-    chunk = 8 if screen is not None else max(n_steps, 1)
-    for start in range(0, n_steps, chunk):
+    stops = screen_steps(n_steps) if screen is not None else []
+    for start, stop in zip([0] + stops, stops + [n_steps]):
         width = max(256, 32_768 // max(live.size, 1))
         f = np.empty((min(width, n_paths), live.size))
         for lo in range(0, n_paths, width):
             hi = min(lo + width, n_paths)
             rb, db, fb = r[lo:hi], d[lo:hi], f[:hi - lo]
-            for t in range(start, min(start + chunk, n_steps), 8):
+            for t in range(start, stop, 8):
                 for row in indices[t:t + 8, lo:hi].astype(np.intp):
                     by_atom.take(row, axis=0, out=fb, mode="wrap")
                     np.multiply(rb, fb, out=rb)
                     np.minimum(rb, 1.0, out=rb)
                     np.minimum(db, rb, out=db)
-        if screen is not None and start + chunk < n_steps:
-            keep = screen(d)
+        if stop < n_steps and not flat[live].all():
+            keep = flat[live]
+            keep[~keep] = screen(d[:, ~keep])
             if not keep.all():
                 live, by_atom = live[keep], by_atom.compress(keep, axis=1)
                 r, d = r.compress(keep, axis=1), d.compress(keep, axis=1)
@@ -939,7 +959,7 @@ def dbar_samples_scalar_clamp(model, ks, indices, screen=None):
 
 
 def assert_kernel_equals_scalar_clamp(model, ks, idx, seed):
-    # The screen keeps a random share of the live rows after each chunk; it
+    # The screen keeps a random share of the live rows at each screen; it
     # sees the same running minima in the same calls on both sides.
     assert np.array_equal(dbar_samples(model, ks, idx),
                           dbar_samples_scalar_clamp(model, ks, idx), equal_nan=True)
@@ -978,6 +998,38 @@ def test_kernel_equals_scalar_clamp_loop_on_int16_indices():
     idx = sample_path_indices(model, 1000, 20, seed=4)
     assert idx.dtype == np.int16
     assert_kernel_equals_scalar_clamp(model, np.linspace(0.0, 1.0, 21)[:, None], idx, 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(atoms=st.lists(st.tuples(ATOM_COMPONENT, st.floats(0.0, 2.0), st.floats(0.05, 1.0)),
+                      min_size=2, max_size=5),
+       rows=st.integers(1, 40), paths=st.integers(1, 400), n_steps=st.integers(1, 70),
+       kind=st.sampled_from(["expected", "probabilistic"]), eps=st.floats(0.02, 0.9),
+       delta=st.floats(0.01, 0.5), seed=st.integers(0, 2**16))
+def test_kernel_skips_rows_that_never_draw_down(atoms, rows, paths, n_steps, kind, eps,
+                                                 delta, seed):
+    # Asset 2 never loses, so a row that bets on it alone, or on nothing,
+    # has every factor >= 1; about half the rows do, and some others bet so
+    # little on asset 1 that a factor is just below 1. Unscreened, screened
+    # by the searches' rule and by a random one, the kernel that skips the
+    # first kind equals bitwise the oracle that runs every row's steps.
+    weights = np.array([w for *_, w in atoms])
+    model = GambleModel(xs=[[a, b] for a, b, _ in atoms], probs=weights / weights.sum())
+    rng = np.random.default_rng(seed)
+    ks = rng.random((rows, 2)) / 2
+    ks[rng.random(rows) < 0.5, 0] = 0.0
+    ks[rng.random(rows) < 0.2] = 0.0
+    ks[rng.random(rows) < 0.2, 0] *= 1e-4
+    flat = np.array([(wealth_factors(model, kv) >= 1.0).all() for kv in ks])
+    idx = sample_path_indices(model, paths, n_steps, seed)
+    spec = ConstraintSpec(kind=kind, epsilon=eps,
+                          delta=delta if kind == "probabilistic" else None)
+    for screen in (None, drawdown_module._screen(spec, paths)):
+        out = dbar_samples(model, ks, idx, screen=screen)
+        assert np.array_equal(out, dbar_samples_scalar_clamp(model, ks, idx, screen=screen),
+                              equal_nan=True)
+        assert (out[flat] == 1.0).all()
+    assert_kernel_equals_scalar_clamp(model, ks, idx, seed)
 
 
 COIN = st.builds(lambda win, loss, p: make_coin(win, -loss, p),
