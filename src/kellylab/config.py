@@ -13,5 +13,4 @@ DEFAULT_DT_YEARS = 1.0 / 252.0   # daily betting
 GRID_STEP = 0.02            # simplex grid step of the two-asset constrained search
 REFINE_TOL = 1e-4           # bracket width of the constrained searches' ray bisection
 MAX_OPT_ITER = 10**5        # projected-ascent iteration budget
-OPT_TOL = 1e-8              # projected-gradient and flat-objective tolerance of the optimizer
-OBJ_FLAT_WINDOW = 5         # iterations of flat objective required for convergence
+OPT_TOL = 1e-8              # optimizer stop: max projected gradient and last step's largest move

@@ -518,15 +518,22 @@ def _enumerated_rows(model: GambleModel, k, n_steps: int, reduce):
     return out if np.ndim(k) == 2 else out[0]
 
 
+def _expectation(prob: np.ndarray, x: np.ndarray) -> float:
+    """sum(prob * x) without BLAS: a BLAS dot of more than 10^4 terms splits
+    its sum across threads, so its last digit would depend on the thread
+    count."""
+    return float(np.einsum("i,i->", prob, x))
+
+
 def expected_drawdown_exact(model: GambleModel, k, n_steps: int):
     """Probability-weighted E[D] over all outcome sequences: a float for one
     allocation, or a list of floats for a (B, n_assets) batch."""
-    return _enumerated_rows(model, k, n_steps, lambda prob, dbar: float(prob @ (1.0 - dbar)))
+    return _enumerated_rows(model, k, n_steps, lambda prob, dbar: _expectation(prob, 1.0 - dbar))
 
 
 def expected_complementary_exact(model: GambleModel, k, n_steps: int):
     """Probability-weighted E[1 - D]: a float, or a list for a batch."""
-    return _enumerated_rows(model, k, n_steps, lambda prob, dbar: float(prob @ dbar))
+    return _enumerated_rows(model, k, n_steps, _expectation)
 
 
 def drawdown_exceedance_exact(model: GambleModel, k, n_steps: int, threshold: float):
@@ -563,7 +570,7 @@ def _log_complementary_batch(model, k, n_steps, crn):
     live = np.flatnonzero(~ruinous)
     if _enumerable(model, n_steps):
         values = _enumerated_rows(model, ks[live], n_steps,
-                                  lambda prob, dbar: float(prob @ _log_dbar(dbar)))
+                                  lambda prob, dbar: _expectation(prob, _log_dbar(dbar)))
         for i, value in zip(live, values):
             out[i] = LogDrawdownEstimate(value=value, exact=True)
     elif live.size:

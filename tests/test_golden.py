@@ -14,10 +14,13 @@ import contextlib
 import hashlib
 import io
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
 
+import kellylab
 from kellylab.cli import main
 
 OUT = "{out}"   # placeholder for the temporary output directory
@@ -171,7 +174,10 @@ CASES = {
 # probabilistic cases and every 2-asset scan case when the searches bisected
 # one ray, and the Monte Carlo surrogate cases when `constrained` began to
 # print their standard error; the five 2-asset surrogate cases that are not
-# unconstrained-feasible when the surrogate search became a fan of rays.
+# unconstrained-feasible when the surrogate search became a fan of rays; the
+# five exact drawdown cases when the exact statistics stopped summing through a
+# BLAS dot, and the optimize-model case when the optimizer stopped at its
+# first iterate whose projected gradient and last step are both within OPT_TOL.
 EXPECTED = {
     "adaptive-traces": (
         0, "786b777616f66bf92cf5d380b54a3d8c1004c1063c1119941858ff6d479a1cab",
@@ -221,23 +227,23 @@ EXPECTED = {
          "dd.prob.csv": "c165b1948f2b31296d90fe66e7247a5781ffd594977362f66b38e60480966394"}),
     "drawdown-exact": (
         0, "09e4ae2bfa46e270df5888b053b6a01e57d0e01307b164380d7ffb5d9d79dcf0",
-        {"dd.expected.csv": "c840254addc5df91ec8c3787de3b6816f76f18532c85650e4ddc5dd982234065",
+        {"dd.expected.csv": "57e59219b25372e7b895e2e1386a80504d0291df25c06e6246dd1642288bd068",
          "dd.prob.csv": "3ee357b0f159b0b585ca3e9cf822d1c6131c7b07ab2990e0b9d4b91b25d72cc1"}),
     "drawdown-exact-chunks": (
         0, "910a9a9c600ffde1243821c57d37ecd94e8ed66fea370683bcf95b15c67b9251",
-        {"dd.expected.csv": "42c993f5124766e4b969552e290b37c8370d40c8211c8a8dd5d0525a5846b5a1",
+        {"dd.expected.csv": "2bb804ce4d490a825b3a17275810354690713f30f1fc83770671c9cfc7b40b2b",
          "dd.prob.csv": "4a94678e4ef305f20f60ee22805d78b93bc81a4145a2aaeffb6ab4c7466490fb"}),
     "drawdown-exact-even": (
         0, "3a21c6fd2f6a1de2b4abdbd20f2cf2ae1e3b535470686d85b02862e29233b181",
-        {"dd.expected.csv": "34bd78a447d413d580ee6c4efbf33a36161c49fb358981f79ff7e88bdcb3e35e",
+        {"dd.expected.csv": "185b3d76fb3737cbb314f81713b7cfc1748b2547314e74c66a98dc3af8797b8b",
          "dd.prob.csv": "ae5a0b7923057952f77702036b1aada4598d2d3c8106218f1c30cee92bcc789b"}),
     "drawdown-exact-n16": (
         0, "fe5d2540fae40c06d13d83833ce670804514080aadea9a2f9ed749d6c5fff585",
-        {"dd.expected.csv": "e05862669f34e135e03b33145068bd1cc3089f69525ca529369216f9ef40a0d7",
+        {"dd.expected.csv": "e9ac0684d3126f2f456832bced824264930308182171fbefaad72ad4b37286d2",
          "dd.prob.csv": "7199dd1f3c6528bb6d7ead17724800ce486d09d6782a7f799148d70914d32d8a"}),
     "drawdown-exact-three-atoms": (
         0, "ee2abde241dd149c9a63a52c56e2875aad82b33a426280fb9631d175e19c1083",
-        {"dd.expected.csv": "6fe8fa5fa096f1ccacd76e94a31278cca69b8adca5668a196dbd0a3162e74a84",
+        {"dd.expected.csv": "696a4ac546da7647c87af14d3741893dba5e777c617ea3f678712d1d52155eea",
          "dd.prob.csv": "fcfa1920561aa33750e159db4c95c89f70ec82b922101394d6839bdd176609ef"}),
     "drawdown-skewed": (
         0, "a268e9f6ed8733e1b059ce546c20c91347602dc185ccf50f4f6faa215cf03ac8",
@@ -251,7 +257,7 @@ EXPECTED = {
         {"ingested.json": "4ac8f946b1fb8d9977b405d437880ed148cdcf44d05d0ea8abb77a3376e6dcf4"}),
     "optimize-model-csv": (
         0, "0068918be5d0a18b950964ace6c069d331c90411a0dc6ec36ebcec3ba7846ec5",
-        {"opt.csv": "28ab670ceddec15e6ac8e2cf4c4d15a6e9d5b01ebe127e1ba53f335a7243afc9"}),
+        {"opt.csv": "690130abf5d2aa67765825de7ed002a9837af6edb3c597dbdeff497a690d408d"}),
     "optimize-two-coins-json": (
         0, "44f388f7481e98912b08f1dc14ceca3f9254e051a6eeaeaa3f7bf34e00c14d99",
         {"opt.json": "9ba1cfe637aeaac5622723acfff9991beb0432d6c649b88b73b8664ea961a409"}),
@@ -291,6 +297,19 @@ def test_seeded_output_is_byte_identical(name):
 def test_repeated_constrained_run_prints_the_same_bytes():
     argv = CASES["constrained-2d-surrogate-mc-n50"]
     assert run_case(argv) == run_case(argv)
+
+
+def test_exact_digests_do_not_depend_on_the_blas_thread_count():
+    # The N=16 case sums 2^16 sequence probabilities per fraction; a BLAS dot
+    # of more than 10^4 terms splits its sum across threads, so its last
+    # digit would follow OPENBLAS_NUM_THREADS.
+    code = ("import sys; sys.path[:0] = sys.argv[1:]; import test_golden as t; "
+            "print(t.run_case(t.CASES['drawdown-exact-n16']))")
+    paths = [os.path.dirname(os.path.dirname(kellylab.__file__)), os.path.dirname(__file__)]
+    outs = [subprocess.run([sys.executable, "-c", code, *paths], capture_output=True, text=True,
+                           check=True, env={**os.environ, "OPENBLAS_NUM_THREADS": threads}).stdout
+            for threads in ("1", "2")]
+    assert outs[0] == outs[1] == f"{EXPECTED['drawdown-exact-n16']}\n"
 
 
 if __name__ == "__main__":
