@@ -139,7 +139,8 @@ def cmd_optimize(args) -> int:
             "r": float(r),
         })
     if not exact.converged:
-        print(f"warning: optimizer did not converge in {exact.iterations} iterations")
+        print(f"warning: optimizer did not converge in {exact.iterations} iterations "
+              f"(gap {exact.gap:.2e})")
         return EXIT_NO_CONVERGENCE
     if args.out:
         if args.format == "json":

@@ -12,5 +12,5 @@ ENUM_BUDGET = 10**6         # max outcome sequences for exact enumeration
 DEFAULT_DT_YEARS = 1.0 / 252.0   # daily betting
 GRID_STEP = 0.02            # simplex grid step of the two-asset constrained search
 REFINE_TOL = 1e-4           # bracket width of the constrained searches' ray bisection
-MAX_OPT_ITER = 10**5        # projected-ascent iteration budget
-OPT_TOL = 1e-8              # optimizer stop: max projected gradient and last step's largest move
+MAX_OPT_ITER = 10**5        # multi-asset optimizer's safety cap on iterations
+OPT_TOL = 1e-12             # optimizer stop: Frank-Wolfe gap <= this * max(1, |g|)

@@ -7,8 +7,8 @@ is >= -1, survival holds automatically on the simplex; only the sum(K) = 1
 face can zero a wealth factor, which the line search treats as a barrier.
 
 For one asset the maximizer is found by bisection on the derivative (cheap,
-~1e-13 accurate); for several assets by projected gradient ascent with a
-backtracking line search.
+~1e-13 accurate); for several assets by Newton and projected gradient steps,
+stopped on the Frank-Wolfe gap (see maximize_growth).
 """
 
 from __future__ import annotations
@@ -24,12 +24,13 @@ from .gamble import GambleModel, _checked_factors, as_allocation
 
 @dataclass(frozen=True, eq=False)
 class GrowthResult:
-    """Outcome of a growth maximization: argmax, value (nats/period), effort, status."""
+    """Outcome of a growth maximization: argmax, value (nats/period), effort, status, gap."""
 
     k_star: np.ndarray
     g_star: float
     iterations: int
     converged: bool
+    gap: float
 
 
 def log_growth(k, model: GambleModel):
@@ -115,17 +116,12 @@ def _maximize_1d(x: np.ndarray, p: np.ndarray) -> tuple:
     return 0.5 * (lo + hi), 1 + steps
 
 
-def _newton_direction(model: GambleModel, k: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Ascent direction from a second-order model restricted to the active face.
-
-    Components pinned at zero stay zero; if the unit-sum face is active the
-    direction is solved with the matching equality constraint. Returns the
-    zero vector when no usable direction exists (degenerate Hessian, nothing
-    free): plain projected ascent then takes over.
-    """
-    free = np.nonzero(k > 1e-10)[0]
-    if free.size == 0:
-        return np.zeros_like(k)
+def _newton_direction(model: GambleModel, k: np.ndarray, grad: np.ndarray,
+                      free: np.ndarray) -> np.ndarray:
+    """Newton direction of g moving only the components in the boolean mask
+    free, and keeping sum(K) if the unit-sum face is active; the zero vector
+    where there is none (nothing free, a singular or non-finite solve)."""
+    free = np.nonzero(free)[0]
     f = 1.0 + model.xs @ k
     xf = model.xs[:, free]
     hess = -(xf * (model.probs / f**2)[:, None]).T @ xf
@@ -143,9 +139,7 @@ def _newton_direction(model: GambleModel, k: np.ndarray, grad: np.ndarray) -> np
             d[free] = np.linalg.solve(hess, -grad[free])
     except np.linalg.LinAlgError:
         return np.zeros_like(k)
-    if not np.all(np.isfinite(d)) or float(grad @ d) < 0.0:
-        return np.zeros_like(k)
-    return d
+    return d if np.all(np.isfinite(d)) else np.zeros_like(k)
 
 
 def _line_search(model, k, g, grad, direction):
@@ -163,51 +157,54 @@ def _line_search(model, k, g, grad, direction):
     return None
 
 
+def _fw_gap(k: np.ndarray, grad: np.ndarray) -> float:
+    """Frank-Wolfe gap max(0, max_i grad_i) - grad.K, floored at 0 against rounding:
+    on this concave problem a bound on g* - g(K) (Jaggi, ICML 2013)."""
+    return max(0.0, max(0.0, float(np.max(grad))) - float(grad @ k))
+
+
 def _maximize_nd(model: GambleModel) -> GrowthResult:
     k = np.zeros(model.n_assets)
     g = 0.0
-    moved = math.inf   # largest component change of the last accepted step
     for it in range(1, MAX_OPT_ITER + 1):
         grad = growth_gradient(k, model)
-        pg = project_allocation(k + grad) - k
-        if float(np.max(np.abs(pg))) <= OPT_TOL and moved <= OPT_TOL:
-            return GrowthResult(k, g, it, True)
-        # Take the better of a face-restricted Newton step and a projected
-        # gradient step; the gradient step is what releases pinned components.
-        best = None
-        newton = _newton_direction(model, k, grad)
-        if np.any(newton != 0.0):
-            best = _line_search(model, k, g, grad, newton)
-        pga = _line_search(model, k, g, grad, grad)
-        if pga is not None and (best is None or pga[1] > best[1]):
-            best = pga
-        if best is None:
-            # No float-visible ascent left: stationary at machine resolution.
-            return GrowthResult(k, g, it, float(np.max(np.abs(pg))) <= OPT_TOL)
-        # A step that releases a pinned component leaves a face on which no
-        # Newton step has been tried yet, so its size does not count.
-        released = np.any((best[0] > 0.0) & (k == 0.0))
-        moved = math.inf if released else float(np.max(np.abs(best[0] - k)))
-        k, g = best
-    return GrowthResult(k, g, MAX_OPT_ITER, False)
+        gap = _fw_gap(k, grad)
+        if gap <= OPT_TOL * max(1.0, abs(g)):
+            return GrowthResult(k, g, it, True, gap)
+        # The uphill Newton step first; the projected gradient step, which
+        # releases pinned components, only where Newton does not rise.
+        newton = _newton_direction(model, k, grad, k > 1e-10)
+        step = ((np.any(newton) and float(grad @ newton) >= 0.0
+                 and _line_search(model, k, g, grad, newton))
+                or _line_search(model, k, g, grad, grad))
+        if step is None:
+            # g cannot tell the steps left apart, but the gap can: of the full
+            # Newton steps on the same face and on the face of every K_i > 0
+            # (a coin of edge 1e-11 has its optimum below 1e-10), take the one
+            # that lowers the gap most. A rounded grad.d < 0 does not veto it.
+            trials = [project_allocation(k + d)
+                      for d in (newton, _newton_direction(model, k, grad, k > 0.0))]
+            gaps = [_fw_gap(t, growth_gradient(t, model))
+                    if float(np.min(1.0 + model.xs @ t)) >= RUIN_EPS else math.inf for t in trials]
+            i = int(np.argmin(gaps))
+            if gaps[i] >= gap:
+                return GrowthResult(k, g, it, False, gap)
+            step = trials[i], log_growth(trials[i], model)
+        k, g = step
+    return GrowthResult(k, g, MAX_OPT_ITER, False, _fw_gap(k, growth_gradient(k, model)))
 
 
 def maximize_growth(model: GambleModel) -> GrowthResult:
     """Maximize g(K) over the feasible set.
 
-    Deterministic: identical inputs give identical outputs. Non-convergence
-    within the iteration budget is reported via converged=False, never as a
-    silently wrong answer. On two or more assets the ascent stops converged
-    once max|projected gradient| and the last step's largest move are both
-    within OPT_TOL = 1e-8, or where no step rises and the projected
-    gradient is within OPT_TOL. That bounds the last move, not the error:
-    on well-conditioned models K is within about 1e-9 of the optimum, but
-    where g is nearly flat along a direction (near-collinear assets) K is
-    fixed far less tightly than g. The one-asset bisection path is accurate
-    to ~1e-13.
+    Deterministic. gap, the Frank-Wolfe gap at k_star, bounds g* - g_star.
+    On two or more assets converged means gap <= OPT_TOL * max(1, |g_star|);
+    a run that stops short of it, or at MAX_OPT_ITER, says converged=False.
+    On one asset converged is the bisection's verdict (K within ~1e-13).
     """
     if model.n_assets == 1:
         t, iterations = _maximize_1d(model.xs[:, 0], model.probs)
         k = np.array([t])
-        return GrowthResult(k, log_growth(k, model), iterations, True)
+        return GrowthResult(k, log_growth(k, model), iterations, True,
+                            _fw_gap(k, growth_gradient(k, model)))
     return _maximize_nd(model)

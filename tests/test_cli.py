@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kellylab import cli, dump_model, independent_join, load_model, make_coin
+from kellylab import cli, dump_model, independent_join, load_model, make_coin, maximize_growth
 from kellylab.cli import main
+from test_growth import ingest_like_model
 
 
 def run_cli(capsys, *argv):
@@ -89,6 +90,27 @@ def test_optimize_zero_mean_coin(capsys):
     code, out, _ = run_cli(capsys, "optimize", "--coin", "0.5,-0.5,0.5")
     assert code == 0
     assert "[0.000000]" in out
+
+
+def test_optimize_certifies_a_joined_even_coin_pair(capsys):
+    # A stop on the last step left this join unconverged (exit 3): g could
+    # no longer tell the steps apart while the gap was 6.7e-8.
+    code, out, _ = run_cli(capsys, "optimize", "--coin", "1,-1,0.9075", "--coin2", "1,-1,0.9304")
+    assert code == 0 and "warning" not in out
+
+
+def test_optimize_names_the_gap_of_an_unconverged_run(capsys, tmp_path):
+    # A total-loss atom of mass 1e-10 puts the optimum within about 1e-8 of
+    # the ruin face, where g no longer resolves the steps that would close
+    # the gap: the run is reported, not passed off as converged.
+    model_path = tmp_path / "model.json"
+    dump_model(ingest_like_model(39, total_loss=1e-10), model_path)
+    res = maximize_growth(load_model(model_path))
+    assert not res.converged
+    code, out, _ = run_cli(capsys, "optimize", "--model", str(model_path))
+    assert code == cli.EXIT_NO_CONVERGENCE
+    assert out.splitlines()[-1] == (f"warning: optimizer did not converge in {res.iterations} "
+                                    f"iterations (gap {res.gap:.2e})")
 
 
 def test_optimize_requires_model(capsys):

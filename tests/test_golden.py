@@ -177,7 +177,9 @@ CASES = {
 # unconstrained-feasible when the surrogate search became a fan of rays; the
 # five exact drawdown cases when the exact statistics stopped summing through a
 # BLAS dot, and the optimize-model case when the optimizer stopped at its
-# first iterate whose projected gradient and last step are both within OPT_TOL.
+# first iterate whose projected gradient and last step are both within OPT_TOL;
+# the --out files of both optimize cases when the optimizer began to stop on
+# its Frank-Wolfe gap and to take the Newton step whenever it rises.
 EXPECTED = {
     "adaptive-traces": (
         0, "786b777616f66bf92cf5d380b54a3d8c1004c1063c1119941858ff6d479a1cab",
@@ -257,10 +259,10 @@ EXPECTED = {
         {"ingested.json": "4ac8f946b1fb8d9977b405d437880ed148cdcf44d05d0ea8abb77a3376e6dcf4"}),
     "optimize-model-csv": (
         0, "0068918be5d0a18b950964ace6c069d331c90411a0dc6ec36ebcec3ba7846ec5",
-        {"opt.csv": "690130abf5d2aa67765825de7ed002a9837af6edb3c597dbdeff497a690d408d"}),
+        {"opt.csv": "496f7b122d3a1004a016b53b33be88f97fdb8b9d13b0436c57c9722e248a2f7d"}),
     "optimize-two-coins-json": (
         0, "44f388f7481e98912b08f1dc14ceca3f9254e051a6eeaeaa3f7bf34e00c14d99",
-        {"opt.json": "9ba1cfe637aeaac5622723acfff9991beb0432d6c649b88b73b8664ea961a409"}),
+        {"opt.json": "3fb76eafb45e315ff39bb9e0778105064616eed6b8257057362e45a386780249"}),
     "probe-expected": (
         0, "330595319f5022b6e74e12eb4f850daf6dbdeffd5723bb39a382ecf65297bbba",
         {"probe.grid.csv": "91da8b1039d7eb9643132e9e7f09a4e99df7a91e1125d12aeda74c4b2c32a8c2"}),
