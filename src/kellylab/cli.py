@@ -217,8 +217,6 @@ def cmd_drawdown(args) -> int:
 def cmd_constrained(args) -> int:
     model = _resolve_model(args)
     spec = drawdown.ConstraintSpec(kind=args.kind, epsilon=args.eps, delta=args.delta)
-    if args.kind != "surrogate" and model.n_assets > 2:
-        raise ModelValidationError(f"--kind {args.kind} supports 1 or 2 assets")
     _echo(args)
     mc = drawdown.MonteCarloConfig(paths=args.paths, seed=args.seed)
     result = drawdown.maximize_growth_constrained(model, args.n, spec, mc=mc)

@@ -66,27 +66,40 @@ smooth in t, so the split needs about half the levels. Over 400 random
 one- and two-coin surrogate searches (1217 calls of _ray_best), no call
 took more than the 14 levels that bisection takes to REFINE_TOL.
 
-The surrogate set is also convex: each path's log(1 - D) is a minimum of
+The searches. Once the unconstrained optimum k_un is outside the set,
+_ray_search picks the search by the number of assets, and on two assets by
+the kind. One asset: the ray u = 1, bisected on [0, k_un] (<kind>-bisect).
+Two assets under an expected or probabilistic constraint: the ray through
+the grid walk's answer below (grid-ray). Every other case, the surrogate on
+two or more assets and every kind on three or more: the fan (<kind>-fan),
+which starts at the simplex centre and runs five rounds. In each, for each
+pair of assets, a fan of 9 rays moves the pair's share of the best direction
+so far along the pair line: over the whole line in round 1, and over +-1
+spacing of the best direction, at a quarter of the spacing, in later rounds.
+A width of REFINE_TOL is a large share of a small t, so the best ray is then
+searched on alone to width REFINE_TOL * t, t its total bet so far: g is
+concave along the ray and 0 at t = 0, so g'(t) t <= g(t) and the last
+bracket costs at most REFINE_TOL of g. A ray's split points depend on its
+own estimates only, and the steps are dyadic there, so a ray a later fan or
+the last search repeats visits the same points, and its estimates are memo
+hits. A round holds one fan per pair of assets, so its cost grows with their
+number.
+
+The surrogate set is convex: each path's log(1 - D) is a minimum of
 functions concave in K, so E[log(1 - D)] is concave, under CRN or exactly.
 So for two admitted points on rays of directions u1 and u2, each point
-between them is admitted and has a g at least the smaller of theirs, and
-it lies on a ray whose direction is between u1 and u2: the best g of a
-ray is quasi-concave in its direction along any segment of directions.
-The surrogate search on two or more assets (surrogate-fan) starts at the
-simplex centre and runs five rounds. In each, for each pair of assets, a
-fan of 9 rays moves the pair's share of the best direction so far along
-the pair line: over the whole line in round 1, and over +-1 spacing of the
-best direction, at a quarter of the spacing, in later rounds. By
-quasi-concavity the best direction of the line stays within one spacing of
-a fan's best ray, so on two assets, one pair, the answer is within 1/2048
-in direction of the constrained optimum. A width of REFINE_TOL is a large
-share of a small t, so the best ray is then searched on alone to width
-REFINE_TOL * t, t its total bet so far: g is concave along the ray and 0
-at t = 0, so g'(t) t <= g(t) and the last bracket costs at most REFINE_TOL
-of g. A ray's split points depend on its own estimates only, and the steps
-are dyadic there, so a ray a later fan or the last search repeats visits
-the same points, and its estimates are memo hits. On more assets it claims
-no optimum.
+between them is admitted and has a g at least the smaller of theirs, and it
+lies on a ray whose direction is between u1 and u2: the best g of a ray is
+quasi-concave in its direction along any segment of directions. By
+quasi-concavity the best direction of a pair line stays within one spacing
+of a fan's best ray, so for the surrogate on two assets, one pair, the
+answer is within 1/2048 in direction of the constrained optimum. That bound
+holds there only: on three or more assets a fan moves one pair's share at a
+time, and the expected and probabilistic sets need not be convex. Elsewhere
+the fan claims no optimum, only this: its answer is admitted, and its g is
+at least that of the best admitted point of the centre ray, since the first
+fan holds that ray and a ray stops early only once its bound is below the
+best g of its batch.
 
 The grid walk of the two-asset expected and probabilistic search computes
 g at every grid point in one batched log_growth call and checks the points
@@ -816,18 +829,17 @@ def _ray_best(model, evaluate, k_lo, us, lo, hi, tol):
     return np.where(better[:, None], k, k_lo), np.where(better, g, g_lo)
 
 
-# Rays of one fan of the surrogate search, and its rounds (see the module
+# Rays of one fan, and the rounds of the fan search (see the module
 # docstring).
 _FAN_RAYS = 9
 _FAN_ROUNDS = 5
 
 
-def _surrogate_fan(model, evaluate):
-    """(K, g) of the surrogate search on two or more assets: the rounds of
-    fans of the module docstring, each ray from K = 0 over the bracket
-    [0, 1] to width REFINE_TOL. The best direction so far changes only to a
-    ray of larger g; its ray is then searched on alone to width
-    REFINE_TOL * t, its first levels memo hits."""
+def _fan(model, evaluate):
+    """(K, g) of the fan of the module docstring, on two or more assets:
+    each ray from K = 0 over the bracket [0, 1] to width REFINE_TOL, the
+    best direction so far changing only to a ray of larger g, whose ray is
+    then searched on alone to width REFINE_TOL * t."""
     n = model.n_assets
     u, k, g = np.full(n, 1.0 / n), np.zeros(n), 0.0
     offsets = np.linspace(-1.0, 1.0, _FAN_RAYS)
@@ -849,28 +861,24 @@ def _surrogate_fan(model, evaluate):
 
 
 def _ray_search(model, evaluate, k_un):
-    """(K, g, method) of the constrained search, by the ray rule of the
-    module docstring, once the unconstrained optimum k_un is outside the set.
+    """(K, g, method) of the constrained search the module docstring names
+    for the model's number of assets and the constraint's kind, once the
+    unconstrained optimum k_un is outside the set.
 
-    One asset: the ray u = 1, searched on [0, k_un] to width REFINE_TOL, or
-    REFINE_TOL * 1e-2 for the surrogate (<kind>-bisect).
-
-    A surrogate on two or more assets: the fans of _surrogate_fan
-    (surrogate-fan).
-
-    An expected or probabilistic constraint on two assets: the ray through
-    the best admitted point k_g of the simplex grid of step GRID_STEP (see
-    _best_feasible), whose growth peak is checked first and is the answer if
-    admitted; otherwise [sum(k_g), peak] is bisected to width REFINE_TOL
-    (grid-ray). k_g = 0 has no ray and is the answer.
+    The one-asset ray is bisected to width REFINE_TOL, or REFINE_TOL * 1e-2
+    for the surrogate. The grid-ray search takes the best admitted point k_g
+    of the simplex grid of step GRID_STEP (see _best_feasible); the growth
+    peak of its ray is checked first and is the answer if admitted, and
+    otherwise [sum(k_g), peak] is bisected to width REFINE_TOL. k_g = 0 has
+    no ray and is the answer.
     """
     kind = evaluate.spec.kind
     if model.n_assets == 1:
         tol = REFINE_TOL * 1e-2 if kind == "surrogate" else REFINE_TOL
         k, g = _ray_best(model, evaluate, np.zeros(1), np.ones((1, 1)), 0.0, k_un, tol)
         return k[0], float(g[0]), f"{kind}-bisect"
-    if kind == "surrogate":
-        return (*_surrogate_fan(model, evaluate), "surrogate-fan")
+    if model.n_assets > 2 or kind == "surrogate":
+        return (*_fan(model, evaluate), f"{kind}-fan")
     points = _simplex_grid(np.arange(0.0, 1.0 + 1e-12, GRID_STEP))
     k = points[_best_feasible(evaluate, points, log_growth(points, model))]
     s = k.sum()
@@ -889,19 +897,14 @@ def maximize_growth_constrained(model: GambleModel, n_steps: int, spec: Constrai
 
     Every search checks the constraint through one _ConstraintEvaluator, and
     returns the unconstrained optimum when that lies inside the set.
-    Otherwise it follows the ray rule of the module docstring (see
-    _ray_search): <kind>-bisect on one asset, surrogate-fan for a surrogate
-    on two or more, grid-ray for the other kinds on two. Each search is
-    finite and ends at its tolerances, so converged is always True. No
-    convexity is claimed for the expected and probabilistic sets, only that
-    every set is star-shaped about K = 0. Raises ValueError when
-    n_steps < 1, or for an expected or probabilistic constraint on more than
-    two assets.
+    Otherwise it runs the search that the module docstring names for the
+    model's number of assets and the constraint's kind (see _ray_search),
+    with what that search claims. Each search is finite and ends at its
+    tolerances, so converged is always True. Raises ValueError when
+    n_steps < 1.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    if spec.kind != "surrogate" and model.n_assets > 2:
-        raise ValueError("Monte Carlo constrained search supports 1 or 2 assets")
     unconstrained = maximize_growth(model)
     evaluate = _ConstraintEvaluator(model, n_steps, spec, mc)
     if evaluate(unconstrained.k_star)[0]:

@@ -1244,6 +1244,40 @@ def test_surrogate_fan_reaches_the_enumerated_boundary():
     assert expected_log_complementary(model, res.k_star, 6).value >= math.log(0.8)
 
 
+@settings(max_examples=50, deadline=None)
+@given(coins=st.tuples(EDGE_COIN, EDGE_COIN, EDGE_COIN),
+       kind=st.sampled_from(["expected", "probabilistic"]), eps=st.floats(0.02, 0.3),
+       delta=st.floats(0.01, 0.5), n=st.integers(5, 30), seed=st.integers(0, 2**16))
+def test_three_asset_fan_keeps_the_growth_of_its_centre_ray(coins, kind, eps, delta, n, seed):
+    # The expected and probabilistic sets need not be convex, so the fan
+    # claims no optimum. Its first fan holds the centre ray u = (1/3, 1/3,
+    # 1/3), and a ray stops early only once its tangent bound is below the
+    # best g of its batch, so the answer's g is at least that of the centre
+    # ray's best admitted point, which a plain bisection finds here; one
+    # REFINE_TOL bracket of g covers the rounding of its growth slope.
+    model = independent_join(*coins)
+    spec = ConstraintSpec(kind=kind, epsilon=eps, delta=delta if kind == "probabilistic" else None)
+    mc = MonteCarloConfig(paths=200, seed=seed)
+    res = maximize_growth_constrained(model, n, spec, mc)
+    fresh = drawdown_module._ConstraintEvaluator(model, n, spec, mc)
+    assert fresh(res.k_star)[0]
+    assert res.method in (f"{kind}-fan", "unconstrained-feasible")
+    u = np.full(3, 1.0 / 3.0)
+    xu = model.xs @ u
+
+    def slope(t):
+        return float(model.probs @ (xu / (1.0 + t * xu)))
+
+    lo, hi = 0.0, 1.0
+    while hi - lo > REFINE_TOL:
+        mid = 0.5 * (lo + hi)
+        if slope(mid) > 0.0 and fresh(mid * u)[0]:
+            lo = mid
+        else:
+            hi = mid
+    assert res.g_star >= log_growth(lo * u, model) - REFINE_TOL * slope(lo)
+
+
 def test_split_interpolates_between_finite_slacks():
     # Rows: the line through (0, 1) and (1, -3) crosses 0 at 0.25; lo has no
     # slack yet; hi is ruinous; a crossing next to lo is kept 2**-7 of the
@@ -1398,9 +1432,14 @@ def test_three_asset_search_dispatch(monkeypatch):
 
     monkeypatch.setattr(drawdown, "sample_path_indices", counting)
     three = independent_join(EVEN9, EVEN9, SKEWED)
-    with pytest.raises(ValueError, match="1 or 2 assets"):
-        maximize_growth_constrained(three, 30, ConstraintSpec(kind="expected", epsilon=0.1))
-    assert calls == []
+    for kind, delta in (("expected", None), ("probabilistic", 0.1)):
+        calls.clear()
+        spec = ConstraintSpec(kind=kind, epsilon=0.1, delta=delta)
+        res = maximize_growth_constrained(three, 30, spec, MonteCarloConfig(paths=200, seed=3))
+        assert res.method == f"{kind}-fan"
+        assert len(calls) == 1   # one CRN matrix serves every ray of every fan
+        assert spec.slack(res.constraint_estimate) >= 0.0
+    calls.clear()
     res = maximize_growth_constrained(three, 4, ConstraintSpec(kind="surrogate", epsilon=0.1))
     assert res.method == "surrogate-fan"
     assert calls == []   # 8^4 sequences are enumerated, so no CRN matrix is sampled

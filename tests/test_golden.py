@@ -37,6 +37,13 @@ INPUTS = {
                   ' {"x": [0.1, 0.1], "p": 0.25}, {"x": [-0.2, -0.1], "p": 0.2}]}\n',
     "model3.json": '{"atoms": [{"x": [0.4], "p": 0.45}, {"x": [-0.25], "p": 0.35},'
                    ' {"x": [-0.6], "p": 0.2}]}\n',
+    # The independent join of the coins (1, -1, 0.6), (0.5, -0.4, 0.6) and
+    # (0.3, -0.3, 0.58), whose unconstrained optimum bets on all three.
+    "three-assets.json": '{"atoms": [' + ", ".join(
+        f'{{"x": [{a}, {b}, {c}], "p": {p}}}' for a, b, c, p in (
+            (1.0, 0.5, 0.3, 0.2088), (1.0, 0.5, -0.3, 0.1512), (1.0, -0.4, 0.3, 0.1392),
+            (1.0, -0.4, -0.3, 0.1008), (-1.0, 0.5, 0.3, 0.1392), (-1.0, 0.5, -0.3, 0.1008),
+            (-1.0, -0.4, 0.3, 0.0928), (-1.0, -0.4, -0.3, 0.0672))) + "]}\n",
 }
 
 CASES = {
@@ -129,6 +136,10 @@ CASES = {
     "constrained-2d-surrogate-mc-n40": (
         "constrained", "--coin", "1,-1,0.9", "--coin2", "0.5,-0.4,0.6", "--kind", "surrogate",
         "--eps", "0.15", "--n", "40", "--paths", "800", "--seed", "35"),
+    # Three assets: the expected-drawdown search is the fan of rays.
+    "constrained-3d-expected": (
+        "constrained", "--model", f"{OUT}/three-assets.json", "--kind", "expected",
+        "--eps", "0.15", "--n", "20", "--paths", "300", "--seed", "19"),
     "adaptive-traces": (
         "adaptive", "--p-true", "0.6", "--n", "300", "--window", "40", "--runs", "2",
         "--seed", "3", "--out", f"{OUT}/adapt"),
@@ -179,7 +190,11 @@ CASES = {
 # BLAS dot, and the optimize-model case when the optimizer stopped at its
 # first iterate whose projected gradient and last step are both within OPT_TOL;
 # the --out files of both optimize cases when the optimizer began to stop on
-# its Frank-Wolfe gap and to take the Newton step whenever it rises.
+# its Frank-Wolfe gap and to take the Newton step whenever it rises. The
+# three-asset expected case was recorded while the expected and probabilistic
+# searches still refused three or more assets, as exit 2 with an empty stdout
+# (digest e3b0c442...b855), and re-recorded when the fan of rays began to
+# serve them.
 EXPECTED = {
     "adaptive-traces": (
         0, "786b777616f66bf92cf5d380b54a3d8c1004c1063c1119941858ff6d479a1cab",
@@ -223,6 +238,8 @@ EXPECTED = {
         0, "bbeb50896cfc7767567aadaa18ea9f16d43bdc43d049e1845267c725d3dcef1d", {}),
     "constrained-2d-surrogate-mc-n50": (
         0, "a5e758d0057af4834632181bd008f85e0ecad0cd22389440f126e153c50955cf", {}),
+    "constrained-3d-expected": (
+        0, "d5a537c04b4118fe24c6d96ad9b08e172efaf104fe160e119bbd6c99e22eb3ef", {}),
     "drawdown-even": (
         0, "622ed799ef51a37715bd46dd98f15ddf81935f17cd61416712220886178bfb1d",
         {"dd.expected.csv": "af06a53775b5e0140dce867b2ac65b6f923b86bd92b0716a5f70b58ae0a9277f",
