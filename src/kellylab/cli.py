@@ -180,15 +180,24 @@ def cmd_drawdown(args) -> int:
     print(f"{'K':>8} {'E[D]':>10} {'se':>10} {'P(D<=eps)':>10} {'se':>10}"
           + ("  exceed(MC)  analytic" if even else "")
           + ("  exact" if args.exact else ""))
-    # One kernel call and one reduction per column for the whole sweep;
-    # in_set columns use the plain rule.
-    dbars = drawdown.dbar_samples(model, k_values[:, None], indices)
-    exceeds = (drawdown.mean_se((dbars <= 1.0 - k_values[:, None]).astype(float))
-               if even else [(None, None)] * len(k_values))
+    # One kernel call and one reduction per column for each chunk of
+    # drawdown.mc_chunk_rows fractions, a chunk freed before the next one
+    # runs; the CRN matrix is freed before the last chunk is reduced. in_set
+    # columns use the plain rule.
+    stats, step = [], drawdown.mc_chunk_rows(args.paths)
+    for lo in range(0, len(k_values), step):
+        ks = k_values[lo:lo + step, None]
+        dbars = drawdown.dbar_samples(model, ks, indices)
+        if lo + step >= len(k_values):
+            del indices
+        exceeds = (drawdown.mean_se((dbars <= 1.0 - ks).astype(float))
+                   if even else [(None, None)] * len(ks))
+        stats += zip(expected_spec.statistic(dbars), prob_spec.statistic(dbars), exceeds)
+        del dbars
     exact = (drawdown.expected_drawdown_exact(model, k_values[:, None], args.n)
              if args.exact else [None] * len(k_values))
-    for kk, (ed, ed_se), (pe, pe_se), (exceed, exceed_se), ed_exact in zip(
-            k_values, expected_spec.statistic(dbars), prob_spec.statistic(dbars), exceeds, exact):
+    for kk, ((ed, ed_se), (pe, pe_se), (exceed, exceed_se)), ed_exact in zip(
+            k_values, stats, exact):
         line = f"{kk:>8.4f} {ed:>10.4f} {ed_se:>10.5f} {pe:>10.4f} {pe_se:>10.5f}"
         erow = [repr(float(kk)), repr(ed), repr(ed_se), int(expected_spec.contains(ed))]
         prow = [repr(float(kk)), repr(pe), repr(pe_se), int(prob_spec.contains(pe))]

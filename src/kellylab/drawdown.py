@@ -31,10 +31,10 @@ CRN matrix on first use, estimates each allocation once, and gives the
 search's answer the estimate the search itself judged.
 
 The evaluator is batched. It checks the feasibility of a whole
-(B, n_assets) batch at once and runs every Monte Carlo row, of any kind,
-through one kernel call, reducing the (B, paths) samples once along axis 1;
-a surrogate that fits the enumeration budget is enumerated in bounded chunks
-of rows, and a ruinous allocation is -inf.
+(B, n_assets) batch at once and runs its Monte Carlo rows, of any kind,
+through one kernel call per chunk of rows, reducing each chunk's samples
+once along axis 1; a surrogate that fits the enumeration budget is
+enumerated in bounded chunks of rows, and a ruinous allocation is -inf.
 
 The ray rule. Every constraint set is star-shaped about K = 0. Along a ray
 K = t * u, each segment's sum of log(1 + t * u'x) is concave in t and 0 at
@@ -46,11 +46,14 @@ at t, and t * u is admitted" holds on [0, min(rho, peak)) and nowhere past
 it, where peak maximizes g on the ray: bisecting a bracket on that test
 ends at the ray's best admitted point, and the constraint is estimated only
 where g rises. _ray_best bisects a batch of rays together, with one
-evaluate.batch per level. An expected or probabilistic ray first checks, in
-one evaluate.batch every 3 levels, the 7 midpoints those levels can visit,
-each computed as its level computes it; the levels then find their verdicts
-in the evaluator's memo, so the answer is bitwise that of plain bisection
-and takes a third of the kernel calls. By concavity no point of a ray's
+evaluate.batch per level. While an expected or probabilistic ray is the one
+live ray of its batch, it first checks, in one evaluate.batch every 3
+levels, the 7 midpoints those levels can visit, each computed as its level
+computes it; the levels then find their verdicts in the evaluator's memo,
+so the answer is bitwise that of plain bisection and takes a third of the
+kernel calls. A batch of several live rays already shares one kernel call
+per level, and most of the midpoints a prefetch adds are never visited, so
+it does not prefetch. By concavity no point of a ray's
 bracket [lo, hi] has a g above the tangent bound g(lo) + g'(lo) (hi - lo),
 so a ray stops once that bound falls below the best g(lo) of the batch: the
 ray that ends best never does, since its g(lo) only rises.
@@ -122,14 +125,16 @@ rather than N / 8 (at 1000 paths a screen of a few rows costs a step or
 two). A dropped row would fail the search's rule at step N, so it is
 remembered as infeasible with no estimate, and every kept row is bitwise
 the unscreened one. Only the flag drives the searches; an answer whose row
-was dropped is estimated again, unscreened. The kernel then holds r and d
+was dropped is estimated again, unscreened. A screened call holds r and d
 for every path of the live rows, and allocates its factor and ones blocks
 once per call, and again only after a screen drops rows. A row whose every
 factor is >= 1, such as K = 0, keeps r = 1: the kernel gives it 1.0 without
 running its steps; its slack is eps or delta, so no screen would drop it. The
 drawdown sweep and the convexity probe are not screened, since they print
 every estimate, nor is the surrogate's Monte Carlo fallback, whose
-statistic needs a log of every partial d.
+statistic needs a log of every partial d. Without a screen the steps run in
+one chunk, so r and d need to hold only one block of paths: each block runs
+every step, and its d is written into the result.
 
 Relative wealth level is tracked by the recursion r <- min(1, r * factor)
 rather than by dividing V by its running peak: the first drop from a peak is
@@ -151,8 +156,16 @@ it needs no index rows and every numpy loop runs over the K states. The
 probability of each sequence is the running product of the model weights;
 it is computed once and shared by every enumeration of a model at the same
 N, for as long as the model lives.
-The exact E[D] sweep and the enumerated surrogate go through enumeration in
-bounded chunks of rows, so neither holds every row at once.
+
+Both engines run a batch in chunks of rows through one loop, _row_chunks,
+each with its own size: enumeration in chunks of about _ENUM_CHUNK
+sequences (the exact E[D] sweep, the enumerated surrogate), Monte Carlo in
+chunks of at most _MC_CHUNK floats per (rows, paths) array (the probe's grid
+and midpoints, the evaluator, the surrogate's fallback, and the drawdown
+sweep, which runs the same rule in its own loop so as to free the CRN matrix
+before its last chunk is reduced). Each chunk is reduced before the next one
+runs, so no batch is held at once; a row's result does not depend on the
+chunk it is in.
 
 The README's "Numerical notes" state what these arguments guarantee, with
 the memory each engine takes.
@@ -311,6 +324,10 @@ _MIN_BLOCK_PATHS = 256
 _SCREEN_STEPS = 8
 # Paths per chunk when filling the step-major index matrix.
 _SAMPLE_CHUNK = 256
+# Floats of one (rows, paths) array of a Monte Carlo batch, which runs in
+# chunks of mc_chunk_rows(paths) rows: a 21-fraction sweep on 10000 paths
+# and a search batch of 64 rows on 1000 paths are one chunk.
+_MC_CHUNK = 2**18
 
 
 def sample_path_indices(model: GambleModel, paths: int, n_steps: int, seed: int) -> np.ndarray:
@@ -331,6 +348,12 @@ def sample_path_indices(model: GambleModel, paths: int, n_steps: int, seed: int)
     return out
 
 
+def mc_chunk_rows(paths: int) -> int:
+    """Rows of one chunk of a Monte Carlo batch on `paths` paths: at most
+    _MC_CHUNK floats per (rows, paths) array, and at least one row."""
+    return max(1, _MC_CHUNK // paths)
+
+
 def _work_blocks(n_paths: int, rows: int) -> tuple:
     """(width, f, ones) of a kernel call on rows live rows: the paths of a
     block, and the factor and ones blocks its steps share."""
@@ -346,9 +369,6 @@ def dbar_samples(model: GambleModel, k, indices: np.ndarray, screen=None) -> np.
     k is one allocation, giving (paths,), or a (B, n_assets) batch, giving
     (B, paths).
 
-    The kernel holds r and d for every path of every live row in
-    2 * paths * B floats, and runs the steps in chunks, each over every
-    block of paths.
     A row whose every factor is >= 1 never leaves r = 1: it is 1.0 without
     running a step, and the screen never sees it. screen, if given, is
     called after steps _SCREEN_STEPS * 2^j below N (8, 16, 32, ...; never
@@ -356,7 +376,12 @@ def dbar_samples(model: GambleModel, k, indices: np.ndarray, screen=None) -> np.
     bool mask of the live rows to go on with; a row it drops is NaN in the
     result, and every other row is bitwise the unscreened one. A screen may
     drop a row only when more steps cannot change its verdict (see _screen).
-    Without a screen the steps run in one chunk.
+
+    A screened call holds r and d for every path of the live rows, in
+    2 * paths * B floats, and runs the steps in chunks, each over every
+    block of paths. Without a screen the steps run in one chunk, and r and
+    d hold one block of paths at a time: each block runs every step, and
+    its d is then written into the result.
     """
     factors = _checked_factors(model, k)
     m = model.n_atoms
@@ -370,25 +395,38 @@ def dbar_samples(model: GambleModel, k, indices: np.ndarray, screen=None) -> np.
     # gather copies one contiguous run of factors per path. mode="wrap" maps
     # indices in [-m, m) as fancy indexing does, without checking them.
     by_atom = np.ascontiguousarray(factors[live].T)
-    # r and d are views of blocks of paths * B floats, the size of the result
-    # and of the callers' (B, paths) blocks, so that those reuse the memory
-    # r and d free; blocks of the live rows alone left the heap to grow, by
-    # 3.3 MB on a 2000-path convexity probe.
-    size = n_paths * factors.shape[0]
-    r = np.ones(size)[:n_paths * live.size].reshape(n_paths, live.size)
-    d = np.ones(size)[:n_paths * live.size].reshape(n_paths, live.size)
-    width, f, ones = _work_blocks(n_paths, live.size)
+    if screen is None:
+        dbar = np.ones((factors.shape[0], n_paths))
+        width, f, ones = _work_blocks(n_paths, live.size)
+        r, d = np.empty((2, *f.shape))
+    else:
+        # r and d are views of blocks of paths * B floats, the size of the
+        # result and of the callers' (B, paths) blocks, so that those reuse
+        # the memory r and d free; blocks of the live rows alone left the
+        # heap to grow, by 3.3 MB on a 2000-path convexity probe.
+        size = n_paths * factors.shape[0]
+        r = np.ones(size)[:n_paths * live.size].reshape(n_paths, live.size)
+        d = np.ones(size)[:n_paths * live.size].reshape(n_paths, live.size)
+        width, f, ones = _work_blocks(n_paths, live.size)
     start, stop = 0, (_SCREEN_STEPS if screen is not None else n_steps)
     while start < n_steps and live.size:
         stop = min(stop, n_steps)
         for lo in range(0, n_paths, width):
             hi = min(lo + width, n_paths)
-            rb, db, fb, ob = r[lo:hi], d[lo:hi], f[:hi - lo], ones[:hi - lo]
+            if screen is None:
+                rb, db = r[:hi - lo], d[:hi - lo]
+                rb.fill(1.0)
+                db.fill(1.0)
+            else:
+                rb, db = r[lo:hi], d[lo:hi]
+            fb, ob = f[:hi - lo], ones[:hi - lo]
             for t in range(start, stop, _SCREEN_STEPS):
                 # take() converts int8 indices on every call; convert a slab once.
                 for row in indices[t:t + _SCREEN_STEPS, lo:hi].astype(np.intp):
                     by_atom.take(row, axis=0, out=fb, mode="wrap")
                     _recursion_step(rb, db, fb, ob)
+            if screen is None:
+                dbar[live, lo:hi] = db.T
         if stop < n_steps:
             keep = screen(d)
             if not keep.all():
@@ -396,9 +434,10 @@ def dbar_samples(model: GambleModel, k, indices: np.ndarray, screen=None) -> np.
                 r, d = r.compress(keep, axis=1), d.compress(keep, axis=1)
                 width, f, ones = _work_blocks(n_paths, live.size)
         start, stop = stop, 2 * stop
-    dbar = np.full((factors.shape[0], n_paths), np.nan)
-    dbar[flat] = 1.0
-    dbar[live] = d.T
+    if screen is not None:
+        dbar = np.full((factors.shape[0], n_paths), np.nan)
+        dbar[flat] = 1.0
+        dbar[live] = d.T
     return dbar if np.ndim(k) == 2 else dbar[0]
 
 
@@ -512,6 +551,18 @@ def enumerate_dbar(model: GambleModel, k, n_steps: int) -> tuple:
     return _sequence_probs(model, n_steps), d if np.ndim(k) == 2 else d[0]
 
 
+def _row_chunks(k, rows: int, stats):
+    """stats(chunk) of each chunk of at most `rows` rows of one allocation
+    or a (B, n_assets) batch k, one chunk at a time, so that no call holds
+    every row. stats gives one entry per row of its chunk; the result is
+    the list of every row's entry, or the one allocation's entry."""
+    ks = np.atleast_2d(k)
+    out = []
+    for lo in range(0, len(ks), rows):
+        out += stats(ks[lo:lo + rows])
+    return out if np.ndim(k) == 2 else out[0]
+
+
 def _enumerated_rows(model: GambleModel, k, n_steps: int, reduce):
     """reduce(prob, dbar) of one allocation, or a list of them, one per row,
     for a (B, n_assets) batch.
@@ -521,14 +572,12 @@ def _enumerated_rows(model: GambleModel, k, n_steps: int, reduce):
     every row.
     """
     require_enumerable(model, n_steps)
-    ks = np.atleast_2d(k)
-    step = max(1, _ENUM_CHUNK // model.n_atoms ** n_steps)
-    out = []
-    for lo in range(0, len(ks), step):
-        prob, dbar = enumerate_dbar(model, ks[lo:lo + step], n_steps)
-        out += [reduce(prob, row) for row in dbar]
-        del dbar   # free this chunk before the next one is enumerated
-    return out if np.ndim(k) == 2 else out[0]
+
+    def stats(chunk):
+        prob, dbar = enumerate_dbar(model, chunk, n_steps)
+        return [reduce(prob, row) for row in dbar]
+
+    return _row_chunks(k, max(1, _ENUM_CHUNK // model.n_atoms ** n_steps), stats)
 
 
 def _expectation(prob: np.ndarray, x: np.ndarray) -> float:
@@ -573,8 +622,9 @@ def _log_complementary_batch(model, k, n_steps, crn):
 
     A row with a zero wealth factor is -inf. Otherwise, when the sequences
     fit ENUM_BUDGET the rows are enumerated in bounded chunks, one
-    enumerate_dbar call per chunk; when they do not, every row goes through
-    one kernel call on crn(). crn() is called only when some row needs it.
+    enumerate_dbar call per chunk; when they do not, the rows go through the
+    kernel on crn() in chunks of mc_chunk_rows rows. crn() is called only
+    when some row needs it.
     """
     ks = np.atleast_2d(k)
     ruinous = _checked_factors(model, ks).min(axis=1) <= 0.0
@@ -587,8 +637,13 @@ def _log_complementary_batch(model, k, n_steps, crn):
         for i, value in zip(live, values):
             out[i] = LogDrawdownEstimate(value=value, exact=True)
     elif live.size:
-        logs = _log_dbar(dbar_samples(model, ks[live], crn()))
-        for i, (est, se) in zip(live, mean_se(logs)):
+        indices = crn()
+
+        def stats(chunk):
+            return mean_se(_log_dbar(dbar_samples(model, chunk, indices)))
+
+        estimates = _row_chunks(ks[live], mc_chunk_rows(indices.shape[1]), stats)
+        for i, (est, se) in zip(live, estimates):
             out[i] = LogDrawdownEstimate(value=est, exact=False, std_error=se)
     return out if np.ndim(k) == 2 else out[0]
 
@@ -631,26 +686,34 @@ def _screen(spec: ConstraintSpec, n_paths: int):
 
 def _batch_stats(model, spec, ks, indices, screened=False) -> list:
     """[(estimate, std_error)] of spec's statistic for each allocation in ks,
-    from one kernel call on the shared index matrix; each is bitwise
-    spec.statistic of that allocation's row. A screened call stops a row at
-    the first screen that proves it infeasible (see _screen), and such a
-    row is (None, None)."""
+    from one kernel call per chunk of mc_chunk_rows rows on the shared index
+    matrix; each is bitwise spec.statistic of that allocation's row. A
+    screened call stops a row at the first screen that proves it infeasible
+    (see _screen), and such a row is (None, None)."""
     screen = _screen(spec, indices.shape[1]) if screened else None
-    dbar = dbar_samples(model, ks, indices, screen=screen)
-    kept = ~np.isnan(dbar[:, 0])
-    # spec.statistic would hold the copy dbar[kept] while it reduces: one
-    # more (B, paths) block at the peak. Here it is freed once sampled.
-    stats = iter(mean_se(spec.samples(dbar[kept])))
-    return [next(stats) if keep else (None, None) for keep in kept]
+
+    def stats(chunk):
+        dbar = dbar_samples(model, chunk, indices, screen=screen)
+        kept = ~np.isnan(dbar[:, 0])
+        # The samples of dbar, or of its kept rows once a screen dropped
+        # some, are the one (rows, paths) block mean_se reduces, with its own
+        # temporary: dbar is freed before it does.
+        samples = spec.samples(dbar if kept.all() else dbar[kept])
+        del dbar
+        pairs = iter(mean_se(samples))
+        return [next(pairs) if keep else (None, None) for keep in kept]
+
+    return _row_chunks(ks, mc_chunk_rows(indices.shape[1]), stats)
 
 
 class _ConstraintEvaluator:
     """Conservative constraint checks of one search, for every kind.
 
     Calling it checks one allocation; batch() checks a sequence of
-    allocations, estimating the new ones together: in one kernel call on the
-    CRN matrix, or, for a surrogate whose sequences fit ENUM_BUDGET, by
-    enumerating them in bounded chunks. Both give (ok, estimate, std_error).
+    allocations, estimating the new ones together: in one kernel call per
+    chunk of rows on the CRN matrix, or, for a surrogate whose sequences fit
+    ENUM_BUDGET, by enumerating them in bounded chunks. Both give (ok,
+    estimate, std_error).
     The surrogate's estimate is E[log(1 - D)], with the Monte Carlo
     std_error, or None when it is enumerated; its rule ignores std_error. An
     expected or probabilistic row stops as soon as its partial statistic
@@ -745,8 +808,8 @@ def _along(xu: np.ndarray, probs: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 # Bisection levels whose midpoints a screened search checks ahead, in one
-# evaluate.batch of 2 ** _PREFETCH_LEVELS - 1 points per ray. Of 2, 3 and 4
-# levels, 3 gave the fastest one-asset searches.
+# evaluate.batch of 2 ** _PREFETCH_LEVELS - 1 points of its one live ray.
+# Of 2, 3 and 4 levels, 3 gave the fastest one-asset searches.
 _PREFETCH_LEVELS = 3
 
 # Least share of its bracket that a surrogate ray's interpolated split keeps
@@ -786,9 +849,10 @@ def _ray_best(model, evaluate, k_lo, us, lo, hi, tol):
     sum(k_lo) or gains no g over k_lo.
 
     An expected or probabilistic ray checks its next _PREFETCH_LEVELS
-    levels' midpoints ahead (see the module docstring). A surrogate ray
-    does not: its rows are not screened and run every step, so the points
-    its bisection skips would cost as much as those it checks. It splits
+    levels' midpoints ahead while it is the batch's one live ray (see the
+    module docstring). A surrogate ray does not: its rows are not screened
+    and run every step, so the points its bisection skips would cost as
+    much as those it checks. It splits
     its bracket at _split instead of the midpoint (see the module
     docstring); s_lo and s_hi are its ends' slacks, 0 has the slack of
     E[log(1 - D)] = 0, and last is +1 or -1 as lo or hi moved last."""
@@ -803,7 +867,7 @@ def _ray_best(model, evaluate, k_lo, us, lo, hi, tol):
     for level in itertools.count():
         if not live.any():
             break
-        if not surrogate and level % _PREFETCH_LEVELS == 0:
+        if not surrogate and np.count_nonzero(live) == 1 and level % _PREFETCH_LEVELS == 0:
             evaluate.batch([t * us[r] for r in np.flatnonzero(live)
                             for t in _midpoints(lo[r], hi[r], tol, _PREFETCH_LEVELS)])
         mid = _split(lo, hi, s_lo, s_hi) if surrogate else 0.5 * (lo + hi)
@@ -991,7 +1055,7 @@ def convexity_probe(model: GambleModel, n_steps: int, spec: ConstraintSpec,
             in_points.append(kv)
 
     # The pairs depend only on the rng and the in-set points, so every
-    # midpoint is drawn first and all are estimated in one kernel call.
+    # midpoint is drawn first and all are estimated in one batch.
     checks = []
     if len(in_points) >= 2:
         rng = np.random.default_rng(mc.seed + 1)

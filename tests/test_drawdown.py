@@ -539,6 +539,23 @@ def test_exact_column_holds_one_chunk_at_a_time():
     assert peak < 8 * row_bytes
 
 
+def test_probe_holds_one_chunk_of_rows_at_a_time():
+    # 1830 grid points on 2000 paths: one (1830, 2000) block of floats is
+    # 29 MB, and holding the kernel's r and d beside the result and its
+    # samples took about 4 of them. A chunk of 131 rows is 2.1 MB; the
+    # probe holds a chunk's result and its samples, or the samples and the
+    # temporary of their standard error, plus the CRN matrix and the grid.
+    tracemalloc.start()
+    try:
+        report = convexity_probe(TWO_COINS, 20, ConstraintSpec(kind="expected", epsilon=0.3),
+                                 grid_resolution=60, mc=MonteCarloConfig(paths=2000, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.grid) == 1830
+    assert peak < 12e6
+
+
 def test_enumeration_with_ruin_factor():
     prob, dbar = enumerate_dbar(EVEN9, 1.0, 8)
     ref_prob, ref_dbar = enumerate_dbar_loop(EVEN9, 1.0, 8)
@@ -669,6 +686,38 @@ def test_batched_statistics_equal_mean_se_per_row(spec, paths):
     for dbar, (est, se), ref in zip(dbars, stats, refs):
         assert spec.statistic(dbar) == ref and mean_se(spec.samples(dbar)) == ref
         assert type(est) is float and type(se) is float
+
+
+def test_monte_carlo_chunks_keep_every_bit(monkeypatch, tmp_path, capsys):
+    # At 2000 paths a chunk holds 131 rows, so the probe's 210-point grid
+    # runs as 131 + 79 rows. Here every batch is on 300 paths, one chunk by
+    # default; chunks of 7 rows and of 1 row cut the probe's grid and
+    # midpoints, the sweep and a screened and an unscreened batch.
+    from kellylab import drawdown
+    from kellylab.cli import main
+    assert drawdown.mc_chunk_rows(2000) == 131 and drawdown.mc_chunk_rows(10**6) == 1
+    assert drawdown.mc_chunk_rows(300) > 210
+    spec = ConstraintSpec(kind="expected", epsilon=0.3)
+    ks = np.random.default_rng(1).random((23, 2)) / 2
+    idx = sample_path_indices(TWO_COINS, 300, 30, seed=2)
+
+    def run_all(tag):
+        probe = convexity_probe(TWO_COINS, 20, spec, pair_samples=40,
+                                mc=MonteCarloConfig(paths=300, seed=5))
+        stats = [drawdown._batch_stats(TWO_COINS, spec, ks, idx, screened=screened)
+                 for screened in (False, True)]
+        assert main(["drawdown", "--coin", "1,-1,0.9", "--n", "40", "--paths", "300",
+                     "--seed", "3", "--k-grid", "23", "--out", str(tmp_path / tag)]) == 0
+        files = [(tmp_path / f"{tag}.{part}.csv").read_bytes() for part in ("expected", "prob")]
+        return probe, stats, capsys.readouterr().out.replace(tag, "out"), files
+
+    whole = run_all("whole")
+    assert len(whole[0].grid) == 210 and len(whole[0].checks) == 40
+    assert any(se is None for _, se in whole[1][1])   # the screen dropped some rows
+    for rows in (7, 1):
+        monkeypatch.setattr(drawdown, "_MC_CHUNK", rows * 300 + 299)
+        assert drawdown.mc_chunk_rows(300) == rows
+        assert run_all(f"cut{rows}") == whole
 
 
 @pytest.mark.parametrize("n_steps,exact", [(6, True), (8, True), (12, False)],
@@ -989,6 +1038,33 @@ def test_kernel_equals_scalar_clamp_loop_bitwise(atoms, rows, paths, n_steps, se
     ks[:2] = [[0.0], [1.0]][:rows]
     idx = sample_path_indices(model, paths, n_steps, seed)
     assert_kernel_equals_scalar_clamp(model, ks, idx, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(atoms=st.lists(st.tuples(ATOM_COMPONENT, st.floats(0.05, 1.0)), min_size=2, max_size=5),
+       rows=st.integers(1, 300), paths=st.integers(1, 1500), n_steps=st.integers(1, 40),
+       seed=st.integers(0, 2**16))
+def test_unscreened_blocks_equal_a_screen_that_keeps_every_row(atoms, rows, paths, n_steps,
+                                                               seed):
+    # Unscreened, r and d hold one block of paths at a time; screened, every
+    # path. A screen that keeps every row still runs the screened layout, in
+    # chunks of steps; both give the same bits. From 128 rows on, a block is
+    # 256 paths, so most calls here run several blocks and a partial last one.
+    model = _one_asset_model(atoms)
+    ks = np.random.default_rng(seed).random((rows, 1))
+    ks[:2] = [[0.0], [1.0]][:rows]
+    idx = sample_path_indices(model, paths, n_steps, seed)
+    seen = []
+
+    def keep_all(d):
+        seen.append(d.shape)
+        return np.ones(d.shape[1], dtype=bool)
+
+    out = dbar_samples(model, ks, idx)
+    assert np.array_equal(out, dbar_samples(model, ks, idx, screen=keep_all))
+    flat = all((wealth_factors(model, kv) >= 1.0).all() for kv in ks)
+    assert len(seen) == (0 if flat else len(screen_steps(n_steps)))
+    assert not np.isnan(out).any() and out.shape == (rows, paths)
 
 
 def test_kernel_equals_scalar_clamp_loop_on_int16_indices():
@@ -1443,6 +1519,31 @@ def test_three_asset_search_dispatch(monkeypatch):
     res = maximize_growth_constrained(three, 4, ConstraintSpec(kind="surrogate", epsilon=0.1))
     assert res.method == "surrogate-fan"
     assert calls == []   # 8^4 sequences are enumerated, so no CRN matrix is sampled
+
+
+@pytest.mark.parametrize("kind,k_bits,g_bits,estimates", [
+    ("expected", "d84d082b2b8ea23f6e6291a970fbbd3fa476eac07909b33f", "c313dec1b451993f", 3059),
+    ("probabilistic", "b91275380c1e953fbd0333c14917af3fe3729222b00da13f", "5c50ed0c6eb38b3f", 3183),
+])
+def test_fan_prefetches_only_a_lone_ray(kind, k_bits, g_bits, estimates):
+    # The three-asset golden model. The bits and estimate counts are those
+    # of the fan when every expected or probabilistic ray prefetched the 7
+    # midpoints of its next 3 levels, also in a batch of 9 rays; prefetching
+    # only while one ray is live keeps the answer and makes fewer estimates.
+    import json
+    from kellylab.gamble import model_from_dict
+    from test_golden import INPUTS
+    model = model_from_dict(json.loads(INPUTS["three-assets.json"]))
+    spec = ConstraintSpec(kind=kind, epsilon=0.15, delta=0.1 if kind == "probabilistic" else None)
+    res = maximize_growth_constrained(model, 20, spec, MonteCarloConfig(paths=300, seed=19))
+    assert res.method == f"{kind}-fan"
+    assert res.k_star.tobytes().hex() == k_bits
+    assert np.float64(res.g_star).tobytes().hex() == g_bits
+    assert res.iterations < estimates / 2
+    evaluate = RecordingEvaluator(kind)
+    us = np.tile([1.0 / 3] * 3, (9, 1))
+    drawdown_module._ray_best(model, evaluate, np.zeros(3), us, 0.0, 1.0, REFINE_TOL)
+    assert max(evaluate.batches) <= len(us)
 
 
 @pytest.mark.parametrize("paths,n_steps", [(0, 10), (10, 0), (-1, 10)])
