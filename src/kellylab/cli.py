@@ -92,14 +92,6 @@ def _write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _write_level_set_csv(report: drawdown.ProbeReport, path) -> None:
-    """The probe's grid CSV: columns k1, k2, estimate, std_error, in_set,
-    each float as its repr."""
-    _write_csv(path, ["k1", "k2", "estimate", "std_error", "in_set"],
-               ([repr(pt.k1), repr(pt.k2), repr(pt.estimate), repr(pt.std_error), int(pt.in_set)]
-                for pt in report.grid))
-
-
 def _is_even_coin(model: GambleModel) -> bool:
     if model.n_assets != 1 or model.n_atoms != 2:
         return False
@@ -261,7 +253,7 @@ def cmd_probe_convexity(args) -> int:
             tag = "SIGNIFICANT" if c.significant else "inconclusive"
             print(f"  {tag}: mid={c.k_mid} estimate={_fmt(c.estimate)} se={_fmt(c.std_error)}")
     if args.out:
-        _write_level_set_csv(report, f"{args.out}.grid.csv")
+        drawdown.write_level_set_csv(report, f"{args.out}.grid.csv")
         print(f"wrote {args.out}.grid.csv")
     return EXIT_OK
 

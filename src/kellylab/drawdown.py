@@ -27,14 +27,17 @@ distance of an estimate inside its constraint, and contains(estimate) is
 slack(estimate) >= 0. The constrained searches, the probe and the CLI all
 judge membership and report slack through it. Every constrained search, of
 every kind, estimates the constraint through one evaluator: it samples the
-CRN matrix on first use, estimates each allocation once, and gives the
-search's answer the estimate the search itself judged.
+CRN matrix on first use, estimates each allocation once, and remembers the
+verdict. A search's answer is K = 0 or a point the evaluator admitted, so
+its estimate is the one the search itself judged, read from that memo.
 
-The evaluator is batched. It checks the feasibility of a whole
-(B, n_assets) batch at once and runs its Monte Carlo rows, of any kind,
-through one kernel call per chunk of rows, reducing each chunk's samples
-once along axis 1; a surrogate that fits the enumeration budget is
-enumerated in bounded chunks of rows, and a ruinous allocation is -inf.
+Every Monte Carlo statistic goes through one reduction, _batch_stats: the
+evaluator's expected and probabilistic rows, the surrogate's fallback, the
+probe and expected_drawdown_mc. It runs a batch through one kernel call
+per chunk of rows, reducing each chunk's per-path samples once along axis
+1. The evaluator checks the feasibility of a whole (B, n_assets) batch at
+once; a surrogate that fits the enumeration budget is enumerated in
+bounded chunks of rows, and a ruinous allocation is -inf.
 
 The ray rule. Every constraint set is star-shaped about K = 0. Along a ray
 K = t * u, each segment's sum of log(1 + t * u'x) is concave in t and 0 at
@@ -124,17 +127,18 @@ it runs fewer than 2s steps, while a call screens about log2(N / 8) times
 rather than N / 8 (at 1000 paths a screen of a few rows costs a step or
 two). A dropped row would fail the search's rule at step N, so it is
 remembered as infeasible with no estimate, and every kept row is bitwise
-the unscreened one. Only the flag drives the searches; an answer whose row
-was dropped is estimated again, unscreened. A screened call holds r and d
-for every path of the live rows, and allocates its factor and ones blocks
-once per call, and again only after a screen drops rows. A row whose every
-factor is >= 1, such as K = 0, keeps r = 1: the kernel gives it 1.0 without
-running its steps; its slack is eps or delta, so no screen would drop it. The
-drawdown sweep and the convexity probe are not screened, since they print
-every estimate, nor is the surrogate's Monte Carlo fallback, whose
-statistic needs a log of every partial d. Without a screen the steps run in
-one chunk, so r and d need to hold only one block of paths: each block runs
-every step, and its d is written into the result.
+the unscreened one. Only the flag drives the searches, and no answer's row
+was dropped, since every answer is admitted. A screened call holds r and d
+for every path of the live rows, in one block, and allocates its factor and
+ones blocks once per call, and again only after a screen drops rows. A row
+whose every factor is >= 1, such as K = 0, keeps r = 1: the kernel gives it
+1.0 without running its steps; its slack is eps or delta, so no screen would
+drop it. The drawdown sweep, the convexity probe and expected_drawdown_mc
+are not screened, since they report every estimate, nor is the surrogate's
+Monte Carlo fallback, whose statistic needs a log of every partial d.
+Without a screen the steps run in one chunk, so r and d need to hold only
+one block of paths: each block runs every step, and its d is written into
+the result.
 
 Relative wealth level is tracked by the recursion r <- min(1, r * factor)
 rather than by dividing V by its running peak: the first drop from a peak is
@@ -160,12 +164,12 @@ N, for as long as the model lives.
 Both engines run a batch in chunks of rows through one loop, _row_chunks,
 each with its own size: enumeration in chunks of about _ENUM_CHUNK
 sequences (the exact E[D] sweep, the enumerated surrogate), Monte Carlo in
-chunks of at most _MC_CHUNK floats per (rows, paths) array (the probe's grid
-and midpoints, the evaluator, the surrogate's fallback, and the drawdown
-sweep, which runs the same rule in its own loop so as to free the CRN matrix
-before its last chunk is reduced). Each chunk is reduced before the next one
-runs, so no batch is held at once; a row's result does not depend on the
-chunk it is in.
+chunks of at most _MC_CHUNK floats per (rows, paths) array (every
+_batch_stats call, and the drawdown sweep, which runs the same rule in its
+own loop so as to reduce three statistics from one block and free the CRN
+matrix before its last chunk is reduced). Each chunk is reduced before the
+next one runs, so no batch is held at once; a row's result does not depend
+on the chunk it is in.
 
 The README's "Numerical notes" state what these arguments guarantee, with
 the memory each engine takes.
@@ -173,6 +177,7 @@ the memory each engine takes.
 
 from __future__ import annotations
 
+import csv
 import functools
 import itertools
 import math
@@ -377,11 +382,11 @@ def dbar_samples(model: GambleModel, k, indices: np.ndarray, screen=None) -> np.
     result, and every other row is bitwise the unscreened one. A screen may
     drop a row only when more steps cannot change its verdict (see _screen).
 
-    A screened call holds r and d for every path of the live rows, in
-    2 * paths * B floats, and runs the steps in chunks, each over every
-    block of paths. Without a screen the steps run in one chunk, and r and
-    d hold one block of paths at a time: each block runs every step, and
-    its d is then written into the result.
+    A screened call holds r and d for every path of the live rows, in one
+    block of 2 * paths * B floats for B live rows, and runs the steps in
+    chunks, each over every block of paths. Without a screen the steps run
+    in one chunk, and r and d hold one block of paths at a time: each block
+    runs every step, and its d is then written into the result.
     """
     factors = _checked_factors(model, k)
     m = model.n_atoms
@@ -397,17 +402,8 @@ def dbar_samples(model: GambleModel, k, indices: np.ndarray, screen=None) -> np.
     by_atom = np.ascontiguousarray(factors[live].T)
     if screen is None:
         dbar = np.ones((factors.shape[0], n_paths))
-        width, f, ones = _work_blocks(n_paths, live.size)
-        r, d = np.empty((2, *f.shape))
-    else:
-        # r and d are views of blocks of paths * B floats, the size of the
-        # result and of the callers' (B, paths) blocks, so that those reuse
-        # the memory r and d free; blocks of the live rows alone left the
-        # heap to grow, by 3.3 MB on a 2000-path convexity probe.
-        size = n_paths * factors.shape[0]
-        r = np.ones(size)[:n_paths * live.size].reshape(n_paths, live.size)
-        d = np.ones(size)[:n_paths * live.size].reshape(n_paths, live.size)
-        width, f, ones = _work_blocks(n_paths, live.size)
+    width, f, ones = _work_blocks(n_paths, live.size)
+    r, d = np.empty((2, *f.shape)) if screen is None else np.ones((2, n_paths, live.size))
     start, stop = 0, (_SCREEN_STEPS if screen is not None else n_steps)
     while start < n_steps and live.size:
         stop = min(stop, n_steps)
@@ -461,7 +457,7 @@ def expected_drawdown_mc(model: GambleModel, k, n_steps: int, paths: int,
     if paths < 100:
         raise ValueError("need at least 100 paths")
     indices = sample_path_indices(model, paths, n_steps, seed)
-    return mean_se(1.0 - dbar_samples(model, k, indices))
+    return _batch_stats(model, lambda dbar: 1.0 - dbar, k, indices)
 
 
 # ---------------------------------------------------------------------------
@@ -581,10 +577,13 @@ def _enumerated_rows(model: GambleModel, k, n_steps: int, reduce):
 
 
 def _expectation(prob: np.ndarray, x: np.ndarray) -> float:
-    """sum(prob * x) without BLAS: a BLAS dot of more than 10^4 terms splits
-    its sum across threads, so its last digit would depend on the thread
-    count."""
-    return float(np.einsum("i,i->", prob, x))
+    """sum(prob * x) by numpy's pairwise sum, which uses no BLAS and no
+    threads: its digits do not depend on the thread count, and its rounding
+    error grows with log(S), not S, over S sequences. x is the caller's
+    temporary and is overwritten with the products: a second array of S
+    floats per row would be mapped and faulted in anew for each row, which
+    doubles the CPU of the N = 16 exact column (480 page faults a row)."""
+    return float(np.add.reduce(np.multiply(prob, x, out=x)))
 
 
 def expected_drawdown_exact(model: GambleModel, k, n_steps: int):
@@ -595,7 +594,7 @@ def expected_drawdown_exact(model: GambleModel, k, n_steps: int):
 
 def expected_complementary_exact(model: GambleModel, k, n_steps: int):
     """Probability-weighted E[1 - D]: a float, or a list for a batch."""
-    return _enumerated_rows(model, k, n_steps, _expectation)
+    return _enumerated_rows(model, k, n_steps, lambda prob, dbar: _expectation(prob, dbar.copy()))
 
 
 def drawdown_exceedance_exact(model: GambleModel, k, n_steps: int, threshold: float):
@@ -622,9 +621,8 @@ def _log_complementary_batch(model, k, n_steps, crn):
 
     A row with a zero wealth factor is -inf. Otherwise, when the sequences
     fit ENUM_BUDGET the rows are enumerated in bounded chunks, one
-    enumerate_dbar call per chunk; when they do not, the rows go through the
-    kernel on crn() in chunks of mc_chunk_rows rows. crn() is called only
-    when some row needs it.
+    enumerate_dbar call per chunk; when they do not, through _batch_stats
+    on crn(). crn() is called only when some row needs it.
     """
     ks = np.atleast_2d(k)
     ruinous = _checked_factors(model, ks).min(axis=1) <= 0.0
@@ -637,13 +635,7 @@ def _log_complementary_batch(model, k, n_steps, crn):
         for i, value in zip(live, values):
             out[i] = LogDrawdownEstimate(value=value, exact=True)
     elif live.size:
-        indices = crn()
-
-        def stats(chunk):
-            return mean_se(_log_dbar(dbar_samples(model, chunk, indices)))
-
-        estimates = _row_chunks(ks[live], mc_chunk_rows(indices.shape[1]), stats)
-        for i, (est, se) in zip(live, estimates):
+        for i, (est, se) in zip(live, _batch_stats(model, _log_dbar, ks[live], crn())):
             out[i] = LogDrawdownEstimate(value=est, exact=False, std_error=se)
     return out if np.ndim(k) == 2 else out[0]
 
@@ -684,13 +676,13 @@ def _screen(spec: ConstraintSpec, n_paths: int):
     return lambda d: spec.slack(np.add.reduce(spec.samples(d), axis=0) / n_paths) >= -tol
 
 
-def _batch_stats(model, spec, ks, indices, screened=False) -> list:
-    """[(estimate, std_error)] of spec's statistic for each allocation in ks,
-    from one kernel call per chunk of mc_chunk_rows rows on the shared index
-    matrix; each is bitwise spec.statistic of that allocation's row. A
-    screened call stops a row at the first screen that proves it infeasible
-    (see _screen), and such a row is (None, None)."""
-    screen = _screen(spec, indices.shape[1]) if screened else None
+def _batch_stats(model, samples, k, indices, screen=None):
+    """(estimate, std_error) of the per-path samples(dbar) of one
+    allocation, or a list of them, one per row, for a (B, n_assets) batch k;
+    samples is spec.samples, _log_dbar or 1 - dbar. The rows run on the
+    shared index matrix in one kernel call per chunk of mc_chunk_rows rows,
+    and each pair is bitwise mean_se of that allocation's samples alone.
+    screen is passed to dbar_samples; a row it drops is (None, None)."""
 
     def stats(chunk):
         dbar = dbar_samples(model, chunk, indices, screen=screen)
@@ -698,30 +690,29 @@ def _batch_stats(model, spec, ks, indices, screened=False) -> list:
         # The samples of dbar, or of its kept rows once a screen dropped
         # some, are the one (rows, paths) block mean_se reduces, with its own
         # temporary: dbar is freed before it does.
-        samples = spec.samples(dbar if kept.all() else dbar[kept])
+        x = samples(dbar if kept.all() else dbar[kept])
         del dbar
-        pairs = iter(mean_se(samples))
+        pairs = iter(mean_se(x))
         return [next(pairs) if keep else (None, None) for keep in kept]
 
-    return _row_chunks(ks, mc_chunk_rows(indices.shape[1]), stats)
+    return _row_chunks(k, mc_chunk_rows(indices.shape[1]), stats)
 
 
 class _ConstraintEvaluator:
     """Conservative constraint checks of one search, for every kind.
 
     Calling it checks one allocation; batch() checks a sequence of
-    allocations, estimating the new ones together: in one kernel call per
-    chunk of rows on the CRN matrix, or, for a surrogate whose sequences fit
-    ENUM_BUDGET, by enumerating them in bounded chunks. Both give (ok,
-    estimate, std_error).
+    allocations, estimating the new ones together: through _batch_stats on
+    the CRN matrix, screened by _screen, or through _log_complementary_batch
+    for a surrogate. Both give (ok, estimate, std_error).
     The surrogate's estimate is E[log(1 - D)], with the Monte Carlo
     std_error, or None when it is enumerated; its rule ignores std_error. An
     expected or probabilistic row stops as soon as its partial statistic
-    proves it infeasible, and is (False, None, None); estimate() gives such
-    an allocation its full estimate. The CRN index matrix is sampled on
-    first use, so an enumerable surrogate search never samples it. Each
-    allocation is estimated once and remembered; evals counts the estimates
-    made.
+    proves it infeasible, and is (False, None, None); a search never answers
+    with such a row, so the answer's entry always holds its estimate. The
+    CRN index matrix is sampled on first use, so an enumerable surrogate
+    search never samples it. Each allocation is estimated once and
+    remembered; evals counts the estimates made.
     """
 
     def __init__(self, model, n_steps, spec, mc):
@@ -746,7 +737,8 @@ class _ConstraintEvaluator:
                 stats = [(h.value, h.std_error) for h in _log_complementary_batch(
                     self.model, batch, self.n_steps, lambda: self.indices)]
             else:
-                stats = _batch_stats(self.model, self.spec, batch, self.indices, screened=True)
+                stats = _batch_stats(self.model, self.spec.samples, batch, self.indices,
+                                     _screen(self.spec, self.mc.paths))
             for key, (est, se) in zip(new, stats):
                 ok = est is not None and self.spec.contains_conservatively(est, se)
                 self.seen[key] = (ok, est, se)
@@ -754,15 +746,6 @@ class _ConstraintEvaluator:
 
     def __call__(self, kv) -> tuple:
         return self.batch([kv])[0]
-
-    def estimate(self, kv) -> tuple:
-        """(ok, estimate, std_error) of one allocation; one the screen
-        dropped is estimated again, unscreened, and remembered."""
-        ok, est, se = self(kv)
-        if est is None:
-            (est, se), = _batch_stats(self.model, self.spec, kv[None], self.indices)
-            self.seen[kv.tobytes()] = (ok, est, se)
-        return ok, est, se
 
 
 # Grid points in one evaluate.batch of the grid walk: one kernel call per
@@ -975,7 +958,7 @@ def maximize_growth_constrained(model: GambleModel, n_steps: int, spec: Constrai
         k, g, method = unconstrained.k_star, unconstrained.g_star, "unconstrained-feasible"
     else:
         k, g, method = _ray_search(model, evaluate, unconstrained.k_star)
-    _, est, se = evaluate.estimate(k)
+    _, est, se = evaluate(k)
     return ConstrainedResult(k, g, evaluate.evals, True, method, est, se)
 
 
@@ -1048,7 +1031,7 @@ def convexity_probe(model: GambleModel, n_steps: int, spec: ConstraintSpec,
     points = _simplex_grid(np.linspace(0.0, 1.0, grid_resolution))
     grid = []
     in_points = []
-    for kv, (est, se) in zip(points, _batch_stats(model, spec, points, indices)):
+    for kv, (est, se) in zip(points, _batch_stats(model, spec.samples, points, indices)):
         inside = spec.contains(est)
         grid.append(ProbePoint(float(kv[0]), float(kv[1]), est, se, inside))
         if inside:
@@ -1062,7 +1045,7 @@ def convexity_probe(model: GambleModel, n_steps: int, spec: ConstraintSpec,
         pairs = [rng.choice(len(in_points), size=2, replace=False)
                  for _ in range(pair_samples)]
         mids = [0.5 * (in_points[ia] + in_points[ib]) for ia, ib in pairs]
-        for mid, (est, se) in zip(mids, _batch_stats(model, spec, mids, indices)):
+        for mid, (est, se) in zip(mids, _batch_stats(model, spec.samples, mids, indices)):
             violation = not spec.contains(est)
             significant = violation and -spec.slack(est) > 3.0 * se
             checks.append(MidpointCheck(
@@ -1077,6 +1060,8 @@ def convexity_probe(model: GambleModel, n_steps: int, spec: ConstraintSpec,
 def write_level_set_csv(report: ProbeReport, path) -> None:
     """Grid CSV with columns k1, k2, estimate, std_error, in_set, each float
     as its repr: the file `probe-convexity --out` writes."""
-    # The CLI writes every CSV; it imports this module, so it is imported on use.
-    from .cli import _write_level_set_csv
-    _write_level_set_csv(report, path)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["k1", "k2", "estimate", "std_error", "in_set"])
+        writer.writerows([repr(pt.k1), repr(pt.k2), repr(pt.estimate), repr(pt.std_error),
+                          int(pt.in_set)] for pt in report.grid)

@@ -556,6 +556,43 @@ def test_probe_holds_one_chunk_of_rows_at_a_time():
     assert peak < 12e6
 
 
+def test_expected_drawdown_mc_holds_one_chunk_of_rows_at_a_time():
+    # 500 fractions on 2000 paths: one (500, 2000) block of floats is 8 MB,
+    # and the result beside its samples took 16 MB. A chunk of 131 rows is
+    # 2.1 MB, and the call holds a chunk's result and its samples.
+    ks = np.linspace(0.0, 1.0, 500)[:, None]
+    tracemalloc.start()
+    try:
+        stats = expected_drawdown_mc(SKEWED, ks, 50, 2000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(stats) == 500
+    assert peak < 8e6
+
+
+@pytest.mark.parametrize("coin", [EVEN9, SKEWED, make_coin(0.6, -0.45, 0.62)],
+                         ids=["even", "skewed", "uneven"])
+def test_exact_statistics_sum_to_fsum_accuracy(coin):
+    # 2^16 sequences per fraction: each statistic is within 1e-14, relative,
+    # of math.fsum of the same products, which rounds once. A sum of the
+    # terms one after another drifts by up to about 1e-13 here.
+    ks = np.linspace(0.0, 0.95, 20)
+    prob, dbars = enumerate_dbar(coin, ks[:, None], 16)
+    stats = {
+        "E[D]": (expected_drawdown_exact(coin, ks[:, None], 16), lambda dbar: 1.0 - dbar),
+        "E[1 - D]": (expected_complementary_exact(coin, ks[:, None], 16), lambda dbar: dbar),
+        "E[log(1 - D)]": ([h.value for h in expected_log_complementary(coin, ks[:, None], 16)],
+                          np.log),
+        "P(D >= 0.3)": (drawdown_exceedance_exact(coin, ks[:, None], 16, 0.3),
+                        lambda dbar: dbar <= 0.7),
+    }
+    for name, (values, x) in stats.items():
+        for k, value, dbar in zip(ks, values, dbars):
+            ref = math.fsum((prob * x(dbar)).tolist())
+            assert abs(value - ref) <= 1e-14 * abs(ref), (name, k, value, ref)
+
+
 def test_enumeration_with_ruin_factor():
     prob, dbar = enumerate_dbar(EVEN9, 1.0, 8)
     ref_prob, ref_dbar = enumerate_dbar_loop(EVEN9, 1.0, 8)
@@ -678,7 +715,7 @@ def test_batched_statistics_equal_mean_se_per_row(spec, paths):
     ks = np.array([[a, b] for a in np.linspace(0.0, 1.0, 11)
                    for b in np.linspace(0.0, 1.0, 11) if a + b <= 1.0])
     idx = sample_path_indices(TWO_COINS, paths, 40, seed=4)
-    stats = drawdown._batch_stats(TWO_COINS, spec, ks, idx)
+    stats = drawdown._batch_stats(TWO_COINS, spec.samples, ks, idx)
     assert len(stats) == len(ks)
     dbars = [dbar_samples(TWO_COINS, kv, idx) for kv in ks]
     refs = [mean_se_oracle(spec.samples(dbar)) for dbar in dbars]
@@ -692,7 +729,8 @@ def test_monte_carlo_chunks_keep_every_bit(monkeypatch, tmp_path, capsys):
     # At 2000 paths a chunk holds 131 rows, so the probe's 210-point grid
     # runs as 131 + 79 rows. Here every batch is on 300 paths, one chunk by
     # default; chunks of 7 rows and of 1 row cut the probe's grid and
-    # midpoints, the sweep and a screened and an unscreened batch.
+    # midpoints, the sweep, a screened and an unscreened batch,
+    # expected_drawdown_mc and the surrogate's Monte Carlo fallback.
     from kellylab import drawdown
     from kellylab.cli import main
     assert drawdown.mc_chunk_rows(2000) == 131 and drawdown.mc_chunk_rows(10**6) == 1
@@ -704,16 +742,21 @@ def test_monte_carlo_chunks_keep_every_bit(monkeypatch, tmp_path, capsys):
     def run_all(tag):
         probe = convexity_probe(TWO_COINS, 20, spec, pair_samples=40,
                                 mc=MonteCarloConfig(paths=300, seed=5))
-        stats = [drawdown._batch_stats(TWO_COINS, spec, ks, idx, screened=screened)
-                 for screened in (False, True)]
+        stats = [drawdown._batch_stats(TWO_COINS, spec.samples, ks, idx, screen)
+                 for screen in (None, drawdown._screen(spec, 300))]
+        mc = expected_drawdown_mc(TWO_COINS, ks, 30, 300, seed=2)
+        fallback = drawdown._log_complementary_batch(TWO_COINS, ks, 30, lambda: idx)
         assert main(["drawdown", "--coin", "1,-1,0.9", "--n", "40", "--paths", "300",
                      "--seed", "3", "--k-grid", "23", "--out", str(tmp_path / tag)]) == 0
         files = [(tmp_path / f"{tag}.{part}.csv").read_bytes() for part in ("expected", "prob")]
-        return probe, stats, capsys.readouterr().out.replace(tag, "out"), files
+        return (probe, stats, mc, fallback, capsys.readouterr().out.replace(tag, "out"),
+                files)
 
     whole = run_all("whole")
     assert len(whole[0].grid) == 210 and len(whole[0].checks) == 40
     assert any(se is None for _, se in whole[1][1])   # the screen dropped some rows
+    assert whole[2] == whole[1][0]                     # the same CRN matrix
+    assert not any(h.exact for h in whole[3])          # 4^30 sequences: Monte Carlo
     for rows in (7, 1):
         monkeypatch.setattr(drawdown, "_MC_CHUNK", rows * 300 + 299)
         assert drawdown.mc_chunk_rows(300) == rows
@@ -892,21 +935,18 @@ def test_surrogate_chooses_estimator_without_calling_enumeration(monkeypatch, n_
         "1d-surrogate-mc", "2d-surrogate-exact", "2d-surrogate-mc", "unconstrained-feasible"])
 def test_search_estimates_each_allocation_once(monkeypatch, model, n_steps, spec, method):
     # Every estimate goes through _batch_stats (expected, probabilistic) or
-    # _log_complementary_batch (surrogate); record the allocations each one sees.
+    # _log_complementary_batch (surrogate, whose Monte Carlo fallback calls
+    # _batch_stats in turn); record the allocations that one level sees.
     from kellylab import drawdown
     seen = []
-    batch_stats, log_complementary = drawdown._batch_stats, drawdown._log_complementary_batch
+    name, arg = ("_log_complementary_batch", 1) if spec.kind == "surrogate" else ("_batch_stats", 2)
+    estimate = getattr(drawdown, name)
 
-    def counting_batch_stats(model, spec, ks, *args, **kwargs):
-        seen.extend(np.asarray(k, dtype=float).tobytes() for k in ks)
-        return batch_stats(model, spec, ks, *args, **kwargs)
+    def counting(*args):
+        seen.extend(np.asarray(k, dtype=float).tobytes() for k in args[arg])
+        return estimate(*args)
 
-    def counting_log_complementary(model, ks, *args):
-        seen.extend(np.asarray(k, dtype=float).tobytes() for k in ks)
-        return log_complementary(model, ks, *args)
-
-    monkeypatch.setattr(drawdown, "_batch_stats", counting_batch_stats)
-    monkeypatch.setattr(drawdown, "_log_complementary_batch", counting_log_complementary)
+    monkeypatch.setattr(drawdown, name, counting)
     res = maximize_growth_constrained(model, n_steps, spec,
                                       mc=MonteCarloConfig(paths=300, seed=2))
     assert res.method == method
@@ -1130,7 +1170,7 @@ def test_screened_evaluator_keeps_every_verdict(coin, coin2, kind, eps, delta, n
     mc = MonteCarloConfig(paths=200, seed=seed)
     evaluate = drawdown._ConstraintEvaluator(model, n, spec, mc)
     screened = evaluate.batch(list(ks))
-    plain = drawdown._batch_stats(model, spec, ks, evaluate.indices)
+    plain = drawdown._batch_stats(model, spec.samples, ks, evaluate.indices)
     for (ok, est, se), (full_est, full_se) in zip(screened, plain):
         assert ok == spec.contains_conservatively(full_est, full_se)
         if est is None:
@@ -1163,22 +1203,58 @@ def test_every_search_admits_the_zero_allocation(coin, coin2, kind, eps, delta, 
     assert se == (None if kind == "surrogate" and drawdown._enumerable(model, n) else 0.0)
 
 
-def test_pruned_allocation_gets_its_full_estimate(monkeypatch):
+# A coin with a positive edge, so that the constraint often binds.
+EDGED_COIN = st.builds(lambda win, loss, p: make_coin(win, -loss, p),
+                       st.floats(0.3, 2.0), st.floats(0.2, 1.0), st.floats(0.55, 0.95))
+
+
+@settings(max_examples=60, deadline=None)
+@given(coins=st.lists(EDGED_COIN, min_size=1, max_size=3),
+       kind=st.sampled_from(["expected", "probabilistic", "surrogate"]),
+       eps=st.floats(0.02, 0.5), delta=st.floats(0.01, 0.5), n=st.integers(1, 40),
+       seed=st.integers(0, 2**16))
+def test_search_answers_an_admitted_allocation(coins, kind, eps, delta, n, seed):
+    # No search of any kind, on one, two or three assets, answers with a row
+    # the screen dropped: the answer's memo entry is admitted and holds the
+    # estimate reported.
     from kellylab import drawdown
-    spec = ConstraintSpec(kind="expected", epsilon=0.2)
-    mc = MonteCarloConfig(paths=300, seed=2)
-    evaluate = drawdown._ConstraintEvaluator(SKEWED, 120, spec, mc)
-    kv = np.array([1.0])   # a 95% loss each 20th step on average: far outside
-    assert evaluate(kv) == (False, None, None)
-    full = drawdown._batch_stats(SKEWED, spec, kv[None], evaluate.indices)[0]
-    assert spec.slack(full[0]) < -0.5
-    assert evaluate.estimate(kv) == (False, *full)
-    assert evaluate(kv) == (False, *full) and evaluate.evals == 1
-    # A search whose answer the screen dropped still reports its estimate.
-    monkeypatch.setattr(drawdown, "_ray_search",
-                        lambda model, ev, k_un: (kv, log_growth(kv, model), "expected-bisect"))
-    res = maximize_growth_constrained(SKEWED, 120, spec, mc)
-    assert (res.constraint_estimate, res.constraint_std_error) == full
+    model = coins[0]
+    for coin in coins[1:]:
+        model = independent_join(model, coin)
+    spec = ConstraintSpec(kind=kind, epsilon=eps,
+                          delta=delta if kind == "probabilistic" else None)
+    evaluators = []
+
+    class Recording(drawdown._ConstraintEvaluator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            evaluators.append(self)
+
+    with mock.patch.object(drawdown, "_ConstraintEvaluator", Recording):
+        res = maximize_growth_constrained(model, n, spec, MonteCarloConfig(paths=60, seed=seed))
+    evaluate, = evaluators
+    ok, est, se = evaluate.seen[np.asarray(res.k_star, dtype=float).tobytes()]
+    assert ok and est is not None
+    assert (est, se) == (res.constraint_estimate, res.constraint_std_error)
+    assert res.iterations == evaluate.evals
+
+
+def test_drawdown_writes_its_csv_without_the_cli(tmp_path):
+    # The library writes the probe's grid file itself: a fresh interpreter
+    # that imports kellylab.drawdown and writes it never loads the CLI.
+    import os
+    import subprocess
+    import sys
+    import kellylab
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); from kellylab import drawdown as d; "
+            "d.write_level_set_csv(d.ProbeReport([d.ProbePoint(0.0, 0.5, 0.1, 0.01, True)], []), "
+            "sys.argv[2]); print('kellylab.cli' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(kellylab.__file__))
+    out = subprocess.run([sys.executable, "-c", code, src, str(tmp_path / "grid.csv")],
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "False\n"
+    assert (tmp_path / "grid.csv").read_text().splitlines() == [
+        "k1,k2,estimate,std_error,in_set", "0.0,0.5,0.1,0.01,1"]
 
 
 def test_screen_cuts_grid_ray_work_by_more_than_half(monkeypatch):
@@ -1796,8 +1872,8 @@ def test_simplex_grids_are_feasible_for_any_model(atoms, resolution):
 
 
 def test_probe_grid_csv_format(tmp_path, capsys):
-    # The CLI's grid file and write_level_set_csv are the same bytes: one
-    # CSV writer, each float as its repr and in_set as 0 or 1.
+    # The CLI writes its grid file with write_level_set_csv: the same bytes,
+    # each float as its repr and in_set as 0 or 1.
     from kellylab.cli import main
     spec = ConstraintSpec(kind="probabilistic", epsilon=0.3, delta=0.2)
     rep = convexity_probe(TWO_COINS, 20, spec, grid_resolution=20, pair_samples=10,

@@ -187,7 +187,7 @@ CASES = {
 # print their standard error; the five 2-asset surrogate cases that are not
 # unconstrained-feasible when the surrogate search became a fan of rays; the
 # five exact drawdown cases when the exact statistics stopped summing through a
-# BLAS dot, and the optimize-model case when the optimizer stopped at its
+# BLAS dot, and again when they began to sum pairwise; the optimize-model case when the optimizer stopped at its
 # first iterate whose projected gradient and last step are both within OPT_TOL;
 # the --out files of both optimize cases when the optimizer began to stop on
 # its Frank-Wolfe gap and to take the Newton step whenever it rises. The
@@ -246,23 +246,23 @@ EXPECTED = {
          "dd.prob.csv": "c165b1948f2b31296d90fe66e7247a5781ffd594977362f66b38e60480966394"}),
     "drawdown-exact": (
         0, "09e4ae2bfa46e270df5888b053b6a01e57d0e01307b164380d7ffb5d9d79dcf0",
-        {"dd.expected.csv": "57e59219b25372e7b895e2e1386a80504d0291df25c06e6246dd1642288bd068",
+        {"dd.expected.csv": "d2f03370f84920bb60d3d5a7cd26231607d03d4872e9593ef7c97b956fab3ed0",
          "dd.prob.csv": "3ee357b0f159b0b585ca3e9cf822d1c6131c7b07ab2990e0b9d4b91b25d72cc1"}),
     "drawdown-exact-chunks": (
         0, "910a9a9c600ffde1243821c57d37ecd94e8ed66fea370683bcf95b15c67b9251",
-        {"dd.expected.csv": "2bb804ce4d490a825b3a17275810354690713f30f1fc83770671c9cfc7b40b2b",
+        {"dd.expected.csv": "3b283140916cf35260e867aa31b7052d7860cafaeadb24f3e5ee99040f302c10",
          "dd.prob.csv": "4a94678e4ef305f20f60ee22805d78b93bc81a4145a2aaeffb6ab4c7466490fb"}),
     "drawdown-exact-even": (
         0, "3a21c6fd2f6a1de2b4abdbd20f2cf2ae1e3b535470686d85b02862e29233b181",
-        {"dd.expected.csv": "185b3d76fb3737cbb314f81713b7cfc1748b2547314e74c66a98dc3af8797b8b",
+        {"dd.expected.csv": "94cfb2d3b7067f62ee40092c6ca3627f5292c6d7425a8699f23154f4b93c7e42",
          "dd.prob.csv": "ae5a0b7923057952f77702036b1aada4598d2d3c8106218f1c30cee92bcc789b"}),
     "drawdown-exact-n16": (
         0, "fe5d2540fae40c06d13d83833ce670804514080aadea9a2f9ed749d6c5fff585",
-        {"dd.expected.csv": "e9ac0684d3126f2f456832bced824264930308182171fbefaad72ad4b37286d2",
+        {"dd.expected.csv": "ee39c45f69ba68e101b93994f893e81229863b08e512c8731eb0987c1f32818b",
          "dd.prob.csv": "7199dd1f3c6528bb6d7ead17724800ce486d09d6782a7f799148d70914d32d8a"}),
     "drawdown-exact-three-atoms": (
         0, "ee2abde241dd149c9a63a52c56e2875aad82b33a426280fb9631d175e19c1083",
-        {"dd.expected.csv": "696a4ac546da7647c87af14d3741893dba5e777c617ea3f678712d1d52155eea",
+        {"dd.expected.csv": "29323b90cf59c269f6a0f1732ee2331904aa92c80fe57530440d9ef6285cad52",
          "dd.prob.csv": "fcfa1920561aa33750e159db4c95c89f70ec82b922101394d6839bdd176609ef"}),
     "drawdown-skewed": (
         0, "a268e9f6ed8733e1b059ce546c20c91347602dc185ccf50f4f6faa215cf03ac8",
