@@ -184,7 +184,8 @@ def cmd_drawdown(args) -> int:
             del indices
         exceeds = (drawdown.mean_se((dbars <= 1.0 - ks).astype(float))
                    if even else [(None, None)] * len(ks))
-        stats += zip(expected_spec.statistic(dbars), prob_spec.statistic(dbars), exceeds)
+        stats += zip(drawdown.mean_se(expected_spec.samples(dbars)),
+                     drawdown.mean_se(prob_spec.samples(dbars)), exceeds)
         del dbars
     exact = (drawdown.expected_drawdown_exact(model, k_values[:, None], args.n)
              if args.exact else [None] * len(k_values))

@@ -1,178 +1,132 @@
-"""Drawdown statistics of the wealth recursion V(k+1) = (1 + K'X(k)) V(k).
+"""Drawdown statistics of the wealth recursion V(k+1) = (1 + K'X(k)) V(k):
+Monte Carlo estimates with common random numbers (CRN) across fractions,
+exact enumeration (the oracle of every estimator), the even coin's ruin
+chance 1 - p^N, growth maximization under three drawdown constraints, and a
+two-asset convexity probe. Each argument is stated once, below.
 
-* Monte Carlo estimation of expected maximum drawdown and of the probability
-  that drawdown stays below a level, with common random numbers across
-  betting fractions so sweeps and set-membership comparisons stay coherent;
-* exact enumeration of all outcome sequences at desk scale (atom_count^N up
-  to a fixed budget), used as the oracle for every estimator;
-* the closed-form ruin-chance 1 - p^N for the even-money coin;
-* growth maximization under three drawdown constraint styles, including the
-  concave log-complementary surrogate;
-* an empirical convexity probe for two-asset drawdown constraint sets.
+Batches. One allocation is a batch of one: log_growth, dbar_samples,
+enumerate_dbar, the exact statistics and expected_log_complementary take one
+allocation or a (B, n_assets) batch on one path, and mean_se one sample or a
+(B, paths) block. gamble._checked_factors takes each row's factors from a
+matvec of its own, one per row of a stacked matmul, and every reduction runs
+along the row, so row b of a batch is bitwise the call for k[b] alone.
 
-One allocation is a batch of one. log_growth, dbar_samples, enumerate_dbar,
-expected_drawdown_exact, expected_complementary_exact,
-drawdown_exceedance_exact and expected_log_complementary take one allocation
-or a (B, n_assets) batch; mean_se and ConstraintSpec.statistic take one
-sample or a (B, paths) block. Each has one path, on which one allocation or
-sample is a batch of one row, and returns that row's result on its own.
-gamble._checked_factors is the path's one feasibility check; it takes each
-row's factors from a matvec of its own, one per row of a stacked matmul, and
-every reduction runs along the row. So row b of a batch is bitwise the call
-for k[b] alone, and a sweep, a grid search or a probe batches its fractions
-without moving a digit.
+The recursion. Relative wealth is r <- min(1, r * factor), not V over its
+running peak, so the first drop from a peak is the exact float factor:
+threshold events classify exactly, and the even-coin enumeration matches
+1 - p^N to summation accuracy. _recursion_step applies one step, with the
+running minimum d <- min(d, r), for both engines.
 
-ConstraintSpec holds the one boundary rule: slack(estimate) is the signed
-distance of an estimate inside its constraint, and contains(estimate) is
-slack(estimate) >= 0. The constrained searches, the probe and the CLI all
-judge membership and report slack through it. Every constrained search, of
-every kind, estimates the constraint through one evaluator: it samples the
-CRN matrix on first use, estimates each allocation once, and remembers the
-verdict. A search's answer is K = 0 or a point the evaluator admitted, so
-its estimate is the one the search itself judged, read from that memo.
+The Monte Carlo kernel. dbar_samples runs the step-major (n_steps, paths)
+CRN matrix, one contiguous row per step, in blocks of paths. It clamps r
+against a block of ones, which numpy does faster than against the scalar
+1.0, with the same bits. A row whose every factor is >= 1, such as K = 0,
+keeps r = 1 and is 1.0 without running a step. Both layouts fill one
+(B, paths) result of ones, and each block writes its d there during the last
+chunk of steps. Unscreened, the steps run in one chunk, so r and d hold one
+block of paths at a time. Screened, r and d hold every path of the live
+rows, the steps run in chunks between screens, each over every block, and a
+screen sets the rows it drops to NaN.
 
-Every Monte Carlo statistic goes through one reduction, _batch_stats: the
-evaluator's expected and probabilistic rows, the surrogate's fallback, the
-probe and expected_drawdown_mc. It runs a batch through one kernel call
-per chunk of rows, reducing each chunk's per-path samples once along axis
-1. The evaluator checks the feasibility of a whole (B, n_assets) batch at
-once; a surrogate that fits the enumeration budget is enumerated in
-bounded chunks of rows, and a ruinous allocation is -inf.
+Enumeration. enumerate_dbar forks every state once per atom at each step,
+writing atom j's children into the strided slice [..., j] of a (B, K, m)
+array, so every numpy loop runs over the K states; it clamps against the
+scalar 1.0, as fast on strided slices. A step of more than _ENUM_CHUNK
+children runs in tiles of states, so the m passes over a tile stay in cache.
+
+Chunks and reductions. Both engines run a batch in chunks of rows through
+_row_chunks, each reduced before the next runs, so no batch is held at once
+and no row's result depends on its chunk: Monte Carlo in chunks of at most
+_MC_CHUNK floats per (rows, paths) array, enumeration of about _ENUM_CHUNK
+sequences. Each engine reduces a chunk's samples(dbar) by one rule:
+_enumerated_rows takes their _expectation (every exact statistic),
+_batch_stats their mean_se along axis 1 (all others but the CLI sweep's).
+
+The evaluator. Each constrained search estimates the constraint through one
+_ConstraintEvaluator, which samples the CRN matrix on first use, estimates
+each allocation once and remembers its verdict. A search answers K = 0 or a
+point the evaluator admitted, so the answer's estimate is the one judged.
+
+The screen. A step can only lower d, so the partial mean of 1 - d can only
+rise and that of 1{d >= 1 - eps} only fall: a partial estimate's slack only
+falls as steps are added, and the conservative est - 3 se is at most est. So
+an expected or probabilistic search screens its rows after steps 8 * 2^j
+below N, and drops those whose partial slack is below -SCREEN_MARGIN, which
+covers the rounding of two differently ordered sums. A row that a screen
+after every 8 steps would drop after s steps is dropped at the first screen
+at or after s, so it runs fewer than 2s steps, in about log2(N / 8) screens
+rather than N / 8 (at 1000 paths a screen of a few rows costs a step or
+two). A dropped row would fail the search's rule at step N, so it is
+remembered as infeasible, with no estimate; no answer's row is dropped, as
+every answer is admitted. A row that never draws down has slack eps or
+delta, which no screen drops. The sweep, the probe and expected_drawdown_mc
+report every estimate and are not screened, nor is the surrogate, whose
+statistic needs a log of every partial d.
 
 The ray rule. Every constraint set is star-shaped about K = 0. Along a ray
 K = t * u, each segment's sum of log(1 + t * u'x) is concave in t and 0 at
 t = 0; a path's log(1 - D), the minimum of these sums and 0, is then
-concave, 0 at t = 0 and <= 0, so it never rises as t grows, nor do
-E[1 - D], P(D <= eps) and E[log(1 - D)]. The admitted t of a ray form one
-interval [0, rho]. g is concave along the ray, so the test "g still rises
-at t, and t * u is admitted" holds on [0, min(rho, peak)) and nowhere past
-it, where peak maximizes g on the ray: bisecting a bracket on that test
-ends at the ray's best admitted point, and the constraint is estimated only
-where g rises. _ray_best bisects a batch of rays together, with one
-evaluate.batch per level. While an expected or probabilistic ray is the one
-live ray of its batch, it first checks, in one evaluate.batch every 3
-levels, the 7 midpoints those levels can visit, each computed as its level
-computes it; the levels then find their verdicts in the evaluator's memo,
-so the answer is bitwise that of plain bisection and takes a third of the
-kernel calls. A batch of several live rays already shares one kernel call
-per level, and most of the midpoints a prefetch adds are never visited, so
-it does not prefetch. By concavity no point of a ray's
-bracket [lo, hi] has a g above the tangent bound g(lo) + g'(lo) (hi - lo),
-so a ray stops once that bound falls below the best g(lo) of the batch: the
-ray that ends best never does, since its g(lo) only rises.
+concave, 0 at t = 0 and <= 0, so it never rises as t grows, nor do E[1 - D],
+P(D <= eps) and E[log(1 - D)]: the admitted t form one interval [0, rho]. g
+is concave along the ray, so "g still rises at t, and t * u is admitted"
+holds on [0, min(rho, peak)) and nowhere past it, peak the maximizer of g on
+the ray: bisecting a bracket on that test ends at the ray's best admitted
+point, estimating the constraint only where g rises. _ray_best bisects a
+batch of rays together, one evaluate.batch per level. By concavity no point
+of a bracket [lo, hi] has a g above the tangent bound g(lo) + g'(lo)
+(hi - lo), so a ray stops once that bound falls below the batch's best
+g(lo); the ray that ends best never does.
 
-A surrogate ray splits its bracket where the line through its ends'
-slacks crosses 0, once both have a finite one, and at the midpoint until
-then or when its end is past the peak of g (regula falsi with the Illinois
-step: an end kept twice in a row halves its slack; the split stays
-_SPLIT_MARGIN of the bracket from either end). The test at the split
-moves lo or hi as at a midpoint, so the bracket, the width tol and the
-answer's guarantee are those of bisection; the surrogate statistic is
-smooth in t, so the split needs about half the levels. Over 400 random
-one- and two-coin surrogate searches (1217 calls of _ray_best), no call
-took more than the 14 levels that bisection takes to REFINE_TOL.
+The prefetch. While an expected or probabilistic ray is the one live ray of
+its batch, it checks in one evaluate.batch every 3 levels the 7 midpoints
+those levels can visit, each computed as its level computes it; the levels
+find their verdicts in the memo, so the answer is bitwise that of plain
+bisection, in a third of the kernel calls. Several live rays share a kernel
+call per level already, and most midpoints they would add are never visited;
+a surrogate ray's rows run every step, so the points it skips would cost as
+much as those it checks. Neither prefetches.
 
-The searches. Once the unconstrained optimum k_un is outside the set,
-_ray_search picks the search by the number of assets, and on two assets by
-the kind. One asset: the ray u = 1, bisected on [0, k_un] (<kind>-bisect).
-Two assets under an expected or probabilistic constraint: the ray through
-the grid walk's answer below (grid-ray). Every other case, the surrogate on
-two or more assets and every kind on three or more: the fan (<kind>-fan),
-which starts at the simplex centre and runs five rounds. In each, for each
-pair of assets, a fan of 9 rays moves the pair's share of the best direction
-so far along the pair line: over the whole line in round 1, and over +-1
-spacing of the best direction, at a quarter of the spacing, in later rounds.
-A width of REFINE_TOL is a large share of a small t, so the best ray is then
-searched on alone to width REFINE_TOL * t, t its total bet so far: g is
-concave along the ray and 0 at t = 0, so g'(t) t <= g(t) and the last
-bracket costs at most REFINE_TOL of g. A ray's split points depend on its
-own estimates only, and the steps are dyadic there, so a ray a later fan or
-the last search repeats visits the same points, and its estimates are memo
-hits. A round holds one fan per pair of assets, so its cost grows with their
-number.
+The split. A surrogate ray splits its bracket where the line through its
+ends' slacks crosses 0 (regula falsi with the Illinois step: an end kept
+twice in a row halves its slack), at least _SPLIT_MARGIN of the bracket from
+either end, and at the midpoint while an end has no finite slack or lies
+past the peak of g. The split moves lo or hi as a midpoint would, so width
+and guarantee are those of bisection, in about half the levels, since the
+surrogate statistic is smooth in t.
 
-The surrogate set is convex: each path's log(1 - D) is a minimum of
-functions concave in K, so E[log(1 - D)] is concave, under CRN or exactly.
-So for two admitted points on rays of directions u1 and u2, each point
-between them is admitted and has a g at least the smaller of theirs, and it
-lies on a ray whose direction is between u1 and u2: the best g of a ray is
-quasi-concave in its direction along any segment of directions. By
-quasi-concavity the best direction of a pair line stays within one spacing
-of a fan's best ray, so for the surrogate on two assets, one pair, the
-answer is within 1/2048 in direction of the constrained optimum. That bound
-holds there only: on three or more assets a fan moves one pair's share at a
-time, and the expected and probabilistic sets need not be convex. Elsewhere
-the fan claims no optimum, only this: its answer is admitted, and its g is
-at least that of the best admitted point of the centre ray, since the first
-fan holds that ray and a ray stops early only once its bound is below the
-best g of its batch.
+The searches. _ray_search runs once the unconstrained optimum k_un is
+outside the set. One asset: the ray u = 1, bisected on [0, k_un]
+(<kind>-bisect). Two assets, expected or probabilistic: grid-ray, the ray
+through the grid walk's answer, from it to the ray's growth peak. The grid
+walk checks the points of the simplex grid of step GRID_STEP by falling g,
+sorted stably, _GRID_CHUNK at a time, up to the first chunk that holds an
+admitted point: no admitted point has a larger g, nor one of equal g earlier
+in scan order, so it is the answer a check of every point gives. The grid
+holds K = 0, which every expected and probabilistic constraint admits. Every
+other case: the fan (<kind>-fan), five rounds from the simplex centre, each
+with a fan of 9 rays per pair of assets that moves the pair's share of the
+best direction so far, over the whole pair line in round 1 and later over
++-1 spacing of the best direction at a quarter of the spacing. A width of
+REFINE_TOL is a large share of a small t, so the best ray is then searched
+alone to width REFINE_TOL * t, t its total bet: g is concave along the ray
+and 0 at t = 0, so g'(t) t <= g(t) and the last bracket costs at most
+REFINE_TOL of g. A ray's split points depend on its own estimates only, and
+are dyadic elsewhere, so a ray that a later fan or the last search repeats
+hits the memo.
 
-The grid walk of the two-asset expected and probabilistic search computes
-g at every grid point in one batched log_growth call and checks the points
-in falling order of g, sorted stably, in chunks; it stops at the first
-chunk that holds a feasible point. That point has no feasible point of
-larger g, nor one of equal g earlier in scan order, so it is the answer a
-check of every grid point gives: the scan's first best point.
+What the fan claims. The surrogate set is convex, as each path's log(1 - D)
+is a minimum of functions concave in K, under CRN or exactly. A point
+between admitted points on rays of directions u1 and u2 is then admitted,
+with a g at least the smaller of theirs, on a ray of direction between u1
+and u2: the best g of a ray is quasi-concave in its direction, so the best
+direction of a pair line is within one spacing of a fan's best ray, and the
+surrogate on two assets (one pair) ends within 1/2048 in direction of the
+constrained optimum. On three or more assets a fan moves one pair's share at
+a time, and the expected and probabilistic sets need not be convex: there
+the fan claims only an admitted answer with a g at least that of the best
+admitted point of the centre ray, the first fan's.
 
-An expected or probabilistic search screens its Monte Carlo rows. A step can
-only lower the running minimum d, so the partial mean of 1 - d can only rise
-and that of 1{d >= 1 - eps} only fall: the slack of a partial estimate can
-only fall as steps are added, and the conservative rule's est - 3 se is at
-most est. The kernel screens after steps 8, 16, 32, 64, 128, ... (8 * 2^j
-below N, never at N) and drops the rows whose partial slack is below
--SCREEN_MARGIN; the margin covers the rounding of two differently ordered
-sums. As the slack only falls, a row that a screen after every 8 steps
-would drop after s steps is dropped at the first screen at or after s, so
-it runs fewer than 2s steps, while a call screens about log2(N / 8) times
-rather than N / 8 (at 1000 paths a screen of a few rows costs a step or
-two). A dropped row would fail the search's rule at step N, so it is
-remembered as infeasible with no estimate, and every kept row is bitwise
-the unscreened one. Only the flag drives the searches, and no answer's row
-was dropped, since every answer is admitted. A screened call holds r and d
-for every path of the live rows, in one block, and allocates its factor and
-ones blocks once per call, and again only after a screen drops rows. A row
-whose every factor is >= 1, such as K = 0, keeps r = 1: the kernel gives it
-1.0 without running its steps; its slack is eps or delta, so no screen would
-drop it. The drawdown sweep, the convexity probe and expected_drawdown_mc
-are not screened, since they report every estimate, nor is the surrogate's
-Monte Carlo fallback, whose statistic needs a log of every partial d.
-Without a screen the steps run in one chunk, so r and d need to hold only
-one block of paths: each block runs every step, and its d is written into
-the result.
-
-Relative wealth level is tracked by the recursion r <- min(1, r * factor)
-rather than by dividing V by its running peak: the first drop from a peak is
-then the exact float factor, so threshold events classify exactly and the
-even-coin enumeration matches 1 - p^N to summation accuracy.
-
-One private helper applies a step of that recursion, with the running
-minimum d <- min(d, r), in place or into given output arrays; Monte Carlo
-and enumeration both call it. Monte Carlo runs it over the step-major
-(n_steps, paths) CRN matrix of sample_path_indices, one contiguous row per
-step, in blocks of paths; the matrix is int8 for models of up to 128
-atoms. Monte Carlo clamps r against a block of ones shaped like its factor
-block, since numpy's minimum of two arrays runs faster than its minimum
-against the scalar 1.0; enumeration clamps against the scalar, which is as
-fast on its strided slices. min is exact, so both give the same bits.
-Enumeration forks every state once per atom at each step, writing
-atom j's children into the strided slice [..., j] of a (B, K, m) array, so
-it needs no index rows and every numpy loop runs over the K states. The
-probability of each sequence is the running product of the model weights;
-it is computed once and shared by every enumeration of a model at the same
-N, for as long as the model lives.
-
-Both engines run a batch in chunks of rows through one loop, _row_chunks,
-each with its own size: enumeration in chunks of about _ENUM_CHUNK
-sequences (the exact E[D] sweep, the enumerated surrogate), Monte Carlo in
-chunks of at most _MC_CHUNK floats per (rows, paths) array (every
-_batch_stats call, and the drawdown sweep, which runs the same rule in its
-own loop so as to reduce three statistics from one block and free the CRN
-matrix before its last chunk is reduced). Each chunk is reduced before the
-next one runs, so no batch is held at once; a row's result does not depend
-on the chunk it is in.
-
-The README's "Numerical notes" state what these arguments guarantee, with
-the memory each engine takes.
+README "Numerical notes" state what these arguments guarantee and cost.
 """
 
 from __future__ import annotations
@@ -235,11 +189,6 @@ class ConstraintSpec:
             return (dbar >= 1.0 - self.epsilon).astype(float)
         return _log_dbar(dbar)
 
-    def statistic(self, dbar: np.ndarray):
-        """mean_se of the samples of per-path complementary drawdowns: E[D],
-        P(D <= epsilon) or E[log(1 - D)], with its standard error."""
-        return mean_se(self.samples(dbar))
-
     def slack(self, estimate: float) -> float:
         """eps - E[D], P - (1 - delta), or h - log(1 - eps) for the surrogate."""
         if self.kind == "expected":
@@ -249,21 +198,15 @@ class ConstraintSpec:
         return estimate - math.log(1.0 - self.epsilon)
 
     def contains(self, estimate: float) -> bool:
-        """Plain rule: the estimate itself lies in the set.
-
-        The convexity probe and the `drawdown` CLI sweep use it; both
-        report the set as estimated.
-        """
+        """Plain rule, slack(estimate) >= 0: the probe and the `drawdown`
+        sweep use it, as both report the set as estimated."""
         return self.slack(estimate) >= 0.0
 
     def contains_conservatively(self, estimate: float, std_error: float) -> bool:
-        """Conservative rule: a probabilistic constraint needs the whole
-        3-sigma band of its estimate inside the set; an expected one is
-        judged as in the plain rule.
-
-        The constrained searches use it, so a chosen fraction is unlikely to
-        break the constraint by sampling noise alone.
-        """
+        """Conservative rule of the constrained searches: a probabilistic
+        constraint needs the whole 3-sigma band of its estimate inside the
+        set, so a chosen fraction is unlikely to break the constraint by
+        sampling noise alone; other kinds take the plain rule."""
         if self.kind == "probabilistic":
             estimate -= 3.0 * std_error
         return self.contains(estimate)
@@ -302,13 +245,9 @@ def coin_drawdown_probability(p: float, n_steps: int) -> float:
 # ---------------------------------------------------------------------------
 
 def _recursion_step(r: np.ndarray, d: np.ndarray, f: np.ndarray, one, out=None) -> None:
-    """One step of the recursion: r' <- min(1, r * f), d' <- min(d, r').
-
-    f is the step's factors, broadcast against r and d. one is the 1 of the
-    clamp: the scalar 1.0 or an array of ones shaped like r'. out is the
-    pair of arrays (r', d') to write; by default the step runs in place on
-    (r, d).
-    """
+    """One step of the recursion: r' <- min(1, r * f), d' <- min(d, r'), with
+    f broadcast against r and d, one the scalar 1.0 or ones shaped like r',
+    written into the pair out, or in place on (r, d) by default."""
     r_out, d_out = (r, d) if out is None else out
     np.multiply(r, f, out=r_out)
     np.minimum(r_out, one, out=r_out)
@@ -339,9 +278,8 @@ def sample_path_indices(model: GambleModel, paths: int, n_steps: int, seed: int)
     """Step-major (n_steps, paths) atom-index matrix; reuse it across fractions for CRN.
 
     Column i holds the draws of row i of sample_indices(model, (paths, n_steps),
-    default_rng(seed)): chunks of paths are drawn in order from one generator.
-    The matrix has the smallest signed dtype that holds -n_atoms (int8 up to
-    128 atoms), so it takes an eighth of the memory of intp indices.
+    default_rng(seed)), in the smallest signed dtype that holds -n_atoms
+    (int8 up to 128 atoms, an eighth of the memory of intp indices).
     """
     if paths < 1 or n_steps < 1:
         raise ValueError(f"need paths >= 1 and n_steps >= 1, got {paths} and {n_steps}")
@@ -372,21 +310,13 @@ def dbar_samples(model: GambleModel, k, indices: np.ndarray, screen=None) -> np.
 
     indices is the step-major (n_steps, paths) matrix of sample_path_indices.
     k is one allocation, giving (paths,), or a (B, n_assets) batch, giving
-    (B, paths).
-
-    A row whose every factor is >= 1 never leaves r = 1: it is 1.0 without
-    running a step, and the screen never sees it. screen, if given, is
-    called after steps _SCREEN_STEPS * 2^j below N (8, 16, 32, ...; never
-    at N) with the (paths, live rows) running minima so far, and returns a
-    bool mask of the live rows to go on with; a row it drops is NaN in the
-    result, and every other row is bitwise the unscreened one. A screen may
-    drop a row only when more steps cannot change its verdict (see _screen).
-
-    A screened call holds r and d for every path of the live rows, in one
-    block of 2 * paths * B floats for B live rows, and runs the steps in
-    chunks, each over every block of paths. Without a screen the steps run
-    in one chunk, and r and d hold one block of paths at a time: each block
-    runs every step, and its d is then written into the result.
+    (B, paths). screen, if given, is called after steps 8, 16, 32, ... below
+    N with the (paths, live rows) running minima so far, and returns a bool
+    mask of the live rows to go on with; it may drop a row only when more
+    steps cannot change its verdict (see _screen). A dropped row is NaN, a
+    row that never draws down is 1.0 without running a step or being
+    screened, and every other row is bitwise the unscreened one. See "The
+    Monte Carlo kernel" in the module docstring for the layouts.
     """
     factors = _checked_factors(model, k)
     m = model.n_atoms
@@ -394,14 +324,12 @@ def dbar_samples(model: GambleModel, k, indices: np.ndarray, screen=None) -> np.
         raise IndexError(f"atom index out of range for a model with {m} atoms")
     n_steps, n_paths = indices.shape
     # A row whose every factor is >= 1 keeps r = 1, so its d is 1.
-    flat = np.logical_and.reduce(factors >= 1.0, axis=1)
-    live = np.flatnonzero(~flat)
+    live = np.flatnonzero(~np.logical_and.reduce(factors >= 1.0, axis=1))
     # A block holds its paths as rows and its fractions as columns, so the
     # gather copies one contiguous run of factors per path. mode="wrap" maps
     # indices in [-m, m) as fancy indexing does, without checking them.
     by_atom = np.ascontiguousarray(factors[live].T)
-    if screen is None:
-        dbar = np.ones((factors.shape[0], n_paths))
+    dbar = np.ones((factors.shape[0], n_paths))
     width, f, ones = _work_blocks(n_paths, live.size)
     r, d = np.empty((2, *f.shape)) if screen is None else np.ones((2, n_paths, live.size))
     start, stop = 0, (_SCREEN_STEPS if screen is not None else n_steps)
@@ -421,19 +349,16 @@ def dbar_samples(model: GambleModel, k, indices: np.ndarray, screen=None) -> np.
                 for row in indices[t:t + _SCREEN_STEPS, lo:hi].astype(np.intp):
                     by_atom.take(row, axis=0, out=fb, mode="wrap")
                     _recursion_step(rb, db, fb, ob)
-            if screen is None:
+            if stop == n_steps:
                 dbar[live, lo:hi] = db.T
         if stop < n_steps:
             keep = screen(d)
             if not keep.all():
+                dbar[live[~keep]] = np.nan
                 live, by_atom = live[keep], by_atom.compress(keep, axis=1)
                 r, d = r.compress(keep, axis=1), d.compress(keep, axis=1)
                 width, f, ones = _work_blocks(n_paths, live.size)
         start, stop = stop, 2 * stop
-    if screen is not None:
-        dbar = np.full((factors.shape[0], n_paths), np.nan)
-        dbar[flat] = 1.0
-        dbar[live] = d.T
     return dbar if np.ndim(k) == 2 else dbar[0]
 
 
@@ -497,12 +422,8 @@ _SEQUENCE_PROBS = weakref.WeakKeyDictionary()
 
 
 def _sequence_probs(model: GambleModel, n_steps: int) -> np.ndarray:
-    """Read-only probability of every outcome sequence, in sequence order.
-
-    It is the running product of the model weights. That is what the
-    recursion gives for the row of weights: every weight is <= 1, so
-    min(1, r * w) = r * w <= r and the running minimum is r itself.
-    """
+    """Read-only probability of every outcome sequence, in sequence order:
+    the running product of the model weights."""
     cached = _SEQUENCE_PROBS.get(model)
     if cached is None or cached[0] != n_steps:
         prob = np.ones(1)
@@ -517,18 +438,11 @@ def enumerate_dbar(model: GambleModel, k, n_steps: int) -> tuple:
     """(probability, complementary drawdown) over every outcome sequence.
 
     k is one allocation, giving a (S,) drawdown row for S = atom_count^N
-    sequences, or a (B, n_assets) batch, giving (B, S). The probability row
-    is read-only; it is kept while the model lives, for the last N it was
-    enumerated at.
-
-    Enumeration starts from one state, r = d = 1. At each step the K states
-    of every row fork m ways into a (B, K, m) array: the recursion step
-    writes atom j's children straight into the strided slice [..., j], so
-    every numpy loop runs over K states. A step whose (B, K, m) array holds
-    more than _ENUM_CHUNK elements is done in tiles of states, so the m
-    strided passes over a tile's children stay in cache. Sequence
-    s = sum_j a_j m^(N-1-j) then ends at index s.
-    Raises EnumerationBudgetError when atom_count^n_steps exceeds ENUM_BUDGET.
+    sequences, or a (B, n_assets) batch, giving (B, S); sequence
+    s = sum_j a_j m^(N-1-j) is at index s. The probability row is read-only
+    and kept while the model lives, for the last N it was enumerated at.
+    Raises EnumerationBudgetError when S exceeds ENUM_BUDGET. See
+    "Enumeration" in the module docstring.
     """
     factors = _checked_factors(model, k)
     require_enumerable(model, n_steps)
@@ -549,9 +463,9 @@ def enumerate_dbar(model: GambleModel, k, n_steps: int) -> tuple:
 
 def _row_chunks(k, rows: int, stats):
     """stats(chunk) of each chunk of at most `rows` rows of one allocation
-    or a (B, n_assets) batch k, one chunk at a time, so that no call holds
-    every row. stats gives one entry per row of its chunk; the result is
-    the list of every row's entry, or the one allocation's entry."""
+    or a (B, n_assets) batch k, one chunk at a time. stats gives one entry
+    per row of its chunk; the result is the list of every row's entry, or
+    the one allocation's entry."""
     ks = np.atleast_2d(k)
     out = []
     for lo in range(0, len(ks), rows):
@@ -559,19 +473,16 @@ def _row_chunks(k, rows: int, stats):
     return out if np.ndim(k) == 2 else out[0]
 
 
-def _enumerated_rows(model: GambleModel, k, n_steps: int, reduce):
-    """reduce(prob, dbar) of one allocation, or a list of them, one per row,
-    for a (B, n_assets) batch.
-
-    The rows go through enumerate_dbar in chunks of about _ENUM_CHUNK
-    sequences (at least one row), one chunk call at a time, so no call holds
-    every row.
+def _enumerated_rows(model: GambleModel, samples, k, n_steps: int):
+    """Exact expectation of the per-sequence samples(dbar) of one
+    allocation, or a list of them, one per row, for a (B, n_assets) batch.
+    samples may return dbar itself: each chunk's dbar is its own temporary.
     """
     require_enumerable(model, n_steps)
 
     def stats(chunk):
         prob, dbar = enumerate_dbar(model, chunk, n_steps)
-        return [reduce(prob, row) for row in dbar]
+        return [_expectation(prob, row) for row in samples(dbar)]
 
     return _row_chunks(k, max(1, _ENUM_CHUNK // model.n_atoms ** n_steps), stats)
 
@@ -589,20 +500,20 @@ def _expectation(prob: np.ndarray, x: np.ndarray) -> float:
 def expected_drawdown_exact(model: GambleModel, k, n_steps: int):
     """Probability-weighted E[D] over all outcome sequences: a float for one
     allocation, or a list of floats for a (B, n_assets) batch."""
-    return _enumerated_rows(model, k, n_steps, lambda prob, dbar: _expectation(prob, 1.0 - dbar))
+    return _enumerated_rows(model, lambda dbar: 1.0 - dbar, k, n_steps)
 
 
 def expected_complementary_exact(model: GambleModel, k, n_steps: int):
     """Probability-weighted E[1 - D]: a float, or a list for a batch."""
-    return _enumerated_rows(model, k, n_steps, lambda prob, dbar: _expectation(prob, dbar.copy()))
+    return _enumerated_rows(model, lambda dbar: dbar, k, n_steps)
 
 
 def drawdown_exceedance_exact(model: GambleModel, k, n_steps: int, threshold: float):
     """Exact P(D >= threshold), classified in complementary space for float
     consistency with the Monte Carlo estimators: a float, or a list for a
     batch."""
-    return _enumerated_rows(model, k, n_steps,
-                            lambda prob, dbar: float(prob[dbar <= 1.0 - threshold].sum()))
+    return _enumerated_rows(model, lambda dbar: (dbar <= 1.0 - threshold).astype(float), k,
+                            n_steps)
 
 
 def expected_log_complementary(model: GambleModel, k, n_steps: int,
@@ -615,23 +526,16 @@ def expected_log_complementary(model: GambleModel, k, n_steps: int,
 
 
 def _log_complementary_batch(model, k, n_steps, crn):
-    """LogDrawdownEstimate of E[log(1 - D)] for one allocation, or a list of
-    them, one per row, for a (B, n_assets) batch; crn() gives the Monte Carlo
-    fallback's index matrix.
-
-    A row with a zero wealth factor is -inf. Otherwise, when the sequences
-    fit ENUM_BUDGET the rows are enumerated in bounded chunks, one
-    enumerate_dbar call per chunk; when they do not, through _batch_stats
-    on crn(). crn() is called only when some row needs it.
-    """
+    """expected_log_complementary with crn() giving the Monte Carlo
+    fallback's index matrix, called only when some row needs it. A row with
+    a zero wealth factor is -inf without being estimated."""
     ks = np.atleast_2d(k)
     ruinous = _checked_factors(model, ks).min(axis=1) <= 0.0
     # Some atom wipes the account; that sequence has positive mass.
     out = [LogDrawdownEstimate(value=-math.inf, exact=True)] * len(ruinous)
     live = np.flatnonzero(~ruinous)
     if _enumerable(model, n_steps):
-        values = _enumerated_rows(model, ks[live], n_steps,
-                                  lambda prob, dbar: _expectation(prob, _log_dbar(dbar)))
+        values = _enumerated_rows(model, _log_dbar, ks[live], n_steps)
         for i, value in zip(live, values):
             out[i] = LogDrawdownEstimate(value=value, exact=True)
     elif live.size:
@@ -646,13 +550,10 @@ def _log_complementary_batch(model, k, n_steps, crn):
 
 @dataclass(frozen=True, eq=False)
 class ConstrainedResult:
-    """GrowthResult fields plus how the constraint was handled.
-
-    iterations counts the search's constraint evaluations, the allocations
-    it estimated, each once, including the midpoints an expected or
-    probabilistic ray checks ahead that its bisection then skips;
-    perfbench's tracer reports it per op as drawdown.constraint_evals_per_op.
-    """
+    """GrowthResult fields plus how the constraint was handled. iterations
+    counts the allocations the search estimated, prefetched midpoints that
+    its bisection skips included; perfbench's tracer reports it per op as
+    drawdown.constraint_evals_per_op."""
 
     k_star: np.ndarray
     g_star: float
@@ -664,12 +565,10 @@ class ConstrainedResult:
 
 
 def _screen(spec: ConstraintSpec, n_paths: int):
-    """Keep mask of a screened kernel call: the rows whose partial slack is
-    not yet below -SCREEN_MARGIN, so a dropped row would fail
-    contains_conservatively at step N (see the module docstring). The
-    partial mean sums down the paths axis and the final one pairwise; each
-    rounds by less than n_paths * eps, which is added to the margin.
-    """
+    """Keep mask of a screened kernel call (see "The screen" in the module
+    docstring): the rows whose partial slack is not below -SCREEN_MARGIN,
+    widened by n_paths * eps for each of the two sums, the partial mean's
+    down the paths axis and the final one's pairwise."""
     tol = SCREEN_MARGIN + 2 * n_paths * np.finfo(float).eps
     # np.add.reduce and the division are what .mean computes, bit for bit,
     # without its per-call wrapper.
@@ -678,11 +577,10 @@ def _screen(spec: ConstraintSpec, n_paths: int):
 
 def _batch_stats(model, samples, k, indices, screen=None):
     """(estimate, std_error) of the per-path samples(dbar) of one
-    allocation, or a list of them, one per row, for a (B, n_assets) batch k;
-    samples is spec.samples, _log_dbar or 1 - dbar. The rows run on the
-    shared index matrix in one kernel call per chunk of mc_chunk_rows rows,
-    and each pair is bitwise mean_se of that allocation's samples alone.
-    screen is passed to dbar_samples; a row it drops is (None, None)."""
+    allocation, or a list of them for a (B, n_assets) batch k, each bitwise
+    mean_se of that allocation's samples alone, in one kernel call per chunk
+    of mc_chunk_rows rows. screen is passed to dbar_samples; a row it drops
+    is (None, None)."""
 
     def stats(chunk):
         dbar = dbar_samples(model, chunk, indices, screen=screen)
@@ -699,20 +597,15 @@ def _batch_stats(model, samples, k, indices, screen=None):
 
 
 class _ConstraintEvaluator:
-    """Conservative constraint checks of one search, for every kind.
+    """Conservative constraint checks of one search (see "The evaluator" in
+    the module docstring).
 
-    Calling it checks one allocation; batch() checks a sequence of
-    allocations, estimating the new ones together: through _batch_stats on
-    the CRN matrix, screened by _screen, or through _log_complementary_batch
-    for a surrogate. Both give (ok, estimate, std_error).
-    The surrogate's estimate is E[log(1 - D)], with the Monte Carlo
-    std_error, or None when it is enumerated; its rule ignores std_error. An
-    expected or probabilistic row stops as soon as its partial statistic
-    proves it infeasible, and is (False, None, None); a search never answers
-    with such a row, so the answer's entry always holds its estimate. The
-    CRN index matrix is sampled on first use, so an enumerable surrogate
-    search never samples it. Each allocation is estimated once and
-    remembered; evals counts the estimates made.
+    batch(ks) gives (ok, estimate, std_error) per allocation, estimating the
+    unseen ones together: through _batch_stats, screened by _screen, or
+    through _log_complementary_batch for a surrogate, whose std_error is
+    None when enumerated and unused by its rule. A screened-out row is
+    (False, None, None). Calling it checks one allocation; evals counts the
+    estimates made.
     """
 
     def __init__(self, model, n_steps, spec, mc):
@@ -755,18 +648,11 @@ _GRID_CHUNK = 64
 
 
 def _best_feasible(evaluate, points, g):
-    """Index of the feasible point of largest g among the (P, n_assets)
-    points, the first in scan order on a tie. The grid holds K = 0, and
-    every expected or probabilistic constraint admits it (E[D] = 0, or
-    P(D <= eps) = 1 with std_error 0), so some point is feasible.
-
-    The points are checked in falling order of g, sorted stably so that
-    equal g keep their scan order, in chunks of _GRID_CHUNK, and the walk
-    stops at the first chunk that holds a feasible point. No feasible point
-    has a larger g than that chunk's first feasible point, and none with an
-    equal g comes before it in scan order, so it is the first best feasible
-    point of the whole grid.
-    """
+    """Index of the admitted point of largest g among the (P, n_assets)
+    points, the first in scan order on a tie, by the grid walk of "The
+    searches" in the module docstring. The points hold K = 0, which every
+    expected or probabilistic constraint admits (E[D] = 0, or P(D <= eps) = 1
+    with std_error 0)."""
     order = np.argsort(-g, kind="stable")
     for lo in range(0, order.size, _GRID_CHUNK):
         chunk = order[lo:lo + _GRID_CHUNK]
@@ -811,10 +697,8 @@ def _midpoints(lo, hi, tol, levels):
 
 
 def _split(lo, hi, s_lo, s_hi):
-    """Where each surrogate ray splits its bracket [lo, hi]: where the line
-    through its ends' slacks s_lo > 0 > s_hi crosses 0, at least
-    _SPLIT_MARGIN of the bracket from either end; the midpoint while an end
-    has no finite slack."""
+    """Where each surrogate ray with end slacks s_lo > 0 > s_hi splits its
+    bracket [lo, hi] (see "The split" in the module docstring)."""
     with np.errstate(invalid="ignore", divide="ignore"):
         w = s_lo / (s_lo - s_hi)
     return np.where((w > 0.0) & (w < 1.0),
@@ -823,28 +707,20 @@ def _split(lo, hi, s_lo, s_hi):
 
 def _ray_best(model, evaluate, k_lo, us, lo, hi, tol):
     """(K, g) per ray r of the best admitted point of the ray t * us[r],
-    sum(us[r]) = 1, by the ray rule of the module docstring: the rays'
-    brackets [lo, hi] (per ray, or one for all), each lo admitted, are
-    bisected together to width tol, and a ray stops early once its tangent
-    bound falls below the best g(lo) of the batch. The bound takes g and g'
-    from the ray's return column; the answer's g is log_growth's. k_lo, an
-    admitted point of every ray, is a ray's answer when its t stays at
-    sum(k_lo) or gains no g over k_lo.
-
-    An expected or probabilistic ray checks its next _PREFETCH_LEVELS
-    levels' midpoints ahead while it is the batch's one live ray (see the
-    module docstring). A surrogate ray does not: its rows are not screened
-    and run every step, so the points its bisection skips would cost as
-    much as those it checks. It splits
-    its bracket at _split instead of the midpoint (see the module
-    docstring); s_lo and s_hi are its ends' slacks, 0 has the slack of
-    E[log(1 - D)] = 0, and last is +1 or -1 as lo or hi moved last."""
+    sum(us[r]) = 1, by "The ray rule", "The prefetch" and "The split" of the
+    module docstring: the brackets [lo, hi] (per ray, or one for all), each
+    lo admitted, are bisected together to width tol. The tangent bound takes
+    g and g' from the ray's return column; the answer's g is log_growth's.
+    k_lo, an admitted point of every ray, is a ray's answer when its t stays
+    at sum(k_lo) or gains no g over k_lo."""
     xu = model.xs @ us.T
     lo, hi = (np.full(len(us), end, dtype=float) for end in (lo, hi))
     g, slope = _along(xu, model.probs, lo)
     live = hi - lo > tol
     spec = evaluate.spec
     surrogate = spec.kind == "surrogate"
+    # A surrogate ray's end slacks, t = 0 having that of E[log(1 - D)] = 0,
+    # and +1 or -1 as lo or hi moved last.
     s_lo = np.where(lo == 0.0, spec.slack(0.0), math.nan)
     s_hi, last = np.full(len(us), math.nan), np.zeros(len(us))
     for level in itertools.count():
@@ -883,10 +759,8 @@ _FAN_ROUNDS = 5
 
 
 def _fan(model, evaluate):
-    """(K, g) of the fan of the module docstring, on two or more assets:
-    each ray from K = 0 over the bracket [0, 1] to width REFINE_TOL, the
-    best direction so far changing only to a ray of larger g, whose ray is
-    then searched on alone to width REFINE_TOL * t."""
+    """(K, g) of the fan of "The searches" in the module docstring, on two or
+    more assets; the best direction so far changes only to a ray of larger g."""
     n = model.n_assets
     u, k, g = np.full(n, 1.0 / n), np.zeros(n), 0.0
     offsets = np.linspace(-1.0, 1.0, _FAN_RAYS)
@@ -908,16 +782,12 @@ def _fan(model, evaluate):
 
 
 def _ray_search(model, evaluate, k_un):
-    """(K, g, method) of the constrained search the module docstring names
-    for the model's number of assets and the constraint's kind, once the
-    unconstrained optimum k_un is outside the set.
-
+    """(K, g, method) of the search that "The searches" in the module
+    docstring names, once the unconstrained optimum k_un is outside the set.
     The one-asset ray is bisected to width REFINE_TOL, or REFINE_TOL * 1e-2
-    for the surrogate. The grid-ray search takes the best admitted point k_g
-    of the simplex grid of step GRID_STEP (see _best_feasible); the growth
-    peak of its ray is checked first and is the answer if admitted, and
-    otherwise [sum(k_g), peak] is bisected to width REFINE_TOL. k_g = 0 has
-    no ray and is the answer.
+    for the surrogate. grid-ray checks its ray's growth peak first, the
+    answer if admitted, and otherwise bisects from the grid point to it to
+    width REFINE_TOL; a grid answer of K = 0 has no ray and is the answer.
     """
     kind = evaluate.spec.kind
     if model.n_assets == 1:
@@ -942,13 +812,10 @@ def maximize_growth_constrained(model: GambleModel, n_steps: int, spec: Constrai
                                 mc: MonteCarloConfig = MonteCarloConfig()) -> ConstrainedResult:
     """Maximize log growth subject to a drawdown constraint.
 
-    Every search checks the constraint through one _ConstraintEvaluator, and
-    returns the unconstrained optimum when that lies inside the set.
-    Otherwise it runs the search that the module docstring names for the
-    model's number of assets and the constraint's kind (see _ray_search),
-    with what that search claims. Each search is finite and ends at its
-    tolerances, so converged is always True. Raises ValueError when
-    n_steps < 1.
+    Returns the unconstrained optimum when the search's evaluator admits it,
+    and otherwise the answer of the search _ray_search picks, with what that
+    search claims. Each search is finite and ends at its tolerances, so
+    converged is always True. Raises ValueError when n_steps < 1.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")

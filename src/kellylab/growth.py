@@ -37,7 +37,7 @@ def log_growth(k, model: GambleModel):
     """g(K) = sum over atoms of p * log(1 + K'x); -inf if any atom zeroes the factor.
 
     k is one allocation, giving a float, or a (B, n_assets) batch, giving a
-    (B,) array (see the batch convention in the drawdown module docstring):
+    (B,) array (see "Batches" in the drawdown module docstring):
     each row keeps its own matvec, log and dot, as the stacked matmul of the
     (B, 1, m) logs with the (m, 1) weights runs one dot per row.
     """

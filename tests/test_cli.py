@@ -2,8 +2,12 @@
 
 import argparse
 import ast
+import importlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +31,24 @@ def test_documented_exit_codes_are_the_cli_constants():
     for text in (readme, cli.__doc__):
         listed = re.search(r"Exit codes:([^.]*)\.", text).group(1)
         assert {int(c) for c in re.findall(r"\b(\d+) [a-z]", listed)} == codes
+
+
+def test_console_script_runs_the_readme_first_command():
+    # The `kellylab` script's target imports and is callable, and its module
+    # runs the README's first command in a fresh interpreter with exit 0.
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).parents[1]
+    scripts = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))[
+        "project"]["scripts"]
+    module, func = scripts["kellylab"].split(":")
+    assert (module, func) == ("kellylab.cli", "main")
+    assert callable(getattr(importlib.import_module(module), func))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", module, "optimize", "--coin", "0.15,-0.95,0.95"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("config:")
 
 
 def names_used(path) -> set:

@@ -176,7 +176,8 @@ def test_drawdown_of_small_example():
 def test_ruin_path_has_unit_drawdown():
     dbar = dbar_of_values([1.0, 2.0, 0.0, 0.0])
     assert dbar == 0.0
-    assert ConstraintSpec(kind="expected", epsilon=0.5).statistic(np.array([dbar])) == (1.0, 0.0)
+    spec = ConstraintSpec(kind="expected", epsilon=0.5)
+    assert mean_se(spec.samples(np.array([dbar]))) == (1.0, 0.0)
     with np.errstate(divide="ignore"):
         assert np.log(dbar) == -math.inf
 
@@ -209,7 +210,7 @@ def test_drawdown_plus_complement_is_one_on_simulated_paths():
     for k in rng.uniform(0.0, 1.0, size=20):
         dbar = dbar_samples(SKEWED, k, idx)
         assert np.all((0.0 <= dbar) & (dbar <= 1.0))
-        est, _ = expected.statistic(dbar)
+        est, _ = mean_se(expected.samples(dbar))
         assert abs(est + float(dbar.mean()) - 1.0) <= 1e-12
 
 
@@ -294,10 +295,10 @@ def test_mc_matches_exact_within_three_sigma():
 def test_mc_probability_trivial_cases():
     spec = ConstraintSpec(kind="probabilistic", epsilon=0.5, delta=0.1)
     idx = sample_path_indices(SKEWED, 500, 100, seed=0)
-    assert spec.statistic(dbar_samples(SKEWED, 0.0, idx)) == (1.0, 0.0)
+    assert mean_se(spec.samples(dbar_samples(SKEWED, 0.0, idx))) == (1.0, 0.0)
     # All in on the even coin: P(D <= 0.5) is the share of paths with no loss.
     idx = sample_path_indices(EVEN9, 500, 5, seed=0)
-    est, _ = spec.statistic(dbar_samples(EVEN9, 1.0, idx))
+    est, _ = mean_se(spec.samples(dbar_samples(EVEN9, 1.0, idx)))
     assert est == float(np.mean(~(idx == 1).any(axis=0)))
 
 
@@ -305,7 +306,7 @@ def test_mc_probability_matches_coin_formula():
     coin = make_coin(1.0, -1.0, 0.99)
     spec = ConstraintSpec(kind="probabilistic", epsilon=0.979, delta=0.1)
     idx = sample_path_indices(coin, 10_000, 252, seed=3)
-    est, se = spec.statistic(dbar_samples(coin, 0.98, idx))
+    est, se = mean_se(spec.samples(dbar_samples(coin, 0.98, idx)))
     assert abs(est - 0.99**252) <= 3 * se
 
 
@@ -719,9 +720,9 @@ def test_batched_statistics_equal_mean_se_per_row(spec, paths):
     assert len(stats) == len(ks)
     dbars = [dbar_samples(TWO_COINS, kv, idx) for kv in ks]
     refs = [mean_se_oracle(spec.samples(dbar)) for dbar in dbars]
-    assert stats == refs and spec.statistic(dbar_samples(TWO_COINS, ks, idx)) == refs
+    assert stats == refs and mean_se(spec.samples(dbar_samples(TWO_COINS, ks, idx))) == refs
     for dbar, (est, se), ref in zip(dbars, stats, refs):
-        assert spec.statistic(dbar) == ref and mean_se(spec.samples(dbar)) == ref
+        assert mean_se(spec.samples(dbar)) == ref
         assert type(est) is float and type(se) is float
 
 
@@ -1105,6 +1106,47 @@ def test_unscreened_blocks_equal_a_screen_that_keeps_every_row(atoms, rows, path
     flat = all((wealth_factors(model, kv) >= 1.0).all() for kv in ks)
     assert len(seen) == (0 if flat else len(screen_steps(n_steps)))
     assert not np.isnan(out).any() and out.shape == (rows, paths)
+
+
+@settings(max_examples=30, deadline=None)
+@given(atoms=st.lists(st.tuples(ATOM_COMPONENT, st.floats(0.0, 2.0), st.floats(0.05, 1.0)),
+                      min_size=1, max_size=4),
+       live_rows=st.integers(128, 200), flat_rows=st.integers(0, 12),
+       extra_paths=st.integers(1, 600), n_steps=st.integers(1, 70),
+       keep_share=st.floats(0.2, 1.0), seed=st.integers(0, 2**16))
+def test_screened_result_keeps_drops_and_skips_rows(atoms, live_rows, flat_rows, extra_paths,
+                                                   n_steps, keep_share, seed):
+    # Asset 1 loses 0.5 on the first atom and asset 2 never loses, so a row
+    # that bets on asset 1 draws down and one that bets on asset 2 alone has
+    # every factor >= 1. 128 or more live rows make blocks of 256 paths, and
+    # every call runs more paths than that. The screen drops a random share
+    # of the live rows at each of its steps.
+    weights = np.array([1.0] + [w for *_, w in atoms])
+    model = GambleModel(xs=[[-0.5, 0.0]] + [[a, b] for a, b, _ in atoms],
+                        probs=weights / weights.sum())
+    rng = np.random.default_rng(seed)
+    ks = rng.random((live_rows + flat_rows, 2)) * [0.499, 0.5] + [1e-3, 0.0]
+    flat = rng.permutation(len(ks)) < flat_rows
+    ks[flat, 0] = 0.0
+    idx = sample_path_indices(model, 256 + extra_paths, n_steps, seed)
+    live = np.flatnonzero(~flat)
+
+    def screen(d):
+        nonlocal live
+        assert d.shape == (idx.shape[1], live.size)
+        keep = rng.random(live.size) < keep_share
+        live = live[keep]
+        return keep
+
+    out = dbar_samples(model, ks, idx, screen=screen)
+    full = dbar_samples(model, ks, idx)
+    assert np.array_equal(out[live], full[live])
+    assert all(np.array_equal(out[i], dbar_samples_loop(model, ks[i], idx.T)) for i in live)
+    assert (out[flat] == 1.0).all()
+    dropped = np.ones(len(ks), dtype=bool)
+    dropped[live] = False
+    dropped[flat] = False
+    assert np.isnan(out[dropped]).all()
 
 
 def test_kernel_equals_scalar_clamp_loop_on_int16_indices():
@@ -1759,26 +1801,26 @@ def test_membership_rules():
     assert prob.contains_conservatively(0.93, 0.01)
     assert not prob.contains_conservatively(0.93, 0.011)
     dbar = np.array([1.0, 0.9, 0.6, 0.75])
-    assert expected.statistic(dbar) == mean_se(1.0 - dbar)
-    assert prob.statistic(dbar) == mean_se(np.array([1.0, 1.0, 0.0, 1.0]))
+    assert mean_se(expected.samples(dbar)) == mean_se(1.0 - dbar)
+    assert mean_se(prob.samples(dbar)) == mean_se(np.array([1.0, 1.0, 0.0, 1.0]))
 
 
 def test_surrogate_statistic_is_mean_log_complement():
     # P(D <= eps) of these paths is 2/3, but E[log(1 - D)] = -0.266 < log 0.8.
     spec = ConstraintSpec(kind="surrogate", epsilon=0.2)
     dbar = np.array([1.0, 0.5, 0.9])
-    est, se = spec.statistic(dbar)
+    est, se = mean_se(spec.samples(dbar))
     assert (est, se) == mean_se_oracle(np.log(dbar))
     assert est == pytest.approx(-0.2662, abs=1e-4) and not spec.contains(est)
     # A ruined path is -inf, with no RuntimeWarning (pytest makes them errors).
     assert spec.samples(np.array([0.0, 0.5]))[0] == -math.inf
-    assert spec.statistic(np.array([0.0, 0.5]))[0] == -math.inf
+    assert mean_se(spec.samples(np.array([0.0, 0.5])))[0] == -math.inf
     # The Monte Carlo surrogate estimate is this statistic of its paths.
     mc = MonteCarloConfig(paths=300, seed=6)
     idx = sample_path_indices(TWO_COINS, mc.paths, 12, mc.seed)
     for kv in ([0.1, 0.2], [0.3, 0.05]):
         h = expected_log_complementary(TWO_COINS, kv, 12, mc=mc)
-        assert (h.value, h.std_error) == spec.statistic(dbar_samples(TWO_COINS, kv, idx))
+        assert (h.value, h.std_error) == mean_se(spec.samples(dbar_samples(TWO_COINS, kv, idx)))
 
 
 @pytest.mark.parametrize("spec,boundary", [
