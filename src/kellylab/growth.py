@@ -83,20 +83,6 @@ def project_allocation(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def _bisect(keep_lo, lo: float, hi: float, tol: float) -> tuple:
-    """(lo, hi, steps) of the bisection of [lo, hi] down to width tol: each
-    midpoint replaces lo where keep_lo(midpoint) holds, and hi elsewhere."""
-    steps = 0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        steps += 1
-        if keep_lo(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi, steps
-
-
 def _maximize_1d(x: np.ndarray, p: np.ndarray) -> tuple:
     """(t, iterations): the t in [0, 1] maximizing sum p * log(1 + t * x) for
     a return column x, which may round below -1 on a ray through two
@@ -112,8 +98,12 @@ def _maximize_1d(x: np.ndarray, p: np.ndarray) -> tuple:
         return 0.0, 1
     if deriv(1.0) >= 0.0:
         return 1.0, 1
-    lo, hi, steps = _bisect(lambda t: deriv(t) > 0.0, 0.0, 1.0, 1e-13)
-    return 0.5 * (lo + hi), 1 + steps
+    lo, hi, iterations = 0.0, 1.0, 1
+    while hi - lo > 1e-13:
+        mid = 0.5 * (lo + hi)
+        iterations += 1
+        lo, hi = (mid, hi) if deriv(mid) > 0.0 else (lo, mid)
+    return 0.5 * (lo + hi), iterations
 
 
 def _newton_direction(model: GambleModel, k: np.ndarray, grad: np.ndarray,

@@ -572,6 +572,29 @@ def test_expected_drawdown_mc_holds_one_chunk_of_rows_at_a_time():
     assert peak < 8e6
 
 
+def test_screened_chunks_make_their_result_after_the_last_screen():
+    # The grid walk's first batch on the README's two-coin case: the 64
+    # highest-g points of the simplex grid on 10000 paths, screened for
+    # E[D] <= 0.1, in chunks of 26, 26 and 12 rows. A chunk's r and d hold
+    # every path of its live rows (4.2 MB for 26 rows). Its (26, 10000)
+    # result (2.1 MB) is made once the screens have dropped most rows; made
+    # before the first screen, it sat beside the full r and d (8.5 MB peak).
+    spec = ConstraintSpec(kind="expected", epsilon=0.1)
+    points = drawdown_module._simplex_grid(np.arange(0.0, 1.0 + 1e-12, GRID_STEP))
+    ks = points[np.argsort(-log_growth(points, TWO_COINS), kind="stable")[:64]]
+    idx = sample_path_indices(TWO_COINS, 10_000, 252, seed=0)
+    assert drawdown_module.mc_chunk_rows(10_000) == 26
+    tracemalloc.start()
+    try:
+        stats = drawdown_module._batch_stats(TWO_COINS, spec.samples, ks, idx,
+                                             drawdown_module._screen(spec, 10_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(stats) == 64
+    assert peak < 7.5 * 2**20
+
+
 @pytest.mark.parametrize("coin", [EVEN9, SKEWED, make_coin(0.6, -0.45, 0.62)],
                          ids=["even", "skewed", "uneven"])
 def test_exact_statistics_sum_to_fsum_accuracy(coin):
@@ -1007,6 +1030,29 @@ def test_screen_that_drops_every_row_stops_the_kernel():
 
     assert np.isnan(dbar_samples(SKEWED, [[0.1], [0.5]], idx, screen=drop_all)).all()
     assert seen == [(300, 2)]
+
+
+@pytest.mark.parametrize("live_rows", [130, 0], ids=["every-row-dropped", "every-row-flat"])
+def test_screened_call_that_runs_no_last_chunk_gives_nan_and_flat_rows(live_rows):
+    # Asset 2 never loses, so a row that bets on it alone never draws down.
+    # 130 live rows make blocks of 256 paths; the screen drops every one of
+    # them after step 8. With no live row left, or none to begin with, the
+    # result is made after the steps: NaN rows, and 1.0 for the flat rows.
+    model = GambleModel(xs=[[-0.5, 0.0], [0.4, 0.2]], probs=[0.3, 0.7])
+    rng = np.random.default_rng(7)
+    ks = rng.random((live_rows + 9, 2)) * [0.5, 0.5] + [1e-3, 0.0]
+    flat = rng.permutation(len(ks)) < 9
+    ks[flat, 0] = 0.0
+    idx = sample_path_indices(model, 700, 40, seed=7)
+    seen = []
+
+    def drop_all(d):
+        seen.append(d.shape)
+        return np.zeros(d.shape[1], dtype=bool)
+
+    expected = np.where(flat[:, None], 1.0, np.nan).repeat(700, axis=1)
+    assert np.array_equal(dbar_samples(model, ks, idx, screen=drop_all), expected, equal_nan=True)
+    assert seen == ([(700, live_rows)] if live_rows else [])
 
 
 def dbar_samples_scalar_clamp(model, ks, indices, screen=None):
