@@ -227,10 +227,10 @@ def cmd_constrained(args) -> int:
     print(f"K:                   {_fmt_vec(result.k_star)}")
     print(f"g(K):                {_fmt(result.g_star)}")
     print(f"r(K):                {_fmt(growth.annualized_return(result.g_star, args.dt))}")
-    print(f"constraint estimate: {_fmt(result.constraint_estimate)}"
-          + (f" (se {_fmt(result.constraint_std_error)})"
-             if result.constraint_std_error is not None else ""))
-    print(f"constraint slack:    {_fmt(spec.slack(result.constraint_estimate))}")
+    est = result.constraint
+    print(f"constraint estimate: {_fmt(est.value)}"
+          + ("" if est.exact else f" (se {_fmt(est.std_error)})"))
+    print(f"constraint slack:    {_fmt(spec.slack(est.value))}")
     return EXIT_OK
 
 
@@ -252,7 +252,8 @@ def cmd_probe_convexity(args) -> int:
     for c in report.checks:
         if c.violation:
             tag = "SIGNIFICANT" if c.significant else "inconclusive"
-            print(f"  {tag}: mid={c.k_mid} estimate={_fmt(c.estimate)} se={_fmt(c.std_error)}")
+            est, se = c.estimate
+            print(f"  {tag}: mid={c.k_mid} estimate={_fmt(est)} se={_fmt(se)}")
     if args.out:
         drawdown.write_level_set_csv(report, f"{args.out}.grid.csv")
         print(f"wrote {args.out}.grid.csv")

@@ -49,8 +49,9 @@ _batch_stats their mean_se along axis 1 (all others but the CLI sweep's).
 
 The evaluator. Each constrained search estimates the constraint through one
 _ConstraintEvaluator, which samples the CRN matrix on first use, estimates
-each allocation once and remembers its verdict. A search answers K = 0 or a
-point the evaluator admitted, so the answer's estimate is the one judged.
+each allocation once and remembers its verdict, (admitted, Estimate), with
+None for the Estimate of a row a screen dropped. A search answers K = 0 or a
+point the evaluator admitted, so the answer's Estimate is the one judged.
 
 The screen. A step can only lower d, so the partial mean of 1 - d can only
 rise and that of 1{d >= 1 - eps} only fall: a partial estimate's slack only
@@ -142,7 +143,7 @@ import itertools
 import math
 import weakref
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -223,13 +224,16 @@ class MonteCarloConfig:
     seed: int = 0
 
 
-@dataclass(frozen=True)
-class LogDrawdownEstimate:
-    """E[log(1 - D)] value; exact=False flags a Monte Carlo fallback."""
+class Estimate(NamedTuple):
+    """A drawdown statistic: its value, and the standard error of a Monte
+    Carlo mean, or None for an exact one (enumeration)."""
 
     value: float
-    exact: bool
     std_error: Optional[float] = None
+
+    @property
+    def exact(self) -> bool:
+        return self.std_error is None
 
 
 # ---------------------------------------------------------------------------
@@ -376,22 +380,21 @@ def dbar_samples(model: GambleModel, k, indices: np.ndarray, screen=None) -> np.
 
 
 def mean_se(samples: np.ndarray):
-    """(mean, standard error of the mean) of a 1-D sample, or a list of
-    those pairs for a (B, paths) block, one per row, reduced once along
-    axis 1. A row holding -inf has mean -inf and standard error NaN."""
+    """Estimate(mean, standard error of the mean) of a 1-D sample, or a list
+    of them for a (B, paths) block, one per row, reduced once along axis 1.
+    A row holding -inf has mean -inf and standard error NaN."""
     block = np.atleast_2d(samples)
     n = block.shape[1]
     est = block.mean(axis=1)
     with np.errstate(invalid="ignore"):
         se = block.std(axis=1, ddof=1) / math.sqrt(n) if n > 1 else np.zeros_like(est)
-    pairs = list(zip(est.tolist(), se.tolist()))
-    return pairs if np.ndim(samples) == 2 else pairs[0]
+    rows = list(map(Estimate, est.tolist(), se.tolist()))
+    return rows if np.ndim(samples) == 2 else rows[0]
 
 
-def expected_drawdown_mc(model: GambleModel, k, n_steps: int, paths: int,
-                         seed: int) -> tuple:
-    """(estimate, std_error) of E[D] from `paths` independently sampled paths;
-    a list of them for a (B, n_assets) batch."""
+def expected_drawdown_mc(model: GambleModel, k, n_steps: int, paths: int, seed: int):
+    """Estimate of E[D], with its standard error, from `paths` independently
+    sampled paths; a list of them for a (B, n_assets) batch."""
     if paths < 100:
         raise ValueError("need at least 100 paths")
     indices = sample_path_indices(model, paths, n_steps, seed)
@@ -531,9 +534,10 @@ def drawdown_exceedance_exact(model: GambleModel, k, n_steps: int, threshold: fl
 
 def expected_log_complementary(model: GambleModel, k, n_steps: int,
                                mc: MonteCarloConfig = MonteCarloConfig()):
-    """E[log(1 - D)]: exact by enumeration when it fits ENUM_BUDGET, otherwise a
-    flagged Monte Carlo estimate. -inf whenever ruin has positive probability.
-    A (B, n_assets) batch gives a list of estimates, one per row."""
+    """Estimate of E[log(1 - D)]: exact by enumeration when it fits
+    ENUM_BUDGET, otherwise a Monte Carlo mean with its standard error; exact
+    -inf whenever ruin has positive probability. A (B, n_assets) batch gives
+    a list of them, one per row."""
     return _log_complementary_batch(
         model, k, n_steps, lambda: sample_path_indices(model, mc.paths, n_steps, mc.seed))
 
@@ -545,15 +549,14 @@ def _log_complementary_batch(model, k, n_steps, crn):
     ks = np.atleast_2d(k)
     ruinous = _checked_factors(model, ks).min(axis=1) <= 0.0
     # Some atom wipes the account; that sequence has positive mass.
-    out = [LogDrawdownEstimate(value=-math.inf, exact=True)] * len(ruinous)
+    out = [Estimate(-math.inf)] * len(ruinous)
     live = np.flatnonzero(~ruinous)
     if _enumerable(model, n_steps):
-        values = _enumerated_rows(model, _log_dbar, ks[live], n_steps)
-        for i, value in zip(live, values):
-            out[i] = LogDrawdownEstimate(value=value, exact=True)
-    elif live.size:
-        for i, (est, se) in zip(live, _batch_stats(model, _log_dbar, ks[live], crn())):
-            out[i] = LogDrawdownEstimate(value=est, exact=False, std_error=se)
+        rows = map(Estimate, _enumerated_rows(model, _log_dbar, ks[live], n_steps))
+    else:
+        rows = _batch_stats(model, _log_dbar, ks[live], crn()) if live.size else []
+    for i, row in zip(live, rows):
+        out[i] = row
     return out if np.ndim(k) == 2 else out[0]
 
 
@@ -566,15 +569,16 @@ class ConstrainedResult:
     """GrowthResult fields plus how the constraint was handled. iterations
     counts the allocations the search estimated, prefetched midpoints that
     its bisection skips included; perfbench's tracer reports it per op as
-    drawdown.constraint_evals_per_op."""
+    drawdown.constraint_evals_per_op. constraint is the Estimate the answer
+    was judged by: exact for an enumerated surrogate, else a Monte Carlo
+    mean with its standard error."""
 
     k_star: np.ndarray
     g_star: float
     iterations: int
     converged: bool
     method: str
-    constraint_estimate: float
-    constraint_std_error: Optional[float] = None
+    constraint: Estimate
 
 
 def _screen(spec: ConstraintSpec, n_paths: int):
@@ -589,11 +593,11 @@ def _screen(spec: ConstraintSpec, n_paths: int):
 
 
 def _batch_stats(model, samples, k, indices, screen=None):
-    """(estimate, std_error) of the per-path samples(dbar) of one
-    allocation, or a list of them for a (B, n_assets) batch k, each bitwise
-    mean_se of that allocation's samples alone, in one kernel call per chunk
-    of mc_chunk_rows rows. screen is passed to dbar_samples; a row it drops
-    is (None, None)."""
+    """Estimate, with its standard error, of the per-path samples(dbar) of
+    one allocation, or a list of them for a (B, n_assets) batch k, each
+    bitwise mean_se of that allocation's samples alone, in one kernel call
+    per chunk of mc_chunk_rows rows. screen is passed to dbar_samples; a row
+    it drops is None."""
 
     def stats(chunk):
         dbar = dbar_samples(model, chunk, indices, screen=screen)
@@ -603,8 +607,8 @@ def _batch_stats(model, samples, k, indices, screen=None):
         # temporary: dbar is freed before it does.
         x = samples(dbar if kept.all() else dbar[kept])
         del dbar
-        pairs = iter(mean_se(x))
-        return [next(pairs) if keep else (None, None) for keep in kept]
+        rows = iter(mean_se(x))
+        return [next(rows) if keep else None for keep in kept]
 
     return _row_chunks(k, mc_chunk_rows(indices.shape[1]), stats)
 
@@ -613,11 +617,10 @@ class _ConstraintEvaluator:
     """Conservative constraint checks of one search (see "The evaluator" in
     the module docstring).
 
-    batch(ks) gives (ok, estimate, std_error) per allocation, estimating the
+    batch(ks) gives (admitted, Estimate) per allocation, estimating the
     unseen ones together: through _batch_stats, screened by _screen, or
-    through _log_complementary_batch for a surrogate, whose std_error is
-    None when enumerated and unused by its rule. A screened-out row is
-    (False, None, None). Calling it checks one allocation; evals counts the
+    through _log_complementary_batch for a surrogate. A screened-out row is
+    (False, None). Calling it checks one allocation; evals counts the
     estimates made.
     """
 
@@ -640,14 +643,14 @@ class _ConstraintEvaluator:
         if new:
             batch = np.array(list(new.values()))
             if self.spec.kind == "surrogate":
-                stats = [(h.value, h.std_error) for h in _log_complementary_batch(
-                    self.model, batch, self.n_steps, lambda: self.indices)]
+                stats = _log_complementary_batch(self.model, batch, self.n_steps,
+                                                 lambda: self.indices)
             else:
                 stats = _batch_stats(self.model, self.spec.samples, batch, self.indices,
                                      _screen(self.spec, self.mc.paths))
-            for key, (est, se) in zip(new, stats):
-                ok = est is not None and self.spec.contains_conservatively(est, se)
-                self.seen[key] = (ok, est, se)
+            for key, est in zip(new, stats):
+                self.seen[key] = (est is not None and self.spec.contains_conservatively(*est),
+                                  est)
         return [self.seen[key] for key in keys]
 
     def __call__(self, kv) -> tuple:
@@ -669,7 +672,7 @@ def _best_feasible(evaluate, points, g):
     order = np.argsort(-g, kind="stable")
     for lo in range(0, order.size, _GRID_CHUNK):
         chunk = order[lo:lo + _GRID_CHUNK]
-        for i, (ok, _, _) in zip(chunk, evaluate.batch(points[chunk])):
+        for i, (ok, _) in zip(chunk, evaluate.batch(points[chunk])):
             if ok:
                 return int(i)
 
@@ -747,11 +750,11 @@ def _ray_best(model, evaluate, k_lo, us, lo, hi, tol):
         checked = live & (slope_mid > 0.0)
         verdicts = evaluate.batch(mid[checked, None] * us[checked])
         ok = checked.copy()
-        ok[checked] = [admitted for admitted, _, _ in verdicts]
+        ok[checked] = [admitted for admitted, _ in verdicts]
         cut = live & ~ok
         if surrogate:
             s_mid = np.full(len(us), math.nan)
-            s_mid[checked] = [spec.slack(est) for _, est, _ in verdicts]
+            s_mid[checked] = [spec.slack(est.value) for _, est in verdicts]
             # The Illinois step: an end kept twice in a row halves its slack.
             s_lo, s_hi = (np.where(ok, s_mid, np.where(cut & (last < 0), 0.5 * s_lo, s_lo)),
                           np.where(cut, s_mid, np.where(ok & (last > 0), 0.5 * s_hi, s_hi)))
@@ -838,8 +841,7 @@ def maximize_growth_constrained(model: GambleModel, n_steps: int, spec: Constrai
         k, g, method = unconstrained.k_star, unconstrained.g_star, "unconstrained-feasible"
     else:
         k, g, method = _ray_search(model, evaluate, unconstrained.k_star)
-    _, est, se = evaluate(k)
-    return ConstrainedResult(k, g, evaluate.evals, True, method, est, se)
+    return ConstrainedResult(k, g, evaluate.evals, True, method, evaluate(k)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -850,16 +852,14 @@ def maximize_growth_constrained(model: GambleModel, n_steps: int, spec: Constrai
 class ProbePoint:
     k1: float
     k2: float
-    estimate: float
-    std_error: float
+    estimate: Estimate
     in_set: bool
 
 
 @dataclass(frozen=True)
 class MidpointCheck:
     k_mid: tuple
-    estimate: float
-    std_error: float
+    estimate: Estimate
     violation: bool
     significant: bool
 
@@ -911,9 +911,9 @@ def convexity_probe(model: GambleModel, n_steps: int, spec: ConstraintSpec,
     points = _simplex_grid(np.linspace(0.0, 1.0, grid_resolution))
     grid = []
     in_points = []
-    for kv, (est, se) in zip(points, _batch_stats(model, spec.samples, points, indices)):
-        inside = spec.contains(est)
-        grid.append(ProbePoint(float(kv[0]), float(kv[1]), est, se, inside))
+    for kv, est in zip(points, _batch_stats(model, spec.samples, points, indices)):
+        inside = spec.contains(est.value)
+        grid.append(ProbePoint(float(kv[0]), float(kv[1]), est, inside))
         if inside:
             in_points.append(kv)
 
@@ -925,14 +925,11 @@ def convexity_probe(model: GambleModel, n_steps: int, spec: ConstraintSpec,
         pairs = [rng.choice(len(in_points), size=2, replace=False)
                  for _ in range(pair_samples)]
         mids = [0.5 * (in_points[ia] + in_points[ib]) for ia, ib in pairs]
-        for mid, (est, se) in zip(mids, _batch_stats(model, spec.samples, mids, indices)):
-            violation = not spec.contains(est)
-            significant = violation and -spec.slack(est) > 3.0 * se
-            checks.append(MidpointCheck(
-                k_mid=(float(mid[0]), float(mid[1])),
-                estimate=est, std_error=se,
-                violation=violation, significant=significant,
-            ))
+        for mid, est in zip(mids, _batch_stats(model, spec.samples, mids, indices)):
+            violation = not spec.contains(est.value)
+            significant = violation and -spec.slack(est.value) > 3.0 * est.std_error
+            checks.append(MidpointCheck((float(mid[0]), float(mid[1])), est, violation,
+                                        significant))
 
     return ProbeReport(grid=grid, checks=checks)
 
@@ -943,5 +940,5 @@ def write_level_set_csv(report: ProbeReport, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k1", "k2", "estimate", "std_error", "in_set"])
-        writer.writerows([repr(pt.k1), repr(pt.k2), repr(pt.estimate), repr(pt.std_error),
-                          int(pt.in_set)] for pt in report.grid)
+        writer.writerows([repr(pt.k1), repr(pt.k2), *map(repr, pt.estimate), int(pt.in_set)]
+                         for pt in report.grid)

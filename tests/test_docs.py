@@ -1,5 +1,7 @@
-"""Prose that names code: every name it cites must exist in the package."""
+"""Prose that names code: every name it cites must exist in the package,
+and the README's library quick start runs as written."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -80,3 +82,26 @@ def test_pointers_name_docstring_paragraphs():
     for text in (notes, helpers):
         cited = set(re.findall(r'"([A-Z][a-z][\w ]*)"', " ".join(text.split())))
         assert cited and cited <= headings, cited - headings
+
+
+def test_readme_quick_start_runs_as_written():
+    # Statements run in order; a bare expression's value is what the block
+    # shows beside it. Each "~ value" comment, in order, is the value the
+    # block computes, rounded to the digits it gives.
+    text = (ROOT / "README.md").read_text(encoding="utf-8").split("## Library quick start")[1]
+    block = re.search(r"```python\n(.*?)```", text, re.S).group(1)
+    namespace, shown = {}, []
+    for stmt in ast.parse(block).body:
+        if isinstance(stmt, ast.Expr):
+            shown.append(eval(compile(ast.Expression(stmt.value), "README", "eval"), namespace))
+        else:
+            exec(compile(ast.Module([stmt], []), "README", "exec"), namespace)
+    best, safe = namespace["best"], namespace["safe"]
+    assert isinstance(namespace["est"], float) and isinstance(namespace["se"], float)
+    constraint = shown[1]
+    assert constraint is safe.constraint and not constraint.exact
+    computed = [best.k_star[0], best.g_star, shown[0], safe.k_star[0], *constraint]
+    cited = re.findall(r"~ (\d+\.\d+)", block)
+    assert len(cited) == len(computed) == 6
+    for digits, value in zip(cited, computed):
+        assert round(value, len(digits.split(".")[1])) == float(digits)

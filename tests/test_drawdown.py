@@ -10,11 +10,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kellylab import (ConstraintSpec, EnumerationBudgetError, GambleModel, MonteCarloConfig,
-                      coin_drawdown_probability, convexity_probe, dbar_samples, drawdown_exceedance_exact, enumerate_dbar,
-                      expected_complementary_exact, expected_drawdown_exact,
-                      expected_drawdown_mc, expected_log_complementary, independent_join,
-                      is_feasible, log_growth, make_coin, maximize_growth,
+from kellylab import (ConstraintSpec, EnumerationBudgetError, Estimate, GambleModel,
+                      MonteCarloConfig, coin_drawdown_probability, convexity_probe, dbar_samples,
+                      drawdown_exceedance_exact, enumerate_dbar, expected_complementary_exact,
+                      expected_drawdown_exact, expected_drawdown_mc, expected_log_complementary,
+                      independent_join, is_feasible, log_growth, make_coin, maximize_growth,
                       maximize_growth_constrained, mean_se, sample_indices,
                       sample_path_indices, write_level_set_csv)
 from kellylab import drawdown as drawdown_module
@@ -778,13 +778,36 @@ def test_monte_carlo_chunks_keep_every_bit(monkeypatch, tmp_path, capsys):
 
     whole = run_all("whole")
     assert len(whole[0].grid) == 210 and len(whole[0].checks) == 40
-    assert any(se is None for _, se in whole[1][1])   # the screen dropped some rows
+    assert None in whole[1][1]                         # the screen dropped some rows
     assert whole[2] == whole[1][0]                     # the same CRN matrix
     assert not any(h.exact for h in whole[3])          # 4^30 sequences: Monte Carlo
     for rows in (7, 1):
         monkeypatch.setattr(drawdown, "_MC_CHUNK", rows * 300 + 299)
         assert drawdown.mc_chunk_rows(300) == rows
         assert run_all(f"cut{rows}") == whole
+
+
+def test_every_monte_carlo_row_is_an_estimate_with_its_standard_error():
+    # Every row of mean_se, expected_drawdown_mc and _batch_stats, the flat
+    # row 1 included, carries a standard error, and a row the screen drops
+    # (row 0 bets everything on an even coin) is None.
+    from kellylab import drawdown
+    ks = np.array([[1.0, 0.0], [0.0, 0.0], [0.1, 0.2], [0.45, 0.5]])
+    mc = MonteCarloConfig(paths=300, seed=2)
+    spec = ConstraintSpec(kind="expected", epsilon=0.05)
+    idx = sample_path_indices(TWO_COINS, mc.paths, 30, mc.seed)
+    dbar = dbar_samples(TWO_COINS, ks, idx)
+    rows = [*mean_se(spec.samples(dbar)), mean_se(spec.samples(dbar[2])),
+            *expected_drawdown_mc(TWO_COINS, ks, 30, mc.paths, mc.seed),
+            expected_drawdown_mc(TWO_COINS, ks[2], 30, mc.paths, mc.seed),
+            *drawdown._batch_stats(TWO_COINS, spec.samples, ks, idx),
+            drawdown._batch_stats(TWO_COINS, spec.samples, ks[2], idx)]
+    assert all(type(row) is Estimate and row.std_error is not None and not row.exact
+               for row in rows)
+    screened = drawdown._batch_stats(TWO_COINS, spec.samples, ks, idx,
+                                     drawdown._screen(spec, mc.paths))
+    assert screened[0] is None and type(screened[1]) is Estimate
+    assert all(row is None or row == full for row, full in zip(screened, rows))
 
 
 @pytest.mark.parametrize("n_steps,exact", [(6, True), (8, True), (12, False)],
@@ -802,6 +825,7 @@ def test_batched_surrogate_equals_expected_log_complementary(n_steps, exact):
 
     batch = drawdown._log_complementary_batch(TWO_COINS, ks, n_steps, crn)
     assert len(built) == (0 if exact else 1)
+    assert [type(h) for h in batch] == [Estimate] * 6
     assert batch[0].value == -math.inf and batch[0].exact
     for kv, h in zip(ks, batch):
         assert h == expected_log_complementary(TWO_COINS, kv, n_steps, mc=mc)
@@ -872,7 +896,7 @@ def test_expected_drawdown_constraint_binds():
     res = maximize_growth_constrained(SKEWED, 252, spec,
                                       mc=MonteCarloConfig(paths=2_000, seed=0))
     assert res.converged
-    assert res.constraint_estimate <= 0.2 + 1e-12
+    assert res.constraint.value <= 0.2 + 1e-12
     assert 0.05 <= res.k_star[0] <= 0.15
 
 
@@ -880,7 +904,7 @@ def test_probabilistic_constraint_is_conservative():
     spec = ConstraintSpec(kind="probabilistic", epsilon=0.5, delta=0.1)
     res = maximize_growth_constrained(EVEN9, 60, spec,
                                       mc=MonteCarloConfig(paths=2_000, seed=1))
-    assert res.constraint_estimate - 3 * res.constraint_std_error >= 0.9 - 1e-12
+    assert res.constraint.value - 3 * res.constraint.std_error >= 0.9 - 1e-12
     assert res.k_star[0] < maximize_growth(EVEN9).k_star[0]
 
 
@@ -950,17 +974,22 @@ def test_surrogate_chooses_estimator_without_calling_enumeration(monkeypatch, n_
     (EVEN9, 60, ConstraintSpec(kind="probabilistic", epsilon=0.5, delta=0.1),
      "probabilistic-bisect"),
     (TWO_COINS, 30, ConstraintSpec(kind="expected", epsilon=0.1), "grid-ray"),
+    (TWO_COINS, 30, ConstraintSpec(kind="probabilistic", epsilon=0.3, delta=0.1), "grid-ray"),
     (EVEN9, 10, ConstraintSpec(kind="surrogate", epsilon=0.3), "surrogate-bisect"),
     (SKEWED, 40, ConstraintSpec(kind="surrogate", epsilon=0.2), "surrogate-bisect"),  # MC
+    (EVEN9, 252, ConstraintSpec(kind="surrogate", epsilon=0.3), "surrogate-bisect"),  # MC
     (TWO_COINS, 6, ConstraintSpec(kind="surrogate", epsilon=0.1), "surrogate-fan"),
     (TWO_COINS, 12, ConstraintSpec(kind="surrogate", epsilon=0.2), "surrogate-fan"),  # MC
     (SKEWED, 30, ConstraintSpec(kind="expected", epsilon=0.999999), "unconstrained-feasible"),
-], ids=["1d-expected", "1d-probabilistic", "2d-scan", "1d-surrogate-exact",
-        "1d-surrogate-mc", "2d-surrogate-exact", "2d-surrogate-mc", "unconstrained-feasible"])
+], ids=["1d-expected", "1d-probabilistic", "2d-scan", "2d-scan-probabilistic",
+        "1d-surrogate-exact", "1d-surrogate-mc", "1d-surrogate-mc-n252", "2d-surrogate-exact",
+        "2d-surrogate-mc", "unconstrained-feasible"])
 def test_search_estimates_each_allocation_once(monkeypatch, model, n_steps, spec, method):
     # Every estimate goes through _batch_stats (expected, probabilistic) or
     # _log_complementary_batch (surrogate, whose Monte Carlo fallback calls
-    # _batch_stats in turn); record the allocations that one level sees.
+    # _batch_stats in turn); record the allocations that one level sees. The
+    # answer's Estimate is exact only for an enumerated surrogate; every
+    # other is a Monte Carlo mean with its standard error.
     from kellylab import drawdown
     seen = []
     name, arg = ("_log_complementary_batch", 1) if spec.kind == "surrogate" else ("_batch_stats", 2)
@@ -976,6 +1005,8 @@ def test_search_estimates_each_allocation_once(monkeypatch, model, n_steps, spec
     assert res.method == method
     assert len(seen) == len(set(seen))
     assert res.iterations == len(seen)
+    assert type(res.constraint) is Estimate
+    assert res.constraint.exact == (spec.kind == "surrogate" and drawdown._enumerable(model, n_steps))
 
 
 def screen_steps(n_steps):
@@ -1259,12 +1290,12 @@ def test_screened_evaluator_keeps_every_verdict(coin, coin2, kind, eps, delta, n
     evaluate = drawdown._ConstraintEvaluator(model, n, spec, mc)
     screened = evaluate.batch(list(ks))
     plain = drawdown._batch_stats(model, spec.samples, ks, evaluate.indices)
-    for (ok, est, se), (full_est, full_se) in zip(screened, plain):
+    for (ok, est), (full_est, full_se) in zip(screened, plain):
         assert ok == spec.contains_conservatively(full_est, full_se)
         if est is None:
-            assert not ok and se is None and spec.slack(full_est) < 0.0
+            assert not ok and spec.slack(full_est) < 0.0
         else:
-            assert (est, se) == (full_est, full_se)
+            assert est == (full_est, full_se)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1284,7 +1315,7 @@ def test_every_search_admits_the_zero_allocation(coin, coin2, kind, eps, delta, 
     evaluate = drawdown._ConstraintEvaluator(model, n, spec,
                                              MonteCarloConfig(paths=paths, seed=seed))
     zero = np.zeros(model.n_assets)
-    ok, est, se = evaluate.batch([np.full(model.n_assets, 1.0 / model.n_assets), zero])[1]
+    ok, (est, se) = evaluate.batch([np.full(model.n_assets, 1.0 / model.n_assets), zero])[1]
     assert ok
     assert est == (1.0 if kind == "probabilistic" else 0.0)
     # Only an enumerated surrogate has no standard error.
@@ -1321,9 +1352,9 @@ def test_search_answers_an_admitted_allocation(coins, kind, eps, delta, n, seed)
     with mock.patch.object(drawdown, "_ConstraintEvaluator", Recording):
         res = maximize_growth_constrained(model, n, spec, MonteCarloConfig(paths=60, seed=seed))
     evaluate, = evaluators
-    ok, est, se = evaluate.seen[np.asarray(res.k_star, dtype=float).tobytes()]
+    ok, est = evaluate.seen[np.asarray(res.k_star, dtype=float).tobytes()]
     assert ok and est is not None
-    assert (est, se) == (res.constraint_estimate, res.constraint_std_error)
+    assert est == res.constraint
     assert res.iterations == evaluate.evals
 
 
@@ -1335,8 +1366,8 @@ def test_drawdown_writes_its_csv_without_the_cli(tmp_path):
     import sys
     import kellylab
     code = ("import sys; sys.path.insert(0, sys.argv[1]); from kellylab import drawdown as d; "
-            "d.write_level_set_csv(d.ProbeReport([d.ProbePoint(0.0, 0.5, 0.1, 0.01, True)], []), "
-            "sys.argv[2]); print('kellylab.cli' in sys.modules)")
+            "d.write_level_set_csv(d.ProbeReport([d.ProbePoint(0.0, 0.5, d.Estimate(0.1, 0.01), "
+            "True)], []), sys.argv[2]); print('kellylab.cli' in sys.modules)")
     src = os.path.dirname(os.path.dirname(kellylab.__file__))
     out = subprocess.run([sys.executable, "-c", code, src, str(tmp_path / "grid.csv")],
                          capture_output=True, text=True, check=True).stdout
@@ -1368,8 +1399,7 @@ def test_screen_cuts_grid_ray_work_by_more_than_half(monkeypatch):
     screened, plain = runs
     assert screened.method == "grid-ray"
     assert np.array_equal(screened.k_star, plain.k_star) and screened.g_star == plain.g_star
-    assert (screened.constraint_estimate, screened.constraint_std_error) == (
-        plain.constraint_estimate, plain.constraint_std_error)
+    assert screened.constraint == plain.constraint
     assert screened.iterations == plain.iterations
     assert work[1] == plain.iterations * 300 * 30
     assert work[0] < 0.5 * work[1]
@@ -1381,7 +1411,7 @@ def full_scan_grid_refine(model, evaluate, k_un):
     bisection toward its infeasible neighbour."""
     k_un = float(k_un[0])
     grid = np.linspace(0.0, 1.0, 101)
-    flags = [ok for ok, _, _ in evaluate.batch(grid[:, None])]
+    flags = [ok for ok, _ in evaluate.batch(grid[:, None])]
     feasible_idx = [i for i, ok in enumerate(flags) if ok]
     i_best = feasible_idx[int(np.argmax(log_growth(grid[feasible_idx, None], model)))]
     lo = grid[i_best]
@@ -1405,7 +1435,7 @@ def full_scan_grid_scan(model, evaluate, k_un):
     feasible = []
     for k1 in axis:
         row = [np.array([k1, k2]) for k2 in axis if k1 + k2 <= 1.0 + 1e-12]
-        feasible += [kv for kv, (ok, _, _) in zip(row, evaluate.batch(row)) if ok]
+        feasible += [kv for kv, (ok, _) in zip(row, evaluate.batch(row)) if ok]
     g = log_growth(np.array(feasible), model)
     best = int(np.argmax(g))
     return feasible[best], float(g[best]), "grid-scan"
@@ -1426,7 +1456,7 @@ def search_and_oracle(model, n, kind, eps, delta, seed, oracle):
     res = maximize_growth_constrained(model, n, spec, mc)
     with mock.patch.object(drawdown, "_ray_search", oracle):
         old = maximize_growth_constrained(model, n, spec, mc)
-    assert spec.slack(res.constraint_estimate) >= 0.0
+    assert spec.slack(res.constraint.value) >= 0.0
     return res, old
 
 
@@ -1546,7 +1576,7 @@ def test_interpolated_surrogate_ray_ends_where_bisection_does(coin, eps, n, path
     with mock.patch.object(drawdown_module, "_split", bisect_surrogate):
         bisected = maximize_growth_constrained(coin, n, spec, mc)
     assert res.method == bisected.method
-    assert spec.slack(res.constraint_estimate) >= 0.0
+    assert spec.slack(res.constraint.value) >= 0.0
     assert abs(res.k_star[0] - bisected.k_star[0]) <= REFINE_TOL * 1e-2 * (1 + 1e-9)
 
 
@@ -1624,8 +1654,8 @@ def test_ray_through_two_total_loss_coins_rounds_below_minus_one(monkeypatch):
     assert method == "grid-ray"
     assert g == log_growth(k, TWO_COINS) > log_growth(kg, TWO_COINS)
     assert np.allclose(k / k.sum(), u, rtol=0, atol=1e-15) and k.sum() > kg.sum()
-    ok, est, _ = evaluate(k)
-    assert ok and 0.0 <= spec.slack(est) < 0.01
+    ok, est = evaluate(k)
+    assert ok and 0.0 <= spec.slack(est.value) < 0.01
 
 
 class FlagEvaluator:
@@ -1637,7 +1667,7 @@ class FlagEvaluator:
 
     def batch(self, ks):
         self.batches.append([int(kv[0]) for kv in ks])
-        return [(i in self.feasible, None, None) for i in self.batches[-1]]
+        return [(i in self.feasible, None) for i in self.batches[-1]]
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 64])
@@ -1678,7 +1708,7 @@ def test_three_asset_search_dispatch(monkeypatch):
         res = maximize_growth_constrained(three, 30, spec, MonteCarloConfig(paths=200, seed=3))
         assert res.method == f"{kind}-fan"
         assert len(calls) == 1   # one CRN matrix serves every ray of every fan
-        assert spec.slack(res.constraint_estimate) >= 0.0
+        assert spec.slack(res.constraint.value) >= 0.0
     calls.clear()
     res = maximize_growth_constrained(three, 4, ConstraintSpec(kind="surrogate", epsilon=0.1))
     assert res.method == "surrogate-fan"
@@ -1727,7 +1757,7 @@ def serial_ray_best(model, evaluate, k_lo, us, lo, hi, tol):
         mid = 0.5 * (lo + hi)
         g_mid, slope_mid = drawdown_module._along(xu, model.probs, mid)
         ok = live & (slope_mid > 0.0)
-        ok[ok] = [admitted for admitted, _, _ in evaluate.batch(mid[ok, None] * us[ok])]
+        ok[ok] = [admitted for admitted, _ in evaluate.batch(mid[ok, None] * us[ok])]
         lo, g, slope = np.where(ok, [mid, g_mid, slope_mid], [lo, g, slope])
         hi = np.where(live & ~ok, mid, hi)
         live &= (hi - lo > tol) & (g + slope * (hi - lo) >= g.max())
@@ -1743,8 +1773,7 @@ def assert_search_equals_serial_ray_best(model, n_steps, spec, mc):
         serial = maximize_growth_constrained(model, n_steps, spec, mc)
     assert prefetched.method == serial.method
     assert np.array_equal(prefetched.k_star, serial.k_star)
-    assert (prefetched.g_star, prefetched.constraint_estimate, prefetched.constraint_std_error) == (
-        serial.g_star, serial.constraint_estimate, serial.constraint_std_error)
+    assert (prefetched.g_star, prefetched.constraint) == (serial.g_star, serial.constraint)
     # The prefetch estimates every point bisection visits, and more.
     assert prefetched.iterations >= serial.iterations
     return prefetched, serial
@@ -1786,7 +1815,7 @@ class RecordingEvaluator:
 
     def batch(self, ks):
         self.batches.append(len(ks))
-        return [(True, 0.0, 0.0)] * len(ks)
+        return [(True, Estimate(0.0, 0.0))] * len(ks)
 
 
 @pytest.mark.parametrize("kind", ["surrogate", "expected", "probabilistic"])
@@ -1935,8 +1964,8 @@ def test_probe_on_deterministic_model_matches_direct_computation():
     for pt in rep.grid:
         f = 1.0 + atom @ np.array([pt.k1, pt.k2])
         expected = 0.0 if f >= 1.0 else 1.0 - f**n
-        assert pt.estimate == pytest.approx(expected, abs=1e-12)
-        assert pt.std_error <= 1e-15
+        assert pt.estimate.value == pytest.approx(expected, abs=1e-12)
+        assert pt.estimate.std_error <= 1e-15
         assert pt.in_set == (expected <= eps)
     assert rep.significant_violations == 0 and len(rep.violations) == 0
 
@@ -1976,5 +2005,5 @@ def test_probe_grid_csv_format(tmp_path, capsys):
     assert (tmp_path / "cli.grid.csv").read_bytes() == out.read_bytes()
     lines = out.read_text().splitlines()
     assert lines[0] == "k1,k2,estimate,std_error,in_set"
-    assert lines[1:] == [f"{pt.k1!r},{pt.k2!r},{pt.estimate!r},{pt.std_error!r},{int(pt.in_set)}"
-                         for pt in rep.grid]
+    assert lines[1:] == [f"{pt.k1!r},{pt.k2!r},{pt.estimate.value!r},{pt.estimate.std_error!r},"
+                         f"{int(pt.in_set)}" for pt in rep.grid]
