@@ -183,21 +183,20 @@ def cmd_drawdown(args) -> int:
         if lo + step >= len(k_values):
             del indices
         exceeds = (drawdown.mean_se((dbars <= 1.0 - ks).astype(float))
-                   if even else [(None, None)] * len(ks))
+                   if even else [None] * len(ks))
         stats += zip(drawdown.mean_se(expected_spec.samples(dbars)),
                      drawdown.mean_se(prob_spec.samples(dbars)), exceeds)
         del dbars
     exact = (drawdown.expected_drawdown_exact(model, k_values[:, None], args.n)
              if args.exact else [None] * len(k_values))
-    for kk, ((ed, ed_se), (pe, pe_se), (exceed, exceed_se)), ed_exact in zip(
-            k_values, stats, exact):
+    for kk, ((ed, ed_se), (pe, pe_se), exceed), ed_exact in zip(k_values, stats, exact):
         line = f"{kk:>8.4f} {ed:>10.4f} {ed_se:>10.5f} {pe:>10.4f} {pe_se:>10.5f}"
         erow = [repr(float(kk)), repr(ed), repr(ed_se), int(expected_spec.contains(ed))]
         prow = [repr(float(kk)), repr(pe), repr(pe_se), int(prob_spec.contains(pe))]
         if even:
             a = analytic if 0.0 < kk < 1.0 else ""
-            line += f"  {exceed:>10.4f}  {_fmt(a) if a != '' else '-':>8}"
-            prow += [repr(exceed), repr(exceed_se), "" if a == "" else repr(a)]
+            line += f"  {exceed.value:>10.4f}  {_fmt(a) if a != '' else '-':>8}"
+            prow += [repr(exceed.value), repr(exceed.std_error), "" if a == "" else repr(a)]
         if args.exact:
             line += f"  {ed_exact:>8.4f}"
             erow.append(repr(ed_exact))

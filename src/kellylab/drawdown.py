@@ -34,10 +34,11 @@ the top of the first chunk, and again there after a screen drops rows; a
 screened call's r and d are not remade but cut to the kept rows.
 
 Enumeration. enumerate_dbar forks every state once per atom at each step,
-writing atom j's children into the strided slice [..., j] of a (B, K, m)
-array, so every numpy loop runs over the K states; it clamps against the
-scalar 1.0, as fast on strided slices. A step of more than _ENUM_CHUNK
-children runs in tiles of states, so the m passes over a tile stay in cache.
+with one _recursion_step call for the whole batch: the (B, 1, K) states
+times the (B, m, 1) factors fill a (B, m, K) block, which becomes the next
+step's (B, 1, m K) states. Atom j's children are the contiguous slice
+[:, j], so the newest atom leads the sequence index. It clamps against the
+scalar 1.0, since the block's shape changes at every step.
 
 Chunks and reductions. Both engines run a batch in chunks of rows through
 _row_chunks, each reduced before the next runs, so no batch is held at once
@@ -405,12 +406,9 @@ def expected_drawdown_mc(model: GambleModel, k, n_steps: int, paths: int, seed: 
 # Exact enumeration engine
 # ---------------------------------------------------------------------------
 
-# Elements of one unit of enumeration work. A batch is enumerated in chunks
+# Sequences of one chunk of enumerated rows: a batch is enumerated in chunks
 # of rows that hold about this many sequences together (at least one row),
-# and a step of a larger array is done in tiles of this many children: big
-# enough that numpy's per-call cost is spread over long loops, small enough
-# that a tile's arrays stay in cache and a 21-fraction sweep never holds
-# every row at once.
+# so a 21-fraction sweep never holds every row at once.
 _ENUM_CHUNK = 2**16
 
 
@@ -438,13 +436,14 @@ _SEQUENCE_PROBS = weakref.WeakKeyDictionary()
 
 
 def _sequence_probs(model: GambleModel, n_steps: int) -> np.ndarray:
-    """Read-only probability of every outcome sequence, in sequence order:
-    the running product of the model weights."""
+    """Read-only probability of every outcome sequence, in enumerate_dbar's
+    order: each step puts the model weights in front, p[a_t] times the row
+    of the steps before it, so the newest atom leads the index."""
     cached = _SEQUENCE_PROBS.get(model)
     if cached is None or cached[0] != n_steps:
         prob = np.ones(1)
         for _ in range(n_steps):
-            prob = np.multiply.outer(prob, model.probs).ravel()
+            prob = np.multiply.outer(model.probs, prob).ravel()
         prob.flags.writeable = False
         cached = _SEQUENCE_PROBS[model] = (n_steps, prob)
     return cached[1]
@@ -454,27 +453,22 @@ def enumerate_dbar(model: GambleModel, k, n_steps: int) -> tuple:
     """(probability, complementary drawdown) over every outcome sequence.
 
     k is one allocation, giving a (S,) drawdown row for S = atom_count^N
-    sequences, or a (B, n_assets) batch, giving (B, S); sequence
-    s = sum_j a_j m^(N-1-j) is at index s. The probability row is read-only
-    and kept while the model lives, for the last N it was enumerated at.
-    Raises EnumerationBudgetError when S exceeds ENUM_BUDGET. See
-    "Enumeration" in the module docstring.
+    sequences, or a (B, n_assets) batch, giving (B, S). The sequence whose
+    step t draws atom a_t is at index s = sum_t a_t m^t: the first step is
+    the least significant digit. The probability row is read-only and kept
+    while the model lives, for the last N it was enumerated at. Raises
+    EnumerationBudgetError when S exceeds ENUM_BUDGET. See "Enumeration" in
+    the module docstring.
     """
     factors = _checked_factors(model, k)
     require_enumerable(model, n_steps)
     b, m = factors.shape
-    tile = max(1, _ENUM_CHUNK // (b * m))
-    r = np.ones((b, 1))
-    d = np.ones((b, 1))
+    r = d = np.ones((b, 1, 1))
     for _ in range(n_steps):
-        r_next, d_next = np.empty((2, b, r.shape[1], m))
-        for lo in range(0, r.shape[1], tile):
-            states = slice(lo, lo + tile)
-            for j in range(m):
-                _recursion_step(r[:, states], d[:, states], factors[:, j:j + 1], 1.0,
-                                out=(r_next[:, states, j], d_next[:, states, j]))
-        r, d = r_next.reshape(b, -1), d_next.reshape(b, -1)
-    return _sequence_probs(model, n_steps), d if np.ndim(k) == 2 else d[0]
+        r_next, d_next = np.empty((2, b, m, r.shape[2]))
+        _recursion_step(r, d, factors[:, :, None], 1.0, out=(r_next, d_next))
+        r, d = r_next.reshape(b, 1, -1), d_next.reshape(b, 1, -1)
+    return _sequence_probs(model, n_steps), d.reshape(b, -1) if np.ndim(k) == 2 else d.ravel()
 
 
 def _row_chunks(k, rows: int, stats):

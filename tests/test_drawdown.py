@@ -361,10 +361,10 @@ def enumerate_dbar_loop(model, k, n_steps):
     r = np.ones(total)
     dbar = np.ones(total)
     prob = np.ones(total)
-    stride = total
+    stride = 1
     for _ in range(n_steps):
-        stride //= m
         idx = (seq // stride) % m
+        stride *= m
         r = r * f_atom[idx]
         np.minimum(r, 1.0, out=r)
         np.minimum(dbar, r, out=dbar)
@@ -401,18 +401,41 @@ def test_batched_rows_equal_single_calls_bitwise(model, ks):
         assert np.array_equal(row, dbar_samples_loop(model, kv, idx.T))
 
 
-@pytest.mark.parametrize("model", [EVEN9, SKEWED, FOUR_ATOMS, TWO_COINS],
-                         ids=["even", "skewed", "4-atom", "2-asset"])
+TEN_ATOMS = GambleModel(xs=[[x] for x in np.linspace(-0.6, 0.75, 10)], probs=np.full(10, 0.1))
+
+
+@pytest.mark.parametrize("model", [EVEN9, SKEWED, FOUR_ATOMS, TWO_COINS, TEN_ATOMS],
+                         ids=["even", "skewed", "4-atom", "2-asset", "10-atom"])
 def test_enumeration_equals_whole_array_loop_bitwise(model):
     # Two atoms up to N = 16, the largest exact N of the benchmark; four
-    # atoms up to the enumeration budget, which 4^10 exceeds.
+    # and ten atoms up to the enumeration budget, which 4^10 and 10^7 exceed.
     rng = np.random.default_rng(17)
-    for n in range(1, 17 if model.n_atoms == 2 else 10):
+    for n in range(1, {2: 17, 4: 10, 10: 7}[model.n_atoms]):
         k = rng.dirichlet(np.ones(model.n_assets + 1))[:model.n_assets]
         prob, dbar = enumerate_dbar(model, k, n)
         ref_prob, ref_dbar = enumerate_dbar_loop(model, k, n)
         assert np.array_equal(prob, ref_prob)
         assert np.array_equal(dbar, ref_dbar)
+
+
+def test_sequence_index_puts_the_first_step_least_significant():
+    # At K = 1 the factors are 1.3, 0.9 and 0.65. The sequence whose step t
+    # draws atom a_t is at index a_0 + 3 a_1 (+ 9 a_2), and holds the running
+    # minimum of r <- min(1, r f) with the products taken in step order.
+    model = GambleModel(xs=[[0.3], [-0.1], [-0.35]], probs=[0.5, 0.3, 0.2])
+    prob, dbar = enumerate_dbar(model, 1.0, 2)
+    assert dbar.tolist() == [1.0, 0.9, 0.65,
+                             0.9, 0.9 * 0.9, 0.65 * 0.9,
+                             0.65, 0.9 * 0.65, 0.65 * 0.65]
+    assert prob.tolist() == [pa * pb for pb in (0.5, 0.3, 0.2) for pa in (0.5, 0.3, 0.2)]
+    # At N = 2 a sequence and its reverse have the same bits; at N = 3 the
+    # atoms (1, 2, 2) and (2, 2, 1) round apart, in dbar and in prob.
+    prob, dbar = enumerate_dbar(model, 1.0, 3)
+    assert (0.9 * 0.65) * 0.65 != (0.65 * 0.65) * 0.9
+    assert dbar[1 + 3 * 2 + 9 * 2] == (0.9 * 0.65) * 0.65
+    assert dbar[2 + 3 * 2 + 9 * 1] == (0.65 * 0.65) * 0.9
+    assert prob[1 + 3 * 2 + 9 * 2] == (0.3 * 0.2) * 0.2
+    assert prob[2 + 3 * 2 + 9 * 1] == (0.2 * 0.2) * 0.3
 
 
 @settings(max_examples=60, deadline=None)

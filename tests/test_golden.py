@@ -246,23 +246,23 @@ EXPECTED = {
          "dd.prob.csv": "c165b1948f2b31296d90fe66e7247a5781ffd594977362f66b38e60480966394"}),
     "drawdown-exact": (
         0, "09e4ae2bfa46e270df5888b053b6a01e57d0e01307b164380d7ffb5d9d79dcf0",
-        {"dd.expected.csv": "d2f03370f84920bb60d3d5a7cd26231607d03d4872e9593ef7c97b956fab3ed0",
+        {"dd.expected.csv": "21d5ad096916a9796795db4974d7d02cdfc559f1cb13a8e82c05a8ace8fb0522",
          "dd.prob.csv": "3ee357b0f159b0b585ca3e9cf822d1c6131c7b07ab2990e0b9d4b91b25d72cc1"}),
     "drawdown-exact-chunks": (
         0, "910a9a9c600ffde1243821c57d37ecd94e8ed66fea370683bcf95b15c67b9251",
-        {"dd.expected.csv": "3b283140916cf35260e867aa31b7052d7860cafaeadb24f3e5ee99040f302c10",
+        {"dd.expected.csv": "4fe7dfaf44462e345fa59ef6d963c1eb59c4f10cdec8b4eafaab069adce31e24",
          "dd.prob.csv": "4a94678e4ef305f20f60ee22805d78b93bc81a4145a2aaeffb6ab4c7466490fb"}),
     "drawdown-exact-even": (
         0, "3a21c6fd2f6a1de2b4abdbd20f2cf2ae1e3b535470686d85b02862e29233b181",
-        {"dd.expected.csv": "94cfb2d3b7067f62ee40092c6ca3627f5292c6d7425a8699f23154f4b93c7e42",
+        {"dd.expected.csv": "c31711eef85f804eace50bd0e89a8a0c8541052a85d28024f2ccde91dc0bd913",
          "dd.prob.csv": "ae5a0b7923057952f77702036b1aada4598d2d3c8106218f1c30cee92bcc789b"}),
     "drawdown-exact-n16": (
         0, "fe5d2540fae40c06d13d83833ce670804514080aadea9a2f9ed749d6c5fff585",
-        {"dd.expected.csv": "ee39c45f69ba68e101b93994f893e81229863b08e512c8731eb0987c1f32818b",
+        {"dd.expected.csv": "176d3ed187f69d78a0d6fa8a156dee24cfe4429ecdfd32aafde67b031e25230c",
          "dd.prob.csv": "7199dd1f3c6528bb6d7ead17724800ce486d09d6782a7f799148d70914d32d8a"}),
     "drawdown-exact-three-atoms": (
         0, "ee2abde241dd149c9a63a52c56e2875aad82b33a426280fb9631d175e19c1083",
-        {"dd.expected.csv": "29323b90cf59c269f6a0f1732ee2331904aa92c80fe57530440d9ef6285cad52",
+        {"dd.expected.csv": "53a86f43d2d0af1a7cd5607bf2e7423da340ea48675e6301401290c1d0e9c212",
          "dd.prob.csv": "fcfa1920561aa33750e159db4c95c89f70ec82b922101394d6839bdd176609ef"}),
     "drawdown-skewed": (
         0, "a268e9f6ed8733e1b059ce546c20c91347602dc185ccf50f4f6faa215cf03ac8",
