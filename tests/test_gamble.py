@@ -2,13 +2,14 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kellylab import (GambleModel, ModelValidationError, dump_model, independent_join,
+from kellylab import (GambleModel, ModelValidationError, dump_model, gamble, independent_join,
                       is_feasible, load_model, make_coin, model_from_dict, moments,
                       sample_indices)
 
@@ -258,21 +259,53 @@ JSON_VALUE = st.recursive(
     max_leaves=8)
 
 
+BLOCK = gamble._DUMP_BLOCK
+
+
 @settings(max_examples=80, deadline=None)
 @given(n_assets=st.integers(1, 4), data=st.data(),
+       n_atoms=st.integers(1, 6) | st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]),
+       weights=st.sampled_from(["drawn", "equal", "nudged"]),
        provenance=st.none() | st.dictionaries(st.text(max_size=6), JSON_VALUE, max_size=4))
-def test_dump_model_writes_json_indent_2(tmp_path_factory, n_assets, data, provenance):
+def test_dump_model_writes_json_indent_2(tmp_path_factory, n_assets, data, n_atoms, weights,
+                                         provenance):
     # Every float repr is json's; -0.0, subnormals and long reprs included.
+    # Long models repeat up to 6 drawn rows, and cross the block boundary.
     rows = data.draw(st.lists(st.lists(st.floats(-1.0, 1e300) | st.just(-0.0),
                                        min_size=n_assets, max_size=n_assets),
-                              min_size=1, max_size=6))
-    weights = np.array(data.draw(st.lists(st.floats(1e-3, 1.0), min_size=len(rows),
-                                          max_size=len(rows))))
-    m = GambleModel(xs=np.array(rows), probs=weights / weights.sum())
+                              min_size=1, max_size=min(n_atoms, 6)))
+    xs = np.array([rows[i % len(rows)] for i in range(n_atoms)])
+    if weights == "drawn":
+        probs = np.array(data.draw(st.lists(st.floats(1e-3, 1.0), min_size=n_atoms,
+                                            max_size=n_atoms)))
+        probs /= probs.sum()
+    else:
+        # Equal weights, as ingest writes them; "nudged" moves the last one by an ulp.
+        probs = np.full(n_atoms, 1.0 / n_atoms)
+        if weights == "nudged":
+            probs[-1] = np.nextafter(probs[-1], 0.0)
+    m = GambleModel(xs=xs, probs=probs)
     path = tmp_path_factory.mktemp("dump") / "model.json"
     dump_model(m, path, provenance=provenance)
     assert path.read_text(encoding="utf-8") == json.dumps(
         model_to_dict(m, provenance), indent=2) + "\n"
+
+
+def test_dump_model_holds_one_block_at_a_time(tmp_path):
+    # A 2,499 x 20 model, as an ingest of 2,500 rows writes it. Joining all
+    # its atoms in one block traces 5.1 MiB; blocks of 256 trace 0.61 MiB.
+    rng = np.random.default_rng(7)
+    m = GambleModel(xs=rng.normal(0.0, 0.02, (2499, 20)), probs=np.full(2499, 1.0 / 2499))
+    path = tmp_path / "model.json"
+    dump_model(m, path, provenance={"note": "warm-up"})
+    tracemalloc.start()
+    try:
+        dump_model(m, path, provenance={"note": "traced"})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert json.loads(path.read_text())["provenance"] == {"note": "traced"}
 
 
 def test_loader_names_first_violation(tmp_path):

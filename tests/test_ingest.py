@@ -1,5 +1,8 @@
 """Price loading, return construction, and the ingest-to-optimizer pipeline."""
 
+import csv
+import datetime
+import math
 import os
 import tempfile
 
@@ -8,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kellylab import (DegenerateModelError, GambleModel, PriceDataError, approx_solution,
-                      dump_model, gbm_solution, is_feasible, load_model, load_prices,
-                      log_growth, maximize_growth, to_returns)
+from kellylab import (DegenerateModelError, GambleModel, LoadReport, PriceDataError, PriceTable,
+                      approx_solution, dump_model, gbm_solution, is_feasible, load_model,
+                      load_prices, log_growth, maximize_growth, to_returns)
 
 
 def write_csv(path, header, rows):
@@ -173,6 +176,21 @@ def test_date_only_file_rejected(tmp_path):
         load_prices(path)
 
 
+@pytest.mark.parametrize("cell, message", [
+    ("inf", "AAA: non-finite price inf at row 1"),
+    ("1e400", "AAA: non-finite price inf at row 1"),
+    ("-inf", "AAA: nonpositive price -inf at row 1"),
+    ("nan", "AAA: nonpositive price nan at row 1"),
+])
+def test_non_finite_price_names_its_row(tmp_path, cell, message):
+    path = tmp_path / "p.csv"
+    write_csv(path, ["date", "AAA"], [["2013-01-02", 100], ["2013-01-03", cell],
+                                      ["2013-01-04", 0.0]])
+    with pytest.raises(PriceDataError) as info:
+        load_prices(path)
+    assert str(info.value) == message
+
+
 def test_fewer_than_two_complete_rows_rejected(tmp_path):
     path = tmp_path / "p.csv"
     write_csv(path, ["date", "AAA"], [["2013-01-02", 100], ["2013-01-03", ""]])
@@ -195,6 +213,18 @@ def test_two_return_atoms_hand_values(tmp_path):
     pmf = to_returns(one_symbol_table(tmp_path, [100.0, 110.0, 99.0]))
     assert pmf.xs[:, 0] == pytest.approx([0.10, -0.10], abs=1e-12)
     assert np.all(pmf.probs == 0.5)
+
+
+def test_overflowing_return_names_its_symbol_and_dates(tmp_path):
+    # A subnormal price loads (it is finite and > 0), but the next return
+    # overflows to inf; that is an error, and numpy warns nothing.
+    path = tmp_path / "p.csv"
+    write_csv(path, ["date", "AAA", "BBB"], [["2013-01-02", 100, 1e-320], ["2013-01-03", 101, 5],
+                                             ["2013-01-04", 102, 6]])
+    table, _ = load_prices(path)
+    with pytest.raises(PriceDataError) as info:
+        to_returns(table)
+    assert str(info.value) == "BBB: non-finite return from 2013-01-02 to 2013-01-03"
 
 
 def test_constant_prices_degenerate_for_gbm(tmp_path):
@@ -268,6 +298,130 @@ def test_random_file_drops_blank_rows_and_round_trips(data, n_symbols, n_rows):
     assert np.array_equal(model.xs, (p[1:] - p[:-1]) / p[:-1])
     assert np.array_equal(loaded.xs, model.xs)
     assert np.array_equal(loaded.probs, model.probs)
+
+
+# ---------------------------------------------------------------------------
+# Property: the column checks raise what a row loop raises first
+# ---------------------------------------------------------------------------
+
+def load_prices_loop(path, symbols=None) -> tuple:
+    """load_prices as one pass over the rows, checking each row in turn: the
+    oracle for the column checks."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        column = {name: j for j, name in enumerate(header)}
+        repeated = [name for j, name in enumerate(header) if column[name] != j]
+        if repeated:
+            raise PriceDataError(f"column {repeated[0]!r} appears more than once in the header")
+        if "date" not in column:
+            raise PriceDataError('price file needs a header with a "date" column')
+        available = [c for c in header if c != "date"]
+        wanted = list(symbols) if symbols else available
+        if not wanted:
+            raise PriceDataError("price file has no symbol columns")
+        missing = [s for s in wanted if s not in available]
+        if missing:
+            raise PriceDataError(f"symbols not in file: {', '.join(missing)}")
+        rows = [row for row in reader if row]
+
+    date_col, cols, width = column["date"], [column[s] for s in wanted], len(header)
+    dates, prices, dropped = [], [], []
+    last = None
+    for i, row in enumerate(rows):
+        row += [""] * (width - len(row))
+        date = row[date_col].strip()
+        cells = [row[j].strip() for j in cols]
+        if not (date and all(cells)):
+            dropped.append(i)
+            continue
+        try:
+            day = datetime.date.fromisoformat(date)
+            if day.isoformat() != date:
+                raise ValueError(date)
+        except ValueError:
+            raise PriceDataError(f"unparseable date {date!r} at row {i} (need YYYY-MM-DD)")
+        if last is not None and day <= last:
+            raise PriceDataError(f"duplicate date {date} at row {i}" if day == last else
+                                 f"dates not sorted ({date} after {dates[-1]}) at row {i}")
+        last = day
+        values = []
+        for s, cell in zip(wanted, cells):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise PriceDataError(f"{s}: non-numeric price {cell!r} at row {i}")
+            if not value > 0.0:
+                raise PriceDataError(f"{s}: nonpositive price {value!r} at row {i}")
+            if not math.isfinite(value):
+                raise PriceDataError(f"{s}: non-finite price {value!r} at row {i}")
+            values.append(value)
+        dates.append(date)
+        prices.append(values)
+
+    if len(dates) < 2:
+        raise PriceDataError(f"need at least 2 complete rows, got {len(dates)}")
+    table = np.array(prices)
+    table.setflags(write=False)
+    return (PriceTable(symbols=tuple(wanted), dates=tuple(dates), prices=table),
+            LoadReport(rows_read=len(rows), dropped_rows=tuple(dropped)))
+
+
+GOOD_PRICE = PRICE.map(repr) | PRICE.map(lambda v: f" {v!r}\t")
+BAD_PRICE = st.sampled_from(["", " ", " \t ", "n/a", "1.5.2", "0", "0.0", "-0.0", "-3.5", "nan",
+                             "-nan", "inf", "-inf", "1e400", "1e-320", "1_000"])
+BAD_DATE = st.sampled_from(["padded", "blank", "spaces", "basic", "week", "slash", "garbage"])
+
+
+def date_cell(day: datetime.date, form: str) -> str:
+    year, week, weekday = day.isocalendar()
+    return {"iso": day.isoformat(), "padded": f" {day.isoformat()} ", "blank": "",
+            "spaces": "  ", "basic": day.strftime("%Y%m%d"),
+            "week": f"{year:04d}-W{week:02d}-{weekday}", "slash": day.strftime("%m/%d/%Y"),
+            "garbage": "2013-02-30"}[form]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n_symbols=st.integers(1, 4), n_rows=st.integers(0, 12))
+def test_column_checks_equal_the_row_loop(data, n_symbols, n_rows):
+    # About one draw in `noise` is a defect (none when 0), so that some files
+    # load and a defect can sit anywhere in a file.
+    noise = data.draw(st.sampled_from([0, 2, 4, 12, 40]))
+
+    def draw(good, bad):
+        return data.draw(bad if noise and data.draw(st.integers(1, noise)) == 1 else good)
+
+    symbols = [f"S{j}" for j in range(n_symbols)]
+    header = symbols[:]
+    header.insert(data.draw(st.integers(0, n_symbols)), "date")
+    day = datetime.date(2013, 1, 1)
+    lines = [",".join(header)]
+    for _ in range(n_rows):
+        # A step of 0 repeats the date; a negative one goes back in time.
+        day += datetime.timedelta(days=draw(st.integers(1, 3), st.sampled_from([0, -1, -5])))
+        row = [date_cell(day, draw(st.just("iso"), BAD_DATE)) if name == "date"
+               else draw(GOOD_PRICE, BAD_PRICE) for name in header]
+        # Short rows lack cells (a row of none is a blank line); long rows have extra ones.
+        cut = draw(st.just(0), st.sampled_from([-1, -2, 1, 2]))
+        row = row[:len(row) + cut] if cut < 0 else row + ["x"] * cut
+        lines.append(",".join(row))
+    wanted = data.draw(st.none() | st.permutations(symbols).flatmap(
+        lambda order: st.integers(1, n_symbols).map(lambda k: order[:k])))
+
+    def outcome(loader, path):
+        try:
+            table, report = loader(path, symbols=wanted)
+        except PriceDataError as exc:
+            return str(exc)
+        assert table.prices.flags.c_contiguous and not table.prices.flags.writeable
+        return (table.symbols, table.dates, table.prices.dtype, table.prices.shape,
+                table.prices.tobytes(), report)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "prices.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        assert outcome(load_prices, path) == outcome(load_prices_loop, path)
 
 
 # ---------------------------------------------------------------------------
