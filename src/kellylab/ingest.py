@@ -58,10 +58,11 @@ class LoadReport:
 def load_prices(path, symbols=None) -> tuple:
     """Read one CSV into a PriceTable of the requested symbols (default: all).
 
-    Every header name must be unique. Rows missing the date or any
-    requested value are dropped and reported. Every kept row must have a
-    date after the previous kept row's and finite prices > 0; an error names
-    the data row (0-based, blank lines not counted) of the first defect.
+    Every header name and every requested symbol must be unique. Rows
+    missing the date or any requested value are dropped and reported. Every
+    kept row must have a date after the previous kept row's and finite
+    prices > 0; an error names the data row (0-based, blank lines not
+    counted) of the first defect.
     Returns (PriceTable, LoadReport).
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -77,6 +78,9 @@ def load_prices(path, symbols=None) -> tuple:
         wanted = list(symbols) if symbols else available
         if not wanted:
             raise PriceDataError("price file has no symbol columns")
+        repeated = [s for i, s in enumerate(wanted) if s in wanted[:i]]
+        if repeated:
+            raise PriceDataError(f"symbol {repeated[0]!r} is requested more than once")
         missing = [s for s in wanted if s not in available]
         if missing:
             raise PriceDataError(f"symbols not in file: {', '.join(missing)}")

@@ -3,6 +3,8 @@
 import csv
 import io
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kellylab import run_adaptive
-from kellylab.adaptive import _reprs, trace_rows
+from kellylab.adaptive import _TRACE_BLOCK as BLOCK, _reprs, trace_rows
 from kellylab.cli import main
 
 
@@ -33,6 +35,25 @@ def trace_rows_oracle(run):
             p_str = repr(float(run.estimates[k - run.window]))
             k_hat = float(run.fractions[k - run.window])
         yield (k, repr(float(x[k])), p_str, repr(k_hat), repr(float(values[k + 1])))
+
+
+def trace_rows_whole_run(run):
+    """The one-shot trace builder: the text of every row is made before the
+    first row is written."""
+    n, w = run.path.outcomes.shape[0], run.window
+    return zip(range(n), _reprs(run.path.outcomes[:, 0]),
+               [""] * w + _reprs(run.estimates),
+               _reprs(np.concatenate([np.zeros(w), run.fractions])),
+               _reprs(run.path.values[1:]))
+
+
+def csv_bytes(rows):
+    """The trace file that the CLI writes for these rows."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["k", "outcome", "p_hat", "k_hat", "wealth"])
+    writer.writerows(rows)
+    return buf.getvalue().encode()
 
 
 def windows(run):
@@ -247,8 +268,41 @@ def test_adaptive_trace_file_is_the_oracle_rows_through_csv_writer(capsys, tmp_p
     capsys.readouterr()
     assert code == 0
     for i in range(2):
-        buf = io.StringIO(newline="")
-        writer = csv.writer(buf)
-        writer.writerow(["k", "outcome", "p_hat", "k_hat", "wealth"])
-        writer.writerows(trace_rows_oracle(run_adaptive(0.58, 3000, 40, seed=3 + i)))
-        assert (tmp_path / f"a.run{i}.csv").read_bytes() == buf.getvalue().encode()
+        expected = csv_bytes(trace_rows_oracle(run_adaptive(0.58, 3000, 40, seed=3 + i)))
+        assert (tmp_path / f"a.run{i}.csv").read_bytes() == expected
+
+
+@pytest.mark.parametrize("p_true,n,window,seed,last", [
+    (0.6, BLOCK - 1, 50, 0, None),
+    (0.6, BLOCK, 50, 1, None),
+    (0.6, BLOCK + 1, 50, 2, None),
+    (0.6, 3 * BLOCK + 7, 50, 3, None),
+    # Training ends inside the second block, so that block starts with
+    # blank p_hat cells.
+    (0.6, 3 * BLOCK + 7, BLOCK + 100, 4, None),
+    # A lost full bet at step 2321 leaves wealth 0 for the rest of the run.
+    (0.6, 3 * BLOCK + 7, 14, 1, 0.0),
+    # Wealth overflows to inf at step 3827.
+    (0.8, 3 * BLOCK + 7, 200, 0, math.inf),
+], ids=["block-1", "block", "block+1", "3block+7", "window-in-block-2", "ruin", "overflow"])
+def test_streamed_trace_equals_the_whole_run_builder(p_true, n, window, seed, last):
+    with np.errstate(over="ignore"):
+        run = run_adaptive(p_true, n, window, seed=seed)
+    if last is not None:
+        assert run.path.values[-1] == last and run.path.values[BLOCK] != last
+    assert csv_bytes(trace_rows(run)) == csv_bytes(trace_rows_whole_run(run))
+
+
+def test_trace_writer_holds_one_block_of_text():
+    # The whole run's text takes 21.6 MiB here, and copies of the run's
+    # estimates and fractions about 3 MiB.
+    run = run_adaptive(0.52, 200_000, 50, seed=0)
+    with open(os.devnull, "w", newline="") as sink:
+        writer = csv.writer(sink)
+        tracemalloc.start()
+        try:
+            writer.writerows(trace_rows(run))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 2 * 2**20

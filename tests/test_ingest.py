@@ -145,6 +145,16 @@ def test_repeated_column_name_rejected(tmp_path, symbols):
         load_prices(path, symbols=symbols)
 
 
+def test_repeated_requested_symbol_rejected(tmp_path):
+    # Two identical columns would let the optimizer split K between them
+    # arbitrarily. The file's second row is not a price: the error comes first.
+    path = tmp_path / "p.csv"
+    write_csv(path, ["date", "AAA", "BBB"],
+              [["2013-01-02", 100, 7], ["2013-01-03", "n/a", 8], ["2013-01-04", 99, 9]])
+    with pytest.raises(PriceDataError, match="symbol 'BBB' is requested more than once"):
+        load_prices(path, symbols=["BBB", "AAA", "BBB"])
+
+
 def test_non_numeric_price_rejected(tmp_path):
     path = tmp_path / "p.csv"
     write_csv(path, ["date", "AAA"], [["2013-01-02", 100], ["2013-01-03", "n/a"]])
