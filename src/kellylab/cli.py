@@ -3,7 +3,9 @@
 Subcommands: optimize, drawdown, constrained, probe-convexity, adaptive,
 ingest. Every run is fully determined by its flags plus the seed; reports
 echo the configuration once every flag has passed its range check, and file
-outputs are byte-identical across repeated runs. Human tables go to stdout, machine output (CSV/JSON) to --out paths.
+outputs are byte-identical across repeated runs. Human tables go to stdout,
+machine output (CSV/JSON) to --out paths. A model comes from exactly one of
+--model or --coin; --coin2 joins a second coin to it.
 
 Exit codes: 0 success, 2 validation error, 3 numerical non-convergence.
 """
@@ -24,7 +26,7 @@ from .adaptive import run_adaptive, trace_rows
 from .config import DEFAULT_DT_YEARS
 from .gamble import (GambleModel, ModelValidationError, dump_model, independent_join,
                      load_model, make_coin)
-from .ingest import PriceDataError, load_prices, to_returns
+from .ingest import load_prices, to_returns
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -43,13 +45,10 @@ def _parse_coin(text: str) -> GambleModel:
 
 
 def _resolve_model(args) -> GambleModel:
-    if getattr(args, "model", None):
-        model = load_model(args.model)
-    elif getattr(args, "coin", None):
-        model = _parse_coin(args.coin)
-    else:
-        raise ModelValidationError("supply a model via --model or --coin")
-    if getattr(args, "coin2", None):
+    if bool(args.model) == bool(args.coin):
+        raise ModelValidationError("give exactly one of --model or --coin")
+    model = load_model(args.model) if args.model else _parse_coin(args.coin)
+    if args.coin2:
         model = independent_join(model, _parse_coin(args.coin2))
     return model
 
@@ -73,12 +72,8 @@ def _echo(args) -> None:
     print("config: " + " ".join(parts))
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        if math.isinf(x):
-            return "-inf" if x < 0 else "inf"
-        return f"{x:.6f}"
-    return str(x)
+def _fmt(x: float) -> str:
+    return f"{x:.6f}"
 
 
 def _fmt_vec(v) -> str:
@@ -90,13 +85,6 @@ def _write_csv(path, header, rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-
-
-def _is_even_coin(model: GambleModel) -> bool:
-    if model.n_assets != 1 or model.n_atoms != 2:
-        return False
-    vals = sorted(model.xs[:, 0])
-    return vals == [-1.0, 1.0]
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +149,7 @@ def cmd_drawdown(args) -> int:
 
     k_values = np.linspace(0.0, 1.0, args.k_grid)
     indices = drawdown.sample_path_indices(model, args.paths, args.n, args.seed)
-    even = _is_even_coin(model)
+    even = model.n_atoms == 2 and sorted(model.xs[:, 0]) == [-1.0, 1.0]
     analytic = None
     if even:
         p_win = float(model.probs[np.argmax(model.xs[:, 0])])
@@ -311,6 +299,12 @@ def _add_model_flags(sp) -> None:
     sp.add_argument("--coin2", help="second coin, joined independently (2 assets)")
 
 
+def _add_sampling_flags(sp, n: int, paths: int) -> None:
+    sp.add_argument("--n", type=int, default=n)
+    sp.add_argument("--paths", type=int, default=paths)
+    sp.add_argument("--seed", type=int, default=0)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="kellylab",
                                      description="Log-growth betting laboratory")
@@ -326,9 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("drawdown", help="drawdown curves over a fraction grid")
     _add_model_flags(p)
-    p.add_argument("--n", type=int, default=252)
-    p.add_argument("--paths", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
+    _add_sampling_flags(p, 252, 10_000)
     p.add_argument("--eps", type=float, default=0.2)
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--k-grid", type=int, default=21, dest="k_grid")
@@ -343,9 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
                    required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--delta", type=float)
-    p.add_argument("--n", type=int, default=252)
-    p.add_argument("--paths", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
+    _add_sampling_flags(p, 252, 10_000)
     p.add_argument("--dt", type=float, default=DEFAULT_DT_YEARS)
     p.set_defaults(func=cmd_constrained)
 
@@ -354,9 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["expected", "probabilistic"], default="expected")
     p.add_argument("--eps", type=float, default=0.3)
     p.add_argument("--delta", type=float, default=0.2)
-    p.add_argument("--n", type=int, default=50)
-    p.add_argument("--paths", type=int, default=2_000)
-    p.add_argument("--seed", type=int, default=0)
+    _add_sampling_flags(p, 50, 2_000)
     p.add_argument("--grid-resolution", type=int, default=20, dest="grid_resolution")
     p.add_argument("--pairs", type=int, default=50)
     p.add_argument("--out", help="CSV path prefix")
@@ -393,8 +381,7 @@ def main(argv=None) -> int:
                 raise ModelValidationError(
                     f"need --{flag.replace('_', '-')} {rule}, got {getattr(args, flag)}")
         return args.func(args)
-    except (ModelValidationError, PriceDataError, drawdown.EnumerationBudgetError,
-            approx.DegenerateModelError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

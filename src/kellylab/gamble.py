@@ -6,10 +6,8 @@ Everything downstream (growth optimization, drawdown simulation, adaptive
 betting) consumes this representation, so construction is strict: bad inputs
 fail here with a named violation.
 
-Models are immutable after construction and safe to share across workers.
-Sampling is driven by an explicit numpy Generator, so identical seeds give
-bitwise-identical outcome sequences; parallel runs should split work by
-deriving disjoint child seeds (e.g. via numpy SeedSequence.spawn).
+Models are immutable after construction. Sampling is driven by an explicit
+numpy Generator, so identical seeds give bitwise-identical outcome sequences.
 """
 
 from __future__ import annotations
@@ -38,8 +36,8 @@ def as_allocation(k, n: int) -> np.ndarray:
 class GambleModel:
     """Joint PMF over return vectors.
 
-    xs:    (m, n) array, one atom per row; every component >= -1
-           (-1 means total loss of the amount bet on that asset).
+    xs:    (m, n) array, one atom per row, with m >= 1 and n >= 1; every
+           component >= -1 (-1 means total loss of the amount bet on that asset).
     probs: (m,) weights in (0, 1] summing to 1 within PROB_SUM_TOL.
 
     Duplicate atoms are legal and treated as independent point masses.
@@ -57,6 +55,8 @@ class GambleModel:
             raise ModelValidationError("atom array must be 2-dimensional (atoms x assets)")
         if probs.size == 0 or xs.shape[0] == 0:
             raise ModelValidationError("model needs at least one atom")
+        if xs.shape[1] == 0:
+            raise ModelValidationError("model needs at least one asset")
         if xs.shape[0] != probs.size:
             raise ModelValidationError(
                 f"{xs.shape[0]} atoms but {probs.size} probabilities"
@@ -133,7 +133,6 @@ def moments(model: GambleModel) -> MomentSet:
     second = model.xs.T @ (model.xs * model.probs[:, None])
     second = 0.5 * (second + second.T)
     cov = second - np.outer(mean, mean)
-    cov = 0.5 * (cov + cov.T)
     for arr in (mean, second, cov):
         arr.setflags(write=False)
     return MomentSet(mean=mean, second_moment=second, covariance=cov)
@@ -254,15 +253,14 @@ def dump_model(model: GambleModel, path, provenance=None) -> None:
     """
     probs = model.probs.tolist()
     weights = {p: repr(p) for p in dict.fromkeys(probs)}
-    x_open, x_close = ("[", "]") if model.n_assets == 0 else ("[\n        ", "\n      ]")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write('{\n  "atoms": [')
         for start in range(0, len(probs), _DUMP_BLOCK):
             atoms = zip(model.xs[start:start + _DUMP_BLOCK].tolist(),
                         probs[start:start + _DUMP_BLOCK])
             fh.write(("," if start else "") + ",".join([
-                '\n    {\n      "x": ' + x_open + ",\n        ".join(map(repr, x)) + x_close
-                + ',\n      "p": ' + weights[p] + "\n    }" for x, p in atoms]))
+                '\n    {\n      "x": [\n        ' + ",\n        ".join(map(repr, x))
+                + '\n      ],\n      "p": ' + weights[p] + "\n    }" for x, p in atoms]))
         fh.write("\n  ]")
         if provenance:
             fh.write(',\n  "provenance": '

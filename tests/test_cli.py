@@ -4,6 +4,7 @@ import argparse
 import ast
 import importlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -136,13 +137,61 @@ def test_optimize_names_the_gap_of_an_unconverged_run(capsys, tmp_path):
 
 
 def test_optimize_requires_model(capsys):
-    code, _, err = run_cli(capsys, "optimize")
-    assert code == 2 and "model" in err
+    # --coin2 joins a second coin, so it is no model source of its own.
+    for argv in ((), ("--coin2", "1,-1,0.6")):
+        code, out, err = run_cli(capsys, "optimize", *argv)
+        assert code == 2 and out == ""
+        assert "--model" in err and "--coin" in err
 
 
 def test_bad_coin_spec_is_validation_error(capsys):
     code, _, err = run_cli(capsys, "optimize", "--coin", "1,-1")
     assert code == 2 and "coin" in err
+
+
+@pytest.mark.parametrize("argv,n_assets", [
+    (("optimize",), 1),
+    (("drawdown", "--n", "10", "--paths", "100", "--k-grid", "3"), 1),
+    (("constrained", "--kind", "expected", "--eps", "0.2", "--n", "10", "--paths", "100"), 1),
+    (("probe-convexity", "--n", "10", "--paths", "100"), 2),
+], ids=["optimize", "drawdown", "constrained", "probe-convexity"])
+def test_model_and_coin_together_are_rejected_before_the_report(capsys, tmp_path, argv,
+                                                                n_assets):
+    # The file alone would run: both sources at once used to drop --coin.
+    model_path = tmp_path / "model.json"
+    coin = make_coin(1.0, -1.0, 0.9)
+    dump_model(independent_join(*[coin] * n_assets), model_path)
+    code, out, err = run_cli(capsys, *argv, "--model", str(model_path), "--coin", "1,-1,0.6")
+    assert code == 2 and out == ""
+    assert "--model" in err and "--coin" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("optimize",),
+    ("constrained", "--kind", "expected", "--eps", "0.2", "--n", "10", "--paths", "100"),
+], ids=["optimize", "constrained"])
+def test_zero_asset_model_is_rejected_before_the_report(capsys, tmp_path, argv):
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps({"atoms": [{"x": [], "p": 1.0}]}), encoding="utf-8")
+    code, out, err = run_cli(capsys, *argv, "--model", str(model_path))
+    assert code == 2 and "config:" not in out
+    assert "at least one asset" in err
+
+
+def fmt_with_inf_branch(x) -> str:
+    """The formatter before it became one format spec: the oracle."""
+    if isinstance(x, float):
+        if math.isinf(x):
+            return "-inf" if x < 0 else "inf"
+        return f"{x:.6f}"
+    return str(x)
+
+
+@pytest.mark.parametrize("x", [np.inf, -np.inf, np.nan, -0.0, 0.0, 1e300, -1e300, 5e-324,
+                               0.0403797, np.float64(-0.017013), np.float64(np.inf),
+                               np.float64(-np.inf), np.float64(np.nan)])
+def test_fmt_prints_what_the_inf_branch_printed(x):
+    assert cli._fmt(x) == fmt_with_inf_branch(x)
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,13 @@ def test_at_least_one_atom():
         GambleModel(xs=np.empty((0, 1)), probs=[])
 
 
+def test_at_least_one_asset():
+    with pytest.raises(ModelValidationError, match="at least one asset"):
+        GambleModel(xs=np.empty((2, 0)), probs=[0.5, 0.5])
+    with pytest.raises(ModelValidationError, match="at least one asset"):
+        model_from_dict({"atoms": [{"x": [], "p": 1.0}]})
+
+
 def test_returns_below_minus_one_rejected():
     with pytest.raises(ModelValidationError, match="-1"):
         GambleModel(xs=[[-1.0000001]], probs=[1.0])
@@ -139,6 +146,25 @@ def test_covariance_identity_and_symmetry():
         assert np.array_equal(mo.second_moment, mo.second_moment.T)
         assert np.allclose(mo.covariance,
                            mo.second_moment - np.outer(mo.mean, mo.mean), atol=1e-12)
+
+
+def covariance_symmetrized_again(model):
+    """The covariance as moments() built it with a second symmetrization:
+    the oracle for dropping that step."""
+    mean = model.probs @ model.xs
+    second = model.xs.T @ (model.xs * model.probs[:, None])
+    second = 0.5 * (second + second.T)
+    cov = second - np.outer(mean, mean)
+    return 0.5 * (cov + cov.T)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_assets=st.integers(1, 5), n_atoms=st.integers(1, 8))
+def test_covariance_is_symmetric_without_a_second_symmetrization(seed, n_assets, n_atoms):
+    model = random_model(np.random.default_rng(seed), n_assets=n_assets, n_atoms=n_atoms)
+    cov = moments(model).covariance
+    assert np.array_equal(cov, cov.T)
+    assert cov.tobytes() == covariance_symmetrized_again(model).tobytes()
 
 
 def test_covariance_is_psd():

@@ -5,9 +5,12 @@ the lines of module, class and function docstrings (found with ast) and
 the lines that hold only comments, layout tokens or nothing do not count.
 Total lines are physical lines, as wc -l counts them.
 
-    python tools/count_lines.py [package directory]
+    python tools/count_lines.py [package directory [second package directory]]
 
-The default directory is the repository's src/kellylab.
+The default directory is the repository's src/kellylab. Given two
+directories, each module's counts in the first (before) and the second
+(after) are printed side by side with the net change; a module missing from
+one side counts 0 there.
 """
 
 import ast
@@ -43,15 +46,28 @@ def count(path: pathlib.Path) -> tuple:
     return len(source.splitlines()), len(code)
 
 
+def tree(root: pathlib.Path) -> dict:
+    """{module file name: (total lines, code lines)} of one package directory."""
+    return {path.name: count(path) for path in sorted(root.glob("*.py"))}
+
+
 def main(argv) -> int:
-    root = pathlib.Path(argv[1]) if len(argv) > 1 else (
-        pathlib.Path(__file__).resolve().parent.parent / "src" / "kellylab")
-    total = code = 0
-    for path in sorted(root.glob("*.py")):
-        t, c = count(path)
-        total, code = total + t, code + c
-        print(f"{path.name:<16} {t:>6} {c:>6}")
-    print(f"{'total':<16} {total:>6} {code:>6}")
+    roots = [pathlib.Path(arg) for arg in argv[1:]] or [
+        pathlib.Path(__file__).resolve().parent.parent / "src" / "kellylab"]
+    if len(roots) > 2:
+        print("usage: count_lines.py [package directory [second package directory]]",
+              file=sys.stderr)
+        return 2
+    trees = [tree(root) for root in roots]
+    rows = [(name, [t.get(name, (0, 0)) for t in trees])
+            for name in sorted(set().union(*trees))]
+    rows.append(("total", [tuple(map(sum, zip((0, 0), *t.values()))) for t in trees]))
+    for name, counts in rows:
+        line = f"{name:<16}" + " ->".join(f" {t:>6} {c:>6}" for t, c in counts)
+        if len(counts) == 2:
+            (t0, c0), (t1, c1) = counts
+            line += f"   net {t1 - t0:>+5} {c1 - c0:>+5}"
+        print(line)
     return 0
 
 
