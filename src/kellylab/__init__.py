@@ -13,7 +13,7 @@ from .approx import (ApproxSolution, DegenerateModelError, approx_solution, gbm_
                      inefficiency_threshold, project_simplex_ray, repair_allocation, saturate,
                      taylor_gain_raw, taylor_solution)
 from .drawdown import (ConstrainedResult, ConstraintSpec, EnumerationBudgetError, Estimate,
-                       MonteCarloConfig, ProbeReport, coin_drawdown_probability, convexity_probe,
+                       ProbeReport, coin_drawdown_probability, convexity_probe,
                        dbar_samples, drawdown_exceedance_exact, enumerate_dbar,
                        expected_complementary_exact, expected_drawdown_exact, expected_drawdown_mc,
                        expected_log_complementary, maximize_growth_constrained, mean_se,

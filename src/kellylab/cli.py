@@ -5,7 +5,8 @@ ingest. Every run is fully determined by its flags plus the seed; reports
 echo the configuration once every flag has passed its range check, and file
 outputs are byte-identical across repeated runs. Human tables go to stdout,
 machine output (CSV/JSON) to --out paths. A model comes from exactly one of
---model or --coin; --coin2 joins a second coin to it.
+--model or --coin; --coin2 joins a second coin to it. On constrained, --delta
+goes only with --kind probabilistic.
 
 Exit codes: 0 success, 2 validation error, 3 numerical non-convergence.
 """
@@ -143,11 +144,12 @@ def cmd_drawdown(args) -> int:
         raise ModelValidationError("drawdown sweep requires a 1-asset model")
     expected_spec = drawdown.ConstraintSpec(kind="expected", epsilon=args.eps)
     prob_spec = drawdown.ConstraintSpec(kind="probabilistic", epsilon=args.eps, delta=args.delta)
-    if args.exact:
-        drawdown.require_enumerable(model, args.n)
+    k_values = np.linspace(0.0, 1.0, args.k_grid)
+    # The exact column runs first, so an N past the budget fails before the echo.
+    exact = (drawdown.expected_drawdown_exact(model, k_values[:, None], args.n)
+             if args.exact else [None] * len(k_values))
     _echo(args)
 
-    k_values = np.linspace(0.0, 1.0, args.k_grid)
     indices = drawdown.sample_path_indices(model, args.paths, args.n, args.seed)
     even = model.n_atoms == 2 and sorted(model.xs[:, 0]) == [-1.0, 1.0]
     analytic = None
@@ -175,8 +177,6 @@ def cmd_drawdown(args) -> int:
         stats += zip(drawdown.mean_se(expected_spec.samples(dbars)),
                      drawdown.mean_se(prob_spec.samples(dbars)), exceeds)
         del dbars
-    exact = (drawdown.expected_drawdown_exact(model, k_values[:, None], args.n)
-             if args.exact else [None] * len(k_values))
     for kk, ((ed, ed_se), (pe, pe_se), exceed), ed_exact in zip(k_values, stats, exact):
         line = f"{kk:>8.4f} {ed:>10.4f} {ed_se:>10.5f} {pe:>10.4f} {pe_se:>10.5f}"
         erow = [repr(float(kk)), repr(ed), repr(ed_se), int(expected_spec.contains(ed))]
@@ -207,8 +207,7 @@ def cmd_constrained(args) -> int:
     model = _resolve_model(args)
     spec = drawdown.ConstraintSpec(kind=args.kind, epsilon=args.eps, delta=args.delta)
     _echo(args)
-    mc = drawdown.MonteCarloConfig(paths=args.paths, seed=args.seed)
-    result = drawdown.maximize_growth_constrained(model, args.n, spec, mc=mc)
+    result = drawdown.maximize_growth_constrained(model, args.n, spec, args.paths, args.seed)
 
     print(f"method:              {result.method}")
     print(f"K:                   {_fmt_vec(result.k_star)}")
@@ -223,13 +222,12 @@ def cmd_constrained(args) -> int:
 
 def cmd_probe_convexity(args) -> int:
     model = _resolve_model(args)
-    if model.n_assets != 2:
-        raise ModelValidationError("probe-convexity requires a 2-asset model")
-    spec = drawdown.ConstraintSpec(kind=args.kind, epsilon=args.eps, delta=args.delta)
-    _echo(args)
-    mc = drawdown.MonteCarloConfig(paths=args.paths, seed=args.seed)
+    # --delta has a default here, and only the probabilistic set uses it.
+    spec = drawdown.ConstraintSpec(kind=args.kind, epsilon=args.eps,
+                                   delta=args.delta if args.kind == "probabilistic" else None)
     report = drawdown.convexity_probe(model, args.n, spec, grid_resolution=args.grid_resolution,
-                                      pair_samples=args.pairs, mc=mc)
+                                      pair_samples=args.pairs, paths=args.paths, seed=args.seed)
+    _echo(args)
     inside = sum(1 for p in report.grid if p.in_set)
     print(f"grid points:            {len(report.grid)} ({inside} in set)")
     print(f"midpoint pairs tested:  {report.pairs_tested}")

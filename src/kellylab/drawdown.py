@@ -185,6 +185,8 @@ class ConstraintSpec:
         if self.kind == "probabilistic":
             if self.delta is None or not (0.0 < self.delta < 1.0):
                 raise ValueError(f"delta must be in (0, 1), got {self.delta!r}")
+        elif self.delta is not None:
+            raise ValueError(f"delta applies only to a probabilistic constraint, not {self.kind!r}")
 
     def samples(self, dbar: np.ndarray) -> np.ndarray:
         """Per-path samples of the statistic, any shape: D = 1 - dbar for
@@ -217,12 +219,6 @@ class ConstraintSpec:
         if self.kind == "probabilistic":
             estimate -= 3.0 * std_error
         return self.contains(estimate)
-
-
-@dataclass(frozen=True)
-class MonteCarloConfig:
-    paths: int = 10_000
-    seed: int = 0
 
 
 class Estimate(NamedTuple):
@@ -393,7 +389,7 @@ def mean_se(samples: np.ndarray):
     return rows if np.ndim(samples) == 2 else rows[0]
 
 
-def expected_drawdown_mc(model: GambleModel, k, n_steps: int, paths: int, seed: int):
+def expected_drawdown_mc(model: GambleModel, k, n_steps: int, paths: int = 10_000, seed: int = 0):
     """Estimate of E[D], with its standard error, from `paths` independently
     sampled paths; a list of them for a (B, n_assets) batch."""
     if paths < 100:
@@ -526,14 +522,14 @@ def drawdown_exceedance_exact(model: GambleModel, k, n_steps: int, threshold: fl
                             n_steps)
 
 
-def expected_log_complementary(model: GambleModel, k, n_steps: int,
-                               mc: MonteCarloConfig = MonteCarloConfig()):
+def expected_log_complementary(model: GambleModel, k, n_steps: int, paths: int = 10_000,
+                               seed: int = 0):
     """Estimate of E[log(1 - D)]: exact by enumeration when it fits
     ENUM_BUDGET, otherwise a Monte Carlo mean with its standard error; exact
     -inf whenever ruin has positive probability. A (B, n_assets) batch gives
     a list of them, one per row."""
     return _log_complementary_batch(
-        model, k, n_steps, lambda: sample_path_indices(model, mc.paths, n_steps, mc.seed))
+        model, k, n_steps, lambda: sample_path_indices(model, paths, n_steps, seed))
 
 
 def _log_complementary_batch(model, k, n_steps, crn):
@@ -618,13 +614,14 @@ class _ConstraintEvaluator:
     estimates made.
     """
 
-    def __init__(self, model, n_steps, spec, mc):
-        self.model, self.n_steps, self.spec, self.mc = model, n_steps, spec, mc
+    def __init__(self, model, n_steps, spec, paths, seed):
+        self.model, self.n_steps, self.spec = model, n_steps, spec
+        self.paths, self.seed = paths, seed
         self.seen = {}
 
     @functools.cached_property
     def indices(self) -> np.ndarray:
-        return sample_path_indices(self.model, self.mc.paths, self.n_steps, self.mc.seed)
+        return sample_path_indices(self.model, self.paths, self.n_steps, self.seed)
 
     @property
     def evals(self) -> int:
@@ -641,7 +638,7 @@ class _ConstraintEvaluator:
                                                  lambda: self.indices)
             else:
                 stats = _batch_stats(self.model, self.spec.samples, batch, self.indices,
-                                     _screen(self.spec, self.mc.paths))
+                                     _screen(self.spec, self.paths))
             for key, est in zip(new, stats):
                 self.seen[key] = (est is not None and self.spec.contains_conservatively(*est),
                                   est)
@@ -819,7 +816,7 @@ def _ray_search(model, evaluate, k_un):
 
 
 def maximize_growth_constrained(model: GambleModel, n_steps: int, spec: ConstraintSpec,
-                                mc: MonteCarloConfig = MonteCarloConfig()) -> ConstrainedResult:
+                                paths: int = 10_000, seed: int = 0) -> ConstrainedResult:
     """Maximize log growth subject to a drawdown constraint.
 
     Returns the unconstrained optimum when the search's evaluator admits it,
@@ -830,7 +827,7 @@ def maximize_growth_constrained(model: GambleModel, n_steps: int, spec: Constrai
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     unconstrained = maximize_growth(model)
-    evaluate = _ConstraintEvaluator(model, n_steps, spec, mc)
+    evaluate = _ConstraintEvaluator(model, n_steps, spec, paths, seed)
     if evaluate(unconstrained.k_star)[0]:
         k, g, method = unconstrained.k_star, unconstrained.g_star, "unconstrained-feasible"
     else:
@@ -882,7 +879,7 @@ class ProbeReport:
 
 def convexity_probe(model: GambleModel, n_steps: int, spec: ConstraintSpec,
                     grid_resolution: int = 20, pair_samples: int = 50,
-                    mc: MonteCarloConfig = MonteCarloConfig()) -> ProbeReport:
+                    paths: int = 10_000, seed: int = 0) -> ProbeReport:
     """Estimate a two-asset drawdown constraint set on a grid, then test
     midpoints of random in-set pairs for membership.
 
@@ -899,7 +896,7 @@ def convexity_probe(model: GambleModel, n_steps: int, spec: ConstraintSpec,
         raise ValueError("grid_resolution must be >= 20")
     if pair_samples < 1:
         raise ValueError("pair_samples must be >= 1")
-    indices = sample_path_indices(model, mc.paths, n_steps, mc.seed)
+    indices = sample_path_indices(model, paths, n_steps, seed)
 
     # Membership uses the plain rule: the probe reports the set as estimated.
     points = _simplex_grid(np.linspace(0.0, 1.0, grid_resolution))
@@ -915,7 +912,7 @@ def convexity_probe(model: GambleModel, n_steps: int, spec: ConstraintSpec,
     # midpoint is drawn first and all are estimated in one batch.
     checks = []
     if len(in_points) >= 2:
-        rng = np.random.default_rng(mc.seed + 1)
+        rng = np.random.default_rng(seed + 1)
         pairs = [rng.choice(len(in_points), size=2, replace=False)
                  for _ in range(pair_samples)]
         mids = [0.5 * (in_points[ia] + in_points[ib]) for ia, ib in pairs]

@@ -152,8 +152,7 @@ def test_criterion_06_expected_drawdown_and_constraint():
     assert est1 >= 0.999
 
     spec = kl.ConstraintSpec(kind="expected", epsilon=0.2)
-    res = kl.maximize_growth_constrained(SKEWED, 252, spec,
-                                         mc=kl.MonteCarloConfig(paths=10_000, seed=0))
+    res = kl.maximize_growth_constrained(SKEWED, 252, spec, paths=10_000, seed=0)
     assert res.converged
     assert 0.07 <= res.k_star[0] <= 0.13
     elapsed = time.perf_counter() - t0
@@ -297,11 +296,11 @@ def test_criterion_10_adaptive_runs(tmp_path):
 def test_criterion_11_two_coin_convexity_probe(tmp_path):
     coin = kl.make_coin(1.0, -1.0, 0.9)
     two = kl.independent_join(coin, coin)
-    mc = kl.MonteCarloConfig(paths=2_000, seed=0)
     results = []
     for spec in (kl.ConstraintSpec(kind="expected", epsilon=0.3),
                  kl.ConstraintSpec(kind="probabilistic", epsilon=0.3, delta=0.2)):
-        rep = kl.convexity_probe(two, 50, spec, grid_resolution=20, pair_samples=50, mc=mc)
+        rep = kl.convexity_probe(two, 50, spec, grid_resolution=20, pair_samples=50,
+                                 paths=2_000, seed=0)
         assert rep.pairs_tested == 50
         assert rep.significant_violations == 0
         out = tmp_path / f"{spec.kind}.grid.csv"

@@ -297,6 +297,15 @@ def test_constrained_bad_epsilon(capsys):
         assert "config:" not in out, argv
 
 
+@pytest.mark.parametrize("kind", ["expected", "surrogate"])
+def test_constrained_rejects_delta_off_the_probabilistic_kind(capsys, kind):
+    # Only the probabilistic set has a delta: one given to another kind would
+    # be echoed and never used.
+    code, out, err = run_cli(capsys, "constrained", "--coin", "1,-1,0.9", "--kind", kind,
+                             "--eps", "0.2", "--delta", "0.5", "--n", "20", "--paths", "200")
+    assert code == 2 and out == "" and "delta" in err
+
+
 @pytest.mark.parametrize("kind,args", [("expected", ()), ("probabilistic", ("--delta", "0.1"))])
 def test_constrained_searches_three_assets_with_the_fan(capsys, tmp_path, kind, args):
     model = tmp_path / "three.json"
@@ -456,8 +465,10 @@ def test_probe_runs_and_writes_grid(capsys, tmp_path):
 
 
 def test_probe_rejects_one_asset_model(capsys):
-    code, _, err = run_cli(capsys, "probe-convexity", "--coin", "1,-1,0.9")
-    assert code == 2 and "2-asset" in err
+    # The library's own check runs before the config echo.
+    code, out, err = run_cli(capsys, "probe-convexity", "--coin", "1,-1,0.9")
+    assert code == 2 and out == ""
+    assert err == "error: convexity probe requires a 2-asset model\n"
 
 
 # ---------------------------------------------------------------------------

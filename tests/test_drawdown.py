@@ -1,5 +1,6 @@
 """Per-path drawdowns, enumeration vs Monte Carlo, constraints, probe."""
 
+import inspect
 import itertools
 import math
 import tracemalloc
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kellylab import (ConstraintSpec, EnumerationBudgetError, Estimate, GambleModel,
-                      MonteCarloConfig, coin_drawdown_probability, convexity_probe, dbar_samples,
+                      coin_drawdown_probability, convexity_probe, dbar_samples,
                       drawdown_exceedance_exact, enumerate_dbar, expected_complementary_exact,
                       expected_drawdown_exact, expected_drawdown_mc, expected_log_complementary,
                       independent_join, is_feasible, log_growth, make_coin, maximize_growth,
@@ -517,7 +518,7 @@ def test_log_complementary_underflow_is_minus_inf_without_a_warning():
     # surrogate's log is -inf there, and pytest turns a RuntimeWarning into
     # an error.
     res = expected_log_complementary(make_coin(1.0, -0.999, 0.5), 1.0, 252,
-                                     mc=MonteCarloConfig(paths=200, seed=1))
+                                     paths=200, seed=1)
     assert res.value == -math.inf and not res.exact
 
 
@@ -572,7 +573,7 @@ def test_probe_holds_one_chunk_of_rows_at_a_time():
     tracemalloc.start()
     try:
         report = convexity_probe(TWO_COINS, 20, ConstraintSpec(kind="expected", epsilon=0.3),
-                                 grid_resolution=60, mc=MonteCarloConfig(paths=2000, seed=1))
+                                 grid_resolution=60, paths=2000, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -788,7 +789,7 @@ def test_monte_carlo_chunks_keep_every_bit(monkeypatch, tmp_path, capsys):
 
     def run_all(tag):
         probe = convexity_probe(TWO_COINS, 20, spec, pair_samples=40,
-                                mc=MonteCarloConfig(paths=300, seed=5))
+                                paths=300, seed=5)
         stats = [drawdown._batch_stats(TWO_COINS, spec.samples, ks, idx, screen)
                  for screen in (None, drawdown._screen(spec, 300))]
         mc = expected_drawdown_mc(TWO_COINS, ks, 30, 300, seed=2)
@@ -816,19 +817,19 @@ def test_every_monte_carlo_row_is_an_estimate_with_its_standard_error():
     # (row 0 bets everything on an even coin) is None.
     from kellylab import drawdown
     ks = np.array([[1.0, 0.0], [0.0, 0.0], [0.1, 0.2], [0.45, 0.5]])
-    mc = MonteCarloConfig(paths=300, seed=2)
+    paths, seed = 300, 2
     spec = ConstraintSpec(kind="expected", epsilon=0.05)
-    idx = sample_path_indices(TWO_COINS, mc.paths, 30, mc.seed)
+    idx = sample_path_indices(TWO_COINS, paths, 30, seed)
     dbar = dbar_samples(TWO_COINS, ks, idx)
     rows = [*mean_se(spec.samples(dbar)), mean_se(spec.samples(dbar[2])),
-            *expected_drawdown_mc(TWO_COINS, ks, 30, mc.paths, mc.seed),
-            expected_drawdown_mc(TWO_COINS, ks[2], 30, mc.paths, mc.seed),
+            *expected_drawdown_mc(TWO_COINS, ks, 30, paths, seed),
+            expected_drawdown_mc(TWO_COINS, ks[2], 30, paths, seed),
             *drawdown._batch_stats(TWO_COINS, spec.samples, ks, idx),
             drawdown._batch_stats(TWO_COINS, spec.samples, ks[2], idx)]
     assert all(type(row) is Estimate and row.std_error is not None and not row.exact
                for row in rows)
     screened = drawdown._batch_stats(TWO_COINS, spec.samples, ks, idx,
-                                     drawdown._screen(spec, mc.paths))
+                                     drawdown._screen(spec, paths))
     assert screened[0] is None and type(screened[1]) is Estimate
     assert all(row is None or row == full for row, full in zip(screened, rows))
 
@@ -838,21 +839,21 @@ def test_every_monte_carlo_row_is_an_estimate_with_its_standard_error():
 def test_batched_surrogate_equals_expected_log_complementary(n_steps, exact):
     # Row 0 bets everything on the first even coin, so a loss ruins it.
     from kellylab import drawdown
-    mc = MonteCarloConfig(paths=300, seed=6)
+    paths, seed = 300, 6
     ks = np.array([[1.0, 0.0], [0.0, 0.0], [0.1, 0.2], [0.3, 0.05], [0.45, 0.5], [0.2, 0.1]])
     built = []
 
     def crn():
         built.append(1)
-        return sample_path_indices(TWO_COINS, mc.paths, n_steps, mc.seed)
+        return sample_path_indices(TWO_COINS, paths, n_steps, seed)
 
     batch = drawdown._log_complementary_batch(TWO_COINS, ks, n_steps, crn)
     assert len(built) == (0 if exact else 1)
     assert [type(h) for h in batch] == [Estimate] * 6
     assert batch[0].value == -math.inf and batch[0].exact
     for kv, h in zip(ks, batch):
-        assert h == expected_log_complementary(TWO_COINS, kv, n_steps, mc=mc)
-    assert expected_log_complementary(TWO_COINS, ks, n_steps, mc=mc) == batch
+        assert h == expected_log_complementary(TWO_COINS, kv, n_steps, paths=paths, seed=seed)
+    assert expected_log_complementary(TWO_COINS, ks, n_steps, paths=paths, seed=seed) == batch
     assert [h.exact for h in batch[1:]] == [exact] * 5
     # A batch of ruinous rows needs no index matrix.
     ruinous = drawdown._log_complementary_batch(TWO_COINS, ks[:1], n_steps, None)
@@ -894,7 +895,7 @@ def test_jensen_direction():
 
 def test_log_complementary_mc_fallback_is_flagged():
     # 2^30 sequences exceed ENUM_BUDGET.
-    res = expected_log_complementary(EVEN9, 0.3, 30, mc=MonteCarloConfig(paths=2000, seed=1))
+    res = expected_log_complementary(EVEN9, 0.3, 30, paths=2000, seed=1)
     assert not res.exact
     assert res.std_error is not None
     exact_small = expected_log_complementary(EVEN9, 0.3, 10).value
@@ -909,7 +910,7 @@ def test_log_complementary_mc_fallback_is_flagged():
 def test_vacuous_constraint_recovers_unconstrained():
     spec = ConstraintSpec(kind="expected", epsilon=0.999999)
     res = maximize_growth_constrained(SKEWED, 30, spec,
-                                      mc=MonteCarloConfig(paths=500, seed=0))
+                                      paths=500, seed=0)
     assert res.method == "unconstrained-feasible"
     assert res.k_star[0] == pytest.approx(2.0 / 3.0, abs=1e-6)
 
@@ -917,7 +918,7 @@ def test_vacuous_constraint_recovers_unconstrained():
 def test_expected_drawdown_constraint_binds():
     spec = ConstraintSpec(kind="expected", epsilon=0.2)
     res = maximize_growth_constrained(SKEWED, 252, spec,
-                                      mc=MonteCarloConfig(paths=2_000, seed=0))
+                                      paths=2_000, seed=0)
     assert res.converged
     assert res.constraint.value <= 0.2 + 1e-12
     assert 0.05 <= res.k_star[0] <= 0.15
@@ -926,7 +927,7 @@ def test_expected_drawdown_constraint_binds():
 def test_probabilistic_constraint_is_conservative():
     spec = ConstraintSpec(kind="probabilistic", epsilon=0.5, delta=0.1)
     res = maximize_growth_constrained(EVEN9, 60, spec,
-                                      mc=MonteCarloConfig(paths=2_000, seed=1))
+                                      paths=2_000, seed=1)
     assert res.constraint.value - 3 * res.constraint.std_error >= 0.9 - 1e-12
     assert res.k_star[0] < maximize_growth(EVEN9).k_star[0]
 
@@ -965,7 +966,7 @@ def test_search_builds_crn_matrix_at_most_once(monkeypatch, model, n_steps, spec
 
     monkeypatch.setattr(drawdown, "sample_path_indices", counting)
     res = maximize_growth_constrained(model, n_steps, spec,
-                                      mc=MonteCarloConfig(paths=300, seed=2))
+                                      paths=300, seed=2)
     assert res.method != "unconstrained-feasible"
     assert len(calls) == builds
 
@@ -987,7 +988,7 @@ def test_surrogate_chooses_estimator_without_calling_enumeration(monkeypatch, n_
     monkeypatch.setattr(drawdown, "enumerate_dbar", counting)
     spec = ConstraintSpec(kind="surrogate", epsilon=0.1)
     res = maximize_growth_constrained(TWO_COINS, n_steps, spec,
-                                      mc=MonteCarloConfig(paths=300, seed=2))
+                                      paths=300, seed=2)
     assert res.method == "surrogate-fan"
     assert (len(seen) > 0) == enumerates
 
@@ -1024,7 +1025,7 @@ def test_search_estimates_each_allocation_once(monkeypatch, model, n_steps, spec
 
     monkeypatch.setattr(drawdown, name, counting)
     res = maximize_growth_constrained(model, n_steps, spec,
-                                      mc=MonteCarloConfig(paths=300, seed=2))
+                                      paths=300, seed=2)
     assert res.method == method
     assert len(seen) == len(set(seen))
     assert res.iterations == len(seen)
@@ -1309,8 +1310,7 @@ def test_screened_evaluator_keeps_every_verdict(coin, coin2, kind, eps, delta, n
     axis = np.linspace(0.0, 1.0, 21)
     ks = (axis[:, None] if coin2 is None
           else np.array([[a, b] for a in axis[::2] for b in axis[::2] if a + b <= 1.0]))
-    mc = MonteCarloConfig(paths=200, seed=seed)
-    evaluate = drawdown._ConstraintEvaluator(model, n, spec, mc)
+    evaluate = drawdown._ConstraintEvaluator(model, n, spec, paths=200, seed=seed)
     screened = evaluate.batch(list(ks))
     plain = drawdown._batch_stats(model, spec.samples, ks, evaluate.indices)
     for (ok, est), (full_est, full_se) in zip(screened, plain):
@@ -1335,8 +1335,7 @@ def test_every_search_admits_the_zero_allocation(coin, coin2, kind, eps, delta, 
     model = coin if coin2 is None else independent_join(coin, coin2)
     spec = ConstraintSpec(kind=kind, epsilon=eps,
                           delta=delta if kind == "probabilistic" else None)
-    evaluate = drawdown._ConstraintEvaluator(model, n, spec,
-                                             MonteCarloConfig(paths=paths, seed=seed))
+    evaluate = drawdown._ConstraintEvaluator(model, n, spec, paths=paths, seed=seed)
     zero = np.zeros(model.n_assets)
     ok, (est, se) = evaluate.batch([np.full(model.n_assets, 1.0 / model.n_assets), zero])[1]
     assert ok
@@ -1368,12 +1367,12 @@ def test_search_answers_an_admitted_allocation(coins, kind, eps, delta, n, seed)
     evaluators = []
 
     class Recording(drawdown._ConstraintEvaluator):
-        def __init__(self, *args):
-            super().__init__(*args)
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
             evaluators.append(self)
 
     with mock.patch.object(drawdown, "_ConstraintEvaluator", Recording):
-        res = maximize_growth_constrained(model, n, spec, MonteCarloConfig(paths=60, seed=seed))
+        res = maximize_growth_constrained(model, n, spec, paths=60, seed=seed)
     evaluate, = evaluators
     ok, est = evaluate.seen[np.asarray(res.k_star, dtype=float).tobytes()]
     assert ok and est is not None
@@ -1405,7 +1404,6 @@ def test_screen_cuts_grid_ray_work_by_more_than_half(monkeypatch):
     # points of largest g first, which lie far outside the set.
     from kellylab import drawdown
     spec = ConstraintSpec(kind="expected", epsilon=0.1)
-    mc = MonteCarloConfig(paths=300, seed=2)
     step = drawdown._recursion_step
     work = []
 
@@ -1418,7 +1416,7 @@ def test_screen_cuts_grid_ray_work_by_more_than_half(monkeypatch):
     for screen in (drawdown._screen, lambda spec, n_paths: None):
         monkeypatch.setattr(drawdown, "_screen", screen)
         work.append(0)
-        runs.append(maximize_growth_constrained(TWO_COINS, 30, spec, mc))
+        runs.append(maximize_growth_constrained(TWO_COINS, 30, spec, paths=300, seed=2))
     screened, plain = runs
     assert screened.method == "grid-ray"
     assert np.array_equal(screened.k_star, plain.k_star) and screened.g_star == plain.g_star
@@ -1475,10 +1473,9 @@ def search_and_oracle(model, n, kind, eps, delta, seed, oracle):
     from kellylab import drawdown
     spec = ConstraintSpec(kind=kind, epsilon=eps,
                           delta=delta if kind == "probabilistic" else None)
-    mc = MonteCarloConfig(paths=200, seed=seed)
-    res = maximize_growth_constrained(model, n, spec, mc)
+    res = maximize_growth_constrained(model, n, spec, paths=200, seed=seed)
     with mock.patch.object(drawdown, "_ray_search", oracle):
-        old = maximize_growth_constrained(model, n, spec, mc)
+        old = maximize_growth_constrained(model, n, spec, paths=200, seed=seed)
     assert spec.slack(res.constraint.value) >= 0.0
     return res, old
 
@@ -1550,9 +1547,8 @@ def test_three_asset_fan_keeps_the_growth_of_its_centre_ray(coins, kind, eps, de
     # REFINE_TOL bracket of g covers the rounding of its growth slope.
     model = independent_join(*coins)
     spec = ConstraintSpec(kind=kind, epsilon=eps, delta=delta if kind == "probabilistic" else None)
-    mc = MonteCarloConfig(paths=200, seed=seed)
-    res = maximize_growth_constrained(model, n, spec, mc)
-    fresh = drawdown_module._ConstraintEvaluator(model, n, spec, mc)
+    res = maximize_growth_constrained(model, n, spec, paths=200, seed=seed)
+    fresh = drawdown_module._ConstraintEvaluator(model, n, spec, paths=200, seed=seed)
     assert fresh(res.k_star)[0]
     assert res.method in (f"{kind}-fan", "unconstrained-feasible")
     u = np.full(3, 1.0 / 3.0)
@@ -1594,10 +1590,9 @@ def test_interpolated_surrogate_ray_ends_where_bisection_does(coin, eps, n, path
     # so both searches end with an admitted lo within their width of the
     # same boundary point.
     spec = ConstraintSpec(kind="surrogate", epsilon=eps)
-    mc = MonteCarloConfig(paths=paths, seed=seed)
-    res = maximize_growth_constrained(coin, n, spec, mc)
+    res = maximize_growth_constrained(coin, n, spec, paths=paths, seed=seed)
     with mock.patch.object(drawdown_module, "_split", bisect_surrogate):
-        bisected = maximize_growth_constrained(coin, n, spec, mc)
+        bisected = maximize_growth_constrained(coin, n, spec, paths=paths, seed=seed)
     assert res.method == bisected.method
     assert spec.slack(res.constraint.value) >= 0.0
     assert abs(res.k_star[0] - bisected.k_star[0]) <= REFINE_TOL * 1e-2 * (1 + 1e-9)
@@ -1672,7 +1667,7 @@ def test_ray_through_two_total_loss_coins_rounds_below_minus_one(monkeypatch):
     monkeypatch.setattr(drawdown, "_best_feasible", at_kg)
     spec = ConstraintSpec(kind="expected", epsilon=0.6)
     evaluate = drawdown._ConstraintEvaluator(TWO_COINS, 20, spec,
-                                             MonteCarloConfig(paths=200, seed=1))
+                                             paths=200, seed=1)
     k, g, method = drawdown._ray_search(TWO_COINS, evaluate, maximize_growth(TWO_COINS).k_star)
     assert method == "grid-ray"
     assert g == log_growth(k, TWO_COINS) > log_growth(kg, TWO_COINS)
@@ -1728,7 +1723,7 @@ def test_three_asset_search_dispatch(monkeypatch):
     for kind, delta in (("expected", None), ("probabilistic", 0.1)):
         calls.clear()
         spec = ConstraintSpec(kind=kind, epsilon=0.1, delta=delta)
-        res = maximize_growth_constrained(three, 30, spec, MonteCarloConfig(paths=200, seed=3))
+        res = maximize_growth_constrained(three, 30, spec, paths=200, seed=3)
         assert res.method == f"{kind}-fan"
         assert len(calls) == 1   # one CRN matrix serves every ray of every fan
         assert spec.slack(res.constraint.value) >= 0.0
@@ -1752,7 +1747,7 @@ def test_fan_prefetches_only_a_lone_ray(kind, k_bits, g_bits, estimates):
     from test_golden import INPUTS
     model = model_from_dict(json.loads(INPUTS["three-assets.json"]))
     spec = ConstraintSpec(kind=kind, epsilon=0.15, delta=0.1 if kind == "probabilistic" else None)
-    res = maximize_growth_constrained(model, 20, spec, MonteCarloConfig(paths=300, seed=19))
+    res = maximize_growth_constrained(model, 20, spec, paths=300, seed=19)
     assert res.method == f"{kind}-fan"
     assert res.k_star.tobytes().hex() == k_bits
     assert np.float64(res.g_star).tobytes().hex() == g_bits
@@ -1790,10 +1785,10 @@ def serial_ray_best(model, evaluate, k_lo, us, lo, hi, tol):
     return np.where(better[:, None], k, k_lo), np.where(better, g, g_lo)
 
 
-def assert_search_equals_serial_ray_best(model, n_steps, spec, mc):
-    prefetched = maximize_growth_constrained(model, n_steps, spec, mc)
+def assert_search_equals_serial_ray_best(model, n_steps, spec, paths, seed):
+    prefetched = maximize_growth_constrained(model, n_steps, spec, paths=paths, seed=seed)
     with mock.patch.object(drawdown_module, "_ray_best", serial_ray_best):
-        serial = maximize_growth_constrained(model, n_steps, spec, mc)
+        serial = maximize_growth_constrained(model, n_steps, spec, paths=paths, seed=seed)
     assert prefetched.method == serial.method
     assert np.array_equal(prefetched.k_star, serial.k_star)
     assert (prefetched.g_star, prefetched.constraint) == (serial.g_star, serial.constraint)
@@ -1811,7 +1806,7 @@ def assert_search_equals_serial_ray_best(model, n_steps, spec, mc):
 ], ids=["1d-expected", "1d-probabilistic", "2d-expected", "2d-probabilistic"])
 def test_prefetched_ray_equals_serial_bisection(model, n_steps, spec, method):
     prefetched, serial = assert_search_equals_serial_ray_best(
-        model, n_steps, spec, MonteCarloConfig(paths=300, seed=2))
+        model, n_steps, spec, paths=300, seed=2)
     assert prefetched.method == method
     assert prefetched.iterations > serial.iterations
 
@@ -1825,7 +1820,7 @@ def test_prefetched_ray_equals_serial_bisection_on_any_coins(coin, coin2, kind, 
     model = coin if coin2 is None else independent_join(coin, coin2)
     spec = ConstraintSpec(kind=kind, epsilon=eps,
                           delta=delta if kind == "probabilistic" else None)
-    assert_search_equals_serial_ray_best(model, n, spec, MonteCarloConfig(paths=150, seed=seed))
+    assert_search_equals_serial_ray_best(model, n, spec, paths=150, seed=seed)
 
 
 class RecordingEvaluator:
@@ -1880,7 +1875,7 @@ def test_grid_scan_keeps_first_of_tied_points(monkeypatch):
     monkeypatch.setattr(drawdown, "_ray_best", recording)
     m = GambleModel(xs=[[1.0, 1.0], [-1.0, -1.0]], probs=[0.8, 0.2])
     res = maximize_growth_constrained(m, 30, ConstraintSpec(kind="expected", epsilon=0.2),
-                                      mc=MonteCarloConfig(paths=200, seed=1))
+                                      paths=200, seed=1)
     assert res.method == "grid-ray"
     (k_g,) = starts
     assert k_g[0] == 0.0 and k_g[1] > 0.0
@@ -1914,10 +1909,9 @@ def test_surrogate_statistic_is_mean_log_complement():
     assert spec.samples(np.array([0.0, 0.5]))[0] == -math.inf
     assert mean_se(spec.samples(np.array([0.0, 0.5])))[0] == -math.inf
     # The Monte Carlo surrogate estimate is this statistic of its paths.
-    mc = MonteCarloConfig(paths=300, seed=6)
-    idx = sample_path_indices(TWO_COINS, mc.paths, 12, mc.seed)
+    idx = sample_path_indices(TWO_COINS, 300, 12, 6)
     for kv in ([0.1, 0.2], [0.3, 0.05]):
-        h = expected_log_complementary(TWO_COINS, kv, 12, mc=mc)
+        h = expected_log_complementary(TWO_COINS, kv, 12, paths=300, seed=6)
         assert (h.value, h.std_error) == mean_se(spec.samples(dbar_samples(TWO_COINS, kv, idx)))
 
 
@@ -1948,11 +1942,27 @@ def test_constraint_spec_validation():
         ConstraintSpec(kind="probabilistic", epsilon=0.5)
     with pytest.raises(ValueError):
         ConstraintSpec(kind="nope", epsilon=0.5)
+    # Only the probabilistic kind has a delta.
+    for kind in ("expected", "surrogate"):
+        with pytest.raises(ValueError, match="delta"):
+            ConstraintSpec(kind=kind, epsilon=0.5, delta=0.5)
 
 
 # ---------------------------------------------------------------------------
 # Convexity probe
 # ---------------------------------------------------------------------------
+
+def test_sampled_entry_points_take_paths_and_seed():
+    # One convention for the sampling settings of every sampled statistic
+    # and search: paths and seed, with the same defaults.
+    import kellylab
+    for fn in (expected_drawdown_mc, expected_log_complementary, maximize_growth_constrained,
+               convexity_probe):
+        params = inspect.signature(fn).parameters
+        assert (params["paths"].default, params["seed"].default) == (10_000, 0), fn.__name__
+        assert "mc" not in params, fn.__name__
+    assert not hasattr(kellylab, "MonteCarloConfig")
+
 
 def test_probe_requires_two_assets():
     spec = ConstraintSpec(kind="expected", epsilon=0.3)
@@ -1965,13 +1975,13 @@ def test_probe_requires_a_pair(pairs):
     spec = ConstraintSpec(kind="expected", epsilon=0.3)
     with pytest.raises(ValueError, match="pair_samples"):
         convexity_probe(TWO_COINS, 10, spec, pair_samples=pairs,
-                        mc=MonteCarloConfig(paths=100, seed=0))
+                        paths=100, seed=0)
 
 
 def test_probe_near_vacuous_level_has_no_violations():
     spec = ConstraintSpec(kind="expected", epsilon=0.999)
     rep = convexity_probe(TWO_COINS, 20, spec, grid_resolution=20, pair_samples=30,
-                          mc=MonteCarloConfig(paths=400, seed=2))
+                          paths=400, seed=2)
     assert all(p.in_set for p in rep.grid)
     assert rep.significant_violations == 0 and len(rep.violations) == 0
 
@@ -1983,7 +1993,7 @@ def test_probe_on_deterministic_model_matches_direct_computation():
     n, eps = 12, 0.3
     spec = ConstraintSpec(kind="expected", epsilon=eps)
     rep = convexity_probe(det, n, spec, grid_resolution=20, pair_samples=40,
-                          mc=MonteCarloConfig(paths=200, seed=3))
+                          paths=200, seed=3)
     for pt in rep.grid:
         f = 1.0 + atom @ np.array([pt.k1, pt.k2])
         expected = 0.0 if f >= 1.0 else 1.0 - f**n
@@ -2006,7 +2016,7 @@ def test_simplex_grids_are_feasible_for_any_model(atoms, resolution):
                if k1 + k2 <= 1.0 + 1e-12)
     rep = convexity_probe(model, 1, ConstraintSpec(kind="expected", epsilon=0.5),
                           grid_resolution=resolution, pair_samples=2,
-                          mc=MonteCarloConfig(paths=2, seed=0))
+                          paths=2, seed=0)
     assert len(rep.grid) == resolution * (resolution + 1) // 2
     assert all(is_feasible([pt.k1, pt.k2], model) for pt in rep.grid)
 
@@ -2017,7 +2027,7 @@ def test_probe_grid_csv_format(tmp_path, capsys):
     from kellylab.cli import main
     spec = ConstraintSpec(kind="probabilistic", epsilon=0.3, delta=0.2)
     rep = convexity_probe(TWO_COINS, 20, spec, grid_resolution=20, pair_samples=10,
-                          mc=MonteCarloConfig(paths=300, seed=4))
+                          paths=300, seed=4)
     out = tmp_path / "grid.csv"
     write_level_set_csv(rep, out)
     assert main(["probe-convexity", "--coin", "1,-1,0.9", "--coin2", "1,-1,0.9",
