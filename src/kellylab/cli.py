@@ -24,10 +24,11 @@ import numpy as np
 
 from . import approx, drawdown, growth
 from .adaptive import run_adaptive, trace_rows
-from .config import DEFAULT_DT_YEARS
 from .gamble import (GambleModel, ModelValidationError, dump_model, independent_join,
                      load_model, make_coin)
 from .ingest import load_prices, to_returns
+
+DEFAULT_DT_YEARS = 1.0 / 252.0   # daily betting
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2

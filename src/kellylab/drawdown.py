@@ -148,9 +148,13 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .config import ENUM_BUDGET, GRID_STEP, REFINE_TOL, SCREEN_MARGIN
 from .gamble import GambleModel, _checked_factors, sample_indices
 from .growth import _maximize_1d, log_growth, maximize_growth
+
+SCREEN_MARGIN = 1e-9        # partial slack below -this stops a Monte Carlo row of a search
+ENUM_BUDGET = 10**6         # max outcome sequences for exact enumeration
+GRID_STEP = 0.02            # simplex grid step of the two-asset constrained search
+REFINE_TOL = 1e-4           # bracket width of the constrained searches' ray bisection
 
 
 class EnumerationBudgetError(ValueError):
@@ -409,20 +413,28 @@ _ENUM_CHUNK = 2**16
 
 
 def _enumerable(model: GambleModel, n_steps: int) -> bool:
-    """True iff all atom_count^n_steps outcome sequences fit ENUM_BUDGET."""
-    return model.n_atoms ** n_steps <= ENUM_BUDGET
+    """True iff all atom_count^n_steps outcome sequences fit ENUM_BUDGET.
+    Two or more atoms pass it by step ENUM_BUDGET.bit_length(), so the power
+    is never built past that step."""
+    return model.n_atoms ** min(n_steps, ENUM_BUDGET.bit_length()) <= ENUM_BUDGET
 
 
 def require_enumerable(model: GambleModel, n_steps: int) -> None:
     """Raise ValueError when n_steps < 1, and EnumerationBudgetError when
-    atom_count^n_steps exceeds ENUM_BUDGET."""
+    atom_count^n_steps exceeds ENUM_BUDGET. The message gives the count's
+    value while Python prints it (sys.get_int_max_str_digits() digits, 4300
+    by default) and it has at most 2^16 bits."""
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     if not _enumerable(model, n_steps):
         m = model.n_atoms
-        raise EnumerationBudgetError(
-            f"{m}^{n_steps} = {m ** n_steps} sequences exceed the budget of {ENUM_BUDGET}"
-        )
+        count = f"{m}^{n_steps}"
+        if n_steps * math.log2(m) <= 2**16:
+            try:
+                count += f" = {m ** n_steps}"
+            except ValueError:
+                pass
+        raise EnumerationBudgetError(f"{count} sequences exceed the budget of {ENUM_BUDGET}")
 
 
 # (n_steps, probability row) of each live model, for the last N it was

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import FEAS_TOL, PROB_SUM_TOL
+PROB_SUM_TOL = 1e-12        # |sum(p) - 1| allowed at model construction
+FEAS_TOL = 1e-9             # slack for allocation feasibility comparisons
 
 
 class ModelValidationError(ValueError):
@@ -213,8 +214,12 @@ def model_from_dict(data: dict) -> GambleModel:
     for i, entry in enumerate(raw):
         if not isinstance(entry, dict) or "x" not in entry or "p" not in entry:
             raise ModelValidationError(f'atom {i} must be an object with "x" and "p"')
-        xs.append(entry["x"])
-        probs.append(entry["p"])
+        x, p = entry["x"], entry["p"]
+        # JSON numbers only: json reads true and false as bools, an int subclass.
+        if type(x) is not list or not {type(p), *map(type, x)} <= {int, float}:
+            raise ModelValidationError(f'atom {i} needs "x" a list of numbers and "p" a number')
+        xs.append(x)
+        probs.append(p)
     try:
         xs_arr = np.asarray(xs, dtype=float)
     except ValueError as exc:

@@ -18,8 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import MAX_OPT_ITER, OPT_TOL, RUIN_EPS
 from .gamble import GambleModel, _checked_factors, as_allocation
+
+RUIN_EPS = 1e-12            # wealth factor below this is treated as the ruin boundary
+MAX_OPT_ITER = 10**5        # multi-asset optimizer's safety cap on iterations
+OPT_TOL = 1e-12             # optimizer stop: Frank-Wolfe gap <= this * max(1, |g|)
 
 
 @dataclass(frozen=True, eq=False)

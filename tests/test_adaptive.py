@@ -208,6 +208,8 @@ def test_validation():
         run_adaptive(0.6, 100, 100)
     with pytest.raises(ValueError):
         run_adaptive(1.2, 100, 50)
+    with pytest.raises(ValueError, match="window must be >= 1"):
+        run_adaptive(0.6, 100, 0)
 
 
 def test_trace_rows_layout():

@@ -68,6 +68,14 @@ def test_degenerate_model_reported():
         taylor_solution(point)
 
 
+def test_near_collinear_assets_are_numerically_singular():
+    # The solve succeeds, but the second-moment matrix's condition number is
+    # about 1e18: its answer would be rounding noise.
+    model = GambleModel(xs=[[0.5, 0.5], [-0.3, -0.3 + 1e-9]], probs=[0.5, 0.5])
+    with pytest.raises(DegenerateModelError, match="second-moment matrix is numerically singular"):
+        taylor_solution(model)
+
+
 # ---------------------------------------------------------------------------
 # saturate / project_simplex_ray / repair
 # ---------------------------------------------------------------------------
@@ -139,6 +147,20 @@ def test_threshold_at_p08():
 
 def test_threshold_at_p05():
     assert inefficiency_threshold(0.5) == pytest.approx(2.414, abs=1e-3)
+
+
+@pytest.mark.parametrize("gamma,p,message", [
+    (0.0, 0.5, "gamma must be positive"), (-1.0, 0.5, "gamma must be positive"),
+    (1.0, 0.0, "p must be in"), (1.0, 1.0, "p must be in")])
+def test_taylor_gain_raw_checks_its_arguments(gamma, p, message):
+    with pytest.raises(ValueError, match=message):
+        taylor_gain_raw(gamma, p)
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0, -0.5])
+def test_threshold_checks_p(p):
+    with pytest.raises(ValueError, match="p must be in"):
+        inefficiency_threshold(p)
 
 
 def test_threshold_limit_as_p_to_one():

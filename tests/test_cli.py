@@ -77,13 +77,21 @@ def test_every_export_has_a_user():
     readme = (root / "README.md").read_text(encoding="utf-8")
     assert [name for name in exported
             if name not in used and not re.search(rf"\b{name}\b", readme)] == []
-    # A config constant that no other module of the package reads is dead.
-    constants = [target.id
-                 for stmt in ast.parse((package / "config.py").read_text(encoding="utf-8")).body
-                 if isinstance(stmt, ast.Assign) for target in stmt.targets]
-    read = set().union(*(names_used(path) for path in package.glob("*.py")
-                         if path.name not in ("__init__.py", "config.py")))
-    assert [name for name in constants if name not in read] == []
+
+
+def test_every_module_constant_is_read():
+    # A module-level UPPER_CASE constant that no module of the package reads
+    # (loads, not only stores) is dead.
+    package = Path(__file__).parents[1] / "src" / "kellylab"
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in package.glob("*.py")]
+    constants = {node.id for tree in trees for stmt in tree.body
+                 if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+                 for node in ast.walk(stmt) if isinstance(node, ast.Name)
+                 and isinstance(node.ctx, ast.Store) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", node.id)}
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+    assert constants and sorted(constants - read) == []
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +155,29 @@ def test_optimize_requires_model(capsys):
 def test_bad_coin_spec_is_validation_error(capsys):
     code, _, err = run_cli(capsys, "optimize", "--coin", "1,-1")
     assert code == 2 and "coin" in err
+    code, out, err = run_cli(capsys, "optimize", "--coin", "1,-1,x")
+    assert (code, out) == (2, "")
+    assert err == "error: --coin values must be numeric, got '1,-1,x'\n"
+
+
+def test_optimize_reports_a_degenerate_approximation_and_goes_on(capsys, tmp_path):
+    # One sure return: its covariance is 0, so the gbm fraction is undefined.
+    path = tmp_path / "sure.json"
+    path.write_text('{"atoms": [{"x": [0.1], "p": 1.0}]}')
+    code, out, _ = run_cli(capsys, "optimize", "--model", str(path))
+    assert code == 0
+    assert "gbm: covariance matrix is singular (degenerate gamble)\n" in out
+    assert [line.split()[0] for line in out.splitlines()[3:]] == ["exact", "taylor"]
+
+
+@pytest.mark.parametrize("atom", ['{"x": [true], "p": true}', '{"x": ["0.5"], "p": "1"}',
+                                  '{"x": 0.5, "p": 1.0}'], ids=["bool", "string", "scalar-x"])
+def test_optimize_rejects_a_model_file_of_non_numbers(capsys, tmp_path, atom):
+    path = tmp_path / "model.json"
+    path.write_text('{"atoms": [' + atom + "]}")
+    code, out, err = run_cli(capsys, "optimize", "--model", str(path))
+    assert (code, out) == (2, "")
+    assert err == 'error: atom 0 needs "x" a list of numbers and "p" a number\n'
 
 
 @pytest.mark.parametrize("argv,n_assets", [
@@ -239,6 +270,14 @@ def test_drawdown_budget_exceeded_is_validation_error(capsys):
         assert code == 2
         assert err == "error: 2^30 = 1073741824 sequences exceed the budget of 1000000\n"
         assert out == ""
+
+
+def test_drawdown_budget_error_names_a_count_too_long_to_print(capsys):
+    # 2^20000 has 6021 digits, past what Python prints of an int by default.
+    code, out, err = run_cli(capsys, "drawdown", "--coin", "1,-1,0.6", "--n", "20000",
+                             "--paths", "100", "--exact")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: 2^20000 ") and err.endswith("exceed the budget of 1000000\n")
 
 
 def test_drawdown_rejects_two_asset_models(capsys):

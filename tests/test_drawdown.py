@@ -19,7 +19,8 @@ from kellylab import (ConstraintSpec, EnumerationBudgetError, Estimate, GambleMo
                       maximize_growth_constrained, mean_se, sample_indices,
                       sample_path_indices, write_level_set_csv)
 from kellylab import drawdown as drawdown_module
-from kellylab.config import FEAS_TOL, GRID_STEP, REFINE_TOL
+from kellylab.drawdown import GRID_STEP, REFINE_TOL
+from kellylab.gamble import FEAS_TOL
 from test_growth import benchmark_size_case
 
 EVEN9 = make_coin(1.0, -1.0, 0.9)
@@ -219,6 +220,13 @@ def test_drawdown_plus_complement_is_one_on_simulated_paths():
 # Analytic even-coin formula
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("p,n,message", [
+    (0.0, 5, "p must be in"), (1.0, 5, "p must be in"), (0.6, 0, "n_steps must be >= 1")])
+def test_coin_probability_checks_its_arguments(p, n, message):
+    with pytest.raises(ValueError, match=message):
+        coin_drawdown_probability(p, n)
+
+
 def test_coin_probability_single_step():
     assert coin_drawdown_probability(0.7, 1) == pytest.approx(0.3, abs=1e-15)
 
@@ -267,6 +275,33 @@ def test_enumeration_matches_itertools_oracle():
 def test_enumeration_budget_enforced():
     with pytest.raises(EnumerationBudgetError):
         expected_drawdown_exact(EVEN9, 0.5, 21)
+
+
+def test_budget_is_decided_without_building_the_sequence_count():
+    # 2^(10^8) would be a 12 MB int; the count is capped at the step where
+    # two atoms pass the budget, and past 2^16 bits the message omits its value.
+    tracemalloc.start()
+    try:
+        enumerable = drawdown_module._enumerable(EVEN9, 10**8)
+        with pytest.raises(EnumerationBudgetError) as err:
+            drawdown_module.require_enumerable(EVEN9, 10**8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not enumerable and peak < 2**16
+    assert str(err.value) == "2^100000000 sequences exceed the budget of 1000000"
+    one_atom = GambleModel(xs=[[0.1]], probs=[1.0])
+    assert drawdown_module._enumerable(one_atom, 10**8)
+    assert [drawdown_module._enumerable(EVEN9, n) for n in (19, 20)] == [True, False]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: enumerate_dbar(EVEN9, 0.5, 0),
+    lambda: maximize_growth_constrained(EVEN9, 0, ConstraintSpec(kind="expected", epsilon=0.2)),
+], ids=["enumerate_dbar", "maximize_growth_constrained"])
+def test_zero_steps_are_rejected(call):
+    with pytest.raises(ValueError, match="n_steps must be >= 1"):
+        call()
 
 
 # ---------------------------------------------------------------------------
@@ -2019,6 +2054,16 @@ def test_simplex_grids_are_feasible_for_any_model(atoms, resolution):
                           paths=2, seed=0)
     assert len(rep.grid) == resolution * (resolution + 1) // 2
     assert all(is_feasible([pt.k1, pt.k2], model) for pt in rep.grid)
+
+
+@pytest.mark.parametrize("spec,kwargs,message", [
+    (ConstraintSpec(kind="surrogate", epsilon=0.2), {}, "expected/probabilistic"),
+    (ConstraintSpec(kind="expected", epsilon=0.2), {"grid_resolution": 10},
+     "grid_resolution must be >= 20"),
+], ids=["surrogate", "coarse-grid"])
+def test_probe_rejects_what_it_cannot_probe(spec, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        convexity_probe(TWO_COINS, 10, spec, paths=10, **kwargs)
 
 
 def test_probe_grid_csv_format(tmp_path, capsys):

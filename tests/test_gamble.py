@@ -49,6 +49,12 @@ def test_make_coin_rejects_super_ruin():
         make_coin(1.0, -1.5, 0.6)
 
 
+@pytest.mark.parametrize("win,loss", [(0.5, 0.5), (-0.2, 0.3)])
+def test_make_coin_needs_loss_below_win(win, loss):
+    with pytest.raises(ModelValidationError, match="need loss < win"):
+        make_coin(win, loss, 0.6)
+
+
 @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.1])
 def test_make_coin_rejects_degenerate_p(p):
     with pytest.raises(ModelValidationError):
@@ -71,6 +77,27 @@ def test_probabilities_must_not_exceed_one():
         GambleModel(xs=[[1.0]], probs=[1.0 + 1e-13])
 
 
+@pytest.mark.parametrize("atom", [
+    '{"x": [true], "p": true}', '{"x": [0.5], "p": false}', '{"x": [false, 0.1], "p": 1.0}',
+    '{"x": ["0.5"], "p": "0.4"}', '{"x": [0.5], "p": "1"}', '{"x": ["nan"], "p": 1.0}',
+    '{"x": 0.5, "p": 1.0}', '{"x": "0.5", "p": 1.0}', '{"x": [0.5], "p": [1.0]}',
+    '{"x": [null], "p": 1.0}', '{"x": [[0.5]], "p": 1.0}', '{"x": {"0": 0.5}, "p": 1.0}',
+])
+def test_model_file_needs_a_list_of_numbers_and_a_number(tmp_path, atom):
+    # A bool is an int to Python, and numpy parses numeric strings: neither
+    # is a JSON number, so neither loads as a return or a weight.
+    path = tmp_path / "model.json"
+    path.write_text('{"atoms": [{"x": [0.2], "p": 0.5}, ' + atom + "]}")
+    with pytest.raises(ModelValidationError,
+                       match='atom 1 needs "x" a list of numbers and "p" a number'):
+        load_model(path)
+
+
+def test_model_file_takes_integers_as_numbers():
+    m = model_from_dict({"atoms": [{"x": [1, 0], "p": 1}]})
+    assert m.xs.tolist() == [[1.0, 0.0]] and m.probs.tolist() == [1.0]
+
+
 def test_at_least_one_atom():
     with pytest.raises(ModelValidationError, match="atom"):
         GambleModel(xs=np.empty((0, 1)), probs=[])
@@ -81,6 +108,22 @@ def test_at_least_one_asset():
         GambleModel(xs=np.empty((2, 0)), probs=[0.5, 0.5])
     with pytest.raises(ModelValidationError, match="at least one asset"):
         model_from_dict({"atoms": [{"x": [], "p": 1.0}]})
+
+
+def test_one_dimensional_atoms_are_one_asset():
+    m = GambleModel(xs=[0.5, -0.2], probs=[0.4, 0.6])
+    assert m.xs.shape == (2, 1) and m.n_assets == 1
+
+
+@pytest.mark.parametrize("xs,probs,message", [
+    (np.zeros((2, 1, 1)), [0.5, 0.5], "must be 2-dimensional"),
+    ([[0.1], [0.2]], [1.0], "2 atoms but 1 probabilities"),
+    ([[0.1], [math.inf]], [0.5, 0.5], "returns must be finite"),
+    ([[math.nan], [0.1]], [0.5, 0.5], "returns must be finite"),
+], ids=["3-d", "count-mismatch", "inf", "nan"])
+def test_construction_names_the_violation(xs, probs, message):
+    with pytest.raises(ModelValidationError, match=message):
+        GambleModel(xs=xs, probs=probs)
 
 
 def test_returns_below_minus_one_rejected():
@@ -102,6 +145,11 @@ def test_model_is_immutable():
     m = make_coin(1.0, -1.0, 0.6)
     with pytest.raises(ValueError):
         m.xs[0, 0] = 2.0
+
+
+def test_independent_join_needs_a_model():
+    with pytest.raises(ValueError, match="at least one model"):
+        independent_join()
 
 
 def test_independent_join_two_coins():
@@ -340,6 +388,7 @@ def test_loader_names_first_violation(tmp_path):
         ({"atoms": [{"x": [0.5]}]}, '"x" and "p"'),
         ({"atoms": [{"x": [0.5], "p": 0.5}, {"x": [0.1], "p": 0.4}]}, "sum"),
         ({"atoms": [{"x": [-2.0], "p": 1.0}]}, "-1"),
+        ({"atoms": [{"x": [0.1], "p": 0.5}, {"x": [0.1, 0.2], "p": 0.5}]}, "ragged"),
         ({"nope": 1}, "atoms"),
     ]
     for data, fragment in cases:

@@ -78,6 +78,15 @@ CASES = {
         "probe-convexity", "--coin", "1,-1,0.8", "--coin2", "1,-1,0.75",
         "--kind", "probabilistic", "--eps", "0.35", "--delta", "0.2", "--n", "25",
         "--paths", "300", "--seed", "6", "--grid-resolution", "21", "--out", f"{OUT}/probe"),
+    # Each prints one violation line: a SIGNIFICANT one, then an inconclusive one.
+    "probe-probabilistic-significant": (
+        "probe-convexity", "--coin", "1,-1,0.8", "--coin2", "1,-1,0.8",
+        "--kind", "probabilistic", "--eps", "0.15", "--delta", "0.2", "--n", "5",
+        "--paths", "2000", "--seed", "0", "--out", f"{OUT}/probe"),
+    "probe-probabilistic-inconclusive": (
+        "probe-convexity", "--coin", "1,-1,0.9", "--coin2", "1,-1,0.8",
+        "--kind", "probabilistic", "--eps", "0.3", "--delta", "0.2", "--n", "10",
+        "--paths", "300", "--seed", "0", "--out", f"{OUT}/probe"),
     "constrained-1d-expected": (
         "constrained", "--coin", "0.15,-0.95,0.95", "--kind", "expected",
         "--eps", "0.2", "--n", "100", "--paths", "500", "--seed", "3"),
@@ -194,7 +203,8 @@ CASES = {
 # three-asset expected case was recorded while the expected and probabilistic
 # searches still refused three or more assets, as exit 2 with an empty stdout
 # (digest e3b0c442...b855), and re-recorded when the fan of rays began to
-# serve them.
+# serve them. The two probe cases that print a violation line were recorded
+# before the tuning constants moved beside the modules that read them.
 EXPECTED = {
     "adaptive-traces": (
         0, "786b777616f66bf92cf5d380b54a3d8c1004c1063c1119941858ff6d479a1cab",
@@ -286,6 +296,12 @@ EXPECTED = {
     "probe-probabilistic": (
         0, "ab38155ef69bb307307505ffdcf7978c6eaf7bd1d7ea95aeaef13236771e101a",
         {"probe.grid.csv": "4793f5fc7016c819f335043428236a759a0f54e412f2bc04860d04591f82341a"}),
+    "probe-probabilistic-inconclusive": (
+        0, "045008a6dbe90c1c923da334c26eaeb54e2f57efe5aa2ec97ef51543d34cd5bd",
+        {"probe.grid.csv": "698d4af84c4b53af08ecb9e7e9807ee3ef458a4a883e9175aab5e1e7d8d89a16"}),
+    "probe-probabilistic-significant": (
+        0, "105e416a6eb0c959a50ae360d68b4a969f5a0590ac55fc2492f7972aaa07ebd8",
+        {"probe.grid.csv": "644b5e1368a08d9a9a7cb29cb370c596baf1daa83951e2e404071a64b71d3a80"}),
 }
 
 

@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 from kellylab import (GambleModel, annualized_return, growth_gradient, independent_join,
                       is_feasible, log_growth, make_coin, maximize_growth, moments)
 from kellylab import growth
-from kellylab.config import GRID_STEP, MAX_OPT_ITER, OPT_TOL, RUIN_EPS
-from kellylab.drawdown import _simplex_grid
-from kellylab.growth import project_allocation
+from kellylab.drawdown import GRID_STEP, _simplex_grid
+from kellylab.growth import MAX_OPT_ITER, OPT_TOL, RUIN_EPS, project_allocation
 
 SKEWED = make_coin(0.15, -0.95, 0.95)
 EVEN9 = make_coin(1.0, -1.0, 0.9)
@@ -382,6 +381,17 @@ def test_near_singular_newton_step_does_not_break_the_projection():
     model = ingest_like_model(0, noise=1e-6, total_loss=1e-13)
     res = maximize_growth(model)
     assert res.converged and is_feasible(res.k_star, model)
+
+
+def test_optimizer_stopped_by_its_cap_has_not_converged(monkeypatch):
+    model = independent_join(SKEWED, make_coin(1.0, -1.0, 0.6))
+    full = maximize_growth(model)
+    assert full.converged and full.iterations > 2
+    monkeypatch.setattr(growth, "MAX_OPT_ITER", 2)
+    res = maximize_growth(model)
+    assert (res.iterations, res.converged) == (2, False)
+    assert res.gap > OPT_TOL and is_feasible(res.k_star, model)
+    assert res.gap == growth._fw_gap(res.k_star, growth_gradient(res.k_star, model))
 
 
 def test_growth_result_internally_consistent():

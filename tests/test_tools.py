@@ -1,5 +1,6 @@
-"""Repository tools: tools/count_lines.py."""
+"""Repository tools: tools/count_lines.py and tools/uncovered.py."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -37,3 +38,70 @@ def test_net_change_counts_each_module(tmp_path):
         ["b.py", "0", "0", "->", "1", "1", "net", "+1", "+1"],
         ["total", "5", "2", "->", "3", "2", "net", "-2", "+0"],
     ]
+
+
+# Line numbers follow the layout below: 5 LIMIT, 10 if, 11 return, ...
+SYNTHETIC = '''"""Doc."""
+
+import math
+
+LIMIT = 3
+
+
+def f(x):
+    """Doc."""
+    if x > LIMIT:
+        return "big"
+    try:
+        y = math.sqrt(x)
+    except ValueError:
+        y = None
+    while True:
+        break
+    for _ in range(2):
+        pass
+    total = (x
+             + 1)
+    if x < -10:
+        raise ValueError(
+            "tiny")
+    elif x < 0:
+        y = 0
+    else:
+        pass
+    return y, total
+
+
+class C:
+    a: int = 1
+
+    def g(self):
+        return [
+            1,
+        ]
+'''
+
+
+def test_uncovered_lists_each_statement_no_traced_frame_ran(tmp_path):
+    spec = importlib.util.spec_from_file_location("uncovered", ROOT / "tools" / "uncovered.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    # Docstrings, the import, def and class lines are not statements to run;
+    # a compound statement owns its header, a simple one all of its lines.
+    listed = tool.statements(SYNTHETIC)
+    assert sorted(listed) == [5, 10, 11, 12, 13, 15, 16, 17, 18, 19, 20, 22, 23, 25, 26, 28,
+                              29, 33, 36]
+    assert (list(listed[20]), list(listed[23]), list(listed[36])) == ([20, 21], [23, 24],
+                                                                      [36, 37, 38])
+    path = tmp_path / "mod.py"
+    path.write_text(SYNTHETIC, encoding="utf-8")
+    outer = sys.gettrace()
+    seen = tool.start_tracing(tmp_path)
+    try:
+        namespace = {}
+        exec(compile(SYNTHETIC, str(path), "exec"), namespace)
+        namespace["f"](1)
+    finally:
+        sys.settrace(outer)
+    assert tool.unrun(path, seen) == [(11, 'return "big"'), (15, "y = None"),
+                                      (23, "raise ValueError("), (26, "y = 0"), (36, "return [")]
