@@ -5,6 +5,9 @@ frequency over a sliding window of the last M outcomes, and bets the
 plug-in fraction 2*p_hat - 1 (clamped to [0, 1], since the raw formula goes
 negative whenever p_hat < 1/2). No betting happens during the first M steps:
 that is the training period.
+
+The coin is `make_coin(1, -1, p_true)`, drawn by `gamble.sample_indices`: a
+run at seed s sees path 0 of `drawdown.sample_path_indices(coin, 1, n_steps, s)`.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .gamble import _reprs, make_coin, sample_indices
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,19 +44,20 @@ class AdaptiveRun:
 def run_adaptive(p_true: float, n_steps: int, window: int, seed: int = 0) -> AdaptiveRun:
     """Simulate the even coin at p_true with window-frequency betting.
 
-    Deterministic given the seed. Holds K=0 for the first `window` steps;
-    at step k >= window it estimates p as the share of wins among the
-    outcomes of steps k-window..k-1 and bets clip(2 * estimate - 1, 0, 1).
+    Deterministic given the seed: sample_indices draws the outcomes of
+    make_coin(1, -1, p_true), path 0 of sample_path_indices(coin, 1, n_steps,
+    seed). Holds K=0 for the first `window` steps; at step k >= window it
+    estimates p as the share of wins among the outcomes of steps
+    k-window..k-1 and bets clip(2 * estimate - 1, 0, 1).
     """
-    if not (0.0 < p_true < 1.0):
-        raise ValueError("p_true must be in (0, 1)")
+    coin = make_coin(1.0, -1.0, p_true)
     if not window < n_steps:
         raise ValueError("window must be smaller than n_steps")
     if window < 1:
         raise ValueError("window must be >= 1")
 
-    rng = np.random.default_rng(seed)
-    x = np.where(rng.random(n_steps) < p_true, 1.0, -1.0)
+    outcomes = coin.xs[sample_indices(coin, n_steps, np.random.default_rng(seed))]
+    x = outcomes[:, 0]
 
     win_counts = np.concatenate([[0.0], np.cumsum(x > 0.0)])
     p_hats = (win_counts[window:n_steps] - win_counts[:n_steps - window]) / window
@@ -64,21 +70,8 @@ def run_adaptive(p_true: float, n_steps: int, window: int, seed: int = 0) -> Ada
     end = ruin[0] if ruin.size else n_steps
     values = np.concatenate([[1.0], np.cumprod(step[:end]), np.zeros(n_steps - end)])
 
-    path = WealthPath(values=values, outcomes=x.reshape(-1, 1))
+    path = WealthPath(values=values, outcomes=outcomes)
     return AdaptiveRun(estimates=p_hats, fractions=fractions, path=path, window=window)
-
-
-def _reprs(a: np.ndarray) -> list:
-    """repr(float(v)) of every element of the float array a.
-
-    Each distinct value of a is formatted once, so a block of the trace pays
-    one repr per distinct value in it. Values are told apart by their bits,
-    so -0.0 and 0.0 keep their own repr.
-    """
-    bits, where = np.unique(np.ascontiguousarray(a, dtype=np.float64).view(np.int64),
-                            return_inverse=True)
-    text = [repr(v) for v in bits.view(np.float64).tolist()]
-    return [text[i] for i in where.tolist()]
 
 
 # Steps per block of the trace. Measured on a 200,000-step run written to a

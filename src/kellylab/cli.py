@@ -14,7 +14,6 @@ Exit codes: 0 success, 2 validation error, 3 numerical non-convergence.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -24,8 +23,8 @@ import numpy as np
 
 from . import approx, drawdown, growth
 from .adaptive import run_adaptive, trace_rows
-from .gamble import (GambleModel, ModelValidationError, dump_model, independent_join,
-                     load_model, make_coin)
+from .gamble import (GambleModel, ModelValidationError, _write_csv, dump_model,
+                     independent_join, load_model, make_coin)
 from .ingest import load_prices, to_returns
 
 DEFAULT_DT_YEARS = 1.0 / 252.0   # daily betting
@@ -80,13 +79,6 @@ def _fmt(x: float) -> str:
 
 def _fmt_vec(v) -> str:
     return "[" + ", ".join(f"{float(x):.6f}" for x in np.atleast_1d(v)) + "]"
-
-
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +265,7 @@ def cmd_adaptive(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    symbols = args.symbols.split(",") if args.symbols else None
+    symbols = None if args.symbols is None else args.symbols.split(",")
     table, report = load_prices(args.data, symbols=symbols)
     model = to_returns(table)
     _echo(args)

@@ -138,7 +138,6 @@ README "Numerical notes" state what these arguments guarantee and cost.
 
 from __future__ import annotations
 
-import csv
 import functools
 import itertools
 import math
@@ -148,7 +147,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .gamble import GambleModel, _checked_factors, sample_indices
+from .gamble import GambleModel, _checked_factors, _write_csv, sample_indices
 from .growth import _maximize_1d, log_growth, maximize_growth
 
 SCREEN_MARGIN = 1e-9        # partial slack below -this stops a Monte Carlo row of a search
@@ -940,8 +939,6 @@ def convexity_probe(model: GambleModel, n_steps: int, spec: ConstraintSpec,
 def write_level_set_csv(report: ProbeReport, path) -> None:
     """Grid CSV with columns k1, k2, estimate, std_error, in_set, each float
     as its repr: the file `probe-convexity --out` writes."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k1", "k2", "estimate", "std_error", "in_set"])
-        writer.writerows([repr(pt.k1), repr(pt.k2), *map(repr, pt.estimate), int(pt.in_set)]
-                         for pt in report.grid)
+    _write_csv(path, ["k1", "k2", "estimate", "std_error", "in_set"],
+               ([repr(pt.k1), repr(pt.k2), *map(repr, pt.estimate), int(pt.in_set)]
+                for pt in report.grid))

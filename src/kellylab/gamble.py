@@ -8,10 +8,13 @@ fail here with a named violation.
 
 Models are immutable after construction. Sampling is driven by an explicit
 numpy Generator, so identical seeds give bitwise-identical outcome sequences.
+The package draws only through `sample_indices` and writes CSV only through
+`_write_csv`; `_reprs` formats the model file's weights and the adaptive trace.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import dataclass
 
@@ -221,10 +224,18 @@ def model_from_dict(data: dict) -> GambleModel:
         xs.append(x)
         probs.append(p)
     try:
-        xs_arr = np.asarray(xs, dtype=float)
+        xs_arr, probs_arr = np.asarray(xs, dtype=float), np.asarray(probs, dtype=float)
     except ValueError as exc:
         raise ModelValidationError(f"atom return vectors are ragged or non-numeric: {exc}")
-    return GambleModel(xs=xs_arr, probs=np.asarray(probs, dtype=float))
+    except OverflowError:
+        # A JSON integer past the float range; only now look for its atom.
+        for i, (x, p) in enumerate(zip(xs, probs)):
+            try:
+                [float(v) for v in (*x, p)]
+            except OverflowError:
+                break
+        raise ModelValidationError(f"atom {i} holds a number too large for a float")
+    return GambleModel(xs=xs_arr, probs=probs_arr)
 
 
 def load_model(path) -> GambleModel:
@@ -235,6 +246,27 @@ def load_model(path) -> GambleModel:
         except json.JSONDecodeError as exc:
             raise ModelValidationError(f"not valid JSON: {exc}")
     return model_from_dict(data)
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write a CSV file of the header row and then rows."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _reprs(a: np.ndarray) -> list:
+    """repr(float(v)) of every element of the float array a.
+
+    Each distinct value of a is formatted once, so a trace block or a model's
+    weights pay one repr per distinct value. Values are told apart by their
+    bits, so -0.0 and 0.0 keep their own repr.
+    """
+    bits, where = np.unique(np.ascontiguousarray(a, dtype=np.float64).view(np.int64),
+                            return_inverse=True)
+    text = [repr(v) for v in bits.view(np.float64).tolist()]
+    return [text[i] for i in where.tolist()]
 
 
 # Atoms per write of dump_model. A block's rows, reprs and text are freed
@@ -251,13 +283,12 @@ def dump_model(model: GambleModel, path, provenance=None) -> None:
 
     The atoms are laid out here from repr of each float, which is how json
     writes a finite float: json's indenting encoder is pure Python and slow
-    on large models. Each float is repr'd once and each distinct weight
-    once, and the atoms go out in blocks of _DUMP_BLOCK, one write per
-    block, so the whole text is never held. The provenance goes through
-    json itself.
+    on large models. Each return is repr'd once and the weights go through
+    _reprs, which formats each distinct weight once; the atoms go out in
+    blocks of _DUMP_BLOCK, one write per block, so the whole text is never
+    held. The provenance goes through json itself.
     """
-    probs = model.probs.tolist()
-    weights = {p: repr(p) for p in dict.fromkeys(probs)}
+    probs = _reprs(model.probs)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write('{\n  "atoms": [')
         for start in range(0, len(probs), _DUMP_BLOCK):
@@ -265,7 +296,7 @@ def dump_model(model: GambleModel, path, provenance=None) -> None:
                         probs[start:start + _DUMP_BLOCK])
             fh.write(("," if start else "") + ",".join([
                 '\n    {\n      "x": [\n        ' + ",\n        ".join(map(repr, x))
-                + '\n      ],\n      "p": ' + weights[p] + "\n    }" for x, p in atoms]))
+                + '\n      ],\n      "p": ' + p + "\n    }" for x, p in atoms]))
         fh.write("\n  ]")
         if provenance:
             fh.write(',\n  "provenance": '

@@ -58,11 +58,12 @@ class LoadReport:
 def load_prices(path, symbols=None) -> tuple:
     """Read one CSV into a PriceTable of the requested symbols (default: all).
 
-    Every header name and every requested symbol must be unique. Rows
-    missing the date or any requested value are dropped and reported. Every
-    kept row must have a date after the previous kept row's and finite
-    prices > 0; an error names the data row (0-based, blank lines not
-    counted) of the first defect.
+    Every header name and every requested symbol must be unique, and no
+    symbol loaded may be blank; a blank header name is reported by its
+    column (0-based, the date column counted). Rows missing the date or any
+    requested value are dropped and reported. Every kept row must have a
+    date after the previous kept row's and finite prices > 0; an error names
+    the data row (0-based, blank lines not counted) of the first defect.
     Returns (PriceTable, LoadReport).
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -78,6 +79,11 @@ def load_prices(path, symbols=None) -> tuple:
         wanted = list(symbols) if symbols else available
         if not wanted:
             raise PriceDataError("price file has no symbol columns")
+        if symbols and not all(map(str.strip, wanted)):
+            raise PriceDataError("a requested symbol is blank")
+        blank = [j for j, name in enumerate(header) if name in wanted and not name.strip()]
+        if blank:
+            raise PriceDataError(f"column {blank[0]} of the header has a blank name")
         repeated = [s for i, s in enumerate(wanted) if s in wanted[:i]]
         if repeated:
             raise PriceDataError(f"symbol {repeated[0]!r} is requested more than once")

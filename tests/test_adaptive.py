@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kellylab import run_adaptive
-from kellylab.adaptive import _TRACE_BLOCK as BLOCK, _reprs, trace_rows
+from kellylab import ModelValidationError, make_coin, run_adaptive, sample_path_indices
+from kellylab.adaptive import _TRACE_BLOCK as BLOCK, trace_rows
 from kellylab.cli import main
+from kellylab.gamble import _reprs
 
 
 def estimate_p(outcomes, k, window):
@@ -210,6 +211,27 @@ def test_validation():
         run_adaptive(1.2, 100, 50)
     with pytest.raises(ValueError, match="window must be >= 1"):
         run_adaptive(0.6, 100, 0)
+
+
+@pytest.mark.parametrize("p_true", [0.0, 1.0, 1.2, -0.1, math.nan])
+def test_p_true_outside_the_unit_interval_is_the_coins_error(p_true):
+    # make_coin is the one check of p_true; its error is a ValueError.
+    with pytest.raises(ModelValidationError, match=r"win probability must be in \(0, 1\)"):
+        run_adaptive(p_true, 100, 50)
+
+
+@pytest.mark.parametrize("n", [51, 300, 5000])
+@pytest.mark.parametrize("p", [0.52, 0.6, 0.9])
+def test_outcomes_are_path_0_of_the_coin_sampler(p, n):
+    # The adaptive coin is drawn by the sampler every Monte Carlo path uses.
+    # Wealth may overflow at p 0.9; only the outcomes are compared.
+    coin = make_coin(1.0, -1.0, p)
+    for seed in range(5):
+        path_0 = sample_path_indices(coin, 1, n, seed)[:, 0]
+        with np.errstate(over="ignore"):
+            outcomes = run_adaptive(p, n, 50, seed).path.outcomes
+        assert outcomes.shape == (n, 1)
+        assert np.array_equal(outcomes, coin.xs[path_0])
 
 
 def test_trace_rows_layout():

@@ -94,6 +94,24 @@ def test_every_module_constant_is_read():
     assert constants and sorted(constants - read) == []
 
 
+def test_each_shared_job_has_one_site():
+    # Uniforms are drawn, CSV is written and floats are formatted in bulk at
+    # one function each, all in gamble; a second site is a copy of the job.
+    package = Path(__file__).parents[1] / "src" / "kellylab"
+    sites = {"random": set(), "writer": set(), "_reprs": set()}
+    for path in sorted(package.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            where = f"{path.stem}.{getattr(stmt, 'name', '')}"
+            for node in ast.walk(stmt):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr in ("random", "writer")):
+                    sites[node.func.attr].add(where)
+                if isinstance(node, ast.FunctionDef) and node.name == "_reprs":
+                    sites["_reprs"].add(where)
+    assert sites == {"random": {"gamble.sample_indices"}, "writer": {"gamble._write_csv"},
+                     "_reprs": {"gamble._reprs"}}
+
+
 # ---------------------------------------------------------------------------
 # optimize
 # ---------------------------------------------------------------------------
@@ -178,6 +196,16 @@ def test_optimize_rejects_a_model_file_of_non_numbers(capsys, tmp_path, atom):
     code, out, err = run_cli(capsys, "optimize", "--model", str(path))
     assert (code, out) == (2, "")
     assert err == 'error: atom 0 needs "x" a list of numbers and "p" a number\n'
+
+
+@pytest.mark.parametrize("atom", ['{"x": [1' + "0" * 400 + '], "p": 1}',
+                                  '{"x": [0.5], "p": 1' + "0" * 400 + "}"], ids=["x", "p"])
+def test_optimize_rejects_an_integer_past_the_float_range(capsys, tmp_path, atom):
+    path = tmp_path / "model.json"
+    path.write_text('{"atoms": [' + atom + "]}")
+    code, out, err = run_cli(capsys, "optimize", "--model", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: atom 0 holds a number too large for a float\n"
 
 
 @pytest.mark.parametrize("argv,n_assets", [
@@ -562,6 +590,18 @@ def test_ingest_writes_loadable_model(capsys, tmp_path):
 
     code, out, _ = run_cli(capsys, "optimize", "--model", str(model_path))
     assert code == 0
+
+
+@pytest.mark.parametrize("argv,message", [
+    ((), "column 2 of the header has a blank name"),
+    (("--symbols", "A,"), "a requested symbol is blank"),
+    (("--symbols", ""), "a requested symbol is blank"),
+], ids=["header", "symbols", "empty-symbols"])
+def test_ingest_rejects_a_blank_symbol_name(capsys, tmp_path, argv, message):
+    csv_path = tmp_path / "prices.csv"
+    csv_path.write_text("date,A,\n2013-01-01,100.0,5.0\n2013-01-02,101.0,5.5\n")
+    code, out, err = run_cli(capsys, "ingest", "--data", str(csv_path), *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_ingest_missing_file_is_validation_error(capsys):

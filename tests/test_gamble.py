@@ -93,6 +93,20 @@ def test_model_file_needs_a_list_of_numbers_and_a_number(tmp_path, atom):
         load_model(path)
 
 
+# A JSON integer past the float range, which float() cannot convert.
+HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("atom", ['{"x": [0.1, ' + HUGE + '], "p": 0.5}',
+                                  '{"x": [0.1, 0.2], "p": ' + HUGE + "}"], ids=["x", "p"])
+def test_model_file_integer_past_the_float_range_names_its_atom(tmp_path, atom):
+    path = tmp_path / "model.json"
+    path.write_text('{"atoms": [{"x": [0.2, 0.3], "p": 0.5}, ' + atom + "]}")
+    with pytest.raises(ModelValidationError,
+                       match="atom 1 holds a number too large for a float"):
+        load_model(path)
+
+
 def test_model_file_takes_integers_as_numbers():
     m = model_from_dict({"atoms": [{"x": [1, 0], "p": 1}]})
     assert m.xs.tolist() == [[1.0, 0.0]] and m.probs.tolist() == [1.0]

@@ -155,6 +155,25 @@ def test_repeated_requested_symbol_rejected(tmp_path):
         load_prices(path, symbols=["BBB", "AAA", "BBB"])
 
 
+def test_blank_header_name_rejected_with_its_column(tmp_path):
+    # The third column holds prices but no name: it would load as symbol "".
+    path = tmp_path / "p.csv"
+    write_csv(path, ["date", "AAA", " "], [["2013-01-02", 100, 7], ["2013-01-03", 110, 8]])
+    with pytest.raises(PriceDataError, match="column 2 of the header has a blank name"):
+        load_prices(path)
+    # A blank column the request leaves out still loads.
+    table, _ = load_prices(path, symbols=["AAA"])
+    assert table.symbols == ("AAA",) and table.prices.tolist() == [[100.0], [110.0]]
+
+
+@pytest.mark.parametrize("symbols", [["AAA", ""], [" "], ["", ""]])
+def test_blank_requested_symbol_rejected(tmp_path, symbols):
+    path = tmp_path / "p.csv"
+    write_csv(path, ["date", "AAA", ""], [["2013-01-02", 100, 7], ["2013-01-03", 110, 8]])
+    with pytest.raises(PriceDataError, match="a requested symbol is blank"):
+        load_prices(path, symbols=symbols)
+
+
 def test_non_numeric_price_rejected(tmp_path):
     path = tmp_path / "p.csv"
     write_csv(path, ["date", "AAA"], [["2013-01-02", 100], ["2013-01-03", "n/a"]])
@@ -330,6 +349,11 @@ def load_prices_loop(path, symbols=None) -> tuple:
         wanted = list(symbols) if symbols else available
         if not wanted:
             raise PriceDataError("price file has no symbol columns")
+        if symbols and not all(map(str.strip, wanted)):
+            raise PriceDataError("a requested symbol is blank")
+        blank = [j for j, name in enumerate(header) if name in wanted and not name.strip()]
+        if blank:
+            raise PriceDataError(f"column {blank[0]} of the header has a blank name")
         missing = [s for s in wanted if s not in available]
         if missing:
             raise PriceDataError(f"symbols not in file: {', '.join(missing)}")

@@ -1,4 +1,5 @@
-"""Repository tools: tools/count_lines.py and tools/uncovered.py."""
+"""Repository tools: tools/count_lines.py, tools/uncovered.py and
+tools/compare_answers.py."""
 
 import importlib.util
 import subprocess
@@ -7,6 +8,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).parents[1]
 COUNT_LINES = ROOT / "tools" / "count_lines.py"
+
+
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
 
 
 def count_lines(*dirs) -> list:
@@ -83,9 +91,7 @@ class C:
 
 
 def test_uncovered_lists_each_statement_no_traced_frame_ran(tmp_path):
-    spec = importlib.util.spec_from_file_location("uncovered", ROOT / "tools" / "uncovered.py")
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    tool = load_tool("uncovered")
     # Docstrings, the import, def and class lines are not statements to run;
     # a compound statement owns its header, a simple one all of its lines.
     listed = tool.statements(SYNTHETIC)
@@ -105,3 +111,33 @@ def test_uncovered_lists_each_statement_no_traced_frame_ran(tmp_path):
         sys.settrace(outer)
     assert tool.unrun(path, seen) == [(11, 'return "big"'), (15, "y = None"),
                                       (23, "raise ValueError("), (26, "y = 0"), (36, "return [")]
+
+
+def reference(digests, known_failures):
+    return {"digests": digests, "known_failures": known_failures}
+
+
+def test_compare_answers_names_each_drifted_op_and_changed_failure(monkeypatch, capsys):
+    tool = load_tool("compare_answers")
+    before = reference({"mc": {"a": "01", "b": "02", "c": "03"}, "ex": {"x": "0a"}},
+                       {"mc": {"c": "not finite"}, "ex": {"x": "no convergence"}})
+    after = reference({"mc": {"a": "01", "b": "ff", "d": "04"}, "ex": {"x": "0a"}},
+                      {"mc": {"c": "not finite", "d": "not finite"}, "ex": {}})
+    summary, differences = tool.compare(before, after)
+    assert summary == ["ex: 1 ops, 0 digests differ, known failures 1 -> 0",
+                       "mc: 4 ops, 3 digests differ, known failures 1 -> 2"]
+    assert differences == ["ex x: known failure 'no convergence' -> None",
+                           "mc b: digest 02 -> ff", "mc c: digest 03 -> None",
+                           "mc d: digest None -> 04",
+                           "mc d: known failure None -> 'not finite'"]
+    assert tool.compare(before, before) == (
+        ["ex: 1 ops, 0 digests differ, known failures 1 -> 1",
+         "mc: 3 ops, 0 digests differ, known failures 1 -> 1"], [])
+
+    # main records each tree in turn (stood in for here) and exits 1 on a difference.
+    recorded = iter([before, after, before, before])
+    monkeypatch.setattr(tool, "record", lambda tree, scratch: next(recorded))
+    assert tool.main(["before", "after"]) == 1
+    assert capsys.readouterr().out.splitlines()[2:] == summary + differences
+    assert tool.main(["before", "before"]) == 0
+    assert tool.main(["before"]) == 2
