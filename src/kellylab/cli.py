@@ -143,7 +143,6 @@ def cmd_drawdown(args) -> int:
              if args.exact else [None] * len(k_values))
     _echo(args)
 
-    indices = drawdown.sample_path_indices(model, args.paths, args.n, args.seed)
     even = model.n_atoms == 2 and sorted(model.xs[:, 0]) == [-1.0, 1.0]
     analytic = None
     if even:
@@ -155,16 +154,13 @@ def cmd_drawdown(args) -> int:
     print(f"{'K':>8} {'E[D]':>10} {'se':>10} {'P(D<=eps)':>10} {'se':>10}"
           + ("  exceed(MC)  analytic" if even else "")
           + ("  exact" if args.exact else ""))
-    # One kernel call and one reduction per column for each chunk of
-    # drawdown.mc_chunk_rows fractions, a chunk freed before the next one
-    # runs; the CRN matrix is freed before the last chunk is reduced. in_set
-    # columns use the plain rule.
-    stats, step = [], drawdown.mc_chunk_rows(args.paths)
-    for lo in range(0, len(k_values), step):
-        ks = k_values[lo:lo + step, None]
-        dbars = drawdown.dbar_samples(model, ks, indices)
-        if lo + step >= len(k_values):
-            del indices
+    # One reduction per column for each chunk of fractions, each chunk freed
+    # before the next runs; the CRN matrix is handed over, so dbar_chunks
+    # frees it before the last reduce. in_set columns use the plain rule.
+    stats = []
+    for dbars in drawdown.dbar_chunks(model, k_values[:, None], drawdown.sample_path_indices(
+            model, args.paths, args.n, args.seed)):
+        ks = k_values[len(stats):len(stats) + len(dbars), None]
         exceeds = (drawdown.mean_se((dbars <= 1.0 - ks).astype(float))
                    if even else [None] * len(ks))
         stats += zip(drawdown.mean_se(expected_spec.samples(dbars)),

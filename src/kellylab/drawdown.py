@@ -40,13 +40,14 @@ step's (B, 1, m K) states. Atom j's children are the contiguous slice
 [:, j], so the newest atom leads the sequence index. It clamps against the
 scalar 1.0, since the block's shape changes at every step.
 
-Chunks and reductions. Both engines run a batch in chunks of rows through
-_row_chunks, each reduced before the next runs, so no batch is held at once
-and no row's result depends on its chunk: Monte Carlo in chunks of at most
+Chunks and reductions. Both engines run a batch in chunks of rows, each
+reduced before the next runs, so no batch is held at once and no row's
+result depends on its chunk: Monte Carlo through dbar_chunks, of at most
 _MC_CHUNK floats per (rows, paths) array, enumeration of about _ENUM_CHUNK
-sequences. Each engine reduces a chunk's samples(dbar) by one rule:
+sequences. dbar_chunks releases a CRN matrix handed over to it before the
+last reduce. Each engine reduces a chunk's samples(dbar) by one rule:
 _enumerated_rows takes their _expectation (every exact statistic),
-_batch_stats their mean_se along axis 1 (all others but the CLI sweep's).
+_batch_stats and the CLI sweep their mean_se along axis 1.
 
 The evaluator. Each constrained search estimates the constraint through one
 _ConstraintEvaluator, which samples the CRN matrix on first use, estimates
@@ -277,9 +278,9 @@ _MIN_BLOCK_PATHS = 256
 _SCREEN_STEPS = 8
 # Paths per chunk when filling the step-major index matrix.
 _SAMPLE_CHUNK = 256
-# Floats of one (rows, paths) array of a Monte Carlo batch, which runs in
-# chunks of mc_chunk_rows(paths) rows: a 21-fraction sweep on 10000 paths
-# and a search batch of 64 rows on 1000 paths are one chunk.
+# Floats of one (rows, paths) array of a dbar_chunks chunk, which has
+# max(1, _MC_CHUNK // paths) rows: a 21-fraction sweep on 10000 paths and a
+# search batch of 64 rows on 1000 paths are one chunk.
 _MC_CHUNK = 2**18
 
 
@@ -298,12 +299,6 @@ def sample_path_indices(model: GambleModel, paths: int, n_steps: int, seed: int)
         hi = min(lo + _SAMPLE_CHUNK, paths)
         out[:, lo:hi] = sample_indices(model, (hi - lo, n_steps), rng).T
     return out
-
-
-def mc_chunk_rows(paths: int) -> int:
-    """Rows of one chunk of a Monte Carlo batch on `paths` paths: at most
-    _MC_CHUNK floats per (rows, paths) array, and at least one row."""
-    return max(1, _MC_CHUNK // paths)
 
 
 def dbar_samples(model: GambleModel, k, indices: np.ndarray, screen=None) -> np.ndarray:
@@ -379,6 +374,23 @@ def dbar_samples(model: GambleModel, k, indices: np.ndarray, screen=None) -> np.
     return dbar if np.ndim(k) == 2 else dbar[0]
 
 
+def dbar_chunks(model: GambleModel, k, indices: np.ndarray, screen=None):
+    """The (rows, paths) dbar_samples of each chunk of max(1, _MC_CHUNK //
+    paths) rows of one allocation or a (B, n_assets) batch k, one kernel
+    call per chunk, run as the consumer asks for it. It keeps no chunk once
+    yielded, and lets go of indices before it yields the last chunk, so a
+    consumer that drops each chunk holds one at a time, and a matrix that
+    only this call references is freed before the last chunk is reduced."""
+    ks = np.atleast_2d(k)
+    rows = max(1, _MC_CHUNK // indices.shape[1])
+    for lo in range(0, len(ks), rows):
+        # Popped as it is yielded, so the suspended frame holds no chunk.
+        box = [dbar_samples(model, ks[lo:lo + rows], indices, screen=screen)]
+        if lo + rows >= len(ks):
+            del indices
+        yield box.pop()
+
+
 def mean_se(samples: np.ndarray):
     """Estimate(mean, standard error of the mean) of a 1-D sample, or a list
     of them for a (B, paths) block, one per row, reduced once along axis 1.
@@ -420,20 +432,13 @@ def _enumerable(model: GambleModel, n_steps: int) -> bool:
 
 def require_enumerable(model: GambleModel, n_steps: int) -> None:
     """Raise ValueError when n_steps < 1, and EnumerationBudgetError when
-    atom_count^n_steps exceeds ENUM_BUDGET. The message gives the count's
-    value while Python prints it (sys.get_int_max_str_digits() digits, 4300
-    by default) and it has at most 2^16 bits."""
+    atom_count^n_steps exceeds ENUM_BUDGET, stating the count as that power,
+    which is never built."""
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     if not _enumerable(model, n_steps):
-        m = model.n_atoms
-        count = f"{m}^{n_steps}"
-        if n_steps * math.log2(m) <= 2**16:
-            try:
-                count += f" = {m ** n_steps}"
-            except ValueError:
-                pass
-        raise EnumerationBudgetError(f"{count} sequences exceed the budget of {ENUM_BUDGET}")
+        raise EnumerationBudgetError(
+            f"{model.n_atoms}^{n_steps} sequences exceed the budget of {ENUM_BUDGET}")
 
 
 # (n_steps, probability row) of each live model, for the last N it was
@@ -478,30 +483,19 @@ def enumerate_dbar(model: GambleModel, k, n_steps: int) -> tuple:
     return _sequence_probs(model, n_steps), d.reshape(b, -1) if np.ndim(k) == 2 else d.ravel()
 
 
-def _row_chunks(k, rows: int, stats):
-    """stats(chunk) of each chunk of at most `rows` rows of one allocation
-    or a (B, n_assets) batch k, one chunk at a time. stats gives one entry
-    per row of its chunk; the result is the list of every row's entry, or
-    the one allocation's entry."""
-    ks = np.atleast_2d(k)
-    out = []
-    for lo in range(0, len(ks), rows):
-        out += stats(ks[lo:lo + rows])
-    return out if np.ndim(k) == 2 else out[0]
-
-
 def _enumerated_rows(model: GambleModel, samples, k, n_steps: int):
     """Exact expectation of the per-sequence samples(dbar) of one
-    allocation, or a list of them, one per row, for a (B, n_assets) batch.
-    samples may return dbar itself: each chunk's dbar is its own temporary.
-    """
+    allocation, or a list of them, one per row, for a (B, n_assets) batch,
+    enumerated in chunks of about _ENUM_CHUNK sequences. samples may return
+    dbar itself: each chunk's dbar is its own, freed before the next runs."""
     require_enumerable(model, n_steps)
-
-    def stats(chunk):
-        prob, dbar = enumerate_dbar(model, chunk, n_steps)
-        return [_expectation(prob, row) for row in samples(dbar)]
-
-    return _row_chunks(k, max(1, _ENUM_CHUNK // model.n_atoms ** n_steps), stats)
+    ks, out = np.atleast_2d(k), []
+    rows = max(1, _ENUM_CHUNK // model.n_atoms ** n_steps)
+    for lo in range(0, len(ks), rows):
+        prob, dbar = enumerate_dbar(model, ks[lo:lo + rows], n_steps)
+        out += [_expectation(prob, row) for row in samples(dbar)]
+        del dbar
+    return out if np.ndim(k) == 2 else out[0]
 
 
 def _expectation(prob: np.ndarray, x: np.ndarray) -> float:
@@ -596,22 +590,21 @@ def _screen(spec: ConstraintSpec, n_paths: int):
 def _batch_stats(model, samples, k, indices, screen=None):
     """Estimate, with its standard error, of the per-path samples(dbar) of
     one allocation, or a list of them for a (B, n_assets) batch k, each
-    bitwise mean_se of that allocation's samples alone, in one kernel call
-    per chunk of mc_chunk_rows rows. screen is passed to dbar_samples; a row
-    it drops is None."""
-
-    def stats(chunk):
-        dbar = dbar_samples(model, chunk, indices, screen=screen)
+    bitwise mean_se of that allocation's samples alone, from the chunks of
+    dbar_chunks. screen is passed to dbar_samples; a row it drops is None."""
+    out = []
+    for dbar in dbar_chunks(model, k, indices, screen):
         kept = ~np.isnan(dbar[:, 0])
         # The samples of dbar, or of its kept rows once a screen dropped
         # some, are the one (rows, paths) block mean_se reduces, with its own
-        # temporary: dbar is freed before it does.
+        # temporary: dbar is freed before it does, and the block before the
+        # next chunk runs.
         x = samples(dbar if kept.all() else dbar[kept])
         del dbar
         rows = iter(mean_se(x))
-        return [next(rows) if keep else None for keep in kept]
-
-    return _row_chunks(k, mc_chunk_rows(indices.shape[1]), stats)
+        del x
+        out += [next(rows) if keep else None for keep in kept]
+    return out if np.ndim(k) == 2 else out[0]
 
 
 class _ConstraintEvaluator:

@@ -58,8 +58,9 @@ class LoadReport:
 def load_prices(path, symbols=None) -> tuple:
     """Read one CSV into a PriceTable of the requested symbols (default: all).
 
-    Every header name and every requested symbol must be unique, and no
-    symbol loaded may be blank; a blank header name is reported by its
+    Header names and requested symbols are stripped as read, like the
+    cells. Every header name and every requested symbol must be unique, and
+    no symbol loaded may be blank; a blank header name is reported by its
     column (0-based, the date column counted). Rows missing the date or any
     requested value are dropped and reported. Every kept row must have a
     date after the previous kept row's and finite prices > 0; an error names
@@ -68,7 +69,7 @@ def load_prices(path, symbols=None) -> tuple:
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
+        header = list(map(str.strip, next(reader, [])))
         column = {name: j for j, name in enumerate(header)}
         repeated = [name for j, name in enumerate(header) if column[name] != j]
         if repeated:
@@ -76,12 +77,12 @@ def load_prices(path, symbols=None) -> tuple:
         if "date" not in column:
             raise PriceDataError('price file needs a header with a "date" column')
         available = [c for c in header if c != "date"]
-        wanted = list(symbols) if symbols else available
+        wanted = list(map(str.strip, symbols)) if symbols else available
         if not wanted:
             raise PriceDataError("price file has no symbol columns")
-        if symbols and not all(map(str.strip, wanted)):
+        if symbols and not all(wanted):
             raise PriceDataError("a requested symbol is blank")
-        blank = [j for j, name in enumerate(header) if name in wanted and not name.strip()]
+        blank = [j for j, name in enumerate(header) if name in wanted and not name]
         if blank:
             raise PriceDataError(f"column {blank[0]} of the header has a blank name")
         repeated = [s for i, s in enumerate(wanted) if s in wanted[:i]]

@@ -96,20 +96,23 @@ def test_every_module_constant_is_read():
 
 def test_each_shared_job_has_one_site():
     # Uniforms are drawn, CSV is written and floats are formatted in bulk at
-    # one function each, all in gamble; a second site is a copy of the job.
+    # one function each, all in gamble, and Monte Carlo batches are cut into
+    # kernel calls by drawdown.dbar_chunks alone; a second site is a copy of
+    # the job.
     package = Path(__file__).parents[1] / "src" / "kellylab"
-    sites = {"random": set(), "writer": set(), "_reprs": set()}
+    sites = {"random": set(), "writer": set(), "_reprs": set(), "dbar_samples": set()}
     for path in sorted(package.glob("*.py")):
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
             where = f"{path.stem}.{getattr(stmt, 'name', '')}"
             for node in ast.walk(stmt):
-                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                        and node.func.attr in ("random", "writer")):
-                    sites[node.func.attr].add(where)
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                    if name in ("random", "writer", "dbar_samples"):
+                        sites[name].add(where)
                 if isinstance(node, ast.FunctionDef) and node.name == "_reprs":
                     sites["_reprs"].add(where)
     assert sites == {"random": {"gamble.sample_indices"}, "writer": {"gamble._write_csv"},
-                     "_reprs": {"gamble._reprs"}}
+                     "_reprs": {"gamble._reprs"}, "dbar_samples": {"drawdown.dbar_chunks"}}
 
 
 # ---------------------------------------------------------------------------
@@ -296,16 +299,17 @@ def test_drawdown_budget_exceeded_is_validation_error(capsys):
         code, out, err = run_cli(capsys, "drawdown", "--coin", "1,-1,0.9", "--n", "30",
                                  *extra, "--exact")
         assert code == 2
-        assert err == "error: 2^30 = 1073741824 sequences exceed the budget of 1000000\n"
+        assert err == "error: 2^30 sequences exceed the budget of 1000000\n"
         assert out == ""
 
 
 def test_drawdown_budget_error_names_a_count_too_long_to_print(capsys):
-    # 2^20000 has 6021 digits, past what Python prints of an int by default.
+    # 2^20000 has 6021 digits, past what Python prints of an int by default;
+    # the count is stated as the power.
     code, out, err = run_cli(capsys, "drawdown", "--coin", "1,-1,0.6", "--n", "20000",
                              "--paths", "100", "--exact")
     assert (code, out) == (2, "")
-    assert err.startswith("error: 2^20000 ") and err.endswith("exceed the budget of 1000000\n")
+    assert err == "error: 2^20000 sequences exceed the budget of 1000000\n"
 
 
 def test_drawdown_rejects_two_asset_models(capsys):
@@ -602,6 +606,19 @@ def test_ingest_rejects_a_blank_symbol_name(capsys, tmp_path, argv, message):
     csv_path.write_text("date,A,\n2013-01-01,100.0,5.0\n2013-01-02,101.0,5.5\n")
     code, out, err = run_cli(capsys, "ingest", "--data", str(csv_path), *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_ingest_strips_header_names_and_requested_symbols(capsys, tmp_path):
+    # Spaces after the commas of the header and of --symbols name nothing.
+    csv_path = tmp_path / "prices.csv"
+    csv_path.write_text("date, A, B\n2013-01-01,100.0,5.0\n2013-01-02,101.0,5.5\n")
+    model_path = tmp_path / "model.json"
+    code, out, _ = run_cli(capsys, "ingest", "--data", str(csv_path), "--symbols", "B, A",
+                           "--out", str(model_path))
+    assert code == 0 and "symbols:      B, A\n" in out
+    assert json.loads(model_path.read_text())["provenance"]["symbols"] == ["B", "A"]
+    code, out, _ = run_cli(capsys, "ingest", "--data", str(csv_path), "--symbols", "A")
+    assert code == 0 and "symbols:      A\n" in out
 
 
 def test_ingest_missing_file_is_validation_error(capsys):

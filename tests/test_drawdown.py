@@ -4,6 +4,7 @@ import inspect
 import itertools
 import math
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -279,7 +280,7 @@ def test_enumeration_budget_enforced():
 
 def test_budget_is_decided_without_building_the_sequence_count():
     # 2^(10^8) would be a 12 MB int; the count is capped at the step where
-    # two atoms pass the budget, and past 2^16 bits the message omits its value.
+    # two atoms pass the budget, and the message states it as the power.
     tracemalloc.start()
     try:
         enumerable = drawdown_module._enumerable(EVEN9, 10**8)
@@ -631,6 +632,13 @@ def test_expected_drawdown_mc_holds_one_chunk_of_rows_at_a_time():
     assert peak < 8e6
 
 
+def chunk_rows(rows, paths):
+    """Rows of each chunk that dbar_chunks cuts a batch of `rows` rows into
+    on `paths` paths; K = 0 runs no step, so each chunk is cheap."""
+    ks, idx = np.zeros((rows, 1)), np.zeros((1, paths), dtype=np.int8)
+    return [len(dbar) for dbar in drawdown_module.dbar_chunks(SKEWED, ks, idx)]
+
+
 def test_screened_chunks_make_their_result_after_the_last_screen():
     # The grid walk's first batch on the README's two-coin case: the 64
     # highest-g points of the simplex grid on 10000 paths, screened for
@@ -642,7 +650,7 @@ def test_screened_chunks_make_their_result_after_the_last_screen():
     points = drawdown_module._simplex_grid(np.arange(0.0, 1.0 + 1e-12, GRID_STEP))
     ks = points[np.argsort(-log_growth(points, TWO_COINS), kind="stable")[:64]]
     idx = sample_path_indices(TWO_COINS, 10_000, 252, seed=0)
-    assert drawdown_module.mc_chunk_rows(10_000) == 26
+    assert chunk_rows(64, 10_000) == [26, 26, 12]
     tracemalloc.start()
     try:
         stats = drawdown_module._batch_stats(TWO_COINS, spec.samples, ks, idx,
@@ -816,8 +824,8 @@ def test_monte_carlo_chunks_keep_every_bit(monkeypatch, tmp_path, capsys):
     # expected_drawdown_mc and the surrogate's Monte Carlo fallback.
     from kellylab import drawdown
     from kellylab.cli import main
-    assert drawdown.mc_chunk_rows(2000) == 131 and drawdown.mc_chunk_rows(10**6) == 1
-    assert drawdown.mc_chunk_rows(300) > 210
+    assert chunk_rows(210, 2000) == [131, 79] and chunk_rows(2, 10**6) == [1, 1]
+    assert chunk_rows(210, 300) == [210]
     spec = ConstraintSpec(kind="expected", epsilon=0.3)
     ks = np.random.default_rng(1).random((23, 2)) / 2
     idx = sample_path_indices(TWO_COINS, 300, 30, seed=2)
@@ -840,10 +848,64 @@ def test_monte_carlo_chunks_keep_every_bit(monkeypatch, tmp_path, capsys):
     assert None in whole[1][1]                         # the screen dropped some rows
     assert whole[2] == whole[1][0]                     # the same CRN matrix
     assert not any(h.exact for h in whole[3])          # 4^30 sequences: Monte Carlo
-    for rows in (7, 1):
+    for rows, sizes in ((7, [7, 7, 7, 2]), (1, [1] * 23)):
         monkeypatch.setattr(drawdown, "_MC_CHUNK", rows * 300 + 299)
-        assert drawdown.mc_chunk_rows(300) == rows
+        assert chunk_rows(23, 300) == sizes
         assert run_all(f"cut{rows}") == whole
+
+
+def test_chunk_loop_frees_each_result_and_a_handed_over_matrix(monkeypatch, capsys):
+    # Chunks of 7 rows on 300 paths. A consumer that drops each chunk holds
+    # no result at the next kernel call, and a matrix that only dbar_chunks
+    # references is dead when the last chunk reaches the consumer. The test
+    # loop, _batch_stats and the CLI sweep are the consumers; _batch_stats
+    # also frees each result before mean_se reduces its samples.
+    kernel, reduce = drawdown_module.dbar_samples, drawdown_module.mean_se
+    results, matrix, seen = [], [], []
+
+    def counted_kernel(*args, **kwargs):
+        assert all(ref() is None for ref in results)
+        out = kernel(*args, **kwargs)
+        results.append(weakref.ref(out))
+        return out
+
+    def sampled(*args):
+        idx = sample_path_indices(*args)
+        matrix.append(weakref.ref(idx))
+        return idx
+
+    def counted_reduce(samples):
+        seen.append((len(results), matrix[-1]() is not None,
+                     any(ref() is not None for ref in results)))
+        return reduce(samples)
+
+    monkeypatch.setattr(drawdown_module, "_MC_CHUNK", 7 * 300)
+    monkeypatch.setattr(drawdown_module, "dbar_samples", counted_kernel)
+    monkeypatch.setattr(drawdown_module, "sample_path_indices", sampled)
+    monkeypatch.setattr(drawdown_module, "mean_se", counted_reduce)
+    ks = np.linspace(0.0, 1.0, 23)[:, None]
+    chunks = drawdown_module.dbar_chunks(SKEWED, ks, sampled(SKEWED, 300, 20, 1))
+    alive = []
+    for dbar in chunks:
+        alive.append((len(dbar), matrix[-1]() is not None))
+        del dbar
+    assert alive == [(7, True), (7, True), (7, True), (2, False)]
+
+    results.clear()
+    stats = drawdown_module._batch_stats(SKEWED, lambda dbar: 1.0 - dbar, ks,
+                                         sampled(SKEWED, 300, 20, 1))
+    assert len(stats) == 23 and len(results) == 4
+    assert seen == [(1, True, False), (2, True, False), (3, True, False), (4, True, False)]
+
+    results.clear()
+    seen.clear()
+    from kellylab.cli import main
+    assert main(["drawdown", "--coin", "0.6,-0.45,0.62", "--n", "20", "--paths", "300",
+                 "--k-grid", "23"]) == 0
+    capsys.readouterr()
+    # Two columns reduced per chunk; the sweep's matrix is dead at the last chunk's.
+    assert [(n, held) for n, held, _ in seen] == [(1, True)] * 2 + [(2, True)] * 2 + [
+        (3, True)] * 2 + [(4, False)] * 2
 
 
 def test_every_monte_carlo_row_is_an_estimate_with_its_standard_error():

@@ -174,6 +174,25 @@ def test_blank_requested_symbol_rejected(tmp_path, symbols):
         load_prices(path, symbols=symbols)
 
 
+def test_header_names_and_requested_symbols_are_stripped(tmp_path):
+    # A file written with spaces after its commas names the same symbols as
+    # one without them, and so does a request with spaces.
+    path = tmp_path / "p.csv"
+    path.write_text("date, A, B\n2013-01-02,100,7\n2013-01-03,110,8\n")
+    table, _ = load_prices(path)
+    assert table.symbols == ("A", "B")
+    assert table.provenance["symbols"] == ["A", "B"]
+    table, _ = load_prices(path, symbols=[" B", "A "])
+    assert table.symbols == ("B", "A") and table.prices.tolist() == [[7.0, 100.0], [8.0, 110.0]]
+
+
+def test_header_names_repeated_once_stripped_are_rejected(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_text("date, A, A\n2013-01-02,100,7\n2013-01-03,110,8\n")
+    with pytest.raises(PriceDataError, match="column 'A' appears more than once"):
+        load_prices(path)
+
+
 def test_non_numeric_price_rejected(tmp_path):
     path = tmp_path / "p.csv"
     write_csv(path, ["date", "AAA"], [["2013-01-02", 100], ["2013-01-03", "n/a"]])
@@ -338,7 +357,7 @@ def load_prices_loop(path, symbols=None) -> tuple:
     oracle for the column checks."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
+        header = list(map(str.strip, next(reader, [])))
         column = {name: j for j, name in enumerate(header)}
         repeated = [name for j, name in enumerate(header) if column[name] != j]
         if repeated:
@@ -346,12 +365,12 @@ def load_prices_loop(path, symbols=None) -> tuple:
         if "date" not in column:
             raise PriceDataError('price file needs a header with a "date" column')
         available = [c for c in header if c != "date"]
-        wanted = list(symbols) if symbols else available
+        wanted = list(map(str.strip, symbols)) if symbols else available
         if not wanted:
             raise PriceDataError("price file has no symbol columns")
-        if symbols and not all(map(str.strip, wanted)):
+        if symbols and not all(wanted):
             raise PriceDataError("a requested symbol is blank")
-        blank = [j for j, name in enumerate(header) if name in wanted and not name.strip()]
+        blank = [j for j, name in enumerate(header) if name in wanted and not name]
         if blank:
             raise PriceDataError(f"column {blank[0]} of the header has a blank name")
         missing = [s for s in wanted if s not in available]
@@ -429,7 +448,8 @@ def test_column_checks_equal_the_row_loop(data, n_symbols, n_rows):
     header = symbols[:]
     header.insert(data.draw(st.integers(0, n_symbols)), "date")
     day = datetime.date(2013, 1, 1)
-    lines = [",".join(header)]
+    # A header name may carry spaces, which both loaders strip.
+    lines = [",".join(data.draw(st.sampled_from([name, f" {name}", f"{name} "])) for name in header)]
     for _ in range(n_rows):
         # A step of 0 repeats the date; a negative one goes back in time.
         day += datetime.timedelta(days=draw(st.integers(1, 3), st.sampled_from([0, -1, -5])))
