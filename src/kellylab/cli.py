@@ -1,12 +1,14 @@
 """Command-line laboratory driver.
 
 Subcommands: optimize, drawdown, constrained, probe-convexity, adaptive,
-ingest. Every run is fully determined by its flags plus the seed; reports
-echo the configuration once every flag has passed its range check, and file
-outputs are byte-identical across repeated runs. Human tables go to stdout,
-machine output (CSV/JSON) to --out paths. A model comes from exactly one of
---model or --coin; --coin2 joins a second coin to it. On constrained, --delta
-goes only with --kind probabilistic.
+ingest. Every run is fully determined by its flags plus the seed, and file
+outputs are byte-identical across repeated runs. main() prints the
+configuration echo and the human report to stdout once a run returns; a
+rejected run prints only its error, to stderr. Machine output goes to --out
+paths: CSV, or JSON for optimize unless --format csv, whose kappa_raw and k
+cells hold ';'-joined reprs. A model comes from exactly one of --model or
+--coin; --coin2 joins a second coin to it. On constrained, --delta goes only
+with --kind probabilistic.
 
 Exit codes: 0 success, 2 validation error, 3 numerical non-convergence.
 """
@@ -14,7 +16,9 @@ Exit codes: 0 success, 2 validation error, 3 numerical non-convergence.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import io
 import json
 import math
 import sys
@@ -56,7 +60,7 @@ def _resolve_model(args) -> GambleModel:
 
 # dest -> (rule, test) of every int and float flag; ConstraintSpec checks
 # --eps and --delta. main() checks each flag a subcommand has before it
-# runs, so no report starts on a value out of range.
+# runs, so no run starts on a value out of range.
 _AT_LEAST_1 = (">= 1", lambda v: v >= 1)
 _FLAG_RANGES = {
     **dict.fromkeys(("paths", "n", "k_grid", "pairs", "runs", "window"), _AT_LEAST_1),
@@ -65,12 +69,6 @@ _FLAG_RANGES = {
     "p_true": ("in (0, 1)", lambda v: 0.0 < v < 1.0),
     "dt": ("> 0 and finite", lambda v: 0.0 < v < math.inf),
 }
-
-
-def _echo(args) -> None:
-    parts = [f"{k.replace('_', '-')}={v}" for k, v in vars(args).items()
-             if k not in ("command", "func") and v is not None]
-    print("config: " + " ".join(parts))
 
 
 def _fmt(x: float) -> str:
@@ -87,8 +85,6 @@ def _fmt_vec(v) -> str:
 
 def cmd_optimize(args) -> int:
     model = _resolve_model(args)
-    _echo(args)
-
     exact = growth.maximize_growth(model)
     rows = [("exact", None, exact.k_star, exact.g_star)]
     for method in ("taylor", "gbm"):
@@ -107,8 +103,8 @@ def cmd_optimize(args) -> int:
         print(f"{name:<10} {raw_s:<22} {_fmt_vec(k):<22} {_fmt(g):>12} {_fmt(r):>12}")
         report.append({
             "solution": name,
-            "kappa_raw": None if raw is None else [float(v) for v in np.atleast_1d(raw)],
-            "k": [float(v) for v in np.atleast_1d(k)],
+            "kappa_raw": None if raw is None else np.atleast_1d(raw).tolist(),
+            "k": np.atleast_1d(k).tolist(),
             "g": float(g),
             "r": float(r),
         })
@@ -135,59 +131,54 @@ def cmd_drawdown(args) -> int:
     model = _resolve_model(args)
     if model.n_assets != 1:
         raise ModelValidationError("drawdown sweep requires a 1-asset model")
-    expected_spec = drawdown.ConstraintSpec(kind="expected", epsilon=args.eps)
-    prob_spec = drawdown.ConstraintSpec(kind="probabilistic", epsilon=args.eps, delta=args.delta)
+    specs = (drawdown.ConstraintSpec(kind="expected", epsilon=args.eps),
+             drawdown.ConstraintSpec(kind="probabilistic", epsilon=args.eps, delta=args.delta))
     k_values = np.linspace(0.0, 1.0, args.k_grid)
-    # The exact column runs first, so an N past the budget fails before the echo.
     exact = (drawdown.expected_drawdown_exact(model, k_values[:, None], args.n)
-             if args.exact else [None] * len(k_values))
-    _echo(args)
+             if args.exact else None)
 
     even = model.n_atoms == 2 and sorted(model.xs[:, 0]) == [-1.0, 1.0]
-    analytic = None
     if even:
         p_win = float(model.probs[np.argmax(model.xs[:, 0])])
         analytic = drawdown.coin_drawdown_probability(p_win, args.n)
         print(f"even coin: analytic P(D >= K) = 1 - p^N = {_fmt(analytic)} for K in (0,1)")
-
-    expected_rows, prob_rows = [], []
     print(f"{'K':>8} {'E[D]':>10} {'se':>10} {'P(D<=eps)':>10} {'se':>10}"
           + ("  exceed(MC)  analytic" if even else "")
           + ("  exact" if args.exact else ""))
-    # One reduction per column for each chunk of fractions, each chunk freed
-    # before the next runs; the CRN matrix is handed over, so dbar_chunks
+    # Each chunk of fractions is reduced one column at a time, so one samples
+    # block is alive at once; the CRN matrix is handed over, so dbar_chunks
     # frees it before the last reduce. in_set columns use the plain rule.
-    stats = []
+    columns, exceeds = ([], []), []
     for dbars in drawdown.dbar_chunks(model, k_values[:, None], drawdown.sample_path_indices(
             model, args.paths, args.n, args.seed)):
-        ks = k_values[len(stats):len(stats) + len(dbars), None]
-        exceeds = (drawdown.mean_se((dbars <= 1.0 - ks).astype(float))
-                   if even else [None] * len(ks))
-        stats += zip(drawdown.mean_se(expected_spec.samples(dbars)),
-                     drawdown.mean_se(prob_spec.samples(dbars)), exceeds)
-        del dbars
-    for kk, ((ed, ed_se), (pe, pe_se), exceed), ed_exact in zip(k_values, stats, exact):
-        line = f"{kk:>8.4f} {ed:>10.4f} {ed_se:>10.5f} {pe:>10.4f} {pe_se:>10.5f}"
-        erow = [repr(float(kk)), repr(ed), repr(ed_se), int(expected_spec.contains(ed))]
-        prow = [repr(float(kk)), repr(pe), repr(pe_se), int(prob_spec.contains(pe))]
+        for spec, column in zip(specs, columns):
+            column += drawdown.mean_se(spec.samples(dbars))
         if even:
-            a = analytic if 0.0 < kk < 1.0 else ""
-            line += f"  {exceed.value:>10.4f}  {_fmt(a) if a != '' else '-':>8}"
-            prow += [repr(exceed.value), repr(exceed.std_error), "" if a == "" else repr(a)]
+            ks = k_values[len(exceeds):len(exceeds) + len(dbars), None]
+            exceeds += drawdown.mean_se((dbars <= 1.0 - ks).astype(float))
+        del dbars
+    tables = ([], [])   # the rows of the expected and the probabilistic CSV
+    for i, kk in enumerate(k_values):
+        line = f"{kk:>8.4f}"
+        for spec, column, rows in zip(specs, columns, tables):
+            est, se = column[i]
+            line += f" {est:>10.4f} {se:>10.5f}"
+            rows.append([repr(float(kk)), repr(est), repr(se), int(spec.contains(est))])
+        if even:
+            inner, exceed = 0.0 < kk < 1.0, exceeds[i]
+            line += f"  {exceed.value:>10.4f}  {_fmt(analytic) if inner else '-':>8}"
+            tables[1][-1] += [repr(exceed.value), repr(exceed.std_error),
+                              repr(analytic) if inner else ""]
         if args.exact:
-            line += f"  {ed_exact:>8.4f}"
-            erow.append(repr(ed_exact))
+            line += f"  {exact[i]:>8.4f}"
+            tables[0][-1].append(repr(exact[i]))
         print(line)
-        expected_rows.append(erow)
-        prob_rows.append(prow)
 
     if args.out:
-        eh = ["k1", "estimate", "std_error", "in_set"] + (["exact"] if args.exact else [])
-        ph = ["k1", "estimate", "std_error", "in_set"]
-        if even:
-            ph += ["exceed_estimate", "exceed_std_error", "analytic_exceed"]
-        _write_csv(f"{args.out}.expected.csv", eh, expected_rows)
-        _write_csv(f"{args.out}.prob.csv", ph, prob_rows)
+        header = ["k1", "estimate", "std_error", "in_set"]
+        _write_csv(f"{args.out}.expected.csv", header + ["exact"] * args.exact, tables[0])
+        _write_csv(f"{args.out}.prob.csv", header + [
+            "exceed_estimate", "exceed_std_error", "analytic_exceed"] * even, tables[1])
         print(f"wrote {args.out}.expected.csv and {args.out}.prob.csv")
     return EXIT_OK
 
@@ -195,7 +186,6 @@ def cmd_drawdown(args) -> int:
 def cmd_constrained(args) -> int:
     model = _resolve_model(args)
     spec = drawdown.ConstraintSpec(kind=args.kind, epsilon=args.eps, delta=args.delta)
-    _echo(args)
     result = drawdown.maximize_growth_constrained(model, args.n, spec, args.paths, args.seed)
 
     print(f"method:              {result.method}")
@@ -216,7 +206,6 @@ def cmd_probe_convexity(args) -> int:
                                    delta=args.delta if args.kind == "probabilistic" else None)
     report = drawdown.convexity_probe(model, args.n, spec, grid_resolution=args.grid_resolution,
                                       pair_samples=args.pairs, paths=args.paths, seed=args.seed)
-    _echo(args)
     inside = sum(1 for p in report.grid if p.in_set)
     print(f"grid points:            {len(report.grid)} ({inside} in set)")
     print(f"midpoint pairs tested:  {report.pairs_tested}")
@@ -237,7 +226,6 @@ def cmd_probe_convexity(args) -> int:
 def cmd_adaptive(args) -> int:
     if args.window >= args.n:
         raise ModelValidationError("--window must be smaller than --n")
-    _echo(args)
     terminal, grand_sum, grand_count = [], 0.0, 0
     k_min, k_max = math.inf, -math.inf
     for i in range(args.runs):
@@ -264,7 +252,6 @@ def cmd_ingest(args) -> int:
     symbols = None if args.symbols is None else args.symbols.split(",")
     table, report = load_prices(args.data, symbols=symbols)
     model = to_returns(table)
-    _echo(args)
     print(f"rows read:    {report.rows_read}")
     print(f"rows dropped: {len(report.dropped_rows)}"
           + (f" (indices {list(report.dropped_rows)})" if report.dropped_rows else ""))
@@ -362,15 +349,21 @@ _parser = functools.cache(build_parser)
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    report = io.StringIO()
     try:
         for flag, (rule, ok) in _FLAG_RANGES.items():
             if flag in args and not ok(getattr(args, flag)):
                 raise ModelValidationError(
                     f"need --{flag.replace('_', '-')} {rule}, got {getattr(args, flag)}")
-        return args.func(args)
+        with contextlib.redirect_stdout(report):
+            code = args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    print("config: " + " ".join(f"{k.replace('_', '-')}={v}" for k, v in vars(args).items()
+                                if k not in ("command", "func") and v is not None))
+    print(report.getvalue(), end="")
+    return code
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -96,11 +97,12 @@ def test_every_module_constant_is_read():
 
 def test_each_shared_job_has_one_site():
     # Uniforms are drawn, CSV is written and floats are formatted in bulk at
-    # one function each, all in gamble, and Monte Carlo batches are cut into
-    # kernel calls by drawdown.dbar_chunks alone; a second site is a copy of
-    # the job.
+    # one function each, all in gamble, Monte Carlo batches are cut into
+    # kernel calls by drawdown.dbar_chunks alone, and the config echo is
+    # printed by cli.main alone; a second site is a copy of the job.
     package = Path(__file__).parents[1] / "src" / "kellylab"
-    sites = {"random": set(), "writer": set(), "_reprs": set(), "dbar_samples": set()}
+    sites = {"random": set(), "writer": set(), "_reprs": set(), "dbar_samples": set(),
+             "config:": set()}
     for path in sorted(package.glob("*.py")):
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
             where = f"{path.stem}.{getattr(stmt, 'name', '')}"
@@ -111,8 +113,27 @@ def test_each_shared_job_has_one_site():
                         sites[name].add(where)
                 if isinstance(node, ast.FunctionDef) and node.name == "_reprs":
                     sites["_reprs"].add(where)
+                if isinstance(node, ast.Constant) and str(node.value).startswith("config:"):
+                    sites["config:"].add(where)
     assert sites == {"random": {"gamble.sample_indices"}, "writer": {"gamble._write_csv"},
-                     "_reprs": {"gamble._reprs"}, "dbar_samples": {"drawdown.dbar_chunks"}}
+                     "_reprs": {"gamble._reprs"}, "dbar_samples": {"drawdown.dbar_chunks"},
+                     "config:": {"cli.main"}}
+
+
+def test_report_follows_the_echo_once_the_run_returns(capsys, monkeypatch):
+    # The subcommand prints into a buffer; main prints the echo, then the
+    # buffer, both after the subcommand has returned.
+    def cmd(args):
+        print("report line")
+        assert capsys.readouterr().out == ""
+        return cli.EXIT_NO_CONVERGENCE
+
+    monkeypatch.setattr(cli, "cmd_adaptive", cmd)
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    code, out, err = run_cli(capsys, "adaptive", "--n", "100", "--window", "10")
+    assert (code, err) == (3, "")
+    assert out.splitlines() == ["config: p-true=0.6 n=100 window=10 runs=1 seed=0",
+                                "report line"]
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +314,26 @@ def test_drawdown_exact_column(capsys, tmp_path):
     assert header.endswith(",exact")
 
 
+def test_sweep_reduces_one_statistic_block_at_a_time(capsys):
+    # The README sweep, 21 fractions on 10000 paths, is one chunk. Its dbar
+    # block and each statistic's samples block are (21, 10000) floats, 1.6
+    # MiB each; each samples block is reduced before the next is made, and
+    # a warm run traces 5.21 MiB at its peak. Holding the three statistics'
+    # blocks at once would add about 3.4 MB.
+    argv = ["drawdown", "--coin", "1,-1,0.99", "--n", "252", "--paths", "10000"]
+    assert main(argv) == 0      # the cold run fills first-use caches
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "exceed(MC)" in capsys.readouterr().out
+    assert peak < (5.21 + 0.1) * 2**20
+
+
 def test_drawdown_budget_exceeded_is_validation_error(capsys):
-    # The budget is checked before the config echo, so stdout stays empty.
+    # A rejected run leaves stdout empty.
     for extra in ((), ("--paths", "300", "--k-grid", "3")):
         code, out, err = run_cli(capsys, "drawdown", "--coin", "1,-1,0.9", "--n", "30",
                                  *extra, "--exact")
@@ -460,14 +499,35 @@ def test_sizes_without_data_are_rejected_before_the_report(capsys, argv):
 
 
 def test_every_numeric_flag_has_a_range():
-    # main() checks each range before a subcommand echoes its config, so a
-    # number flag with no range could start a report that then exits 2.
-    # ConstraintSpec checks --eps and --delta before the echo.
+    # main() checks each range before a subcommand runs, so a number flag
+    # with no range could start a run on a value out of range.
+    # ConstraintSpec checks --eps and --delta.
     subparsers = next(action for action in cli.build_parser()._actions
                       if isinstance(action, argparse._SubParsersAction))
     numeric = {action.dest for sub in subparsers.choices.values() for action in sub._actions
                if action.type in (int, float)}
     assert set(cli._FLAG_RANGES) == numeric - {"eps", "delta"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("optimize", "--coin", "1,-1,0.6"),
+    ("optimize", "--coin", "1,-1,0.6", "--format", "csv"),
+    ("drawdown", "--coin", "1,-1,0.9", "--n", "10", "--paths", "100", "--k-grid", "3"),
+    ("probe-convexity", "--coin", "1,-1,0.9", "--coin2", "1,-1,0.8", "--n", "10",
+     "--paths", "100", "--pairs", "5"),
+    ("adaptive", "--n", "100", "--window", "10"),
+    ("ingest", "--data", "prices.csv"),
+], ids=["optimize-json", "optimize-csv", "drawdown", "probe-convexity", "adaptive", "ingest"])
+def test_an_unwritable_out_leaves_stdout_empty(capsys, monkeypatch, tmp_path, argv):
+    # Each subcommand writes its files after it has computed its report; a
+    # missing directory exits 2 with the error alone, and no echo or partial
+    # report on stdout.
+    monkeypatch.chdir(tmp_path)
+    Path("prices.csv").write_text("date,A\n2013-01-01,100.0\n2013-01-02,101.0\n"
+                                  "2013-01-03,99.5\n")
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "missing" / "out"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "missing" in err
 
 
 DRAWDOWN_EXACT = ("drawdown", "--coin", "1,-1,0.6", "--n", "10", "--paths", "200",
