@@ -52,24 +52,37 @@ _batch_stats and the CLI sweep their mean_se along axis 1.
 The evaluator. Each constrained search estimates the constraint through one
 _ConstraintEvaluator, which samples the CRN matrix on first use, estimates
 each allocation once and remembers its verdict, (admitted, Estimate), with
-None for the Estimate of a row a screen dropped. A search answers K = 0 or a
-point the evaluator admitted, so the answer's Estimate is the one judged.
+None for the Estimate of a row a screen dropped; a row the step-0 screen
+rejects is (False, None) with no kernel call. It counts each atom's share of
+the paths once, when a row first needs it. A search answers K = 0 or a point
+the evaluator admitted, so the answer's Estimate is the one judged.
 
 The screen. A step can only lower d, so the partial mean of 1 - d can only
 rise and that of 1{d >= 1 - eps} only fall: a partial estimate's slack only
 falls as steps are added, and the conservative est - 3 se is at most est. So
 an expected or probabilistic search screens its rows after steps 8 * 2^j
-below N, and drops those whose partial slack is below -SCREEN_MARGIN, which
-covers the rounding of two differently ordered sums. A row that a screen
-after every 8 steps would drop after s steps is dropped at the first screen
-at or after s, so it runs fewer than 2s steps, in about log2(N / 8) screens
-rather than N / 8 (at 1000 paths a screen of a few rows costs a step or
-two). A dropped row would fail the search's rule at step N, so it is
-remembered as infeasible, with no estimate; no answer's row is dropped, as
-every answer is admitted. A row that never draws down has slack eps or
-delta, which no screen drops. The sweep, the probe and expected_drawdown_mc
-report every estimate and are not screened, nor is the surrogate, whose
-statistic needs a log of every partial d.
+below N, and drops those whose partial slack is below -_margin, that is
+SCREEN_MARGIN widened to cover the rounding of two differently ordered sums.
+A row that a screen after every 8 steps would drop after s steps is dropped
+at the first screen at or after s, so it runs fewer than 2s steps, in about
+log2(N / 8) screens rather than N / 8 (at 1000 paths a screen of a few rows
+costs a step or two). A dropped row would fail the search's rule at step N,
+so it is remembered as infeasible, with no estimate; no answer's row is
+dropped, as every answer is admitted. A row that never draws down has slack
+eps or delta, which no screen drops. Before the first step, while these
+screens are on, the evaluator's step-0 screen rejects the rows of a new
+batch whose bound from the atoms the paths draw has slack below -_margin.
+Each step computes r' = min(1, fl(r f)) with r <= 1, and rounding is
+monotone, so a path that ever draws an atom of wealth factor f ends with
+d <= f. With s the share of the paths that draw the atom, each atom whose f
+is below the float 1.0 - eps of ConstraintSpec.samples bounds the estimate
+of E[D] below by s (1 - f), and that of P(D <= eps) above by 1 - s; an atom
+with f >= 1 - eps bounds neither, so a batch with no such atom is kept
+whole at once. The bound's slack is at least the final estimate's, up to
+the rounding that _margin covers, so a rejected row is one the search would
+refuse at step N. The sweep, the probe and expected_drawdown_mc report
+every estimate and are not screened, nor is the surrogate, whose statistic
+needs a log of every partial d.
 
 The ray rule. Every constraint set is star-shaped about K = 0. Along a ray
 K = t * u, each segment's sum of log(1 + t * u'x) is concave in t and 0 at
@@ -562,8 +575,9 @@ def _log_complementary_batch(model, k, n_steps, crn):
 @dataclass(frozen=True, eq=False)
 class ConstrainedResult:
     """GrowthResult fields plus how the constraint was handled. iterations
-    counts the allocations the search estimated, prefetched midpoints that
-    its bisection skips included; perfbench's tracer reports it per op as
+    counts every allocation the search checked: estimated, dropped by a
+    screen, or rejected before the first step, prefetched midpoints that its
+    bisection skips included; perfbench's tracer reports it per op as
     drawdown.constraint_evals_per_op. constraint is the Estimate the answer
     was judged by: exact for an enumerated surrogate, else a Monte Carlo
     mean with its standard error."""
@@ -576,12 +590,17 @@ class ConstrainedResult:
     constraint: Estimate
 
 
+def _margin(n_paths: int) -> float:
+    """How far below 0 a screen lets a row's slack fall: SCREEN_MARGIN,
+    widened by n_paths * eps for each of the two sums, the screen's down the
+    paths axis and the final one's pairwise."""
+    return SCREEN_MARGIN + 2 * n_paths * np.finfo(float).eps
+
+
 def _screen(spec: ConstraintSpec, n_paths: int):
     """Keep mask of a screened kernel call (see "The screen" in the module
-    docstring): the rows whose partial slack is not below -SCREEN_MARGIN,
-    widened by n_paths * eps for each of the two sums, the partial mean's
-    down the paths axis and the final one's pairwise."""
-    tol = SCREEN_MARGIN + 2 * n_paths * np.finfo(float).eps
+    docstring): the rows whose partial slack is not below -_margin."""
+    tol = _margin(n_paths)
     # np.add.reduce and the division are what .mean computes, bit for bit,
     # without its per-call wrapper.
     return lambda d: spec.slack(np.add.reduce(spec.samples(d), axis=0) / n_paths) >= -tol
@@ -612,16 +631,18 @@ class _ConstraintEvaluator:
     the module docstring).
 
     batch(ks) gives (admitted, Estimate) per allocation, estimating the
-    unseen ones together: through _batch_stats, screened by _screen, or
-    through _log_complementary_batch for a surrogate. A screened-out row is
+    unseen ones together: through _batch_stats, screened by _screen0 before
+    the first step and by _screen after, or through
+    _log_complementary_batch for a surrogate. A screened-out row is
     (False, None). Calling it checks one allocation; evals counts the
-    estimates made.
+    allocations checked.
     """
 
     def __init__(self, model, n_steps, spec, paths, seed):
         self.model, self.n_steps, self.spec = model, n_steps, spec
         self.paths, self.seed = paths, seed
         self.seen = {}
+        self.shares = np.full(model.n_atoms, math.nan)
 
     @functools.cached_property
     def indices(self) -> np.ndarray:
@@ -630,6 +651,28 @@ class _ConstraintEvaluator:
     @property
     def evals(self) -> int:
         return len(self.seen)
+
+    def _share(self, atom: int) -> float:
+        """Share of the CRN paths that draw atom at least once."""
+        return np.count_nonzero((self.indices == atom).any(axis=0)) / self.paths
+
+    def _screen0(self, ks: np.ndarray) -> np.ndarray:
+        """Keep mask of the step-0 screen of "The screen" in the module
+        docstring: the rows whose bound from one atom's share of the paths
+        has a slack not below -_margin. Each atom's share is counted once."""
+        factors = _checked_factors(self.model, ks)
+        low = factors < 1.0 - self.spec.epsilon
+        atoms = np.flatnonzero(np.logical_or.reduce(low, axis=0))
+        if not atoms.size:
+            return np.ones(len(ks), dtype=bool)
+        for atom in atoms[np.isnan(self.shares[atoms])]:
+            self.shares[atom] = self._share(atom)
+        # An atom whose share is not counted yet (NaN) is not low in any row.
+        if self.spec.kind == "expected":
+            bound = np.where(low, self.shares * (1.0 - factors), 0.0).max(axis=1)
+        else:
+            bound = 1.0 - np.where(low, self.shares, 0.0).max(axis=1)
+        return self.spec.slack(bound) >= -_margin(self.paths)
 
     def batch(self, ks) -> list:
         """ks: float64 allocation vectors of length n_assets; their bytes key the memo."""
@@ -641,8 +684,12 @@ class _ConstraintEvaluator:
                 stats = _log_complementary_batch(self.model, batch, self.n_steps,
                                                  lambda: self.indices)
             else:
-                stats = _batch_stats(self.model, self.spec.samples, batch, self.indices,
-                                     _screen(self.spec, self.paths))
+                screen = _screen(self.spec, self.paths)
+                keep = np.ones(len(batch), dtype=bool) if screen is None else self._screen0(batch)
+                live, stats = np.flatnonzero(keep), [None] * len(batch)
+                for i, est in zip(live, _batch_stats(self.model, self.spec.samples, batch[live],
+                                                     self.indices, screen)):
+                    stats[i] = est
             for key, est in zip(new, stats):
                 self.seen[key] = (est is not None and self.spec.contains_conservatively(*est),
                                   est)

@@ -1108,24 +1108,33 @@ def test_surrogate_chooses_estimator_without_calling_enumeration(monkeypatch, n_
 def test_search_estimates_each_allocation_once(monkeypatch, model, n_steps, spec, method):
     # Every estimate goes through _batch_stats (expected, probabilistic) or
     # _log_complementary_batch (surrogate, whose Monte Carlo fallback calls
-    # _batch_stats in turn); record the allocations that one level sees. The
-    # answer's Estimate is exact only for an enumerated surrogate; every
-    # other is a Monte Carlo mean with its standard error.
+    # _batch_stats in turn); record the allocations that one level sees, and
+    # those the step-0 screen rejects before any estimate. The answer's
+    # Estimate is exact only for an enumerated surrogate; every other is a
+    # Monte Carlo mean with its standard error.
     from kellylab import drawdown
-    seen = []
+    seen, rejected = [], []
     name, arg = ("_log_complementary_batch", 1) if spec.kind == "surrogate" else ("_batch_stats", 2)
     estimate = getattr(drawdown, name)
+    screen0 = drawdown._ConstraintEvaluator._screen0
 
     def counting(*args):
         seen.extend(np.asarray(k, dtype=float).tobytes() for k in args[arg])
         return estimate(*args)
 
+    def rejecting(self, ks):
+        keep = screen0(self, ks)
+        rejected.extend(kv.tobytes() for kv in ks[~keep])
+        return keep
+
     monkeypatch.setattr(drawdown, name, counting)
+    monkeypatch.setattr(drawdown._ConstraintEvaluator, "_screen0", rejecting)
     res = maximize_growth_constrained(model, n_steps, spec,
                                       paths=300, seed=2)
     assert res.method == method
     assert len(seen) == len(set(seen))
-    assert res.iterations == len(seen)
+    assert len(rejected) == len(set(rejected)) and not set(seen) & set(rejected)
+    assert res.iterations == len(seen) + len(rejected)
     assert type(res.constraint) is Estimate
     assert res.constraint.exact == (spec.kind == "surrogate" and drawdown._enumerable(model, n_steps))
 
@@ -1521,6 +1530,69 @@ def test_screen_cuts_grid_ray_work_by_more_than_half(monkeypatch):
     assert screened.iterations == plain.iterations
     assert work[1] == plain.iterations * 300 * 30
     assert work[0] < 0.5 * work[1]
+
+
+def test_step0_screen_halves_the_grid_walks_kernel_calls(monkeypatch):
+    # The two-coin expected search of the constrained-2d-scan-symmetric
+    # golden case on 300 paths, with and without the step-0 screen: the
+    # same answer bit for bit, in at most half the kernel calls, and each
+    # atom's share of the paths is counted at most once per search.
+    from kellylab import drawdown
+    spec = ConstraintSpec(kind="expected", epsilon=0.1)
+    kernel, share = drawdown.dbar_samples, drawdown._ConstraintEvaluator._share
+    calls, counted = [], []
+
+    def counting(*args, **kwargs):
+        calls[-1] += 1
+        return kernel(*args, **kwargs)
+
+    def sharing(self, atom):
+        counted.append(atom)
+        return share(self, atom)
+
+    monkeypatch.setattr(drawdown, "dbar_samples", counting)
+    monkeypatch.setattr(drawdown._ConstraintEvaluator, "_share", sharing)
+    runs = []
+    for screen0 in (drawdown._ConstraintEvaluator._screen0,
+                    lambda self, ks: np.ones(len(ks), dtype=bool)):
+        monkeypatch.setattr(drawdown._ConstraintEvaluator, "_screen0", screen0)
+        calls.append(0)
+        runs.append(maximize_growth_constrained(TWO_COINS, 50, spec, paths=300, seed=31))
+    screened, plain = runs
+    assert screened.method == plain.method == "grid-ray"
+    assert screened.k_star.tobytes() == plain.k_star.tobytes()
+    assert screened.g_star.hex() == plain.g_star.hex()
+    assert screened.constraint == plain.constraint
+    assert screened.iterations == plain.iterations
+    assert calls[0] <= 0.5 * calls[1]
+    assert counted and len(counted) == len(set(counted))
+
+
+BOUND_COIN = st.builds(lambda win, loss, p: make_coin(win, -loss, p), st.floats(0.05, 2.0),
+                       st.one_of(st.just(1.0), st.floats(0.05, 1.0)), st.floats(0.05, 0.95))
+
+
+@settings(max_examples=60, deadline=None)
+@given(coin=BOUND_COIN, coin2=st.one_of(st.none(), st.just("itself"), BOUND_COIN),
+       kind=st.sampled_from(["expected", "probabilistic"]), eps=st.floats(0.02, 0.9),
+       delta=st.floats(0.01, 0.5), n=st.integers(1, 80), paths=st.integers(1, 300),
+       seed=st.integers(0, 2**16))
+def test_step0_screen_rejects_only_refused_rows(coin, coin2, kind, eps, delta, n, paths, seed):
+    # Every point of the 21-point axis or of the simplex grid that the
+    # step-0 bound rejects has an unscreened estimate with negative slack,
+    # which the searches' conservative rule refuses.
+    from kellylab import drawdown
+    model = (coin if coin2 is None
+             else independent_join(coin, coin if isinstance(coin2, str) else coin2))
+    spec = ConstraintSpec(kind=kind, epsilon=eps,
+                          delta=delta if kind == "probabilistic" else None)
+    axis = np.linspace(0.0, 1.0, 21)
+    ks = axis[:, None] if coin2 is None else drawdown._simplex_grid(axis)
+    evaluate = drawdown._ConstraintEvaluator(model, n, spec, paths=paths, seed=seed)
+    rejected = ks[~evaluate._screen0(ks)]
+    for est, se in drawdown._batch_stats(model, spec.samples, rejected, evaluate.indices):
+        assert spec.slack(est) < 0.0
+        assert not spec.contains_conservatively(est, se)
 
 
 def full_scan_grid_refine(model, evaluate, k_un):

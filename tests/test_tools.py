@@ -1,5 +1,5 @@
-"""Repository tools: tools/count_lines.py, tools/uncovered.py and
-tools/compare_answers.py."""
+"""Repository tools: tools/count_lines.py, tools/uncovered.py,
+tools/compare_answers.py and tools/compare_cpu.py."""
 
 import importlib.util
 import subprocess
@@ -141,3 +141,36 @@ def test_compare_answers_names_each_drifted_op_and_changed_failure(monkeypatch, 
     assert capsys.readouterr().out.splitlines()[2:] == summary + differences
     assert tool.main(["before", "before"]) == 0
     assert tool.main(["before"]) == 2
+
+
+def test_compare_cpu_of_a_tree_with_itself_reports_each_op_kind():
+    # One round of constrained_search holds two c1 ops of each kind, one
+    # c2-expected and one c2-surrogate; a tree agrees with itself on every
+    # digest, so the tool exits 0.
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "compare_cpu.py"), str(ROOT),
+                           str(ROOT), "--workload", "constrained_search", "--rounds", "1",
+                           "--repeat", "1"], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    header, *lines = done.stdout.splitlines()
+    assert header.startswith("constrained_search: 6 ops in 1 rounds of seed 0")
+    assert [line.split(":")[0] for line in lines] == [
+        "c1-expected", "c1-probabilistic", "c2-expected", "c2-surrogate"]
+    assert all(line.endswith(", 0 digests differ") for line in lines)
+
+
+def test_compare_cpu_names_op_kinds_and_differing_digests():
+    tool = load_tool("compare_cpu")
+    assert [tool.op_kind(key) for key in ("r012-c1-expected-143", "r003-dd5000-2",
+                                          "r049-3-ingest", "r000-probe")] == [
+        "c1-expected", "dd5000", "ingest", "probe"]
+    keys = ["r000-c2-expected", "r001-c2-expected", "r000-probe"]
+    before = {"r000-c2-expected": (0.2, "a"), "r001-c2-expected": (0.4, "b"),
+              "r000-probe": (0.1, "c")}
+    after = {"r000-c2-expected": (0.1, "a"), "r001-c2-expected": (0.1, "x"),
+             "r000-probe": (0.1, "c")}
+    lines, differing = tool.report(keys, before, after)
+    assert lines == ["c2-expected: 2 ops, median ratio 0.375 (quartiles 0.312-0.438), "
+                     "CPU 0.600 s -> 0.200 s, 1 digests differ",
+                     "probe: 1 ops, median ratio 1.000 (quartiles 1.000-1.000), "
+                     "CPU 0.100 s -> 0.100 s, 0 digests differ"]
+    assert differing == ["r001-c2-expected"]
