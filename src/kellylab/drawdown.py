@@ -32,6 +32,17 @@ a dropped row stays NaN and no screen writes to it. The (n_atoms, live rows)
 factor table, the factor and ones blocks and r and d are made at one site,
 the top of the first chunk, and again there after a screen drops rows; a
 screened call's r and d are not remade but cut to the kept rows.
+Unscreened, the kernel also skips idle paths. An atom is rising when every
+live row's factor for it is >= 1; a path is at rest when each of its live
+r is 1 or +-0. A path at rest at the start of an 8-step slab that draws
+only rising atoms in it keeps r and d bit for bit: min(1, fl(1 f)) is 1 for
+f >= 1, +-0 f is +-0 for a finite f > 0, and min(d, r) is d when r is the r
+that the last step already took into d. So each slab runs the same steps
+on the busy paths only, gathered with take and scattered back, and then
+recomputes their rest flags. Two rules set by the model keep the gathers
+where they pay: the rising atoms' mass q must have q^8 >= 1/2
+(_rising_atoms), and a block runs dense for good, the same loop on its
+whole views, from the first slab where more than half its paths are busy.
 
 Enumeration. enumerate_dbar forks every state once per atom at each step,
 with one _recursion_step call for the whole batch: the (B, 1, K) states
@@ -287,7 +298,8 @@ def _recursion_step(r: np.ndarray, d: np.ndarray, f: np.ndarray, one, out=None) 
 _BLOCK_ELEMENTS = 32_768
 _MIN_BLOCK_PATHS = 256
 # Step of a screened dbar_samples call's first screen (each later one is at
-# twice the step); also the index rows it converts to intp at once.
+# twice the step); also the index rows it converts to intp at once, the slab
+# over which an unscreened call skips idle paths.
 _SCREEN_STEPS = 8
 # Paths per chunk when filling the step-major index matrix.
 _SAMPLE_CHUNK = 256
@@ -314,6 +326,14 @@ def sample_path_indices(model: GambleModel, paths: int, n_steps: int, seed: int)
     return out
 
 
+def _rising_atoms(model: GambleModel, by_atom: np.ndarray):
+    """The atoms whose every live factor is >= 1, as a bool mask, or None
+    when they are too rare for an idle slab to be common: their mass q must
+    have q^8 >= 1/2."""
+    rising = np.logical_and.reduce(by_atom >= 1.0, axis=1)
+    return rising if model.probs[rising].sum() ** _SCREEN_STEPS >= 0.5 else None
+
+
 def dbar_samples(model: GambleModel, k, indices: np.ndarray, screen=None) -> np.ndarray:
     """Per-path complementary drawdown min V(k)/V(l) for the given outcome indices.
 
@@ -325,8 +345,11 @@ def dbar_samples(model: GambleModel, k, indices: np.ndarray, screen=None) -> np.
     steps cannot change its verdict (see _screen). A dropped row is NaN, a
     row that never draws down is 1.0 without running a step or being
     screened, and every other row is bitwise the unscreened one. The result
-    is made once, after the last screen. See "The Monte Carlo kernel" in the
-    module docstring for the layouts and where each array is made.
+    is made once, after the last screen. Unscreened, each 8-step slab skips
+    the paths that start it at rest (every live r is 1 or +-0) and draw only
+    rising atoms in it (factor >= 1 in every live row): their r and d cannot
+    change in any bit. See "The Monte Carlo kernel" in the module docstring
+    for the idle rule, the layouts and where each array is made.
     """
     factors = _checked_factors(model, k)
     m = model.n_atoms
@@ -359,6 +382,7 @@ def dbar_samples(model: GambleModel, k, indices: np.ndarray, screen=None) -> np.
                 r, d = np.empty((2, *f.shape))
             elif not start:
                 r, d = np.ones((2, n_paths, live.size))
+            rising = _rising_atoms(model, by_atom) if screen is None else None
         for lo in range(0, n_paths, width):
             hi = min(lo + width, n_paths)
             if screen is None:
@@ -368,11 +392,28 @@ def dbar_samples(model: GambleModel, k, indices: np.ndarray, screen=None) -> np.
             else:
                 rb, db = r[lo:hi], d[lo:hi]
             fb, ob = f[:hi - lo], ones[:hi - lo]
+            # Paths at rest: every live r is 1 or +-0 ("The Monte Carlo kernel").
+            rest = None if rising is None else np.ones(hi - lo, dtype=bool)
             for t in range(start, stop, _SCREEN_STEPS):
                 # take() converts int8 indices on every call; convert a slab once.
-                for row in indices[t:t + _SCREEN_STEPS, lo:hi].astype(np.intp):
-                    by_atom.take(row, axis=0, out=fb, mode="wrap")
-                    _recursion_step(rb, db, fb, ob)
+                slab = indices[t:t + _SCREEN_STEPS, lo:hi].astype(np.intp)
+                rc, dc, fc, oc = rb, db, fb, ob
+                if rest is not None:
+                    idle = rest & rising.take(slab, mode="wrap").all(axis=0)
+                    busy = np.flatnonzero(~idle)
+                    if 2 * busy.size > hi - lo:
+                        rest = None
+                    else:
+                        slab = slab.take(busy, axis=1)
+                        rc, dc = rb.take(busy, axis=0), db.take(busy, axis=0)
+                        fc, oc = fb[:busy.size], ob[:busy.size]
+                for row in slab:
+                    by_atom.take(row, axis=0, out=fc, mode="wrap")
+                    _recursion_step(rc, dc, fc, oc)
+                if rc is not rb:
+                    rb[busy], db[busy] = rc, dc
+                    # For r in [0, 1], floor(r) == r exactly at 1 and +-0.
+                    rest[busy] = np.logical_and.reduce(np.floor(rc) == rc, axis=1)
             if stop == n_steps:
                 dbar[live, lo:hi] = db.T
         if stop == n_steps:

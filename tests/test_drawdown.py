@@ -1397,6 +1397,85 @@ def test_kernel_skips_rows_that_never_draw_down(atoms, rows, paths, n_steps, kin
     assert_kernel_equals_scalar_clamp(model, ks, idx, seed)
 
 
+@settings(max_examples=60, deadline=None)
+@given(p=st.floats(0.9, 0.999), loss=st.sampled_from([-1.0, -0.5, -0.05]),
+       zero=st.one_of(st.just(0.0), st.floats(0.01, 0.3)),
+       extra=st.lists(st.tuples(ATOM_COMPONENT, st.floats(0.001, 0.1)), max_size=3),
+       joined=st.booleans(), scale=st.sampled_from([1.0, 1e-4]), rows=st.integers(1, 150),
+       paths=st.integers(1, 2000), n_steps=st.integers(1, 70), seed=st.integers(0, 2**16))
+@example(p=0.97, loss=-1.0, zero=0.0, extra=[], joined=False, scale=1.0, rows=21, paths=1700,
+         n_steps=61, seed=0)
+def test_idle_skip_keeps_every_bit(p, loss, zero, extra, joined, scale, rows, paths, n_steps,
+                                   seed):
+    # A coin (1, loss, p) at p 0.9-0.999, with an atom x = 0 of weight
+    # `zero` and a few random atoms, joined with itself or not. Row 0 bets
+    # nothing and row 1 everything: at loss -1 it is ruined and holds r = 0.
+    # Some rows bet so little that a losing factor is just below 1, and at
+    # scale 1e-4 every row does. A joined row bets k1 = k2, so the win-loss
+    # atoms have factor exactly 1. From 128 rows on a block is 256 paths, so
+    # most calls run several blocks and a partial last one; N is mostly not a
+    # multiple of 8. The kernel that skips idle paths equals the dense one
+    # byte for byte, -0.0 included.
+    atoms = [(1.0, p), (loss, 1.0 - p)] + [(0.0, zero)] * (zero > 0.0) + extra
+    weights = np.array([w for _, w in atoms])
+    model = GambleModel(xs=[[x] for x, _ in atoms], probs=weights / weights.sum())
+    rng = np.random.default_rng(seed)
+    ks = rng.random((rows, 1))
+    ks[rng.random(rows) < 0.2] *= 1e-4
+    ks[:2] = [[0.0], [1.0]][:rows]
+    ks *= scale
+    if joined:
+        model = independent_join(model, model)
+        ks = np.hstack([ks, ks]) / 2
+    idx = sample_path_indices(model, paths, n_steps, seed)
+    out = dbar_samples(model, ks, idx)
+    # With no rising atoms to skip on, every slab steps every path.
+    with mock.patch.object(drawdown_module, "_rising_atoms", lambda model, by_atom: None):
+        dense = dbar_samples(model, ks, idx)
+    assert out.tobytes() == dense.tobytes()
+
+
+def path_steps_of(model, ks, idx, screen=None):
+    """(path-steps the recursion ran, dense path-steps, whether the static
+    rule let the call skip) of one kernel call."""
+    step, rule = drawdown_module._recursion_step, drawdown_module._rising_atoms
+    work, skips = [0], []
+
+    def counting(r, d, f, one, out=None):
+        work[0] += r.shape[0]
+        step(r, d, f, one, out)
+
+    def ruling(model, by_atom):
+        rising = rule(model, by_atom)
+        skips.append(rising is not None)
+        return rising
+
+    with mock.patch.multiple(drawdown_module, _recursion_step=counting, _rising_atoms=ruling):
+        dbar_samples(model, ks, idx, screen=screen)
+    return work[0], idx.size, any(skips)
+
+
+def test_idle_skip_steps_only_the_busy_paths():
+    # On the even coin at p 0.97, most paths sit at their peak for whole
+    # slabs, so the recursion runs at most 40% of the dense path-steps. The
+    # skewed coin and the two-coin join draw a losing atom too often (the
+    # rising mass q has q^8 < 1/2), and a screened call never skips: each of
+    # them runs every path-step.
+    axis = np.linspace(0.0, 1.0, 21)[:, None]
+    coin = make_coin(1.0, -1.0, 0.97)
+    idx = sample_path_indices(coin, 2000, 252, seed=1)
+    done, dense, skips = path_steps_of(coin, axis, idx)
+    assert done <= 0.4 * dense and skips
+    keep_all = lambda d: np.ones(d.shape[1], dtype=bool)
+    assert path_steps_of(coin, axis, idx, screen=keep_all) == (dense, dense, False)
+    join = independent_join(make_coin(1.0, -1.0, 0.9), make_coin(0.5, -0.4, 0.6))
+    pairs = np.array([[a, b] for a in axis[::2, 0] for b in axis[::2, 0] if a + b <= 1.0])
+    for model, ks in ((make_coin(0.8, -0.6, 0.6), axis), (join, pairs)):
+        idx = sample_path_indices(model, 2000, 252, seed=1)
+        assert path_steps_of(model, ks, idx) == (dense, dense, False)
+        assert path_steps_of(model, ks, idx, screen=keep_all) == (dense, dense, False)
+
+
 COIN = st.builds(lambda win, loss, p: make_coin(win, -loss, p),
                  st.floats(0.05, 2.0), st.floats(0.05, 1.0), st.floats(0.05, 0.95))
 
@@ -1505,9 +1584,9 @@ def test_drawdown_writes_its_csv_without_the_cli(tmp_path):
 
 
 def test_screen_cuts_grid_ray_work_by_more_than_half(monkeypatch):
-    # Path-steps are counted at the recursion step; unscreened, every
-    # estimate runs all 30 steps on all 300 paths. The grid walk checks the
-    # points of largest g first, which lie far outside the set.
+    # Path-steps are counted at the recursion step; unscreened and dense,
+    # every estimate runs all 30 steps on all 300 paths. The grid walk checks
+    # the points of largest g first, which lie far outside the set.
     from kellylab import drawdown
     spec = ConstraintSpec(kind="expected", epsilon=0.1)
     step = drawdown._recursion_step
@@ -1528,8 +1607,11 @@ def test_screen_cuts_grid_ray_work_by_more_than_half(monkeypatch):
     assert np.array_equal(screened.k_star, plain.k_star) and screened.g_star == plain.g_star
     assert screened.constraint == plain.constraint
     assert screened.iterations == plain.iterations
-    assert work[1] == plain.iterations * 300 * 30
-    assert work[0] < 0.5 * work[1]
+    # Unscreened rows skip idle paths, and this join's factors of exactly 1
+    # make some; the dense count stays the reference.
+    dense = plain.iterations * 300 * 30
+    assert work[1] <= dense
+    assert work[0] < 0.5 * dense
 
 
 def test_step0_screen_halves_the_grid_walks_kernel_calls(monkeypatch):
