@@ -6,8 +6,7 @@ plug-in fraction 2*p_hat - 1 (clamped to [0, 1], since the raw formula goes
 negative whenever p_hat < 1/2). No betting happens during the first M steps:
 that is the training period.
 
-The coin is `make_coin(1, -1, p_true)`, drawn by `gamble.sample_indices`'s
-rule from its cumulative weights (p_true, 1), without building the model: a
+The coin is `make_coin(1, -1, p_true)`, drawn by `gamble.sample_indices`: a
 run at seed s sees path 0 of `drawdown.sample_path_indices(coin, 1, n_steps, s)`.
 """
 
@@ -17,10 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gamble import _check_win_probability, _draw, _reprs
-
-# The atoms of make_coin(1, -1, p): index 0 wins, index 1 loses.
-_COIN_XS = np.array([[1.0], [-1.0]])
+from .gamble import _reprs, make_coin, sample_indices
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,13 +50,13 @@ def run_adaptive(p_true: float, n_steps: int, window: int, seed: int = 0) -> Ada
     estimates p as the share of wins among the outcomes of steps
     k-window..k-1 and bets clip(2 * estimate - 1, 0, 1).
     """
-    _check_win_probability(p_true)
+    coin = make_coin(1.0, -1.0, p_true)
     if not window < n_steps:
         raise ValueError("window must be smaller than n_steps")
     if window < 1:
         raise ValueError("window must be >= 1")
 
-    outcomes = _COIN_XS[_draw((float(p_true), 1.0), n_steps, np.random.default_rng(seed))]
+    outcomes = coin.xs[sample_indices(coin, n_steps, np.random.default_rng(seed))]
     x = outcomes[:, 0]
 
     win_counts = np.concatenate([[0.0], np.cumsum(x > 0.0)])

@@ -109,15 +109,6 @@ of a bracket [lo, hi] has a g above the tangent bound g(lo) + g'(lo)
 (hi - lo), so a ray stops once that bound falls below the batch's best
 g(lo); the ray that ends best never does.
 
-The prefetch. While an expected or probabilistic ray is the one live ray of
-its batch, it checks in one evaluate.batch every 3 levels the 7 midpoints
-those levels can visit, each computed as its level computes it; the levels
-find their verdicts in the memo, so the answer is bitwise that of plain
-bisection, in a third of the kernel calls. Several live rays share a kernel
-call per level already, and most midpoints they would add are never visited;
-a surrogate ray's rows run every step, so the points it skips would cost as
-much as those it checks. Neither prefetches.
-
 The split. A surrogate ray splits its bracket where the line through its
 ends' slacks crosses 0 (regula falsi with the Illinois step: an end kept
 twice in a row halves its slack), at least _SPLIT_MARGIN of the bracket from
@@ -617,11 +608,10 @@ def _log_complementary_batch(model, k, n_steps, crn):
 class ConstrainedResult:
     """GrowthResult fields plus how the constraint was handled. iterations
     counts every allocation the search checked: estimated, dropped by a
-    screen, or rejected before the first step, prefetched midpoints that its
-    bisection skips included; perfbench's tracer reports it per op as
-    drawdown.constraint_evals_per_op. constraint is the Estimate the answer
-    was judged by: exact for an enumerated surrogate, else a Monte Carlo
-    mean with its standard error."""
+    screen, or rejected before the first step; perfbench's tracer reports it
+    per op as drawdown.constraint_evals_per_op. constraint is the Estimate
+    the answer was judged by: exact for an enumerated surrogate, else a
+    Monte Carlo mean with its standard error."""
 
     k_star: np.ndarray
     g_star: float
@@ -726,8 +716,7 @@ class _ConstraintEvaluator:
                                                  lambda: self.indices)
             else:
                 screen = _screen(self.spec, self.paths)
-                keep = np.ones(len(batch), dtype=bool) if screen is None else self._screen0(batch)
-                live, stats = np.flatnonzero(keep), [None] * len(batch)
+                live, stats = np.flatnonzero(self._screen0(batch)), [None] * len(batch)
                 for i, est in zip(live, _batch_stats(self.model, self.spec.samples, batch[live],
                                                      self.indices, screen)):
                     stats[i] = est
@@ -775,24 +764,10 @@ def _along(xu: np.ndarray, probs: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.where(f.min(axis=0) > 0.0, [probs @ np.log(safe), probs @ (xu / safe)], -math.inf)
 
 
-# Bisection levels whose midpoints a screened search checks ahead, in one
-# evaluate.batch of 2 ** _PREFETCH_LEVELS - 1 points of its one live ray.
-# Of 2, 3 and 4 levels, 3 gave the fastest one-asset searches.
-_PREFETCH_LEVELS = 3
-
 # Least share of its bracket that a surrogate ray's interpolated split keeps
 # from either end. Of 2**-4, 2**-7, 2**-10 and none, 2**-7 made the fewest
 # kernel calls on the two-asset surrogate searches.
 _SPLIT_MARGIN = 2.0 ** -7
-
-
-def _midpoints(lo, hi, tol, levels):
-    """Every midpoint that the next `levels` levels of bisecting [lo, hi] to
-    width tol can visit, each computed as _ray_best computes it."""
-    if not levels or not hi - lo > tol:
-        return []
-    mid = 0.5 * (lo + hi)
-    return [mid, *_midpoints(lo, mid, tol, levels - 1), *_midpoints(mid, hi, tol, levels - 1)]
 
 
 def _split(lo, hi, s_lo, s_hi):
@@ -806,12 +781,13 @@ def _split(lo, hi, s_lo, s_hi):
 
 def _ray_best(model, evaluate, k_lo, us, lo, hi, tol):
     """(K, g) per ray r of the best admitted point of the ray t * us[r],
-    sum(us[r]) = 1, by "The ray rule", "The prefetch" and "The split" of the
-    module docstring: the brackets [lo, hi] (per ray, or one for all), each
-    lo admitted, are bisected together to width tol. The tangent bound takes
-    g and g' from the ray's return column; the answer's g is log_growth's.
-    k_lo, an admitted point of every ray, is a ray's answer when its t stays
-    at sum(k_lo) or gains no g over k_lo."""
+    sum(us[r]) = 1, by "The ray rule" and "The split" of the module
+    docstring: the brackets [lo, hi] (per ray, or one for all), each lo
+    admitted, are bisected together to width tol, one evaluate.batch of the
+    live rays' midpoints per level. The tangent bound takes g and g' from
+    the ray's return column; the answer's g is log_growth's. k_lo, an
+    admitted point of every ray, is a ray's answer when its t stays at
+    sum(k_lo) or gains no g over k_lo."""
     xu = model.xs @ us.T
     lo, hi = (np.full(len(us), end, dtype=float) for end in (lo, hi))
     g, slope = _along(xu, model.probs, lo)
@@ -822,12 +798,7 @@ def _ray_best(model, evaluate, k_lo, us, lo, hi, tol):
     # and +1 or -1 as lo or hi moved last.
     s_lo = np.where(lo == 0.0, spec.slack(0.0), math.nan)
     s_hi, last = np.full(len(us), math.nan), np.zeros(len(us))
-    for level in itertools.count():
-        if not live.any():
-            break
-        if not surrogate and np.count_nonzero(live) == 1 and level % _PREFETCH_LEVELS == 0:
-            evaluate.batch([t * us[r] for r in np.flatnonzero(live)
-                            for t in _midpoints(lo[r], hi[r], tol, _PREFETCH_LEVELS)])
+    while live.any():
         mid = _split(lo, hi, s_lo, s_hi) if surrogate else 0.5 * (lo + hi)
         g_mid, slope_mid = _along(xu, model.probs, mid)
         checked = live & (slope_mid > 0.0)

@@ -8,8 +8,7 @@ fail here with a named violation.
 
 Models are immutable after construction. Sampling is driven by an explicit
 numpy Generator, so identical seeds give bitwise-identical outcome sequences.
-The package draws only by `sample_indices`'s rule, `_draw`, which the adaptive
-coin also calls on its cumulative weights, and writes CSV only through
+The package draws only through `sample_indices` and writes CSV only through
 `_write_csv`; `_reprs` formats the model file's weights and the adaptive trace.
 """
 
@@ -109,17 +108,13 @@ class MomentSet:
 
 def make_coin(win: float, loss: float, p: float) -> GambleModel:
     """Two-outcome 1-D gamble: return `win` with probability p, else `loss`."""
-    _check_win_probability(p)
+    if not (0.0 < p < 1.0):
+        raise ModelValidationError(f"win probability must be in (0, 1), got {p!r}")
     if loss < -1.0:
         raise ModelValidationError(f"loss {loss!r} below -1 is not supported")
     if not loss < win:
         raise ModelValidationError(f"need loss < win, got loss={loss!r} win={win!r}")
     return GambleModel(xs=np.array([[win], [loss]]), probs=np.array([p, 1.0 - p]))
-
-
-def _check_win_probability(p: float) -> None:
-    if not (0.0 < p < 1.0):
-        raise ModelValidationError(f"win probability must be in (0, 1), got {p!r}")
 
 
 def independent_join(*models: GambleModel) -> GambleModel:
@@ -201,13 +196,9 @@ def sample_indices(model: GambleModel, shape, rng: np.random.Generator) -> np.nd
     [0, 1). With two atoms that count is (u >= cum[0]), because u < cum[1] = 1,
     and the comparison gives the same indices as a search, only faster.
     """
-    return _draw(_cumulative(model), shape, rng)
-
-
-def _draw(cum, shape, rng: np.random.Generator) -> np.ndarray:
-    """sample_indices by the cumulative weights cum, whose last is 1.0."""
     u = rng.random(shape)
-    if len(cum) == 2:
+    cum = _cumulative(model)
+    if cum.size == 2:
         return np.asarray(u >= cum[0]).astype(np.intp)
     return np.searchsorted(cum, u, side="right")
 

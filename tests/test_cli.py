@@ -96,8 +96,8 @@ def test_every_module_constant_is_read():
 
 
 def test_each_shared_job_has_one_site():
-    # Uniforms are drawn (by sample_indices's rule, which the adaptive coin
-    # also calls), CSV is written and floats are formatted in bulk at one
+    # Uniforms are drawn (by sample_indices, which the adaptive coin also
+    # calls), CSV is written and floats are formatted in bulk at one
     # function each, all in gamble, Monte Carlo batches are cut into
     # kernel calls by drawdown.dbar_chunks alone, and the config echo is
     # printed by cli.main alone; a second site is a copy of the job.
@@ -116,7 +116,7 @@ def test_each_shared_job_has_one_site():
                     sites["_reprs"].add(where)
                 if isinstance(node, ast.Constant) and str(node.value).startswith("config:"):
                     sites["config:"].add(where)
-    assert sites == {"random": {"gamble._draw"}, "writer": {"gamble._write_csv"},
+    assert sites == {"random": {"gamble.sample_indices"}, "writer": {"gamble._write_csv"},
                      "_reprs": {"gamble._reprs"}, "dbar_samples": {"drawdown.dbar_chunks"},
                      "config:": {"cli.main"}}
 
