@@ -3,15 +3,17 @@
     python tools/peak_memory.py [--src DIR]... [--repeat R] -- drawdown --paths 10000 ...
 
 The command runs R times (default 1) per tree in a new interpreter each,
-without tracing: each run prints its CPU seconds (user + system, import
-included), its minor page faults and its peak resident set (ru_maxrss / 1024,
-in MB as perfbench reports peak_rss_mb). Then each tree prints the median and
-the min-max of the three over its R runs. One more interpreter per tree
-imports kellylab, starts tracemalloc and runs the command twice: it prints
-the traced peak of each run alone, in MB of 2^20 bytes (numpy reports its
-arrays to tracemalloc). The first (cold) run also holds what the command
-imports and caches on first use; the second (warm) run is what an in-process
-benchmark op sees. The command's own stdout is discarded.
+without tracing: each run prints its CPU seconds (user + system, start and
+imports included), those of main() alone (cmd_cpu_s, without the start-up
+that dominates a short command's spread), its minor page faults and its peak
+resident set (ru_maxrss / 1024, in MB as perfbench reports peak_rss_mb).
+Then each tree prints the median and the min-max of the four over its R
+runs. One more interpreter per tree imports kellylab, starts tracemalloc and
+runs the command twice: it prints the traced peak of each run alone, in MB
+of 2^20 bytes (numpy reports its arrays to tracemalloc). The first (cold) run
+also holds what the command imports and caches on first use; the second
+(warm) run is what an in-process benchmark op sees. The command's own stdout
+is discarded.
 
 --src is a directory that holds the kellylab package (default: this
 checkout's src). Give it twice to compare two trees: the trees then take
@@ -20,6 +22,7 @@ a drift of the machine during the runs loads both alike.
 """
 
 import argparse
+import math
 import os
 import pathlib
 import statistics
@@ -31,7 +34,11 @@ import sys
 sys.path.insert(0, sys.argv[1])
 from kellylab.cli import main
 if sys.argv[2] == "0":
-    sys.exit(main(sys.argv[3:]))
+    import time
+    start = time.process_time()
+    code = main(sys.argv[3:])
+    sys.stderr.write(f"cmd_cpu_s {time.process_time() - start}\\n")
+    sys.exit(code)
 import tracemalloc
 tracemalloc.start()
 for run in ("cold", "warm"):
@@ -67,16 +74,19 @@ def main() -> int:
     for rnd in range(args.repeat):
         for i in (range(len(srcs)) if rnd % 2 == 0 else reversed(range(len(srcs)))):
             code, usage, err = run(srcs[i], argv, trace=False)
-            costs[i].append((usage.ru_utime + usage.ru_stime, usage.ru_minflt,
-                             usage.ru_maxrss / 1024))
+            cmd = [float(line.split()[1]) for line in err.splitlines()
+                   if line.startswith("cmd_cpu_s ")]
+            costs[i].append((usage.ru_utime + usage.ru_stime, cmd[0] if cmd else math.nan,
+                             usage.ru_minflt, usage.ru_maxrss / 1024))
             print(f"{srcs[i]}  exit {code}  cpu_s {costs[i][-1][0]:.3f}  "
-                  f"minor_faults {usage.ru_minflt}  max_rss_mb {costs[i][-1][2]:.2f}")
+                  f"cmd_cpu_s {costs[i][-1][1]:.3f}  minor_faults {usage.ru_minflt}  "
+                  f"max_rss_mb {costs[i][-1][3]:.2f}")
             if code:
                 sys.stderr.write(err)
     for src, runs in zip(srcs, costs):
         cells = [f"{name} {statistics.median(col):{fmt}} ({min(col):{fmt}}-{max(col):{fmt}})"
-                 for name, fmt, col in zip(("cpu_s", "minor_faults", "max_rss_mb"),
-                                           (".3f", ".0f", ".2f"), zip(*runs))]
+                 for name, fmt, col in zip(("cpu_s", "cmd_cpu_s", "minor_faults", "max_rss_mb"),
+                                           (".3f", ".3f", ".0f", ".2f"), zip(*runs))]
         print(f"{src}  median (min-max) of {len(runs)} runs:  " + "  ".join(cells))
     for src in srcs:
         code, _, err = run(src, argv, trace=True)
